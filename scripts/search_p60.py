@@ -13,13 +13,12 @@ from equilat.geometry import signature
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--p-max", type=int, default=60, dest="p_max")
-    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
 
     start = time.monotonic()
-    catalog = search.enumerate_leqs(search.SearchConfig(p_max=args.p_max, workers=args.workers))
+    catalog = search.enumerate_leqs(args.p_max)
     elapsed = time.monotonic() - start
-    print(f"{len(catalog)} classes with perimeter <= {args.p_max} ({elapsed:.2f}s, {args.workers} worker(s))")
+    print(f"{len(catalog)} classes with perimeter <= {args.p_max} ({elapsed:.2f}s)")
 
     for sig, cls in catalog.classes.items():
         diag = ", ".join(

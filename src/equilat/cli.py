@@ -5,8 +5,9 @@
             [--format json|csv|svg|text] [--out PATH] [--figure NAME] [--pretty]
 
 Data goes to stdout (or --out); errors go to stderr.  Exit codes: 0 success,
-1 domain error, 2 usage error.  JSON output is canonical: sorted keys, no
-floating point anywhere, rationals serialized as {"num": ..., "den": ...}.
+1 domain error, unwritable --out or failed audit cross-check, 2 usage error.
+JSON output is canonical: sorted keys, no floating point anywhere, rationals
+serialized as {"num": ..., "den": ...}.
 The default search bound 42 can be overridden with EQUILAT_PMAX_DEFAULT.
 """
 
@@ -38,7 +39,10 @@ class OutputSpec:
     pretty: bool = False
 
 
-def _default_p_max() -> int:
+def _p_max(args: argparse.Namespace) -> int:
+    """--p-max when given, else EQUILAT_PMAX_DEFAULT, else 42."""
+    if args.p_max is not None:
+        return args.p_max
     raw = os.environ.get(PMAX_ENV_VAR)
     if raw is None:
         return DEFAULT_P_MAX
@@ -46,6 +50,11 @@ def _default_p_max() -> int:
         return int(raw)
     except ValueError as exc:
         raise EquilatError(f"{PMAX_ENV_VAR} must be an integer, got {raw!r}") from exc
+
+
+def _check_workers(args: argparse.Namespace) -> None:
+    if args.workers < 1:
+        raise EquilatError("workers must be positive")
 
 
 def _rat(value: Fraction) -> dict:
@@ -82,7 +91,7 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 
 def _cmd_pell(args: argparse.Namespace, out: OutputSpec) -> None:
-    count = args.count or 6
+    count = 6 if args.count is None else args.count
     rows = []
     for spec in pell.builtin_specs():
         sols = pell.solutions(spec, count)
@@ -119,7 +128,7 @@ def _cmd_pell(args: argparse.Namespace, out: OutputSpec) -> None:
 
 
 def _cmd_kites(args: argparse.Namespace, out: OutputSpec) -> None:
-    count = args.count or 4
+    count = 4 if args.count is None else args.count
     tags = [args.family] if args.family else list(kites.FAMILIES)
     rows = []
     for tag in tags:
@@ -161,7 +170,7 @@ def _cmd_kites(args: argparse.Namespace, out: OutputSpec) -> None:
 
 
 def _cmd_trapezoids(args: argparse.Namespace, out: OutputSpec) -> None:
-    bound = args.p_max or trapezoids.TRAPEZOID_SCAN_BOUND
+    bound = trapezoids.TRAPEZOID_SCAN_BOUND if args.p_max is None else args.p_max
     sols = trapezoids.all_equable_trapezoids(bound)
     if out.format == "json":
         rows = []
@@ -275,8 +284,8 @@ def _catalog_payload(catalog: search.LeqCatalog) -> dict:
 
 
 def _cmd_search(args: argparse.Namespace, out: OutputSpec) -> None:
-    cfg = search.SearchConfig(p_max=args.p_max or _default_p_max(), workers=args.workers)
-    catalog = search.enumerate_leqs(cfg)
+    _check_workers(args)
+    catalog = search.enumerate_leqs(_p_max(args))
     if out.format == "json":
         _emit(to_json(_catalog_payload(catalog), out.pretty), out)
     elif out.format == "csv":
@@ -300,9 +309,10 @@ def _cmd_search(args: argparse.Namespace, out: OutputSpec) -> None:
         _emit("\n".join(lines) + "\n", out)
 
 
-def _cmd_audit(args: argparse.Namespace, out: OutputSpec) -> None:
-    p_max = args.p_max or _default_p_max()
-    catalog = search.enumerate_leqs(search.SearchConfig(p_max=p_max, workers=args.workers))
+def _cmd_audit(args: argparse.Namespace, out: OutputSpec) -> int:
+    _check_workers(args)
+    p_max = _p_max(args)
+    catalog = search.enumerate_leqs(p_max)
     report = search.audit_theorems(catalog, p_max)
     payload = {
         "p_max": report.p_max,
@@ -330,6 +340,11 @@ def _cmd_audit(args: argparse.Namespace, out: OutputSpec) -> None:
         for sig, length in report.diagonal_exceptions:
             lines.append(f"    {sig} has an interior diagonal of length {length}")
         _emit("\n".join(lines) + "\n", out)
+    if not payload["kites_match"]:
+        print("equilat audit: kite classes found differ from the closed-form families",
+              file=sys.stderr)
+        return 1
+    return 0
 
 
 # ---------------------------------------------------------------- render
@@ -392,7 +407,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if name in ("trapezoids", "search", "audit"):
             p.add_argument("--p-max", type=int, default=None, dest="p_max", metavar="N")
         if name in ("search", "audit"):
-            p.add_argument("--workers", type=int, default=1, metavar="N")
+            p.add_argument("--workers", type=int, default=1, metavar="N",
+                           help="accepted for compatibility; has no effect (must be >= 1)")
         if name == "render":
             p.add_argument("--figure", choices=render.figure_names(), required=True)
     return parser
@@ -407,11 +423,11 @@ def run(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     out = OutputSpec(format=args.format, path=args.out, pretty=args.pretty)
     try:
-        _HANDLERS[args.command](args, out)
-    except (EquilatError, ValueError, KeyError) as exc:
+        code = _HANDLERS[args.command](args, out)
+    except (EquilatError, ValueError, KeyError, OSError) as exc:
         print(f"equilat {args.command}: {exc}", file=sys.stderr)
         return 1
-    return 0
+    return 0 if code is None else code
 
 
 def main() -> None:

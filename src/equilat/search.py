@@ -1,26 +1,38 @@
 """Brute-force discovery of every lattice equable quadrilateral class up to a
 perimeter bound.
 
-The search walks ordered chains of four edge vectors with integer norm.  Two
-symmetry reductions keep it honest but fast: the first edge is always a
-longest edge of the chain, and it is rotated into the half-quadrant
-dx > 0, dy >= 0.  Every congruence class has a counterclockwise placement of
-that shape, so the catalog is complete for its bound; signatures dedupe the
-many raw embeddings of each class.
+Every simple quadrilateral P0P1P2P3 has an interior diagonal; label it P0P2
+and write d = P2 - P0.  The diagonal cuts the quad into the counterclockwise
+triangles P0P1P2 and P2P3P0, which lie on opposite sides of it, so the quad
+is simple as soon as no three vertices are collinear at the diagonal's two
+ends.  Each triangle is a half-chain of two edges from 0 to d: (v1, v2) on the
+right of d, and, negated, (u1, u2) on the left.  Twice the area is
+cross(v1, v2) + cross(u1, u2), so equability (area = perimeter) becomes a key
+match k(v) + k(u) = 0 with k = cross(v1, v2) - 2(|v1| + |v2|).  The search
+therefore takes each diagonal d in the eighth dx > 0, 0 <= dy <= dx, lists
+its half-chains with integer-norm edges, buckets them by key and joins bucket
+k with bucket -k: the meet-in-the-middle idea of Horowitz & Sahni (1974).
+Every side and diagonal is shorter than half the perimeter, which bounds both
+the edge table and the diagonals.
 
-Filters are ordered by cost: perimeter budget, closure distance, integer
-closing norm, equability (one integer compare), simplicity, then signature.
+Each hit is written out in the placements the eight lattice symmetries give
+it, from every vertex whose outgoing edge is a longest edge and lies in the
+half-quadrant dx > 0, dy >= 0.  Those anchored chains, collected per
+congruence signature, define the catalog independently of the algorithm: a
+class's representative is its smallest anchored chain, and `embeddings_seen`
+counts its anchored chains, that is its lattice placements up to translation
+together with each vertex of the placement that anchors it.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import isqrt
 
 from equilat import kites
 from equilat.geometry import (
+    POINT_SYMMETRIES,
     DiagonalReport,
     LatticeQuad,
     Point,
@@ -33,7 +45,6 @@ from equilat.geometry import (
 
 __all__ = [
     "EdgeVector",
-    "SearchConfig",
     "LeqClass",
     "LeqCatalog",
     "AuditReport",
@@ -58,19 +69,6 @@ class EdgeVector:
             raise ValueError(f"({self.dx},{self.dy}) does not have integer norm {self.length}")
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    p_max: int = 42
-    workers: int = 1
-    emit_all_embeddings: bool = False
-
-    def __post_init__(self) -> None:
-        if not P_MAX_MIN <= self.p_max <= P_MAX_MAX:
-            raise ValueError(f"p_max must lie in [{P_MAX_MIN}, {P_MAX_MAX}]")
-        if self.workers < 1:
-            raise ValueError("workers must be positive")
-
-
 def integer_norm_vectors(max_len: int) -> list[EdgeVector]:
     """All nonzero lattice vectors with integer norm <= max_len, every
     quadrant included, sorted by (length, dx, dy)."""
@@ -89,83 +87,61 @@ def integer_norm_vectors(max_len: int) -> list[EdgeVector]:
     return out
 
 
-def _vector_table(max_len: int) -> tuple[list[tuple[int, int, int]], list[int]]:
-    """Flat (dx, dy, len) list sorted by length plus prefix cuts: cut[L] is the
-    number of vectors of length <= L."""
-    vecs = [(e.dx, e.dy, e.length) for e in integer_norm_vectors(max_len)]
-    cut = [0] * (max_len + 1)
-    j = 0
-    for l in range(max_len + 1):
-        while j < len(vecs) and vecs[j][2] <= l:
-            j += 1
-        cut[l] = j
-    return vecs, cut
+def _equable_quads(p_max: int):
+    """Yield (vertices, sides) for every counterclockwise equable quad
+    (0, P1, d, P3) with integer sides and perimeter <= p_max whose interior
+    diagonal d = P2 - P0 lies in the eighth dx > 0, 0 <= dy <= dx."""
+    half = (p_max - 1) // 2  # every side and diagonal is shorter than p_max / 2
+    columns: dict[int, list[tuple[int, int]]] = {}
+    for e in integer_norm_vectors(half):
+        columns.setdefault(e.dx, []).append((e.dy, e.length))
+    for dx in range(1, half + 1):
+        # Half-chains 0 -> v1 -> d right of d, for one column of diagonals at
+        # a time, keyed by (dy, k); v2 = d - v1 is drawn from column dx - x1.
+        buckets: dict[tuple[int, int], list[tuple[int, int, int, int]]] = {}
+        for x1 in range(dx - half, half + 1):
+            for y1, l1 in columns.get(x1, ()):
+                for y2, l2 in columns.get(dx - x1, ()):
+                    dy = y1 + y2
+                    if dy < 0 or dy > dx:
+                        continue
+                    cross = x1 * dy - y1 * dx  # cross(v1, d) = cross(v1, v2)
+                    rest = p_max - l1 - l2  # the other half needs more than |d|
+                    if cross > 0 and rest * rest > dx * dx + dy * dy:
+                        key = (dy, cross - 2 * (l1 + l2))
+                        buckets.setdefault(key, []).append((x1, y1, l1, l2))
+        # The left half (P2, P3, P0) negated is a right half (u1, u2) of the
+        # same d; negation keeps both the cross product and the lengths.
+        for (dy, k), uppers in buckets.items():
+            for ux, uy, m1, m2 in buckets.get((dy, -k), ()):
+                qx, qy = dx - ux, dy - uy  # P3 = d - u1 = u2
+                for x1, y1, l1, l2 in uppers:
+                    if l1 + l2 + m1 + m2 > p_max:
+                        continue
+                    if x1 * qy == y1 * qx or (dx - x1) * uy == (dy - y1) * ux:
+                        continue  # three collinear vertices at P0 or at P2
+                    yield ((0, 0), (x1, y1), (dx, dy), (qx, qy)), (l1, l2, m1, m2)
 
 
-def _search_chunk(args: tuple[int, int, int, bool]) -> dict:
-    """Enumerate all chains whose first edge index is in the given stride
-    class.  Returns {signature: [min_flat_vertices, count, embeddings]}."""
-    p_max, stride, offset, emit_all = args
-    max_side = p_max - 3
-    vecs, cut = _vector_table(max_side)
-    firsts = [v for v in vecs if v[0] > 0 and v[1] >= 0]
-    found: dict[tuple, list] = {}
-
-    for idx in range(offset, len(firsts), stride):
-        x1, y1, l1 = firsts[idx]
-        rem1 = p_max - l1
-        if rem1 < 3:
-            continue
-        for x2, y2, l2 in vecs[: cut[min(l1, rem1 - 2)]]:
-            sx = x1 + x2
-            sy = y1 + y2
-            if sx == 0 and sy == 0:
-                continue
-            rem2 = rem1 - l2
-            if sx * sx + sy * sy > rem2 * rem2:
-                continue  # cannot close within the remaining budget
-            for x3, y3, l3 in vecs[: cut[min(l1, rem2 - 1)]]:
-                tx = sx + x3
-                ty = sy + y3
-                n4 = tx * tx + ty * ty
-                if n4 == 0:
-                    continue
-                l4cap = rem2 - l3
-                if l4cap > l1:
-                    l4cap = l1
-                if n4 > l4cap * l4cap:
-                    continue
-                l4 = isqrt(n4)
-                if l4 * l4 != n4:
-                    continue
-                if tx == x1 and ty == y1:
-                    continue  # v3 would duplicate v1
-                # equability: twice the shoelace area must equal twice the perimeter
-                a = x1 * sy - sx * y1
-                c = sx * ty - tx * sy
-                if a + c != 2 * (l1 + l2 + l3 + l4):
-                    continue
-                b = x1 * ty - tx * y1
-                d = a - b + c
-                if a == 0 or b == 0 or c == 0 or d == 0:
-                    continue  # three collinear vertices
-                if (a * b < 0 and c * d < 0) or (a * d < 0 and b * c < 0):
-                    continue  # opposite edges cross
-                sig = canonical_signature(
-                    (l1 * l1, l2 * l2, l3 * l3, l4 * l4),
-                    (sx * sx + sy * sy, (tx - x1) ** 2 + (ty - y1) ** 2),
-                )
-                flat = (0, 0, x1, y1, sx, sy, tx, ty)
-                entry = found.get(sig)
-                if entry is None:
-                    found[sig] = [flat, 1, [flat] if emit_all else []]
-                else:
-                    if flat < entry[0]:
-                        entry[0] = flat
-                    entry[1] += 1
-                    if emit_all:
-                        entry[2].append(flat)
-    return found
+def _anchored_chains(
+    pts: tuple[tuple[int, int], ...], longest: int
+) -> list[tuple[int, ...]]:
+    """Flat vertex tuples of the quad's images under the lattice symmetries,
+    re-oriented counterclockwise and started at each vertex whose outgoing
+    edge is a longest edge in the half-quadrant dx > 0, dy >= 0."""
+    out = []
+    for a, b, c, e in POINT_SYMMETRIES:
+        img = [(a * x + b * y, c * x + e * y) for x, y in pts]
+        if a * e - b * c < 0:
+            img.reverse()  # a reflection leaves the vertices clockwise
+        for i in range(4):
+            ox, oy = img[i]
+            ex, ey = img[(i + 1) % 4][0] - ox, img[(i + 1) % 4][1] - oy
+            if ex > 0 and ey >= 0 and ex * ex + ey * ey == longest * longest:
+                out.append(tuple(
+                    v for x, y in img[i:] + img[:i] for v in (x - ox, y - oy)
+                ))
+    return out
 
 
 def _quad_from_flat(flat: tuple[int, ...]) -> LatticeQuad:
@@ -182,7 +158,7 @@ class LeqClass:
     classification: QuadClassification
     diagonals: DiagonalReport
     embeddings_seen: int
-    embeddings: tuple[LatticeQuad, ...] = ()
+    embeddings: tuple[LatticeQuad, ...]
 
     @property
     def perimeter(self) -> int:
@@ -207,48 +183,37 @@ class LeqCatalog:
         return len(self.classes)
 
 
-def enumerate_leqs(cfg: SearchConfig) -> LeqCatalog:
-    """Complete catalog of LEQ classes with perimeter <= cfg.p_max."""
-    chunk_args = [
-        (cfg.p_max, cfg.workers, offset, cfg.emit_all_embeddings)
-        for offset in range(cfg.workers)
-    ]
-    if cfg.workers == 1:
-        partials = [_search_chunk(chunk_args[0])]
-    else:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            partials = list(pool.map(_search_chunk, chunk_args))
-
-    merged: dict[tuple, list] = {}
-    for partial in partials:
-        for sig, (flat, count, embeds) in partial.items():
-            entry = merged.get(sig)
-            if entry is None:
-                merged[sig] = [flat, count, list(embeds)]
-            else:
-                entry[0] = min(entry[0], flat)
-                entry[1] += count
-                entry[2].extend(embeds)
+def enumerate_leqs(p_max: int) -> LeqCatalog:
+    """Complete catalog of LEQ classes with perimeter <= p_max."""
+    if not P_MAX_MIN <= p_max <= P_MAX_MAX:
+        raise ValueError(f"p_max must lie in [{P_MAX_MIN}, {P_MAX_MAX}]")
+    chains: dict[tuple, set[tuple[int, ...]]] = {}
+    for pts, (l1, l2, m1, m2) in _equable_quads(p_max):
+        (x1, y1), (dx, dy), (qx, qy) = pts[1:]
+        sig = canonical_signature(
+            (l1 * l1, l2 * l2, m1 * m1, m2 * m2),
+            (dx * dx + dy * dy, (qx - x1) ** 2 + (qy - y1) ** 2),
+        )
+        chains.setdefault(sig, set()).update(_anchored_chains(pts, max(l1, l2, m1, m2)))
 
     classes: dict[tuple, LeqClass] = {}
-    for sig in sorted(merged):
-        flat, count, embeds = merged[sig]
-        rep = _quad_from_flat(flat)
+    for sig in sorted(chains):
+        embeds = [_quad_from_flat(f) for f in sorted(chains[sig])]
         classes[sig] = LeqClass(
             signature=sig,
-            representative=rep,
-            classification=classify(rep),
-            diagonals=interior_diagonals(rep),
-            embeddings_seen=count,
-            embeddings=tuple(_quad_from_flat(f) for f in sorted(embeds)),
+            representative=embeds[0],
+            classification=classify(embeds[0]),
+            diagonals=interior_diagonals(embeds[0]),
+            embeddings_seen=len(embeds),
+            embeddings=tuple(embeds),
         )
-    return LeqCatalog(p_max=cfg.p_max, classes=classes)
+    return LeqCatalog(p_max=p_max, classes=classes)
 
 
 @lru_cache(maxsize=8)
 def get_catalog(p_max: int = 42) -> LeqCatalog:
-    """Session-cached single-worker catalog."""
-    return enumerate_leqs(SearchConfig(p_max=p_max))
+    """Catalog cached for the life of the process."""
+    return enumerate_leqs(p_max)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 import xml.etree.ElementTree as ET
 
 import pytest
 
+from equilat import search
 from equilat.cli import run, to_json
 
 
@@ -23,6 +25,27 @@ class TestExitCodes:
 
     def test_success_is_0(self, capsys):
         assert _run(capsys, "pell", "--count", "3")[0] == 0
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (("search", "--p-max", "0"), "p_max"),
+            (("audit", "--p-max", "0"), "p_max"),
+            (("pell", "--count", "0"), "count"),
+        ],
+        ids=["search", "audit", "pell"],
+    )
+    def test_explicit_zero_is_validated(self, capsys, argv, field):
+        code, out, err = _run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith(f"equilat {argv[0]}: ") and field in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["search", "audit"])
+    def test_workers_must_be_positive(self, capsys, command):
+        code, out, err = _run(capsys, command, "--p-max", "16", "--workers", "0")
+        assert code == 1 and out == ""
+        assert err == f"equilat {command}: workers must be positive\n"
 
 
 class TestPell:
@@ -90,6 +113,33 @@ class TestSearchAndAudit:
         assert len(payload["diagonal_exceptions"]) == 1
         assert payload["diagonal_exceptions"][0]["length"] == 5
 
+    @pytest.mark.parametrize("command", ["search", "audit"])
+    def test_workers_flag_does_not_change_output(self, capsys, command):
+        argv = (command, "--p-max", "42", "--format", "json")
+        code1, out1, _ = _run(capsys, *argv, "--workers", "1")
+        code2, out2, _ = _run(capsys, *argv, "--workers", "2")
+        assert code1 == code2 == 0
+        assert out1 == out2
+
+    def test_audit_mismatch_exits_1(self, capsys, monkeypatch):
+        _, expected_out, _ = _run(capsys, "audit", "--p-max", "42", "--format", "json")
+        real = search.audit_theorems
+
+        def missing_kite(catalog, p_max):
+            report = real(catalog, p_max)
+            return dataclasses.replace(
+                report, kites_expected=report.kites_expected | {(1, 1, 1, 1, 2, 2)}
+            )
+
+        monkeypatch.setattr(search, "audit_theorems", missing_kite)
+        code, out, err = _run(capsys, "audit", "--p-max", "42", "--format", "json")
+        assert code == 1
+        expected = json.loads(expected_out)
+        expected["kites_expected"] = sorted(expected["kites_expected"] + [[1, 1, 1, 1, 2, 2]])
+        expected["kites_match"] = False
+        assert json.loads(out) == expected
+        assert err.startswith("equilat audit: ") and len(err.splitlines()) == 1
+
     def test_env_var_default(self, capsys, monkeypatch):
         monkeypatch.setenv("EQUILAT_PMAX_DEFAULT", "16")
         code, out, _ = _run(capsys, "search", "--format", "json")
@@ -139,3 +189,12 @@ class TestOutFile:
         assert code == 0 and out == ""
         rows = json.loads(target.read_text())
         assert [tuple(r["B"]) for r in rows] == [(4, 4), (12, 12)]
+
+    def test_unwritable_out_is_1(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "catalog.json"
+        code, out, err = _run(
+            capsys, "search", "--p-max", "16", "--format", "json", "--out", str(target),
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("equilat search: ") and len(err.splitlines()) == 1
+        assert not target.exists()

@@ -12,7 +12,6 @@ from equilat.geometry import (
 )
 from equilat.search import (
     AuditReport,
-    SearchConfig,
     audit_theorems,
     enumerate_leqs,
     get_catalog,
@@ -87,6 +86,68 @@ def _unrestricted_class_set(p_max: int) -> set[tuple]:
     return sigs
 
 
+def _anchored_walk(p_max: int) -> dict[tuple, list[tuple[int, ...]]]:
+    """Reference oracle: the anchored chain walk the join replaced.  Walks
+    chains of four integer-norm edges whose first edge is a longest edge in
+    the half-quadrant dx > 0, dy >= 0 and returns, per signature, the sorted
+    flat vertex tuples of every counterclockwise simple equable chain."""
+    vecs = [(v.dx, v.dy, v.length) for v in integer_norm_vectors(p_max - 3)]
+    found: dict[tuple, list] = {}
+    for x1, y1, l1 in vecs:
+        if x1 <= 0 or y1 < 0 or p_max - l1 < 3:
+            continue
+        rem1 = p_max - l1
+        for x2, y2, l2 in vecs:
+            if l2 > min(l1, rem1 - 2):
+                break
+            sx, sy = x1 + x2, y1 + y2
+            rem2 = rem1 - l2
+            if (sx, sy) == (0, 0) or sx * sx + sy * sy > rem2 * rem2:
+                continue
+            for x3, y3, l3 in vecs:
+                if l3 > min(l1, rem2 - 1):
+                    break
+                tx, ty = sx + x3, sy + y3
+                n4 = tx * tx + ty * ty
+                l4 = isqrt(n4)
+                if n4 == 0 or l4 * l4 != n4 or l4 > min(l1, rem2 - l3) or (tx, ty) == (x1, y1):
+                    continue
+                a = x1 * sy - sx * y1
+                c = sx * ty - tx * sy
+                if a + c != 2 * (l1 + l2 + l3 + l4):
+                    continue
+                b = x1 * ty - tx * y1
+                d = a - b + c
+                if 0 in (a, b, c, d):
+                    continue
+                if (a * b < 0 and c * d < 0) or (a * d < 0 and b * c < 0):
+                    continue
+                sig = canonical_signature(
+                    (l1 * l1, l2 * l2, l3 * l3, l4 * l4),
+                    (sx * sx + sy * sy, (tx - x1) ** 2 + (ty - y1) ** 2),
+                )
+                found.setdefault(sig, []).append((0, 0, x1, y1, sx, sy, tx, ty))
+    return {sig: sorted(flats) for sig, flats in found.items()}
+
+
+def _flat(q) -> tuple[int, ...]:
+    return tuple(c for p in q.v for c in (p.x, p.y))
+
+
+@pytest.mark.parametrize(
+    "p_max", [20, 42, 100, pytest.param(200, marks=pytest.mark.slow)]
+)
+def test_join_matches_anchored_walk(p_max):
+    walk = _anchored_walk(p_max)
+    cat = enumerate_leqs(p_max)
+    assert cat.signatures() == set(walk)
+    for sig, flats in walk.items():
+        cls = cat.classes[sig]
+        assert _flat(cls.representative) == flats[0]
+        assert cls.embeddings_seen == len(flats)
+        assert [_flat(e) for e in cls.embeddings] == flats
+
+
 class TestEnumerateLeqs:
     def test_p16_contains_square(self):
         cat = get_catalog(16)
@@ -109,14 +170,6 @@ class TestEnumerateLeqs:
             expected = {s for s, c in big.classes.items() if c.perimeter <= p}
             assert small.signatures() == expected
 
-    def test_worker_count_does_not_change_catalog(self):
-        c1 = enumerate_leqs(SearchConfig(p_max=20, workers=1))
-        c2 = enumerate_leqs(SearchConfig(p_max=20, workers=2))
-        assert c1.classes.keys() == c2.classes.keys()
-        for sig in c1.classes:
-            assert c1.classes[sig].representative == c2.classes[sig].representative
-            assert c1.classes[sig].embeddings_seen == c2.classes[sig].embeddings_seen
-
     def test_representatives_are_valid(self):
         cat = get_catalog(42)
         for sig, cls in cat.classes.items():
@@ -135,19 +188,16 @@ class TestEnumerateLeqs:
             if cls.classification.is_parallelogram:
                 assert all(not d.rational for d in cls.diagonals.interior)
 
-    def test_emit_all_embeddings(self):
-        cat = enumerate_leqs(SearchConfig(p_max=16, emit_all_embeddings=True))
+    def test_embeddings_are_the_counted_placements(self):
+        cat = get_catalog(42)
         for cls in cat.classes.values():
             assert len(cls.embeddings) == cls.embeddings_seen
             assert all(signature(e).canonical == cls.signature for e in cls.embeddings)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SearchConfig(p_max=8)
-        with pytest.raises(ValueError):
-            SearchConfig(p_max=500)
-        with pytest.raises(ValueError):
-            SearchConfig(workers=0)
+        for p_max in (0, 8, 11, 201, 500):
+            with pytest.raises(ValueError, match="p_max"):
+                enumerate_leqs(p_max)
 
 
 @pytest.fixture()
