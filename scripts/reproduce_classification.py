@@ -44,7 +44,7 @@ def main() -> int:
     ok &= len(report.trapezoids_found) == 5
     ok &= len(report.cyclic_found) == 4
     ok &= report.diagonal_exceptions == (
-        (signature(NAMED_QUADS["right-trapezoid-6-4-3-5"]).canonical, 5),
+        (signature(NAMED_QUADS["right-trapezoid-6-4-3-5"]), 5),
     )
     print(f"  classes: {len(catalog)}")
     print(f"  kites found == closed-form families: {kites_match}")

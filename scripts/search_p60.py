@@ -28,7 +28,7 @@ def main() -> None:
         )
         print(f"  P={cls.perimeter:>3} {sig} rep={[(p.x, p.y) for p in cls.representative.v]} diag: {diag}")
 
-    concave = signature(NAMED_QUADS["concave-60"]).canonical
+    concave = signature(NAMED_QUADS["concave-60"])
     print(f"concave example with external diagonal 12 present: {concave in catalog}")
 
 

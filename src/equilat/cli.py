@@ -8,7 +8,6 @@ Data goes to stdout (or --out); errors go to stderr.  Exit codes: 0 success,
 1 domain error, unwritable --out or failed audit cross-check, 2 usage error.
 JSON output is canonical: sorted keys, no floating point anywhere, rationals
 serialized as {"num": ..., "den": ...}.
-The default search bound 42 can be overridden with EQUILAT_PMAX_DEFAULT.
 """
 
 from __future__ import annotations
@@ -17,39 +16,21 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from equilat import cyclic, kites, pell, render, search, trapezoids
 from equilat.errors import EquilatError
 from equilat.geometry import LatticeQuad
 
-__all__ = ["OutputSpec", "run", "main"]
+__all__ = ["run", "main"]
 
 DEFAULT_P_MAX = 42
-PMAX_ENV_VAR = "EQUILAT_PMAX_DEFAULT"
-
-
-@dataclass(frozen=True)
-class OutputSpec:
-    format: str = "text"
-    path: str | None = None
-    pretty: bool = False
 
 
 def _p_max(args: argparse.Namespace) -> int:
-    """--p-max when given, else EQUILAT_PMAX_DEFAULT, else 42."""
-    if args.p_max is not None:
-        return args.p_max
-    raw = os.environ.get(PMAX_ENV_VAR)
-    if raw is None:
-        return DEFAULT_P_MAX
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise EquilatError(f"{PMAX_ENV_VAR} must be an integer, got {raw!r}") from exc
+    """--p-max when given, else 42."""
+    return DEFAULT_P_MAX if args.p_max is None else args.p_max
 
 
 def _check_workers(args: argparse.Namespace) -> None:
@@ -71,11 +52,11 @@ def to_json(payload, pretty: bool) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _emit(text: str, out: OutputSpec) -> None:
-    if out.path is None:
+def _emit(text: str, path: str | None) -> None:
+    if path is None:
         sys.stdout.write(text)
     else:
-        with open(out.path, "w", encoding="utf-8") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
 
 
@@ -90,7 +71,7 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 # ---------------------------------------------------------------- pell
 
 
-def _cmd_pell(args: argparse.Namespace, out: OutputSpec) -> None:
+def _cmd_pell(args: argparse.Namespace) -> None:
     count = 6 if args.count is None else args.count
     rows = []
     for spec in pell.builtin_specs():
@@ -105,15 +86,15 @@ def _cmd_pell(args: argparse.Namespace, out: OutputSpec) -> None:
                 "solutions": [[s.n, s.i] for s in sols],
             }
         )
-    if out.format == "json":
-        _emit(to_json(rows, out.pretty), out)
-    elif out.format == "csv":
+    if args.format == "json":
+        _emit(to_json(rows, args.pretty), args.out)
+    elif args.format == "csv":
         flat = [
             [r["name"], r["alpha"], r["beta"], r["gamma"], r["rec"], j, s[0], s[1]]
             for r in rows
             for j, s in enumerate(r["solutions"])
         ]
-        _emit(_csv_text(["name", "alpha", "beta", "gamma", "rec", "index", "n", "i"], flat), out)
+        _emit(_csv_text(["name", "alpha", "beta", "gamma", "rec", "index", "n", "i"], flat), args.out)
     else:
         lines = []
         for r in rows:
@@ -121,13 +102,13 @@ def _cmd_pell(args: argparse.Namespace, out: OutputSpec) -> None:
             lines.append(
                 f"{r['name']}: {r['alpha']}n^2-{r['beta']}i^2={r['gamma']} rec={r['rec']}: {sols}"
             )
-        _emit("\n".join(lines) + "\n", out)
+        _emit("\n".join(lines) + "\n", args.out)
 
 
 # ---------------------------------------------------------------- kites
 
 
-def _cmd_kites(args: argparse.Namespace, out: OutputSpec) -> None:
+def _cmd_kites(args: argparse.Namespace) -> None:
     count = 4 if args.count is None else args.count
     tags = [args.family] if args.family else list(kites.FAMILIES)
     rows = []
@@ -148,31 +129,31 @@ def _cmd_kites(args: argparse.Namespace, out: OutputSpec) -> None:
                     "convexity": kites.convexity(km).value,
                 }
             )
-    if out.format == "json":
-        _emit(to_json(rows, out.pretty), out)
-    elif out.format == "csv":
+    if args.format == "json":
+        _emit(to_json(rows, args.pretty), args.out)
+    elif args.format == "csv":
         header = ["family", "n", "i", "Ax", "Ay", "Bx", "By", "Cx", "Cy", "K_A", "a", "b", "q_sq", "convexity"]
         flat = [
             [r["family"], r["n"], r["i"], *r["A"], *r["B"], *r["C"], r["K_A"], r["a"], r["b"], r["q_sq"], r["convexity"]]
             for r in rows
         ]
-        _emit(_csv_text(header, flat), out)
+        _emit(_csv_text(header, flat), args.out)
     else:
         lines = [
             f"{r['family']} n={r['n']} i={r['i']} A={tuple(r['A'])} B={tuple(r['B'])} "
             f"C={tuple(r['C'])} K_A={r['K_A']} a={r['a']} b={r['b']} q^2={r['q_sq']} {r['convexity']}"
             for r in rows
         ]
-        _emit("\n".join(lines) + "\n", out)
+        _emit("\n".join(lines) + "\n", args.out)
 
 
 # ---------------------------------------------------------------- trapezoids
 
 
-def _cmd_trapezoids(args: argparse.Namespace, out: OutputSpec) -> None:
+def _cmd_trapezoids(args: argparse.Namespace) -> None:
     bound = trapezoids.TRAPEZOID_SCAN_BOUND if args.p_max is None else args.p_max
     sols = trapezoids.all_equable_trapezoids(bound)
-    if out.format == "json":
+    if args.format == "json":
         rows = []
         for s in sols:
             emb = trapezoids.lattice_embedding(s)
@@ -187,15 +168,15 @@ def _cmd_trapezoids(args: argparse.Namespace, out: OutputSpec) -> None:
                     "embedding": _quad_json(emb) if emb else None,
                 }
             )
-        _emit(to_json(rows, out.pretty), out)
-    elif out.format == "csv":
+        _emit(to_json(rows, args.pretty), args.out)
+    elif args.format == "csv":
         header = ["a", "b", "c", "d", "f", "h_num", "h_den", "source_triangle", "figure_tag"]
         flat = [
             [*s.quad_sides, s.f, s.h.numerator, s.h.denominator,
              "-".join(map(str, s.triangle.sides)), s.figure_tag or ""]
             for s in sols
         ]
-        _emit(_csv_text(header, flat), out)
+        _emit(_csv_text(header, flat), args.out)
     else:
         lines = [
             f"{s.quad_sides} from triangle {s.triangle.sides} with f={s.f}: "
@@ -203,16 +184,16 @@ def _cmd_trapezoids(args: argparse.Namespace, out: OutputSpec) -> None:
             for s in sols
         ]
         lines.append(f"{len(sols)} equable trapezoids (scan bound {bound})")
-        _emit("\n".join(lines) + "\n", out)
+        _emit("\n".join(lines) + "\n", args.out)
 
 
 # ---------------------------------------------------------------- cyclic
 
 
-def _cmd_cyclic(args: argparse.Namespace, out: OutputSpec) -> None:
+def _cmd_cyclic(args: argparse.Namespace) -> None:
     candidates = cyclic.enumerate_candidates()
     sols = cyclic.solutions()
-    if out.format == "json":
+    if args.format == "json":
         rows = []
         for s in sols:
             w, x, y, z = s.wxyz
@@ -231,7 +212,7 @@ def _cmd_cyclic(args: argparse.Namespace, out: OutputSpec) -> None:
                     ],
                 }
             )
-        _emit(to_json({"candidates": len(candidates), "solutions": rows}, out.pretty), out)
+        _emit(to_json({"candidates": len(candidates), "solutions": rows}, args.pretty), args.out)
     else:
         lines = [f"{len(candidates)} candidates, {len(sols)} solutions"]
         for s in sols:
@@ -240,7 +221,7 @@ def _cmd_cyclic(args: argparse.Namespace, out: OutputSpec) -> None:
                 for order, emb in s.orderings
             ]
             lines.append(f"wxyz={s.wxyz} sides={s.sides}: " + "; ".join(parts))
-        _emit("\n".join(lines) + "\n", out)
+        _emit("\n".join(lines) + "\n", args.out)
 
 
 # ---------------------------------------------------------------- search / audit
@@ -283,12 +264,12 @@ def _catalog_payload(catalog: search.LeqCatalog) -> dict:
     return {"p_max": catalog.p_max, "classes": classes}
 
 
-def _cmd_search(args: argparse.Namespace, out: OutputSpec) -> None:
+def _cmd_search(args: argparse.Namespace) -> None:
     _check_workers(args)
     catalog = search.enumerate_leqs(_p_max(args))
-    if out.format == "json":
-        _emit(to_json(_catalog_payload(catalog), out.pretty), out)
-    elif out.format == "csv":
+    if args.format == "json":
+        _emit(to_json(_catalog_payload(catalog), args.pretty), args.out)
+    elif args.format == "csv":
         header = ["signature", "perimeter", "convex", "kite", "dart", "parallelogram",
                   "trapezoid", "isosceles_trapezoid", "right_trapezoid", "cyclic"]
         rows = []
@@ -299,17 +280,17 @@ def _cmd_search(args: argparse.Namespace, out: OutputSpec) -> None:
                 cl.is_parallelogram, cl.is_trapezoid, cl.is_isosceles_trapezoid,
                 cl.is_right_trapezoid, cl.is_cyclic,
             ])
-        _emit(_csv_text(header, rows), out)
+        _emit(_csv_text(header, rows), args.out)
     else:
         lines = [f"{len(catalog)} classes with perimeter <= {catalog.p_max}"]
         for sig, cls in catalog.classes.items():
             lines.append(
                 f"P={cls.perimeter:>3} sig={sig} rep={[(p.x, p.y) for p in cls.representative.v]}"
             )
-        _emit("\n".join(lines) + "\n", out)
+        _emit("\n".join(lines) + "\n", args.out)
 
 
-def _cmd_audit(args: argparse.Namespace, out: OutputSpec) -> int:
+def _cmd_audit(args: argparse.Namespace) -> int:
     _check_workers(args)
     p_max = _p_max(args)
     catalog = search.enumerate_leqs(p_max)
@@ -326,8 +307,8 @@ def _cmd_audit(args: argparse.Namespace, out: OutputSpec) -> int:
             for sig, length in report.diagonal_exceptions
         ],
     }
-    if out.format == "json":
-        _emit(to_json(payload, out.pretty), out)
+    if args.format == "json":
+        _emit(to_json(payload, args.pretty), args.out)
     else:
         lines = [
             f"audit at p_max={p_max}:",
@@ -339,7 +320,7 @@ def _cmd_audit(args: argparse.Namespace, out: OutputSpec) -> int:
         ]
         for sig, length in report.diagonal_exceptions:
             lines.append(f"    {sig} has an interior diagonal of length {length}")
-        _emit("\n".join(lines) + "\n", out)
+        _emit("\n".join(lines) + "\n", args.out)
     if not payload["kites_match"]:
         print("equilat audit: kite classes found differ from the closed-form families",
               file=sys.stderr)
@@ -350,9 +331,9 @@ def _cmd_audit(args: argparse.Namespace, out: OutputSpec) -> int:
 # ---------------------------------------------------------------- render
 
 
-def _cmd_render(args: argparse.Namespace, out: OutputSpec) -> None:
+def _cmd_render(args: argparse.Namespace) -> None:
     command = "equilat render --figure " + args.figure
-    _emit(render.render_figure(args.figure, command), out)
+    _emit(render.render_figure(args.figure, command), args.out)
 
 
 # ---------------------------------------------------------------- driver
@@ -421,9 +402,8 @@ def run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    out = OutputSpec(format=args.format, path=args.out, pretty=args.pretty)
     try:
-        code = _HANDLERS[args.command](args, out)
+        code = _HANDLERS[args.command](args)
     except (EquilatError, ValueError, KeyError, OSError) as exc:
         print(f"equilat {args.command}: {exc}", file=sys.stderr)
         return 1

@@ -6,8 +6,8 @@ Brahmagupta area condition turns, under the half-sum substitution
 0 < w <= x <= y <= z.  Exact integer bounds confine (w, x, y) to finitely
 many candidates; solving the quadratic for z and keeping integer roots with
 y <= z < w+x+y yields every solution.  Whether a given cyclic order of the
-sides is realizable on the lattice is decided by looking its side/diagonal
-signature up in the exhaustive search catalog.
+sides is realizable on the lattice is decided by the exact realizer
+`geometry.realize` from its squared sides and diagonals.
 """
 
 from __future__ import annotations
@@ -15,10 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from equilat import search
 from equilat.errors import InconsistencyError
 from equilat.figures import embedding_for
-from equilat.geometry import LatticeQuad, canonical_signature, exact_sqrt
+from equilat.geometry import LatticeQuad, canonical_signature, exact_sqrt, realize
 
 __all__ = [
     "WxyzTriple",
@@ -155,21 +154,20 @@ def realizable_orderings(
     """Decide lattice realizability for every cyclic arrangement of the sides.
 
     An order realizes as a lattice quad only if both squared diagonals are
-    integers and the resulting signature appears in the search catalog.
+    integers and `geometry.realize` places those six squared lengths on the
+    lattice; the named drawing is returned when the shape has one.
     """
     if not brahmagupta_check(*side_lengths):
         raise ValueError(f"{side_lengths} is not an equable cyclic side multiset")
-    catalog = search.get_catalog(max(42, sum(side_lengths)))
     out = []
     for order in cyclic_orderings(side_lengths):
         p_sq, q_sq = _diagonals_sq(order)
         embedding = None
         if p_sq.denominator == 1 and q_sq.denominator == 1:
-            sig = canonical_signature(
-                tuple(s * s for s in order), (int(p_sq), int(q_sq))
-            )
-            if sig in catalog:
-                embedding = embedding_for(sig) or catalog.classes[sig].representative
+            sides_sq = tuple(s * s for s in order)
+            diag_sq = (int(p_sq), int(q_sq))
+            embedding = embedding_for(canonical_signature(sides_sq, diag_sq)) \
+                or realize(sides_sq, diag_sq)
         out.append((order, embedding))
     return out
 

@@ -36,7 +36,7 @@ assert all(is_equable(q) for q in NAMED_QUADS.values())
 # congruence signature -> preferred drawing (first name wins on duplicates)
 KNOWN_EMBEDDINGS: dict[tuple[int, ...], LatticeQuad] = {}
 for _q in NAMED_QUADS.values():
-    KNOWN_EMBEDDINGS.setdefault(signature(_q).canonical, _q)
+    KNOWN_EMBEDDINGS.setdefault(signature(_q), _q)
 
 
 def embedding_for(sig: tuple[int, ...]) -> LatticeQuad | None:

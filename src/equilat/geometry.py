@@ -21,7 +21,6 @@ __all__ = [
     "LatticeQuad",
     "QuadClassification",
     "SideData",
-    "Signature",
     "Diagonal",
     "DiagonalReport",
     "quad",
@@ -37,6 +36,7 @@ __all__ = [
     "reflect_point",
     "signature",
     "canonical_signature",
+    "realize",
     "interior_diagonals",
     "is_sum_two_nonzero_squares",
     "is_perfect_square",
@@ -350,25 +350,18 @@ def reflect_point(a: Point, axis_from: Point, axis_to: Point) -> RatPoint:
     return RatPoint(rx, ry, den)
 
 
-@dataclass(frozen=True)
-class Signature:
+def canonical_signature(
+    sides_sq: Sequence[int], diag_sq: Sequence[int]
+) -> tuple[int, int, int, int, int, int]:
     """Congruence signature: the lexicographic minimum, over the eight
     dihedral relabelings of the vertex cycle, of
-    (s1^2, s2^2, s3^2, s4^2, d13^2, d24^2).
+    (s1^2, s2^2, s3^2, s4^2, d13^2, d24^2), for measurements given in cyclic
+    order; usable for shapes that exist only as side/diagonal data.
 
     Two simple quadrilaterals share a signature iff they are congruent
     (reflections included): four cyclic sides plus both diagonals determine
     the shape up to isometry.
     """
-
-    canonical: tuple[int, int, int, int, int, int]
-
-
-def canonical_signature(
-    sides_sq: Sequence[int], diag_sq: Sequence[int]
-) -> tuple[int, int, int, int, int, int]:
-    """Dihedral-minimal (sides..., diagonals...) tuple for measurements given
-    in cyclic order; usable for shapes that exist only as side/diagonal data."""
     s = tuple(sides_sq)
     d = tuple(diag_sq)
     best = None
@@ -380,9 +373,45 @@ def canonical_signature(
     return best
 
 
-def signature(q: LatticeQuad) -> Signature:
+def signature(q: LatticeQuad) -> tuple[int, int, int, int, int, int]:
+    """Congruence signature of a quad; see canonical_signature."""
     sd = side_data(q)
-    return Signature(canonical_signature(sd.sq, sd.diag_sq))
+    return canonical_signature(sd.sq, sd.diag_sq)
+
+
+def _circle_points(n: int) -> list[Point]:
+    """Every lattice point at squared distance n from the origin."""
+    out = []
+    for x in range(-isqrt(n), isqrt(n) + 1):
+        y = exact_sqrt(n - x * x)
+        if y is not None:
+            out.append(Point(x, y))
+            if y:
+                out.append(Point(x, -y))
+    return out
+
+
+def realize(sides_sq: Sequence[int], diag_sq: Sequence[int]) -> LatticeQuad | None:
+    """A simple lattice quadrilateral with these squared sides, in cyclic
+    order from P0, and squared diagonals (|P0P2|^2, |P1P3|^2); None when the
+    lattice has none.  realize(sig[:4], sig[4:]) realizes a signature.
+
+    P0 sits at the origin and P1, P2, P3 range over the lattice points of the
+    circles |P0P1|^2 = s0, |P0P2|^2 = d0 and |P0P3|^2 = s3.  The six lengths
+    fix the shape up to congruence, so the first simple match is the answer.
+    """
+    s0, s1, s2, s3 = sides_sq
+    d0, d1 = diag_sq
+    origin = Point(0, 0)
+    on_s0, on_s3 = _circle_points(s0), _circle_points(s3)
+    for b in _circle_points(d0):
+        for a in on_s0:
+            if a.dist_sq(b) != s1:
+                continue
+            for c in on_s3:
+                if b.dist_sq(c) == s2 and a.dist_sq(c) == d1 and is_simple((origin, a, b, c)):
+                    return LatticeQuad((origin, a, b, c))
+    return None
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,6 @@ from equilat.geometry import (
 )
 
 __all__ = [
-    "EdgeVector",
     "LeqClass",
     "LeqCatalog",
     "AuditReport",
@@ -58,20 +57,9 @@ P_MAX_MIN = 12
 P_MAX_MAX = 200
 
 
-@dataclass(frozen=True, order=True)
-class EdgeVector:
-    dx: int
-    dy: int
-    length: int
-
-    def __post_init__(self) -> None:
-        if self.length < 1 or self.dx * self.dx + self.dy * self.dy != self.length**2:
-            raise ValueError(f"({self.dx},{self.dy}) does not have integer norm {self.length}")
-
-
-def integer_norm_vectors(max_len: int) -> list[EdgeVector]:
-    """All nonzero lattice vectors with integer norm <= max_len, every
-    quadrant included, sorted by (length, dx, dy)."""
+def integer_norm_vectors(max_len: int) -> list[tuple[int, int, int]]:
+    """All nonzero lattice vectors (dx, dy, length) with integer norm
+    length <= max_len, every quadrant included, sorted by (length, dx, dy)."""
     if max_len < 1:
         raise ValueError("max_len must be positive")
     out = []
@@ -82,8 +70,8 @@ def integer_norm_vectors(max_len: int) -> list[EdgeVector]:
             n = dx * dx + dy * dy
             r = isqrt(n)
             if r * r == n and r <= max_len:
-                out.append(EdgeVector(dx, dy, r))
-    out.sort(key=lambda e: (e.length, e.dx, e.dy))
+                out.append((dx, dy, r))
+    out.sort(key=lambda e: (e[2], e[0], e[1]))
     return out
 
 
@@ -93,8 +81,8 @@ def _equable_quads(p_max: int):
     diagonal d = P2 - P0 lies in the eighth dx > 0, 0 <= dy <= dx."""
     half = (p_max - 1) // 2  # every side and diagonal is shorter than p_max / 2
     columns: dict[int, list[tuple[int, int]]] = {}
-    for e in integer_norm_vectors(half):
-        columns.setdefault(e.dx, []).append((e.dy, e.length))
+    for x, y, length in integer_norm_vectors(half):
+        columns.setdefault(x, []).append((y, length))
     for dx in range(1, half + 1):
         # Half-chains 0 -> v1 -> d right of d, for one column of diagonals at
         # a time, keyed by (dy, k); v2 = d - v1 is drawn from column dx - x1.
@@ -238,7 +226,7 @@ def audit_theorems(catalog: LeqCatalog, p_max: int) -> AuditReport:
         sig for sig, cls in catalog.classes.items() if cls.classification.is_kite
     )
     kites_expected = frozenset(
-        signature(km.quad()).canonical
+        signature(km.quad())
         for tag in kites.FAMILIES
         for km in kites.members_within_perimeter(tag, p_max)
     )

@@ -17,14 +17,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from equilat import pell, search
-from equilat.errors import EquilatError
+from equilat import pell
+from equilat.errors import EquilatError, InconsistencyError
 from equilat.figures import embedding_for
-from equilat.geometry import LatticeQuad, canonical_signature
+from equilat.geometry import LatticeQuad, canonical_signature, realize
 
 __all__ = [
     "HeronianTriangle",
-    "FamilyRow",
     "TrapezoidSolution",
     "DegenerateTrapezoidError",
     "TRAPEZOID_SCAN_BOUND",
@@ -140,26 +139,6 @@ _ROWS: dict[int, dict] = {
         "area": lambda x, y: 12 * x * y,
     },
 }
-
-
-@dataclass(frozen=True)
-class FamilyRow:
-    """Validated (row, parameter) pair for one infinite triangle family."""
-
-    row: int
-    param: pell.PellSolution
-
-    def __post_init__(self) -> None:
-        if self.row not in _ROWS:
-            raise ValueError(f"row must be 1..4, got {self.row}")
-        spec = pell.spec_by_name(_ROWS[self.row]["pell"])
-        if not spec.satisfies(self.param.n, self.param.i):
-            raise ValueError(f"{self.param} does not satisfy {spec.name}")
-        if self.param.n < _ROWS[self.row]["x_min"]:
-            raise ValueError(f"row {self.row} requires x >= {_ROWS[self.row]['x_min']}")
-
-    def triangle(self) -> "HeronianTriangle":
-        return family_member(self.row, self.param)
 
 
 def family_member(row: int, sol: pell.PellSolution) -> HeronianTriangle:
@@ -300,24 +279,19 @@ def all_equable_trapezoids(p_max: int = TRAPEZOID_SCAN_BOUND) -> list[TrapezoidS
 
 
 def lattice_embedding(ts: TrapezoidSolution) -> LatticeQuad | None:
-    """A lattice realization of the trapezoid, found by signature lookup in
-    the search catalog; None when the shape has no lattice placement."""
+    """A lattice realization of the trapezoid: its named drawing when it has
+    one, else the exact realizer's answer; None when the lattice has none."""
     a, c, f = ts.a, ts.c, ts.f
     leg_ab, leg_co = ts.legs
     # plant the triangle O, A'(f, 0), C with C above; exact rationals
     xc = Fraction(f * f + leg_co**2 - leg_ab**2, 2 * f)
     h_sq = leg_co**2 - xc * xc
-    assert h_sq == ts.h * ts.h, "side data inconsistent with the height"
+    if h_sq != ts.h * ts.h:
+        raise InconsistencyError(f"{ts.quad_sides}: side data inconsistent with the height")
     diag_ob = (xc + c) ** 2 + h_sq  # O -> B
     diag_ac = (xc - a) ** 2 + h_sq  # A -> C
     if diag_ob.denominator != 1 or diag_ac.denominator != 1:
         return None  # squared diagonals not integers: no lattice placement
-    sig = canonical_signature(
-        (a * a, leg_ab**2, c * c, leg_co**2), (int(diag_ob), int(diag_ac))
-    )
-    if ts.perimeter > search.P_MAX_MAX:
-        return None
-    catalog = search.get_catalog(max(42, ts.perimeter))
-    if sig not in catalog:
-        return None
-    return embedding_for(sig) or catalog.classes[sig].representative
+    sides_sq = (a * a, leg_ab**2, c * c, leg_co**2)
+    diag_sq = (int(diag_ob), int(diag_ac))
+    return embedding_for(canonical_signature(sides_sq, diag_sq)) or realize(sides_sq, diag_sq)

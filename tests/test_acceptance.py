@@ -138,25 +138,25 @@ def test_criterion_6_search_audit_42():
             "trapezoid-20-4-15-3", "dart-10-5", "kite-3-15",
         ]
         for name in named:
-            assert signature(NAMED_QUADS[name]).canonical in catalog, name
+            assert signature(NAMED_QUADS[name]) in catalog, name
         assert perimeter(NAMED_QUADS["kite-3-15"]) == 36
         assert perimeter(NAMED_QUADS["dart-10-5"]) == 30
 
         report = search.audit_theorems(catalog, 42)
         assert report.kites_found == report.kites_expected
         assert report.cyclic_found == {
-            signature(NAMED_QUADS[n]).canonical
+            signature(NAMED_QUADS[n])
             for n in ("square-4", "rectangle-3-6",
                       "isosceles-trapezoid-8-5-2-5", "isosceles-trapezoid-14-5-6-5")
         }
         assert report.trapezoids_found == {
-            signature(NAMED_QUADS[n]).canonical
+            signature(NAMED_QUADS[n])
             for n in ("right-trapezoid-6-4-3-5", "right-trapezoid-10-3-6-5",
                       "isosceles-trapezoid-8-5-2-5", "isosceles-trapezoid-14-5-6-5",
                       "trapezoid-20-4-15-3")
         }
         assert report.diagonal_exceptions == (
-            (signature(NAMED_QUADS["right-trapezoid-6-4-3-5"]).canonical, 5),
+            (signature(NAMED_QUADS["right-trapezoid-6-4-3-5"]), 5),
         )
 
 
@@ -177,7 +177,7 @@ def test_criterion_7_concave_example_quantities():
 def test_criterion_7_concave_example_in_p60_catalog():
     with criterion(7, "concave example appears in the p_max 60 catalog", 1800.0):
         catalog = search.get_catalog(60)
-        assert signature(NAMED_QUADS["concave-60"]).canonical in catalog
+        assert signature(NAMED_QUADS["concave-60"]) in catalog
 
 
 def test_criterion_8_property_suites():

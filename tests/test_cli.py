@@ -1,9 +1,14 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import equilat
 from equilat import search
 from equilat.cli import run, to_json
 
@@ -12,6 +17,18 @@ def _run(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class TestStartup:
+    def test_import_does_not_load_urllib(self):
+        # urllib.request alone costs about a third of the package's import time
+        src = str(Path(equilat.__file__).resolve().parents[1])
+        probe = "import sys, equilat.cli; print('urllib.request' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        )
+        assert done.stdout == "False\n"
 
 
 class TestExitCodes:
@@ -140,15 +157,9 @@ class TestSearchAndAudit:
         assert json.loads(out) == expected
         assert err.startswith("equilat audit: ") and len(err.splitlines()) == 1
 
-    def test_env_var_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("EQUILAT_PMAX_DEFAULT", "16")
+    def test_p_max_defaults_to_42(self, capsys):
         code, out, _ = _run(capsys, "search", "--format", "json")
-        assert code == 0 and json.loads(out)["p_max"] == 16
-
-    def test_env_var_validation(self, capsys, monkeypatch):
-        monkeypatch.setenv("EQUILAT_PMAX_DEFAULT", "many")
-        code, _, err = _run(capsys, "search")
-        assert code == 1 and "EQUILAT_PMAX_DEFAULT" in err
+        assert code == 0 and json.loads(out)["p_max"] == 42
 
 
 class TestRender:

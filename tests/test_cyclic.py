@@ -1,8 +1,10 @@
 import pytest
 
+from equilat import cyclic
 from equilat.cyclic import (
     CyclicSolution,
     WxyzTriple,
+    _diagonals_sq,
     brahmagupta_check,
     cyclic_orderings,
     enumerate_candidates,
@@ -13,7 +15,8 @@ from equilat.cyclic import (
 )
 from equilat.errors import InconsistencyError
 from equilat.figures import NAMED_QUADS
-from equilat.geometry import exact_sqrt, quad, signature
+from equilat.geometry import canonical_signature, exact_sqrt, quad, signature
+from equilat.search import get_catalog
 
 
 def _dihedral_class(order):
@@ -143,6 +146,24 @@ class TestOrderings:
         with pytest.raises(ValueError):
             realizable_orderings((5, 5, 5, 5))
 
+    def test_realizer_matches_catalog_lookup(self, monkeypatch):
+        # with the named drawings hidden, every answer comes from the realizer;
+        # the search catalog, which the realizer replaced, is the oracle
+        monkeypatch.setattr(cyclic, "embedding_for", lambda sig: None)
+        checked = 0
+        for s in solutions():
+            catalog = get_catalog(max(42, sum(s.sides)))
+            for order, emb in s.orderings:
+                p_sq, q_sq = _diagonals_sq(order)
+                if p_sq.denominator != 1 or q_sq.denominator != 1:
+                    assert emb is None
+                    continue
+                sig = canonical_signature(tuple(x * x for x in order), (int(p_sq), int(q_sq)))
+                assert (emb is not None) == (sig in catalog), order
+                assert emb is None or signature(emb) == sig
+                checked += 1
+        assert checked == 4  # only the four realizable orders have integer diagonals
+
 
 class TestSolutions:
     def test_end_to_end(self):
@@ -161,7 +182,7 @@ class TestSolutions:
 
     def test_signatures_match_the_four_named_leqs(self):
         found = {
-            signature(e).canonical for s in solutions() for e in s.embeddings
+            signature(e) for s in solutions() for e in s.embeddings
         }
         names = (
             "square-4",
@@ -169,7 +190,7 @@ class TestSolutions:
             "isosceles-trapezoid-8-5-2-5",
             "isosceles-trapezoid-14-5-6-5",
         )
-        assert found == {signature(NAMED_QUADS[n]).canonical for n in names}
+        assert found == {signature(NAMED_QUADS[n]) for n in names}
 
     def test_each_solution_has_exactly_one_embedding(self):
         for s in solutions():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equilat import kites
 from equilat.errors import InvalidQuadError
 from equilat.geometry import (
     LatticeQuad,
@@ -19,11 +20,14 @@ from equilat.geometry import (
     is_sum_two_nonzero_squares,
     orient,
     quad,
+    realize,
     reflect_point,
     side_data,
     signature,
     twice_area,
 )
+from equilat.pell import PellSolution
+from equilat.search import P_MAX_MAX, get_catalog
 from helpers import (
     concyclic_by_circumcenter,
     diagonal_midpoint,
@@ -203,10 +207,10 @@ class TestSignature:
         assert signature(left) == signature(right)
 
     def test_square(self):
-        assert signature(SQUARE).canonical == (16, 16, 16, 16, 32, 32)
+        assert signature(SQUARE) == (16, 16, 16, 16, 32, 32)
 
     def test_trapezoid_prefix(self):
-        sig = signature(TRAP_6_4_3_5).canonical
+        sig = signature(TRAP_6_4_3_5)
         assert sig[:2] == (9, 16)
         assert sig == (9, 16, 36, 25, 25, 52)
 
@@ -221,7 +225,7 @@ class TestSignature:
                     tuple(w[i].dist_sq(w[(i + 1) % 4]) for i in range(4))
                     + (w[0].dist_sq(w[2]), w[1].dist_sq(w[3]))
                 )
-        assert signature(TRAP_6_4_3_5).canonical == min(seen)
+        assert signature(TRAP_6_4_3_5) == min(seen)
 
     def test_invariance_seeded_sample(self):
         rng = random.Random(99)
@@ -234,6 +238,28 @@ class TestSignature:
     def test_invariance_property(self, q, seed):
         rng = random.Random(seed)
         assert signature(random_congruent_copy(rng, q)) == signature(q)
+
+
+class TestRealize:
+    def test_every_catalog_class_up_to_100(self):
+        # the search catalog is the oracle: each class realizes as itself
+        for sig in get_catalog(100).classes:
+            assert signature(realize(sig[:4], sig[4:])) == sig
+
+    @pytest.mark.parametrize(
+        "tag, sol, perimeter",
+        [("K1", PellSolution(47, 21), 470), ("K3", PellSolution(99, 70), 1584)],
+    )
+    def test_kites_beyond_the_search_cap(self, tag, sol, perimeter):
+        km = kites.member(tag, sol)
+        assert km.perimeter == perimeter > P_MAX_MAX
+        sig = signature(km.quad())
+        assert signature(realize(sig[:4], sig[4:])) == sig
+
+    def test_rhombus_off_the_lattice(self):
+        # sides 5 and d1^2 + d2^2 = 4 * 25 make a real rhombus, but its area
+        # sqrt(40 * 60) / 2 is irrational, so no lattice placement exists
+        assert realize((25, 25, 25, 25), (40, 60)) is None
 
 
 class TestInteriorDiagonals:

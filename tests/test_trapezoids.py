@@ -4,8 +4,11 @@ from types import SimpleNamespace
 
 import pytest
 
-from equilat.geometry import Point, quad
+from equilat import trapezoids
+from equilat.errors import InconsistencyError
+from equilat.geometry import Point, quad, signature
 from equilat.pell import PellSolution
+from equilat.search import get_catalog
 from equilat.trapezoids import (
     DegenerateTrapezoidError,
     HeronianTriangle,
@@ -104,14 +107,9 @@ class TestFamilyMember:
         with pytest.raises(ValueError):
             family_member(1, PellSolution(1, 1))
 
-    def test_family_row_bundle(self):
-        from equilat.trapezoids import FamilyRow
-
-        assert FamilyRow(2, PellSolution(3, 2)).triangle().sides == (3, 25, 26)
+    def test_unknown_row_rejected(self):
         with pytest.raises(ValueError):
-            FamilyRow(5, PellSolution(1, 0))
-        with pytest.raises(ValueError):
-            FamilyRow(1, PellSolution(1, 1))
+            family_member(5, PellSolution(1, 0))
 
     def test_closed_forms_match_scan(self):
         family = {
@@ -206,6 +204,24 @@ class TestLatticeEmbedding:
             emb = lattice_embedding(sol)
             assert emb is not None
             assert sorted(Point(0, 0).dist_sq(p) for p in emb.v)  # lattice quad
+
+    def test_realizer_matches_catalog_lookup(self, monkeypatch):
+        # with the named drawings hidden, every answer comes from the realizer;
+        # the search catalog, which the realizer replaced, is the oracle
+        named = [(sol, lattice_embedding(sol)) for sol in all_equable_trapezoids()]
+        monkeypatch.setattr(trapezoids, "embedding_for", lambda sig: None)
+        for sol, drawing in named:
+            emb = lattice_embedding(sol)
+            assert emb is not None and signature(emb) == signature(drawing)
+            assert signature(emb) in get_catalog(max(42, sol.perimeter))
+
+    def test_inconsistent_height_is_an_error(self):
+        sol = trapezoid_from(T345, 3)
+        bad = SimpleNamespace(
+            a=sol.a, c=sol.c, f=sol.f, legs=sol.legs, h=sol.h + 1, quad_sides=sol.quad_sides
+        )
+        with pytest.raises(InconsistencyError):
+            lattice_embedding(bad)
 
 
 class TestValidation:
