@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from equilat.errors import InconsistencyError
 from equilat.geometry import LatticeQuad, is_equable, quad, signature
 
 __all__ = ["NAMED_QUADS", "KNOWN_EMBEDDINGS", "FIGURE_PANELS", "embedding_for"]
@@ -31,7 +32,15 @@ NAMED_QUADS: dict[str, LatticeQuad] = {
     "concave-60": quad((0, 0), (20, 15), (8, 10), (8, 15)),
 }
 
-assert all(is_equable(q) for q in NAMED_QUADS.values())
+
+def _check_equable(quads: dict[str, LatticeQuad]) -> None:
+    """Raise InconsistencyError naming the first drawing that is not equable."""
+    for name, q in quads.items():
+        if not is_equable(q):
+            raise InconsistencyError(f"named drawing {name!r} is not equable")
+
+
+_check_equable(NAMED_QUADS)
 
 # congruence signature -> preferred drawing (first name wins on duplicates)
 KNOWN_EMBEDDINGS: dict[tuple[int, ...], LatticeQuad] = {}

@@ -6,9 +6,26 @@ such a triangle and a choice f of the side to extend, the strip width is
 
     c = f * (perimeter - area) / (2 * (area - f)),
 
-and the construction succeeds exactly when c is a positive integer.  Running
-every candidate triangle through every choice of f yields the five classical
-solutions; the four infinite triangle families never produce an integer c.
+and the construction succeeds exactly when c is a positive integer.
+
+The triangles come from their tangent lengths.  A Heronian perimeter is even,
+so with s the half-perimeter the sides are (u+v, u+w, v+w) for integers
+1 <= u <= v <= w with s = u+v+w, and Heron's formula reads A^2 = s*u*v*w.
+Perimeter dominance, A < 2s, becomes u*v*w < 4(u+v+w) <= 12w, so u*v < 12.
+The branches (u, v) fall into three kinds:
+
+- u*v > 4: the inequality bounds w by (4(u+v) - 1) // (u*v - 4), so these
+  branches are finite.  The only hit is (2, 3), giving (5, 5, 6).
+- (1, 1), (1, 4), (2, 2): w is unbounded, but u*v is a square, so w(w+u+v)
+  must be a square k^2, that is (2w+u+v)^2 - (2k)^2 = (u+v)^2.  That
+  difference of squares has finitely many factorizations, and the only hit
+  is (1, 4), giving (5, 5, 8).
+- (1, 2) and (1, 3): infinite.  (1, 2) holds the family rows 1 and 2 (with
+  (3, 4, 5) as row 1 at x = 1), and (1, 3) holds rows 3 and 4.
+
+Running every triangle through every choice of f yields the five classical
+solutions, all from (3, 4, 5), (5, 5, 6) and (5, 5, 8); the four infinite
+families never produce an integer c.
 """
 
 from __future__ import annotations
@@ -38,9 +55,11 @@ __all__ = [
 ]
 
 TRAPEZOID_SCAN_BOUND = 400
-"""Completeness bound for the trapezoid hunt: the three sporadic triangles
-and the smallest two members of every infinite family sit below it, and the
-next family members overshoot it by a wide margin."""
+"""Default perimeter bound for listing triangles and trapezoids.  It is not
+a completeness bound: the branch analysis in the module docstring leaves only
+the four family rows unbounded, and they give no trapezoid, so the five
+solutions are found at any bound of at least 18.  At 400 the list shows the
+three sporadic triangles and the smallest members of every family row."""
 
 
 class DegenerateTrapezoidError(EquilatError):
@@ -92,20 +111,27 @@ class HeronianTriangle:
 
 def enumerate_perimeter_dominant(p_max: int) -> list[HeronianTriangle]:
     """Every Heronian triangle with perimeter <= p_max and perimeter > area,
-    found by exhaustive scan over ordered side triples; sorted by
-    (perimeter, sides)."""
+    sorted by (perimeter, sides).
+
+    Walks the tangent lengths u <= v <= w with u*v < 12 (see the module
+    docstring): w runs up to the perimeter bound, and, when u*v > 4, up to
+    the bound that perimeter dominance puts on it.  The work is O(p_max).
+    """
     if p_max < 12:
         raise ValueError("p_max must be at least 12 (the smallest Heronian perimeter)")
     found = []
-    for p in range(12, p_max + 1):
-        for x in range(1, p // 3 + 1):
-            for y in range(x, (p - x) // 2 + 1):
-                z = p - x - y
-                if z < y or x + y <= z:
-                    continue
-                area = heron_area(x, y, z)
-                if area is not None and p > area:
-                    found.append(HeronianTriangle((x, y, z), p, area))
+    for u in range(1, 4):
+        for v in range(u, 11 // u + 1):
+            uv = u * v
+            w_max = p_max // 2 - u - v
+            if uv > 4:
+                w_max = min(w_max, (4 * (u + v) - 1) // (uv - 4))
+            for w in range(v, w_max + 1):
+                s = u + v + w
+                area_sq = s * uv * w
+                area = isqrt(area_sq)
+                if area * area == area_sq and area < 2 * s:
+                    found.append(HeronianTriangle((u + v, u + w, v + w), 2 * s, area))
     found.sort(key=lambda t: (t.perimeter, t.sides))
     return found
 
@@ -257,21 +283,12 @@ def trapezoid_from(t: HeronianTriangle, f: int) -> TrapezoidSolution | None:
 
 
 def all_equable_trapezoids(p_max: int = TRAPEZOID_SCAN_BOUND) -> list[TrapezoidSolution]:
-    """Every equable trapezoid with integer sides and area, from the scan of
-    perimeter-dominant triangles up to p_max united with the closed-form
-    family members in the same range."""
-    triangles = {t.sides: t for t in enumerate_perimeter_dominant(p_max)}
-    for row in _ROWS:
-        for t in family_members_within(row, p_max):
-            triangles.setdefault(t.sides, t)
+    """Every equable trapezoid with integer sides and area built from a
+    perimeter-dominant triangle of perimeter <= p_max, in the triangles'
+    (perimeter, sides) order and then by ascending f."""
     out = []
-    for sides in sorted(triangles, key=lambda s: (sum(s), s)):
-        t = triangles[sides]
-        seen_f = set()
-        for f in t.sides:
-            if f in seen_f:
-                continue
-            seen_f.add(f)
+    for t in enumerate_perimeter_dominant(p_max):
+        for f in sorted(set(t.sides)):
             sol = trapezoid_from(t, f)
             if sol is not None:
                 out.append(sol)

@@ -192,7 +192,7 @@ def test_criterion_8_property_suites():
                 stream.append(sol)
             assert stream == pell.seed_search(spec.alpha, spec.beta, spec.gamma, bound), spec.name
 
-        # perimeter-dominant scan to 400: exactly the eight known triangles,
+        # perimeter-dominant triangles to 400: exactly the eight known ones,
         # matching the closed forms of the infinite families plus the specials
         scanned = trapezoids.enumerate_perimeter_dominant(400)
         assert [t.sides for t in scanned] == [

@@ -97,6 +97,11 @@ class TestTrapezoids:
         assert len(lines) == 6  # header + five solutions
         assert "20,4,15,3,5,12,5,3-4-5,trapezoid-20-4-15-3" in lines
 
+    def test_csv_at_a_million(self, capsys):
+        code, out, _ = _run(capsys, "trapezoids", "--p-max", "1000000", "--format", "csv")
+        assert code == 0
+        assert len(out.strip().splitlines()) == 6  # header + five solutions
+
 
 class TestCyclic:
     def test_text_summary(self, capsys):

@@ -23,6 +23,30 @@ from equilat.trapezoids import (
     trapezoid_from,
 )
 
+
+def _scan_perimeter_dominant(p_max: int) -> list[HeronianTriangle]:
+    """Reference oracle: the exhaustive O(p_max^3) scan over ordered side
+    triples that the tangent-length enumeration replaced."""
+    found = []
+    for p in range(12, p_max + 1):
+        for x in range(1, p // 3 + 1):
+            for y in range(x, (p - x) // 2 + 1):
+                z = p - x - y
+                if z < y or x + y <= z:
+                    continue
+                area = heron_area(x, y, z)
+                if area is not None and p > area:
+                    found.append(HeronianTriangle((x, y, z), p, area))
+    found.sort(key=lambda t: (t.perimeter, t.sides))
+    return found
+
+
+@pytest.fixture(scope="session")
+def scan_400():
+    # the oracle takes a few tenths of a second at 400, so run it once
+    return tuple(_scan_perimeter_dominant(400))
+
+
 T345 = HeronianTriangle.from_sides(3, 4, 5)
 T556 = HeronianTriangle.from_sides(5, 5, 6)
 T558 = HeronianTriangle.from_sides(5, 5, 8)
@@ -76,6 +100,20 @@ class TestPerimeterDominantScan:
             (3, 4, 5), (5, 5, 6), (5, 5, 8),
             (4, 13, 15), (3, 25, 26), (4, 51, 53), (3, 148, 149), (4, 193, 195),
         ]
+
+    def test_matches_scan_oracle_at_every_bound(self, scan_400):
+        for p_max in range(12, 401):
+            expected = [t for t in scan_400 if t.perimeter <= p_max]
+            assert enumerate_perimeter_dominant(p_max) == expected, p_max
+
+    @pytest.mark.parametrize("p_max", [12, 17, 18, 60])
+    def test_matches_direct_scan(self, p_max):
+        assert enumerate_perimeter_dominant(p_max) == _scan_perimeter_dominant(p_max)
+
+    @pytest.mark.parametrize("p_max", [11, 0, -5])
+    def test_bound_below_12_rejected(self, p_max):
+        with pytest.raises(ValueError):
+            enumerate_perimeter_dominant(p_max)
 
     def test_delta_positive(self):
         assert all(t.delta > 0 for t in enumerate_perimeter_dominant(100))
@@ -166,6 +204,13 @@ class TestAllEquableTrapezoids:
             (6, 4, 3, 5), (10, 3, 6, 5), (8, 5, 2, 5), (14, 5, 6, 5), (20, 4, 15, 3),
         }
 
+    def test_five_at_large_bound(self):
+        sols = all_equable_trapezoids(100_000)
+        assert len(sols) == 5
+        assert {s.quad_sides for s in sols} == {
+            (6, 4, 3, 5), (10, 3, 6, 5), (8, 5, 2, 5), (14, 5, 6, 5), (20, 4, 15, 3),
+        }
+
     def test_figure_tags(self):
         tags = {s.quad_sides: s.figure_tag for s in all_equable_trapezoids()}
         assert tags[(20, 4, 15, 3)] == "trapezoid-20-4-15-3"
@@ -178,12 +223,13 @@ class TestAllEquableTrapezoids:
         assert by_sides[(8, 5, 2, 5)].triangle == T556
         assert by_sides[(8, 5, 2, 5)].f == 6
 
-    def test_no_family_member_below_10k_produces_integer_c(self):
-        for row in (1, 2, 3, 4):
-            for t in family_members_within(row, 10_000):
-                for f in set(t.sides):
-                    c = shorter_parallel_side(t, f)
-                    assert c.denominator != 1, (t.sides, f)
+    def test_no_family_member_below_1e60_produces_integer_c(self):
+        members = [t for row in (1, 2, 3, 4) for t in family_members_within(row, 10**60)]
+        assert len(members) == 180
+        for t in members:
+            for f in set(t.sides):
+                c = shorter_parallel_side(t, f)
+                assert c.denominator != 1, (t.sides, f)
 
 
 class TestLatticeEmbedding:
