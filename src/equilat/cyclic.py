@@ -12,8 +12,8 @@ sides is realizable on the lattice is decided by the exact realizer
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from equilat.errors import InconsistencyError
 from equilat.figures import embedding_for
@@ -41,8 +41,13 @@ def _within_y_bound(w: int, x: int, y: int) -> bool:
     return w * x * y * y <= s * s
 
 
-@dataclass(frozen=True, order=True)
-class WxyzTriple:
+class _WxyzTriple(NamedTuple):
+    w: int
+    x: int
+    y: int
+
+
+class WxyzTriple(_WxyzTriple):
     """Candidate prefix (w, x, y) of a solution quadruple.
 
     Construction checks the cheap constraints only; the y-bound that caps the
@@ -50,15 +55,18 @@ class WxyzTriple:
     still be probed with solve_z.
     """
 
-    w: int
-    x: int
-    y: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 < self.w <= self.x <= self.y:
+    def __new__(cls, w: int, x: int, y: int) -> "WxyzTriple":
+        if not 0 < w <= x <= y:
             raise ValueError("need 0 < w <= x <= y")
-        if not 5 <= self.w * self.x <= 16:
+        if not 5 <= w * x <= 16:
             raise ValueError("need 5 <= w*x <= 16")
+        return super().__new__(cls, w, x, y)
+
+    @classmethod
+    def _make(cls, iterable) -> "WxyzTriple":  # so that _replace validates too
+        return cls(*iterable)
 
     def admissible(self) -> bool:
         return self.y <= Y_CAP and _within_y_bound(self.w, self.x, self.y)
@@ -172,22 +180,35 @@ def realizable_orderings(
     return out
 
 
-@dataclass(frozen=True)
-class CyclicSolution:
-    """One solution quadruple with its side lengths and lattice embeddings."""
-
+class _CyclicSolution(NamedTuple):
     wxyz: tuple[int, int, int, int]
     sides: tuple[int, int, int, int]  # nonincreasing
     orderings: tuple[tuple[tuple[int, int, int, int], LatticeQuad | None], ...]
 
-    def __post_init__(self) -> None:
-        w, x, y, z = self.wxyz
+
+class CyclicSolution(_CyclicSolution):
+    """One solution quadruple with its side lengths and lattice embeddings."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        wxyz: tuple[int, int, int, int],
+        sides: tuple[int, int, int, int],
+        orderings: tuple[tuple[tuple[int, int, int, int], LatticeQuad | None], ...],
+    ) -> "CyclicSolution":
+        w, x, y, z = wxyz
         if w * x * y * z != (w + x + y + z) ** 2:
             raise ValueError("wxyz does not satisfy the product identity")
         if z >= w + x + y:
             raise ValueError("z must be smaller than w+x+y")
-        if not brahmagupta_check(*self.sides):
+        if not brahmagupta_check(*sides):
             raise ValueError("sides fail the Brahmagupta equability condition")
+        return super().__new__(cls, wxyz, sides, orderings)
+
+    @classmethod
+    def _make(cls, iterable) -> "CyclicSolution":  # so that _replace validates too
+        return cls(*iterable)
 
     @property
     def embeddings(self) -> tuple[LatticeQuad, ...]:

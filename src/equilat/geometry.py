@@ -8,10 +8,9 @@ overflow a non-issue, so coordinates of any magnitude are safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from equilat.errors import InvalidQuadError
 
@@ -61,8 +60,7 @@ def exact_sqrt(n: int) -> int | None:
     return r if r * r == n else None
 
 
-@dataclass(frozen=True, order=True)
-class Point:
+class Point(NamedTuple):
     """Lattice point."""
 
     x: int
@@ -80,25 +78,29 @@ class Point:
         return dx * dx + dy * dy
 
 
-@dataclass(frozen=True)
-class RatPoint:
-    """Rational point stored as (x_num/den, y_num/den) with a reduced, positive
-    shared denominator: gcd(x_num, y_num, den) == 1."""
-
+class _RatPoint(NamedTuple):
     x_num: int
     y_num: int
     den: int = 1
 
-    def __post_init__(self) -> None:
-        if self.den == 0:
+
+class RatPoint(_RatPoint):
+    """Rational point stored as (x_num/den, y_num/den) with a reduced, positive
+    shared denominator: gcd(x_num, y_num, den) == 1."""
+
+    __slots__ = ()
+
+    def __new__(cls, x_num: int, y_num: int, den: int = 1) -> "RatPoint":
+        if den == 0:
             raise ValueError("zero denominator")
-        g = gcd(gcd(abs(self.x_num), abs(self.y_num)), abs(self.den))
-        if self.den < 0:
+        g = gcd(x_num, y_num, den)
+        if den < 0:
             g = -g
-        if g != 1:
-            object.__setattr__(self, "x_num", self.x_num // g)
-            object.__setattr__(self, "y_num", self.y_num // g)
-            object.__setattr__(self, "den", self.den // g)
+        return super().__new__(cls, x_num // g, y_num // g, den // g)
+
+    @classmethod
+    def _make(cls, iterable) -> "RatPoint":  # so that _replace normalises too
+        return cls(*iterable)
 
     @classmethod
     def from_fractions(cls, x: Fraction, y: Fraction) -> "RatPoint":
@@ -174,19 +176,20 @@ def is_simple(points: Sequence[Point]) -> bool:
     )
 
 
-@dataclass(frozen=True)
 class LatticeQuad:
     """Simple lattice quadrilateral in positive (counterclockwise) order.
 
     Any vertex order may be passed in; a clockwise list is reversed in place
     (keeping the first vertex first).  Self-intersecting or degenerate input
-    is rejected with InvalidQuadError rather than repaired.
+    is rejected with InvalidQuadError rather than repaired.  Immutable;
+    equality, hashing and repr go by the vertex tuple `v`.
     """
 
+    __slots__ = ("v",)
     v: tuple[Point, Point, Point, Point]
 
-    def __post_init__(self) -> None:
-        pts = tuple(self.v)
+    def __init__(self, v: Sequence[Point]) -> None:
+        pts = tuple(v)
         if len(pts) != 4:
             raise InvalidQuadError("a quadrilateral needs exactly four vertices")
         if not is_simple(pts):
@@ -194,6 +197,26 @@ class LatticeQuad:
         if _shoelace(pts) < 0:
             pts = (pts[0], pts[3], pts[2], pts[1])
         object.__setattr__(self, "v", pts)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return LatticeQuad, (self.v,)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.v == other.v
+
+    def __hash__(self) -> int:
+        return hash((self.v,))
+
+    def __repr__(self) -> str:
+        return f"LatticeQuad(v={self.v!r})"
 
     def __iter__(self) -> Iterator[Point]:
         return iter(self.v)
@@ -224,8 +247,7 @@ def twice_area(q: LatticeQuad) -> int:
     return _shoelace(q.v)
 
 
-@dataclass(frozen=True)
-class SideData:
+class SideData(NamedTuple):
     """Squared side lengths in vertex order, integer lengths when all four are
     perfect squares, and the two squared diagonals (v0v2, v1v3)."""
 
@@ -256,8 +278,7 @@ def is_equable(q: LatticeQuad) -> bool:
     return twice_area(q) == 2 * sum(sd.lengths)
 
 
-@dataclass(frozen=True)
-class QuadClassification:
+class QuadClassification(NamedTuple):
     convex: bool
     reflex_index: int | None
     is_kite: bool
@@ -414,16 +435,14 @@ def realize(sides_sq: Sequence[int], diag_sq: Sequence[int]) -> LatticeQuad | No
     return None
 
 
-@dataclass(frozen=True)
-class Diagonal:
+class Diagonal(NamedTuple):
     ends: tuple[int, int]
     sq: int
     rational: bool
     length: int | None
 
 
-@dataclass(frozen=True)
-class DiagonalReport:
+class DiagonalReport(NamedTuple):
     interior: tuple[Diagonal, ...]
     exterior: tuple[Diagonal, ...]
 

@@ -10,11 +10,10 @@ squared cross-diagonal q^2 = 80, 20, 32, 18 respectively.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import gcd
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from equilat import pell
 from equilat.errors import EquilatError, InconsistencyError
@@ -52,8 +51,7 @@ class FamilyExclusionError(EquilatError):
     """Parameter row is excluded from its family (K2 with n = 1)."""
 
 
-@dataclass(frozen=True)
-class FamilyId:
+class FamilyId(NamedTuple):
     """Constants of one family row.
 
     M = ((m_n*n + m_i*i) / m_den) * m_dir  is the midpoint of AC,
@@ -94,8 +92,7 @@ class Convexity(enum.Enum):
     DART = "dart"
 
 
-@dataclass(frozen=True)
-class KiteMember:
+class KiteMember(NamedTuple):
     """One realized kite with its audit quantities."""
 
     family: FamilyId
@@ -191,8 +188,7 @@ def members_within_perimeter(family: FamilyId | str, p_max: int) -> list[KiteMem
     return out
 
 
-@dataclass(frozen=True)
-class AuditOutcome:
+class AuditOutcome(NamedTuple):
     passed: bool
     failed_check: str | None = None
     detail: str | None = None

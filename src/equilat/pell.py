@@ -10,10 +10,9 @@ stream is asserted separately against the brute-force scan in `seed_search`
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from math import isqrt
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from equilat.errors import InconsistencyError
 
@@ -33,16 +32,12 @@ class PellInconsistencyError(InconsistencyError):
     """The recurrence produced a pair that fails its own equation."""
 
 
-@dataclass(frozen=True, order=True)
-class PellSolution:
+class PellSolution(NamedTuple):
     n: int
     i: int
 
 
-@dataclass(frozen=True)
-class PellSpec:
-    """One equation alpha*n^2 - beta*i^2 = gamma with seeds and recurrence."""
-
+class _PellSpec(NamedTuple):
     name: str
     alpha: int
     beta: int
@@ -50,18 +45,33 @@ class PellSpec:
     seeds: tuple[PellSolution, ...]
     rec: int
 
-    def __post_init__(self) -> None:
-        if self.alpha < 1 or self.beta < 1:
+
+class PellSpec(_PellSpec):
+    """One equation alpha*n^2 - beta*i^2 = gamma with seeds and recurrence."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, name: str, alpha: int, beta: int, gamma: int,
+        seeds: tuple[PellSolution, ...], rec: int,
+    ) -> "PellSpec":
+        self = super().__new__(cls, name, alpha, beta, gamma, seeds, rec)
+        if alpha < 1 or beta < 1:
             raise ValueError("alpha and beta must be positive")
-        if self.gamma == 0:
+        if gamma == 0:
             raise ValueError("gamma must be nonzero")
-        if self.rec < 3:
+        if rec < 3:
             raise ValueError("recurrence multiplier must be at least 3")
-        for s in self.seeds:
+        for s in seeds:
             if s.n < 0 or s.i < 0:
                 raise ValueError(f"seed {s} is not nonnegative")
             if not self.satisfies(s.n, s.i):
-                raise ValueError(f"seed {s} does not satisfy {self.name}")
+                raise ValueError(f"seed {s} does not satisfy {name}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "PellSpec":  # so that _replace validates too
+        return cls(*iterable)
 
     def satisfies(self, n: int, i: int) -> bool:
         return self.alpha * n * n - self.beta * i * i == self.gamma

@@ -26,9 +26,9 @@ together with each vertex of the placement that anchors it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import isqrt
+from typing import NamedTuple
 
 from equilat import kites
 from equilat.geometry import (
@@ -137,8 +137,7 @@ def _quad_from_flat(flat: tuple[int, ...]) -> LatticeQuad:
     return LatticeQuad(pts)
 
 
-@dataclass(frozen=True)
-class LeqClass:
+class LeqClass(NamedTuple):
     """One congruence class of lattice equable quadrilaterals."""
 
     signature: tuple[int, int, int, int, int, int]
@@ -154,12 +153,29 @@ class LeqClass:
             + isqrt(self.signature[2]) + isqrt(self.signature[3])
 
 
-@dataclass(frozen=True, eq=False)
 class LeqCatalog:
-    """Deduplicated classes keyed by congruence signature."""
+    """Deduplicated classes keyed by congruence signature.  Immutable;
+    compared by identity."""
 
+    __slots__ = ("p_max", "classes")
     p_max: int
-    classes: dict[tuple, LeqClass] = field(default_factory=dict)
+    classes: dict[tuple, LeqClass]
+
+    def __init__(self, p_max: int, classes: dict[tuple, LeqClass] | None = None) -> None:
+        object.__setattr__(self, "p_max", p_max)
+        object.__setattr__(self, "classes", {} if classes is None else classes)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return LeqCatalog, (self.p_max, self.classes)
+
+    def __repr__(self) -> str:
+        return f"LeqCatalog(p_max={self.p_max!r}, classes={self.classes!r})"
 
     def signatures(self) -> set[tuple]:
         return set(self.classes)
@@ -204,8 +220,7 @@ def get_catalog(p_max: int = 42) -> LeqCatalog:
     return enumerate_leqs(p_max)
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     """Catalog classes cross-checked against the classification results."""
 
     p_max: int

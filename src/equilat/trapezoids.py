@@ -16,10 +16,12 @@ The branches (u, v) fall into three kinds:
 
 - u*v > 4: the inequality bounds w by (4(u+v) - 1) // (u*v - 4), so these
   branches are finite.  The only hit is (2, 3), giving (5, 5, 6).
-- (1, 1), (1, 4), (2, 2): w is unbounded, but u*v is a square, so w(w+u+v)
-  must be a square k^2, that is (2w+u+v)^2 - (2k)^2 = (u+v)^2.  That
-  difference of squares has finitely many factorizations, and the only hit
-  is (1, 4), giving (5, 5, 8).
+- (1, 1), (1, 4), (2, 2): the inequality leaves w unbounded, but u*v is a
+  square, so w(w+u+v) must be a square k^2, that is
+  (2w+u+v)^2 - (2k)^2 = (u+v)^2.  The two factors of that difference of
+  squares are at least 1 and multiply to (u+v)^2, so their sum
+  2(2w+u+v) is at most 1 + (u+v)^2, that is w <= (u+v-1)^2 / 4.  The only
+  hit is (1, 4), giving (5, 5, 8).
 - (1, 2) and (1, 3): infinite.  (1, 2) holds the family rows 1 and 2 (with
   (3, 4, 5) as row 1 at x = 1), and (1, 3) holds rows 3 and 4.
 
@@ -30,9 +32,9 @@ families never produce an integer c.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from typing import NamedTuple
 
 from equilat import pell
 from equilat.errors import EquilatError, InconsistencyError
@@ -80,22 +82,30 @@ def heron_area(x: int, y: int, z: int) -> int | None:
     return root // 4
 
 
-@dataclass(frozen=True)
-class HeronianTriangle:
-    """Integer-sided triangle with integer area."""
-
+class _HeronianTriangle(NamedTuple):
     sides: tuple[int, int, int]  # x <= y <= z
     perimeter: int
     area: int
 
-    def __post_init__(self) -> None:
-        x, y, z = self.sides
+
+class HeronianTriangle(_HeronianTriangle):
+    """Integer-sided triangle with integer area."""
+
+    __slots__ = ()
+
+    def __new__(cls, sides: tuple[int, int, int], perimeter: int, area: int) -> "HeronianTriangle":
+        x, y, z = sides
         if not (0 < x <= y <= z) or x + y <= z:
-            raise ValueError(f"{self.sides} is not a valid (ordered) triangle")
-        if self.perimeter != x + y + z:
+            raise ValueError(f"{sides} is not a valid (ordered) triangle")
+        if perimeter != x + y + z:
             raise ValueError("perimeter does not match the sides")
-        if self.area < 1 or heron_area(x, y, z) != self.area:
+        if area < 1 or heron_area(x, y, z) != area:
             raise ValueError("area does not satisfy Heron's formula")
+        return super().__new__(cls, sides, perimeter, area)
+
+    @classmethod
+    def _make(cls, iterable) -> "HeronianTriangle":  # so that _replace validates too
+        return cls(*iterable)
 
     @classmethod
     def from_sides(cls, x: int, y: int, z: int) -> "HeronianTriangle":
@@ -114,8 +124,10 @@ def enumerate_perimeter_dominant(p_max: int) -> list[HeronianTriangle]:
     sorted by (perimeter, sides).
 
     Walks the tangent lengths u <= v <= w with u*v < 12 (see the module
-    docstring): w runs up to the perimeter bound, and, when u*v > 4, up to
-    the bound that perimeter dominance puts on it.  The work is O(p_max).
+    docstring): w stops at the perimeter bound, and earlier at the bound
+    that perimeter dominance puts on it when u*v > 4, or at (u+v-1)^2 // 4
+    when u*v is a square.  Only (1, 2) and (1, 3) reach the perimeter
+    bound, so the work is O(p_max).
     """
     if p_max < 12:
         raise ValueError("p_max must be at least 12 (the smallest Heronian perimeter)")
@@ -126,6 +138,8 @@ def enumerate_perimeter_dominant(p_max: int) -> list[HeronianTriangle]:
             w_max = p_max // 2 - u - v
             if uv > 4:
                 w_max = min(w_max, (4 * (u + v) - 1) // (uv - 4))
+            elif isqrt(uv) ** 2 == uv:
+                w_max = min(w_max, (u + v - 1) ** 2 // 4)
             for w in range(v, w_max + 1):
                 s = u + v + w
                 area_sq = s * uv * w
@@ -200,14 +214,7 @@ def family_members_within(row: int, p_max: int) -> list[HeronianTriangle]:
     return out
 
 
-@dataclass(frozen=True)
-class TrapezoidSolution:
-    """Equable trapezoid built from a Heronian triangle.
-
-    quad_sides lists (long parallel side a, leg AB, short parallel side c,
-    leg CO) in cyclic vertex order O, A, B, C.
-    """
-
+class _TrapezoidSolution(NamedTuple):
     triangle: HeronianTriangle
     f: int
     c: int
@@ -217,14 +224,39 @@ class TrapezoidSolution:
     quad_sides: tuple[int, int, int, int]
     figure_tag: str | None = None
 
-    def __post_init__(self) -> None:
-        if self.c < 1:
+
+class TrapezoidSolution(_TrapezoidSolution):
+    """Equable trapezoid built from a Heronian triangle.
+
+    quad_sides lists (long parallel side a, leg AB, short parallel side c,
+    leg CO) in cyclic vertex order O, A, B, C.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        triangle: HeronianTriangle,
+        f: int,
+        c: int,
+        a: int,
+        legs: tuple[int, int],
+        h: Fraction,
+        quad_sides: tuple[int, int, int, int],
+        figure_tag: str | None = None,
+    ) -> "TrapezoidSolution":
+        if c < 1:
             raise ValueError("short parallel side must be positive")
-        if self.h <= 2:
+        if h <= 2:
             raise ValueError("equable trapezoids need height > 2")
-        area = self.h * (self.a + self.c) / 2
-        if area != self.a + self.c + self.legs[0] + self.legs[1]:
+        area = h * (a + c) / 2
+        if area != a + c + legs[0] + legs[1]:
             raise ValueError("trapezoid is not equable")
+        return super().__new__(cls, triangle, f, c, a, legs, h, quad_sides, figure_tag)
+
+    @classmethod
+    def _make(cls, iterable) -> "TrapezoidSolution":  # so that _replace validates too
+        return cls(*iterable)
 
     @property
     def perimeter(self) -> int:

@@ -60,6 +60,21 @@ class TestEnumerateCandidates:
         assert not WxyzTriple(1, 5, 26).admissible()  # beyond the y bound
         assert all(t.admissible() for t in enumerate_candidates())
 
+    @pytest.mark.parametrize(
+        "wxy, message",
+        [
+            ((0, 5, 5), "need 0 < w <= x <= y"),
+            ((2, 1, 5), "need 0 < w <= x <= y"),
+            ((1, 5, 4), "need 0 < w <= x <= y"),
+            ((1, 4, 10), "need 5 <= w*x <= 16"),
+            ((2, 9, 10), "need 5 <= w*x <= 16"),
+        ],
+    )
+    def test_check_messages(self, wxy, message):
+        with pytest.raises(ValueError) as exc:
+            WxyzTriple(*wxy)
+        assert str(exc.value) == message
+
 
 class TestSolveZ:
     def test_2_5_5(self):
@@ -199,3 +214,17 @@ class TestSolutions:
     def test_validation(self):
         with pytest.raises(ValueError):
             CyclicSolution(wxyz=(1, 9, 10, 11), sides=(14, 6, 5, 5), orderings=())
+
+    @pytest.mark.parametrize(
+        "wxyz, sides_, message",
+        [
+            ((1, 9, 10, 11), (14, 6, 5, 5), "wxyz does not satisfy the product identity"),
+            ((1, 5, 24, 30), (14, 6, 5, 5), "z must be smaller than w+x+y"),
+            ((1, 9, 10, 10), (1, 1, 1, 1), "sides fail the Brahmagupta equability condition"),
+        ],
+        ids=["identity", "z-bound", "brahmagupta"],
+    )
+    def test_check_messages(self, wxyz, sides_, message):
+        with pytest.raises(ValueError) as exc:
+            CyclicSolution(wxyz=wxyz, sides=sides_, orderings=())
+        assert str(exc.value) == message

@@ -123,6 +123,21 @@ class TestIsSimple:
         with pytest.raises(InvalidQuadError):
             quad((0, 0), (4, 0), (0, 4), (4, 4))
 
+    @pytest.mark.parametrize(
+        "points, message",
+        [
+            (((0, 0), (4, 0), (4, 4)), "a quadrilateral needs exactly four vertices"),
+            (((0, 0), (4, 0), (0, 4), (4, 4)),
+             "vertices (Point(x=0, y=0), Point(x=4, y=0), Point(x=0, y=4), Point(x=4, y=4))"
+             " do not bound a simple quadrilateral"),
+        ],
+        ids=["three-vertices", "bowtie"],
+    )
+    def test_quad_constructor_messages(self, points, message):
+        with pytest.raises(InvalidQuadError) as exc:
+            LatticeQuad(tuple(Point(*p) for p in points))
+        assert str(exc.value) == message
+
     def test_quad_constructor_reverses_clockwise_input(self):
         q = quad((0, 0), (0, 4), (4, 4), (4, 0))
         assert twice_area(q) == 32
@@ -322,6 +337,11 @@ class TestRatPoint:
 
     def test_sign_normalisation(self):
         assert RatPoint(3, -4, -2) == RatPoint(-3, 4, 2)
+
+    def test_zero_denominator(self):
+        with pytest.raises(ValueError) as exc:
+            RatPoint(1, 2, 0)
+        assert str(exc.value) == "zero denominator"
 
     def test_from_fractions(self):
         p = RatPoint.from_fractions(Fraction(3, 2), Fraction(-3, 2))

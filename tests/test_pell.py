@@ -101,6 +101,26 @@ def test_seed_validation():
         PellSpec("bad", 1, 5, 4, (PellSolution(2, 1),), 3)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("bad", 0, 5, 4, (), 3), "alpha and beta must be positive"),
+        (("bad", 1, 0, 4, (), 3), "alpha and beta must be positive"),
+        (("bad", 1, 5, 0, (), 3), "gamma must be nonzero"),
+        (("bad", 1, 5, 4, (), 2), "recurrence multiplier must be at least 3"),
+        (("bad", 1, 5, 4, (PellSolution(-2, 0),), 3),
+         "seed PellSolution(n=-2, i=0) is not nonnegative"),
+        (("bad", 1, 5, 4, (PellSolution(2, 1),), 3),
+         "seed PellSolution(n=2, i=1) does not satisfy bad"),
+    ],
+    ids=["alpha", "beta", "gamma", "rec", "negative-seed", "wrong-seed"],
+)
+def test_spec_check_messages(args, message):
+    with pytest.raises(ValueError) as exc:
+        PellSpec(*args)
+    assert str(exc.value) == message
+
+
 def test_recurrence_inconsistency_detected():
     # both seeds satisfy n^2 - 5 i^2 = 4, but they are not consecutive
     # solutions, so the recurrence leaves the solution set

@@ -283,3 +283,37 @@ class TestValidation:
                 triangle=T345, f=3, c=0, a=3, legs=(4, 5),
                 h=Fraction(4), quad_sides=(3, 4, 0, 5),
             )
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (((1, 2, 3), 6, 1), "(1, 2, 3) is not a valid (ordered) triangle"),
+            (((4, 3, 5), 12, 6), "(4, 3, 5) is not a valid (ordered) triangle"),
+            (((3, 4, 5), 13, 6), "perimeter does not match the sides"),
+            (((3, 4, 5), 12, 7), "area does not satisfy Heron's formula"),
+            (((3, 4, 5), 12, 0), "area does not satisfy Heron's formula"),
+        ],
+        ids=["degenerate", "unordered", "perimeter", "area", "zero-area"],
+    )
+    def test_triangle_check_messages(self, args, message):
+        with pytest.raises(ValueError) as exc:
+            HeronianTriangle(*args)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"c": 0}, "short parallel side must be positive"),
+            ({"h": Fraction(2)}, "equable trapezoids need height > 2"),
+            ({"legs": (4, 6)}, "trapezoid is not equable"),
+        ],
+        ids=["c", "h", "equability"],
+    )
+    def test_solution_check_messages(self, changes, message):
+        fields = dict(
+            triangle=T345, f=3, c=3, a=6, legs=(4, 5), h=Fraction(4), quad_sides=(6, 4, 3, 5)
+        )
+        TrapezoidSolution(**fields)  # the unchanged fields are valid
+        with pytest.raises(ValueError) as exc:
+            TrapezoidSolution(**{**fields, **changes})
+        assert str(exc.value) == message
