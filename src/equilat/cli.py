@@ -5,7 +5,8 @@
             [--format json|csv|svg|text] [--out PATH] [--figure NAME] [--pretty]
 
 Data goes to stdout (or --out); errors go to stderr.  Exit codes: 0 success,
-1 domain error, unwritable --out or failed audit cross-check, 2 usage error.
+1 domain error, unwritable --out or failed audit cross-check, 2 usage error,
+130 interrupted (Ctrl-C).
 JSON output is canonical: sorted keys, no floating point anywhere, rationals
 serialized as {"num": ..., "den": ...}.
 """
@@ -407,6 +408,9 @@ def run(argv: list[str] | None = None) -> int:
     except (EquilatError, ValueError, KeyError, OSError) as exc:
         print(f"equilat {args.command}: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print(f"equilat {args.command}: interrupted", file=sys.stderr)
+        return 130  # 128 + SIGINT, as shells report it
     return 0 if code is None else code
 
 

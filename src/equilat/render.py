@@ -69,12 +69,12 @@ class _Panel:
 
     def svg(self, x_off: int) -> list[str]:
         parts = []
+        # the lattice dots sit at integer pixels, so no Fraction is needed
         for gx in range(self.min_x, self.max_x + 1):
+            cx = (gx - self.min_x) * UNIT + x_off
             for gy in range(self.min_y, self.max_y + 1):
-                cx, cy = self.to_px(Fraction(gx), Fraction(gy), x_off)
-                parts.append(
-                    f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="1.5" fill="{_GRID}"/>'
-                )
+                cy = (self.max_y - gy) * UNIT
+                parts.append(f'<circle cx="{cx}" cy="{cy}" r="1.5" fill="{_GRID}"/>')
         for poly in self.polygons:
             pts = " ".join(
                 f"{_fmt(px)},{_fmt(py)}"

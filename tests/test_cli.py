@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import equilat
-from equilat import search
+from equilat import cli, search
 from equilat.cli import run, to_json
 
 
@@ -74,6 +74,15 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err.startswith(f"equilat {argv[0]}: ") and field in err
         assert len(err.splitlines()) == 1
+
+    def test_interrupt_is_130(self, capsys, monkeypatch):
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setitem(cli._HANDLERS, "search", interrupted)
+        code, out, err = _run(capsys, "search", "--p-max", "1000")
+        assert code == 130 and out == ""
+        assert err == "equilat search: interrupted\n"
 
     @pytest.mark.parametrize("command", ["search", "audit"])
     def test_workers_must_be_positive(self, capsys, command):

@@ -263,7 +263,7 @@ class TestRealize:
 
     @pytest.mark.parametrize(
         "tag, sol, perimeter",
-        [("K1", PellSolution(47, 21), 470), ("K3", PellSolution(99, 70), 1584)],
+        [("K1", PellSolution(123, 55), 1230), ("K3", PellSolution(99, 70), 1584)],
     )
     def test_kites_beyond_the_search_cap(self, tag, sol, perimeter):
         km = kites.member(tag, sol)

@@ -11,12 +11,30 @@ from equilat.geometry import (
     twice_area,
 )
 from equilat.search import (
+    P_MAX_MAX,
     AuditReport,
+    _equable_quads,
     audit_theorems,
     enumerate_leqs,
     get_catalog,
     integer_norm_vectors,
 )
+
+
+def _full_square_scan(max_len: int) -> list[tuple[int, int, int]]:
+    """Reference oracle for `integer_norm_vectors`: the scan of the whole
+    square |dx|, |dy| <= max_len that the reflected eighth replaced."""
+    out = []
+    for dx in range(-max_len, max_len + 1):
+        for dy in range(-max_len, max_len + 1):
+            if dx == 0 and dy == 0:
+                continue
+            n = dx * dx + dy * dy
+            r = isqrt(n)
+            if r * r == n and r <= max_len:
+                out.append((dx, dy, r))
+    out.sort(key=lambda e: (e[2], e[0], e[1]))
+    return out
 
 
 class TestIntegerNormVectors:
@@ -37,6 +55,10 @@ class TestIntegerNormVectors:
         vecs = integer_norm_vectors(10)
         keys = [(length, dx, dy) for dx, dy, length in vecs]
         assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("max_len", [*range(1, 61), 499])
+    def test_matches_full_square_scan(self, max_len):
+        assert integer_norm_vectors(max_len) == _full_square_scan(max_len)
 
 
 def _unrestricted_class_set(p_max: int) -> set[tuple]:
@@ -130,6 +152,54 @@ def _anchored_walk(p_max: int) -> dict[tuple, list[tuple[int, ...]]]:
     return {sig: sorted(flats) for sig, flats in found.items()}
 
 
+def _unwindowed_join(p_max: int) -> list:
+    """Reference oracle: the diagonal join before its half-chains were
+    windowed by the area bound.  For each diagonal column dx it pairs every
+    v1 with every v2 = d - v1 in the column dx - x1, keeps those with
+    0 <= dy <= dx, a positive cross product and room for the other half, and
+    joins bucket k with bucket -k.  Returns the sorted hits."""
+    half = (p_max - 1) // 2
+    columns: dict[int, list[tuple[int, int]]] = {}
+    for x, y, length in _full_square_scan(half):
+        columns.setdefault(x, []).append((y, length))
+    hits = []
+    for dx in range(1, half + 1):
+        buckets: dict[tuple[int, int], list[tuple[int, int, int, int]]] = {}
+        for x1 in range(dx - half, half + 1):
+            for y1, l1 in columns.get(x1, ()):
+                for y2, l2 in columns.get(dx - x1, ()):
+                    dy = y1 + y2
+                    if dy < 0 or dy > dx:
+                        continue
+                    cross = x1 * dy - y1 * dx
+                    rest = p_max - l1 - l2
+                    if cross > 0 and rest * rest > dx * dx + dy * dy:
+                        key = (dy, cross - 2 * (l1 + l2))
+                        buckets.setdefault(key, []).append((x1, y1, l1, l2))
+        for (dy, k), uppers in buckets.items():
+            for ux, uy, m1, m2 in buckets.get((dy, -k), ()):
+                qx, qy = dx - ux, dy - uy
+                for x1, y1, l1, l2 in uppers:
+                    if l1 + l2 + m1 + m2 > p_max:
+                        continue
+                    if x1 * qy == y1 * qx or (dx - x1) * uy == (dy - y1) * ux:
+                        continue
+                    hits.append((((0, 0), (x1, y1), (dx, dy), (qx, qy)), (l1, l2, m1, m2)))
+    return sorted(hits)
+
+
+@pytest.mark.parametrize(
+    "p_max",
+    [
+        12, 13, 17, 20, 25, 42, 60, 100, 150, 200,
+        pytest.param(600, marks=pytest.mark.slow),
+        pytest.param(1000, marks=pytest.mark.slow),
+    ],
+)
+def test_windowed_join_matches_unwindowed(p_max):
+    assert sorted(_equable_quads(p_max)) == _unwindowed_join(p_max)
+
+
 def _flat(q) -> tuple[int, ...]:
     return tuple(c for p in q.v for c in (p.x, p.y))
 
@@ -195,7 +265,7 @@ class TestEnumerateLeqs:
             assert all(signature(e) == cls.signature for e in cls.embeddings)
 
     def test_config_validation(self):
-        for p_max in (0, 8, 11, 201, 500):
+        for p_max in (0, 8, 11, 1001, 5000):
             with pytest.raises(ValueError, match="p_max"):
                 enumerate_leqs(p_max)
 
@@ -241,6 +311,18 @@ class TestAudit:
     def test_bound_mismatch_rejected(self):
         with pytest.raises(ValueError):
             audit_theorems(get_catalog(16), 42)
+
+
+@pytest.mark.slow
+def test_audit_at_the_cap():
+    cat = get_catalog(P_MAX_MAX)
+    report = audit_theorems(cat, P_MAX_MAX)
+    assert len(cat) == 405
+    assert report.kites_found == report.kites_expected
+    assert len(report.kites_found) == 11
+    assert len(report.trapezoids_found) == 5
+    assert len(report.cyclic_found) == 4
+    assert report.diagonal_exceptions == (((9, 16, 36, 25, 25, 52), 5),)
 
 
 @pytest.mark.slow
