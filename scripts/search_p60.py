@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Long-run search at p_max 60: finds the concave class with an external
-diagonal of length 12 and prints the full catalog with diagonal data."""
+"""Search at p_max 60 (any bound in 12..1000 with --p-max): finds the concave
+class with an external diagonal of length 12 and prints the full catalog with
+diagonal data."""
 
 import argparse
 import time

@@ -4,7 +4,6 @@ quadrilaterals, labeled vertices.  One lattice unit is a fixed 24 px."""
 from __future__ import annotations
 
 from fractions import Fraction
-from html import escape
 from math import ceil, floor
 
 from equilat.figures import FIGURE_PANELS
@@ -18,6 +17,12 @@ PANEL_GAP = 36  # px between panels
 
 _FILL = "#4c72b0"
 _GRID = "#b0b0b0"
+
+
+def _escape(text: str) -> str:
+    """`html.escape(text, quote=False)` without importing `html`, which
+    loads `html.entities` into every command's startup."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def figure_names() -> list[str]:
@@ -98,7 +103,7 @@ class _Panel:
                 if self.labels:
                     parts.append(
                         f'<text x="{_fmt(cx + 6)}" y="{_fmt(cy - 6)}" '
-                        f'font-size="15" font-family="sans-serif">{escape(self.labels[i], quote=False)}</text>'
+                        f'font-size="15" font-family="sans-serif">{_escape(self.labels[i])}</text>'
                     )
         for (px, py), text in self.marks:
             cx, cy = self.to_px(px, py, x_off)
@@ -108,7 +113,7 @@ class _Panel:
             )
             parts.append(
                 f'<text x="{_fmt(cx + 7)}" y="{_fmt(cy + 14)}" '
-                f'font-size="13" font-family="sans-serif" fill="#c44">{escape(text, quote=False)}</text>'
+                f'font-size="13" font-family="sans-serif" fill="#c44">{_escape(text)}</text>'
             )
         return parts
 
@@ -130,7 +135,7 @@ def render_figure(name: str, command: str = "") -> str:
 
     # XML comments cannot contain "--", so the generating command is embedded
     # in the SVG-native <desc> element instead
-    desc = f"<desc>{escape(command, quote=False)}</desc>" if command else ""
+    desc = f"<desc>{_escape(command)}</desc>" if command else ""
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">'

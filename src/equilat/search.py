@@ -18,9 +18,36 @@ the edge table and the diagonals.
 The area bounds the half-chains too.  Each half's cross product is at least
 1, and the two sum to twice the area, that is 2 * perimeter <= 2 p_max, so
 each lies in [1, T] with T = 2 p_max - 1.  With x2 = dx - x1,
-cross = x1*dy - dx*y1 = x1*y2 - x2*y1, and the half-chains of a column dx
-are listed through two windows on the edge table's columns, each an O(1)
-slice of a column sorted by y:
+cross = x1*dy - dx*y1 = x1*y2 - x2*y1.
+
+Axis edges need no lookup: with half = (p_max - 1) // 2 the longest side,
+(x, 0) and (0, y) are edges for every 1 <= |x|, |y| <= half, so the edge
+table holds only the off-axis (Pythagorean) edges, and a half-chain with an
+axis edge is fixed by its other edge and the column dx.  Two horizontal or two vertical edges are
+collinear, and the bound with 0 <= dy <= dx leaves four cases:
+
+- v1 = (x1, 0): cross = x1*y2, so x1 >= 1, 1 <= y2 = dy <= dx and
+  x1 <= T // y2.  An off-axis v2 = (x2, y2) is thus the partner of a
+  horizontal v1 for the contiguous columns
+  max(y2, x2 + 1) <= dx <= min(half, x2 + min(half, T // y2)).
+- v2 = (x2, 0): cross = -x2*y1, so x2 <= -1, 1 <= y1 = dy <= dx and
+  -x2 <= T // y1; an off-axis v1 = (x1, y1) is the partner for
+  max(y1, x1 - min(half, T // y1)) <= dx <= min(half, x1 - 1).
+- v1 = (0, y1): dx = x2 and cross = -dx*y1, so for each off-axis v2 in
+  column dx, y1 runs over [max(-(T // dx), -y2), min(-1, dx - y2)], which
+  is empty unless y2 >= 1.
+- v2 = (0, y2): dx = x1 and cross = dx*y2, so for each v1 in column dx, y2
+  runs over [max(1, -y1), min(T // dx, dx - y1, half)].  Here v1 may be
+  horizontal: (dx, 0) then (0, y2) is the one half-chain of two axis edges,
+  since (0, y1) then (x2, 0) would have dy = y1 < 0.
+
+The last two cases read column dx directly.  For the first two, each
+partner enters an active list at the first column of its range and leaves
+it after the last, so a column of diagonals costs O(its half-chains) and the
+buckets still hold one column at a time.
+
+Pairs of off-axis edges are listed through two windows on the table's
+columns, each an O(1) slice of a column sorted by y:
 
 - y1, per pair of columns (x1, x2): 0 <= dy <= dx puts dx*y1 within
   [min(0, x1)*dx - T, max(0, x1)*dx - 1], so
@@ -28,21 +55,22 @@ slice of a column sorted by y:
   largest |y| in column x2, puts x2*y1 within [-|x1|*ymax2 - T, |x1|*ymax2 - 1].
 - y2, per v1: -y1 <= y2 <= dx - y1, |y2| <= ymax2 and
   x2*y1 + 1 <= x1*y2 <= x2*y1 + T, whose ends swap when dividing by x1 < 0.
-  At x1 = 0 the cross product is -dx*y1, which the y1 window already holds
-  in [1, T].
 
-The windows restate the bound exactly, so the join finds the same hits as
-the unwindowed pairing of every v1 with every v2, which stays in the tests as
-an oracle; at p_max = 1000 they visit 70 810 pairs (v1, v2) instead of 11.1
-million.
+The cases and windows restate the bound exactly, so the join finds the same
+hits as the unwindowed pairing of every v1 with every v2, which stays in the
+tests as an oracle.  At p_max = 1000 both list the same 70 810 pairs
+(v1, v2) that satisfy the bound; the unwindowed pairing tries 11.1 million.
 
 Each hit is written out in the placements the eight lattice symmetries give
 it, from every vertex whose outgoing edge is a longest edge and lies in the
-half-quadrant dx > 0, dy >= 0.  Those anchored chains, collected per
-congruence signature, define the catalog independently of the algorithm: a
-class's representative is its smallest anchored chain, and `embeddings_seen`
-counts its anchored chains, that is its lattice placements up to translation
-together with each vertex of the placement that anchors it.
+half-quadrant dx > 0, dy >= 0.  A rotation g moves a longest edge v there
+when g(v) lies there; a reflection reverses the chain, so it does when
+-g(v) does.  Only those images are built, one rotation and one reflection
+per longest edge.  The anchored chains, collected per congruence signature,
+define the catalog independently of the algorithm: a class's representative
+is its smallest anchored chain, and `embeddings_seen` counts its anchored
+chains, that is its lattice placements up to translation together with each
+vertex of the placement that anchors it.
 """
 
 from __future__ import annotations
@@ -109,43 +137,68 @@ def _equable_quads(p_max: int):
     diagonal d = P2 - P0 lies in the eighth dx > 0, 0 <= dy <= dx.
 
     Only half-chains with 1 <= cross(v1, v2) <= 2 p_max - 1 are listed; the
-    module docstring derives that bound and the windows that enforce it."""
+    module docstring derives that bound, the windows on pairs of off-axis
+    edges and the four cases with an axis edge."""
     half = (p_max - 1) // 2  # every side and diagonal is shorter than p_max / 2
     top = 2 * p_max - 1  # the largest cross product a half-chain can have
-    # Column x of the edge table holds its (y, length) sorted by y, the
-    # largest y in it, and prefix counts over y in [-ymax, ymax]: the entries
-    # with lo <= y <= hi are col[start[lo + ymax]:start[hi + ymax + 1]].
+    # Column x of the edge table holds the (y, length) of its off-axis edges
+    # sorted by y, the largest y in it, and prefix counts over y in
+    # [-ymax, ymax]: the entries with lo <= y <= hi are
+    # col[start[lo + ymax]:start[hi + ymax + 1]].  The axis edges (x, 0) and
+    # (0, y) exist for every 1 <= |x|, |y| <= half and are not stored.
     columns: list[list[tuple[int, int]]] = [[] for _ in range(2 * half + 1)]
     for x, y, length in integer_norm_vectors(half):
-        columns[x + half].append((y, length))
+        if x and y:
+            columns[x + half].append((y, length))
     table = []
-    for col in columns:
+    # An off-axis edge (x, y) with y >= 1 partners a horizontal edge over a
+    # contiguous range lo..hi of diagonal columns dx.  after_h[lo] lists it,
+    # with hi, as the v2 after a horizontal v1, before_h[lo] as the v1
+    # before a horizontal v2.
+    after_h: list[list[tuple[int, int, int, int]]] = [[] for _ in range(half + 1)]
+    before_h: list[list[tuple[int, int, int, int]]] = [[] for _ in range(half + 1)]
+    for x, col in enumerate(columns, -half):
         col.sort()
-        ymax = col[-1][0]
+        ymax = col[-1][0] if col else 0
         counts = [0] * (2 * ymax + 2)
-        for y, _ in col:
+        for y, length in col:
             counts[y + ymax + 1] += 1
+            if y > 0:
+                # v2 = (x, y) after v1 = (dx - x, 0): 1 <= dx - x <= top // y
+                lo, hi = max(y, x + 1), min(half, x + min(half, top // y))
+                if lo <= hi:
+                    after_h[lo].append((x, y, length, hi))
+                # v1 = (x, y) before v2 = (dx - x, 0): 1 <= x - dx <= top // y
+                lo, hi = max(y, x - min(half, top // y)), min(half, x - 1)
+                if lo <= hi:
+                    before_h[lo].append((x, y, length, hi))
         table.append((col, ymax, list(accumulate(counts))))
+    xs = [x for x, col in enumerate(columns, -half) if col]
 
+    active_after: list[tuple[int, int, int, int]] = []
+    active_before: list[tuple[int, int, int, int]] = []
     for dx in range(1, half + 1):
         # Half-chains 0 -> v1 -> d right of d, for one column of diagonals at
-        # a time, keyed by (dy, k); v2 = d - v1 is drawn from column dx - x1.
-        w = top // dx
+        # a time, keyed by (dy, k).
         buckets: dict[tuple[int, int], list[tuple[int, int, int, int]]] = {}
-        for x1 in range(dx - half, half + 1):
+        w = top // dx
+        # Both edges off-axis: v2 = d - v1 is drawn from column dx - x1.
+        for x1 in xs:
+            if x1 < dx - half:
+                continue
             x2 = dx - x1
-            col1, ymax1, start1 = table[x1 + half]
             col2, ymax2, start2 = table[x2 + half]
+            if not col2:
+                continue
+            col1, ymax1, start1 = table[x1 + half]
             # y1 window: 0 <= dy <= dx, |y1| <= ymax1, and some |y2| <= ymax2
             # must leave cross = x1*y2 - x2*y1 in [1, top].
             lo, hi = (-w, x1 - 1) if x1 > 0 else (x1 - w, -1)
             reach = (x1 if x1 > 0 else -x1) * ymax2
             if x2 > 0:
                 lo_c, hi_c = -((reach + top) // x2), (reach - 1) // x2
-            elif x2 < 0:
-                lo_c, hi_c = -((1 - reach) // x2), (-reach - top) // x2
             else:
-                lo_c, hi_c = -ymax1, ymax1
+                lo_c, hi_c = -((1 - reach) // x2), (-reach - top) // x2
             # max() and min() calls cost more than these tests in this loop
             if lo < lo_c:
                 lo = lo_c
@@ -159,20 +212,18 @@ def _equable_quads(p_max: int):
                 continue
             # y2 window per y1: 0 <= dy <= dx, |y2| <= ymax2 and
             # x1*y2 in [x2*y1 + 1, x2*y1 + top]; dividing by x1 < 0 swaps the
-            # ends.  At x1 = 0 the y1 window alone gives cross = -dx*y1 in
-            # [1, top].
+            # ends.
             c_lo, c_hi = (1, top) if x1 > 0 else (top, 1)
             for y1, l1 in col1[start1[lo + ymax1]:start1[hi + ymax1 + 1]]:
                 a = -y1 if y1 < ymax2 else -ymax2
                 b = dx - y1 if dx - y1 < ymax2 else ymax2
-                if x1:
-                    n = x2 * y1
-                    t = -((-n - c_lo) // x1)
-                    if t > a:
-                        a = t
-                    t = (n + c_hi) // x1
-                    if t < b:
-                        b = t
+                n = x2 * y1
+                t = -((-n - c_lo) // x1)
+                if t > a:
+                    a = t
+                t = (n + c_hi) // x1
+                if t < b:
+                    b = t
                 if a > b:
                     continue
                 for y2, l2 in col2[start2[a + ymax2]:start2[b + ymax2 + 1]]:
@@ -181,6 +232,39 @@ def _equable_quads(p_max: int):
                     if rest * rest > dx * dx + dy * dy:
                         key = (dy, x1 * y2 - x2 * y1 - 2 * (l1 + l2))
                         buckets.setdefault(key, []).append((x1, y1, l1, l2))
+        # v1 = (x1, 0), v2 = (x2, y2): cross = x1*y2.
+        active_after = [e for e in active_after if e[3] >= dx] + after_h[dx]
+        for x2, y2, l2, _ in active_after:
+            x1 = dx - x2
+            rest = p_max - x1 - l2
+            if rest * rest > dx * dx + y2 * y2:
+                key = (y2, x1 * y2 - 2 * (x1 + l2))
+                buckets.setdefault(key, []).append((x1, 0, x1, l2))
+        # v1 = (x1, y1), v2 = (x2, 0): cross = -x2*y1.
+        active_before = [e for e in active_before if e[3] >= dx] + before_h[dx]
+        for x1, y1, l1, _ in active_before:
+            l2 = x1 - dx
+            rest = p_max - l1 - l2
+            if rest * rest > dx * dx + y1 * y1:
+                key = (y1, l2 * y1 - 2 * (l1 + l2))
+                buckets.setdefault(key, []).append((x1, y1, l1, l2))
+        col, ymax, start = table[dx + half]
+        # v1 = (0, y1), v2 = (dx, y2): cross = -dx*y1, and y2 >= 1.
+        for y2, l2 in col[start[ymax + 1]:]:
+            for y1 in range(max(-w, -y2), min(-1, dx - y2) + 1):
+                dy = y1 + y2
+                rest = p_max + y1 - l2
+                if rest * rest > dx * dx + dy * dy:
+                    key = (dy, -dx * y1 - 2 * (l2 - y1))
+                    buckets.setdefault(key, []).append((0, y1, -y1, l2))
+        # v1 = (dx, y1), v2 = (0, y2): cross = dx*y2; v1 may be (dx, 0).
+        for y1, l1 in ((0, dx), *col):
+            for y2 in range(max(1, -y1), min(w, dx - y1, half) + 1):
+                dy = y1 + y2
+                rest = p_max - l1 - y2
+                if rest * rest > dx * dx + dy * dy:
+                    key = (dy, dx * y2 - 2 * (l1 + y2))
+                    buckets.setdefault(key, []).append((dx, y1, l1, y2))
         # The left half (P2, P3, P0) negated is a right half (u1, u2) of the
         # same d; negation keeps both the cross product and the lengths.
         for (dy, k), uppers in buckets.items():
@@ -200,18 +284,31 @@ def _anchored_chains(
     """Flat vertex tuples of the quad's images under the lattice symmetries,
     re-oriented counterclockwise and started at each vertex whose outgoing
     edge is a longest edge in the half-quadrant dx > 0, dy >= 0."""
+    sq = longest * longest
+    edges = []
+    for (px, py), (qx, qy) in zip(pts, pts[1:] + pts[:1]):
+        if (qx - px) ** 2 + (qy - py) ** 2 == sq:
+            edges.append((qx - px, qy - py))
     out = []
     for a, b, c, e in POINT_SYMMETRIES:
+        # A rotation (s = 1) maps an edge v to g(v); a reflection (s = -1)
+        # reverses the chain, so its edges become -g(v).  Only images with a
+        # longest edge in the half-quadrant have an anchor.
+        s = a * e - b * c
+        for vx, vy in edges:
+            if s * (a * vx + b * vy) > 0 and s * (c * vx + e * vy) >= 0:
+                break
+        else:
+            continue
         img = [(a * x + b * y, c * x + e * y) for x, y in pts]
-        if a * e - b * c < 0:
+        if s < 0:
             img.reverse()  # a reflection leaves the vertices clockwise
         for i in range(4):
             ox, oy = img[i]
             ex, ey = img[(i + 1) % 4][0] - ox, img[(i + 1) % 4][1] - oy
-            if ex > 0 and ey >= 0 and ex * ex + ey * ey == longest * longest:
-                out.append(tuple(
-                    v for x, y in img[i:] + img[:i] for v in (x - ox, y - oy)
-                ))
+            if ex > 0 and ey >= 0 and ex * ex + ey * ey == sq:
+                _, _, (cx, cy), (fx, fy) = img[i:] + img[:i]
+                out.append((0, 0, ex, ey, cx - ox, cy - oy, fx - ox, fy - oy))
     return out
 
 

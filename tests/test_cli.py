@@ -35,6 +35,11 @@ class TestStartup:
         # urllib.request alone costs about a third of the package's import time
         assert _loaded_after_cli_import(["urllib.request"]) == set()
 
+    def test_import_does_not_load_html(self):
+        # render escapes its text itself; html pulls in html.entities, about
+        # 2.5 ms of every command's import on a 2-vCPU Xeon (-X importtime)
+        assert _loaded_after_cli_import(["html", "html.entities"]) == set()
+
     def test_import_does_not_load_dataclasses(self):
         # building the records with dataclasses, which loads inspect, cost
         # about 30 ms of every command's startup on a 2-vCPU Xeon

@@ -4,6 +4,7 @@ import pytest
 
 from equilat.figures import NAMED_QUADS
 from equilat.geometry import (
+    POINT_SYMMETRIES,
     canonical_signature,
     is_equable,
     is_simple,
@@ -13,6 +14,7 @@ from equilat.geometry import (
 from equilat.search import (
     P_MAX_MAX,
     AuditReport,
+    _anchored_chains,
     _equable_quads,
     audit_theorems,
     enumerate_leqs,
@@ -191,13 +193,44 @@ def _unwindowed_join(p_max: int) -> list:
 @pytest.mark.parametrize(
     "p_max",
     [
-        12, 13, 17, 20, 25, 42, 60, 100, 150, 200,
+        12, 13, 17, 20, 25, 42, 60, 100, 150, 200, 401,
         pytest.param(600, marks=pytest.mark.slow),
         pytest.param(1000, marks=pytest.mark.slow),
     ],
 )
 def test_windowed_join_matches_unwindowed(p_max):
     assert sorted(_equable_quads(p_max)) == _unwindowed_join(p_max)
+
+
+def _all_images_anchored_chains(
+    pts: tuple[tuple[int, int], ...], longest: int
+) -> list[tuple[int, ...]]:
+    """Reference oracle: the anchoring that builds all eight images of the
+    quad under the lattice symmetries, re-orients each counterclockwise and
+    starts it at each vertex whose outgoing edge is a longest edge in the
+    half-quadrant dx > 0, dy >= 0."""
+    out = []
+    for a, b, c, e in POINT_SYMMETRIES:
+        img = [(a * x + b * y, c * x + e * y) for x, y in pts]
+        if a * e - b * c < 0:
+            img.reverse()  # a reflection leaves the vertices clockwise
+        for i in range(4):
+            ox, oy = img[i]
+            ex, ey = img[(i + 1) % 4][0] - ox, img[(i + 1) % 4][1] - oy
+            if ex > 0 and ey >= 0 and ex * ex + ey * ey == longest * longest:
+                out.append(tuple(
+                    v for x, y in img[i:] + img[:i] for v in (x - ox, y - oy)
+                ))
+    return out
+
+
+@pytest.mark.parametrize(
+    "p_max", [12, 42, 100, 200, pytest.param(1000, marks=pytest.mark.slow)]
+)
+def test_anchoring_matches_all_images(p_max):
+    for pts, sides in _equable_quads(p_max):
+        longest = max(sides)
+        assert _anchored_chains(pts, longest) == _all_images_anchored_chains(pts, longest)
 
 
 def _flat(q) -> tuple[int, ...]:
@@ -325,7 +358,6 @@ def test_audit_at_the_cap():
     assert report.diagonal_exceptions == (((9, 16, 36, 25, 25, 52), 5),)
 
 
-@pytest.mark.slow
 def test_p60_catalog_has_concave_example():
     cat = get_catalog(60)
     assert signature(NAMED_QUADS["concave-60"]) in cat
