@@ -14,7 +14,6 @@ serialized as {"num": ..., "den": ...}.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
@@ -62,6 +61,8 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
+    import csv  # only --format csv needs it, so it stays out of startup
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)

@@ -300,29 +300,25 @@ def classify(q: LatticeQuad) -> QuadClassification:
     Trapezoid uses the exclusive definition (exactly one parallel pair), so a
     parallelogram is never a trapezoid.  A dart is a concave kite.
     """
-    v = q.v
-    turns = _turns(v)
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = q.v
+    ex = (x1 - x0, x2 - x1, x3 - x2, x0 - x3)  # edge i runs from v[i] to v[i + 1]
+    ey = (y1 - y0, y2 - y1, y3 - y2, y0 - y3)
+    turns = [ex[i - 1] * ey[i] - ey[i - 1] * ex[i] for i in range(4)]
     convex = min(turns) > 0
     reflex_index = None if convex else turns.index(min(turns))
 
-    sd = side_data(q)
-    s0, s1, s2, s3 = sd.sq
+    s0, s1, s2, s3 = (ex[i] * ex[i] + ey[i] * ey[i] for i in range(4))
     kite = (s0 == s1 and s2 == s3) or (s1 == s2 and s3 == s0)
 
-    edges = [v[(i + 1) % 4] - v[i] for i in range(4)]
-    par02 = edges[0].x * edges[2].y - edges[0].y * edges[2].x == 0
-    par13 = edges[1].x * edges[3].y - edges[1].y * edges[3].x == 0
+    par02 = ex[0] * ey[2] == ey[0] * ex[2]
+    par13 = ex[1] * ey[3] == ey[1] * ex[3]
     parallelogram = par02 and par13
     trapezoid = par02 != par13
     isosceles = trapezoid and ((par02 and s1 == s3) or (par13 and s0 == s2))
 
-    right_at = [
-        (v[i - 1] - v[i]).x * (v[(i + 1) % 4] - v[i]).x
-        + (v[i - 1] - v[i]).y * (v[(i + 1) % 4] - v[i]).y
-        == 0
-        for i in range(4)
-    ]
-    right = trapezoid and any(right_at[i] and right_at[(i + 1) % 4] for i in range(4))
+    # the angle at v[i] is right when edges i - 1 and i are perpendicular
+    right_at = [ex[i - 1] * ex[i] + ey[i - 1] * ey[i] == 0 for i in range(4)]
+    right = trapezoid and any(right_at[i - 1] and right_at[i] for i in range(4))
 
     return QuadClassification(
         convex=convex,

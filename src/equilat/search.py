@@ -12,6 +12,9 @@ match k(v) + k(u) = 0 with k = cross(v1, v2) - 2(|v1| + |v2|).  The search
 therefore takes each diagonal d in the eighth dx > 0, 0 <= dy <= dx, lists
 its half-chains with integer-norm edges, buckets them by key and joins bucket
 k with bucket -k: the meet-in-the-middle idea of Horowitz & Sahni (1974).
+Swapping v and u turns the quad 180 degrees about d/2, so only keys k >= 0
+probe, and bucket 0 meets itself once per unordered pair, the pair of a
+half-chain with itself being a parallelogram.
 Every side and diagonal is shorter than half the perimeter, which bounds both
 the edge table and the diagonals.
 
@@ -22,9 +25,10 @@ cross = x1*dy - dx*y1 = x1*y2 - x2*y1.
 
 Axis edges need no lookup: with half = (p_max - 1) // 2 the longest side,
 (x, 0) and (0, y) are edges for every 1 <= |x|, |y| <= half, so the edge
-table holds only the off-axis (Pythagorean) edges, and a half-chain with an
-axis edge is fixed by its other edge and the column dx.  Two horizontal or two vertical edges are
-collinear, and the bound with 0 <= dy <= dx leaves four cases:
+table holds only the off-axis edges, listed from Euclid's formula for the
+Pythagorean triples, and a half-chain with an axis edge is fixed by its other
+edge and the column dx.  Two horizontal or two vertical edges are collinear,
+and the bound with 0 <= dy <= dx leaves four cases:
 
 - v1 = (x1, 0): cross = x1*y2, so x1 >= 1, 1 <= y2 = dy <= dx and
   x1 <= T // y2.  An off-axis v2 = (x2, y2) is thus the partner of a
@@ -56,10 +60,10 @@ columns, each an O(1) slice of a column sorted by y:
 - y2, per v1: -y1 <= y2 <= dx - y1, |y2| <= ymax2 and
   x2*y1 + 1 <= x1*y2 <= x2*y1 + T, whose ends swap when dividing by x1 < 0.
 
-The cases and windows restate the bound exactly, so the join finds the same
-hits as the unwindowed pairing of every v1 with every v2, which stays in the
-tests as an oracle.  At p_max = 1000 both list the same 70 810 pairs
-(v1, v2) that satisfy the bound; the unwindowed pairing tries 11.1 million.
+The cases and windows restate the bound exactly, so the join finds the hits
+of the unwindowed pairing of every v1 with every v2, one of each turned pair;
+that pairing stays in the tests as an oracle.  At 1000 both list 70 810
+pairs (v1, v2) within the bound; the unwindowed pairing tries 11.1 million.
 
 Each hit is written out in the placements the eight lattice symmetries give
 it, from every vertex whose outgoing edge is a longest edge and lies in the
@@ -75,9 +79,10 @@ vertex of the placement that anchors it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import accumulate
-from math import isqrt
+from math import gcd, isqrt
 from typing import NamedTuple
 
 from equilat import kites
@@ -113,20 +118,20 @@ def integer_norm_vectors(max_len: int) -> list[tuple[int, int, int]]:
     if max_len < 1:
         raise ValueError("max_len must be positive")
     out = []
-    # Scan the eighth 0 <= y < x and reflect; y = x never has an integer
-    # norm, since 2x^2 is not a square.
-    for x in range(1, max_len + 1):
-        for y in range(x):
-            n = x * x + y * y
-            r = isqrt(n)
-            if r > max_len:
-                break
-            if r * r == n:
-                out += (
-                    ((x, y, r), (-x, y, r), (x, -y, r), (-x, -y, r),
-                     (y, x, r), (-y, x, r), (y, -x, r), (-y, -x, r))
-                    if y else ((x, 0, r), (-x, 0, r), (0, x, r), (0, -x, r))
-                )
+    # Euclid: (m^2 - n^2, 2mn, m^2 + n^2) with m > n >= 0 coprime and of
+    # opposite parity lists each primitive triple once, and m = 1, n = 0 the
+    # axis vector (1, 0).  Legs never match, since 2x^2 is not a square.
+    for m in range(1, isqrt(max_len) + 1):
+        for n in range((m + 1) % 2, min(m, isqrt(max_len - m * m) + 1), 2):
+            r = m * m + n * n
+            if gcd(m, n) == 1:
+                for k in range(1, max_len // r + 1):
+                    x, y, c = k * (m * m - n * n), 2 * k * m * n, k * r
+                    out += (
+                        ((x, y, c), (-x, y, c), (x, -y, c), (-x, -y, c),
+                         (y, x, c), (-y, x, c), (y, -x, c), (-y, -x, c))
+                        if y else ((x, 0, c), (-x, 0, c), (0, x, c), (0, -x, c))
+                    )
     out.sort(key=lambda e: (e[2], e[0], e[1]))
     return out
 
@@ -134,11 +139,11 @@ def integer_norm_vectors(max_len: int) -> list[tuple[int, int, int]]:
 def _equable_quads(p_max: int):
     """Yield (vertices, sides) for every counterclockwise equable quad
     (0, P1, d, P3) with integer sides and perimeter <= p_max whose interior
-    diagonal d = P2 - P0 lies in the eighth dx > 0, 0 <= dy <= dx.
-
-    Only half-chains with 1 <= cross(v1, v2) <= 2 p_max - 1 are listed; the
-    module docstring derives that bound, the windows on pairs of off-axis
-    edges and the four cases with an axis edge."""
+    diagonal d = P2 - P0 lies in the eighth dx > 0, 0 <= dy <= dx, but only
+    one of each such quad and its 180-degree turn about d/2.  The module
+    docstring derives the bound 1 <= cross(v1, v2) <= 2 p_max - 1 on the
+    half-chains, the windows on pairs of off-axis edges and the four cases
+    with an axis edge."""
     half = (p_max - 1) // 2  # every side and diagonal is shorter than p_max / 2
     top = 2 * p_max - 1  # the largest cross product a half-chain can have
     # Column x of the edge table holds the (y, length) of its off-axis edges
@@ -183,9 +188,7 @@ def _equable_quads(p_max: int):
         buckets: dict[tuple[int, int], list[tuple[int, int, int, int]]] = {}
         w = top // dx
         # Both edges off-axis: v2 = d - v1 is drawn from column dx - x1.
-        for x1 in xs:
-            if x1 < dx - half:
-                continue
+        for x1 in xs[bisect_left(xs, dx - half):]:  # x2 = dx - x1 <= half
             x2 = dx - x1
             col2, ymax2, start2 = table[x2 + half]
             if not col2:
@@ -267,10 +270,13 @@ def _equable_quads(p_max: int):
                     buckets.setdefault(key, []).append((dx, y1, l1, y2))
         # The left half (P2, P3, P0) negated is a right half (u1, u2) of the
         # same d; negation keeps both the cross product and the lengths.
+        # Bucket 0 pairs each u with itself and the v after it.
         for (dy, k), uppers in buckets.items():
-            for ux, uy, m1, m2 in buckets.get((dy, -k), ()):
+            if k < 0:
+                continue
+            for j, (ux, uy, m1, m2) in enumerate(buckets.get((dy, -k), ())):
                 qx, qy = dx - ux, dy - uy  # P3 = d - u1 = u2
-                for x1, y1, l1, l2 in uppers:
+                for x1, y1, l1, l2 in uppers[j:] if k == 0 else uppers:
                     if l1 + l2 + m1 + m2 > p_max:
                         continue
                     if x1 * qy == y1 * qx or (dx - x1) * uy == (dy - y1) * ux:
@@ -312,11 +318,6 @@ def _anchored_chains(
     return out
 
 
-def _quad_from_flat(flat: tuple[int, ...]) -> LatticeQuad:
-    pts = tuple(Point(flat[i], flat[i + 1]) for i in range(0, 8, 2))
-    return LatticeQuad(pts)
-
-
 class LeqClass(NamedTuple):
     """One congruence class of lattice equable quadrilaterals."""
 
@@ -329,8 +330,7 @@ class LeqClass(NamedTuple):
 
     @property
     def perimeter(self) -> int:
-        return isqrt(self.signature[0]) + isqrt(self.signature[1]) \
-            + isqrt(self.signature[2]) + isqrt(self.signature[3])
+        return sum(map(isqrt, self.signature[:4]))
 
 
 class LeqCatalog:
@@ -382,7 +382,7 @@ def enumerate_leqs(p_max: int) -> LeqCatalog:
 
     classes: dict[tuple, LeqClass] = {}
     for sig in sorted(chains):
-        embeds = [_quad_from_flat(f) for f in sorted(chains[sig])]
+        embeds = [LatticeQuad(tuple(map(Point, f[::2], f[1::2]))) for f in sorted(chains[sig])]
         classes[sig] = LeqClass(
             signature=sig,
             representative=embeds[0],

@@ -45,6 +45,10 @@ class TestStartup:
         # about 30 ms of every command's startup on a 2-vCPU Xeon
         assert _loaded_after_cli_import(["dataclasses", "inspect"]) == set()
 
+    def test_import_does_not_load_csv(self):
+        # only --format csv writes CSV, so cli imports csv inside _csv_text
+        assert _loaded_after_cli_import(["csv", "_csv"]) == set()
+
     def test_import_loads_every_traced_module(self):
         # perfbench/trace_shim.py finds the modules it wraps in sys.modules
         traced = [f"equilat.{m}" for m in (

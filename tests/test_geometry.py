@@ -144,7 +144,48 @@ class TestIsSimple:
         assert q.v[0] == Point(0, 0)
 
 
+def _classify_by_points(q):
+    """Reference oracle: classify's flags from Point differences, as the
+    function computed them before it worked on plain coordinates."""
+    v = q.v
+    turns = [orient(v[i - 1], v[i], v[(i + 1) % 4]) for i in range(4)]
+    convex = min(turns) > 0
+    s0, s1, s2, s3 = side_data(q).sq
+    kite = (s0 == s1 and s2 == s3) or (s1 == s2 and s3 == s0)
+    edges = [v[(i + 1) % 4] - v[i] for i in range(4)]
+    par02 = edges[0].x * edges[2].y - edges[0].y * edges[2].x == 0
+    par13 = edges[1].x * edges[3].y - edges[1].y * edges[3].x == 0
+    trapezoid = par02 != par13
+    right_at = [
+        (v[i - 1] - v[i]).x * (v[(i + 1) % 4] - v[i]).x
+        + (v[i - 1] - v[i]).y * (v[(i + 1) % 4] - v[i]).y == 0
+        for i in range(4)
+    ]
+    return (
+        convex,
+        None if convex else turns.index(min(turns)),
+        kite,
+        kite and not convex,
+        par02 and par13,
+        trapezoid,
+        trapezoid and ((par02 and s1 == s3) or (par13 and s0 == s2)),
+        trapezoid and any(right_at[i] and right_at[(i + 1) % 4] for i in range(4)),
+        is_cyclic(q),
+    )
+
+
 class TestClassify:
+    @given(lattice_quads())
+    def test_matches_point_arithmetic(self, q):
+        assert tuple(classify(q)) == _classify_by_points(q)
+
+    def test_matches_point_arithmetic_on_catalog(self):
+        # every placement of every class, so each shape flag is set somewhere
+        embeds = [e for c in get_catalog(42).classes.values() for e in c.embeddings]
+        flags = [tuple(classify(e)) for e in embeds]
+        assert flags == [_classify_by_points(e) for e in embeds]
+        assert all(any(f[i] for f in flags) for i in range(9) if i != 1)
+
     def test_rhombus(self):
         c = classify(quad((0, 0), (4, -3), (4, 2), (0, 5)))
         assert c.convex and c.is_kite and c.is_parallelogram

@@ -190,16 +190,33 @@ def _unwindowed_join(p_max: int) -> list:
     return sorted(hits)
 
 
+def _turned(hit):
+    """The hit with its halves swapped: the same quad turned 180 degrees
+    about d/2 and started at its old P2."""
+    (_, (x1, y1), (dx, dy), (qx, qy)), (l1, l2, m1, m2) = hit
+    return ((0, 0), (dx - qx, dy - qy), (dx, dy), (dx - x1, dy - y1)), (m1, m2, l1, l2)
+
+
 @pytest.mark.parametrize(
     "p_max",
     [
-        12, 13, 17, 20, 25, 42, 60, 100, 150, 200, 401,
+        16, 17, 20, 25, 42, 60, 100, 150, 200, 401,
         pytest.param(600, marks=pytest.mark.slow),
         pytest.param(1000, marks=pytest.mark.slow),
     ],
 )
 def test_windowed_join_matches_unwindowed(p_max):
-    assert sorted(_equable_quads(p_max)) == _unwindowed_join(p_max)
+    # The join yields one of each hit and its turn; the oracle yields both.
+    hits = list(_equable_quads(p_max))
+    seen = set(hits)
+    assert len(seen) == len(hits)
+    assert not [h for h in hits if _turned(h) != h and _turned(h) in seen]
+    assert sorted(seen | set(map(_turned, hits))) == _unwindowed_join(p_max)
+
+
+def test_smallest_class_is_the_square():
+    assert list(_equable_quads(15)) == [] == _unwindowed_join(15)
+    assert enumerate_leqs(16).signatures() == {signature(NAMED_QUADS["square-4"])}
 
 
 def _all_images_anchored_chains(
@@ -225,7 +242,7 @@ def _all_images_anchored_chains(
 
 
 @pytest.mark.parametrize(
-    "p_max", [12, 42, 100, 200, pytest.param(1000, marks=pytest.mark.slow)]
+    "p_max", [16, 17, 42, 100, 200, pytest.param(1000, marks=pytest.mark.slow)]
 )
 def test_anchoring_matches_all_images(p_max):
     for pts, sides in _equable_quads(p_max):
