@@ -23,12 +23,23 @@ from equilat import cli, render
 DIGESTS = Path(__file__).parent / "data" / "cli_stdout_sha256.json"
 
 
+FORMATS = {
+    "pell": ("text", "json", "csv"),
+    "kites": ("text", "json", "csv"),
+    "trapezoids": ("text", "json", "csv"),
+    "cyclic": ("text", "json"),
+    "search": ("text", "json", "csv"),
+    "audit": ("text", "json"),
+}
+
+
 def _commands() -> list[tuple[str, ...]]:
     """Each subcommand at its defaults and at the benchmark's arguments, in
-    every format it accepts, and every figure."""
+    every format it accepts, one family of kites, indented JSON, and every
+    figure."""
     runs = {
         "pell": [(), ("--count", "40")],
-        "kites": [(), ("--count", "12")],
+        "kites": [(), ("--count", "12"), ("--family", "K2", "--count", "3")],
         "trapezoids": [()],
         "cyclic": [()],
         "search": [("--p-max", "42"), ("--p-max", "200")],
@@ -38,8 +49,9 @@ def _commands() -> list[tuple[str, ...]]:
         (name, *args, "--format", fmt)
         for name, arg_sets in runs.items()
         for args in arg_sets
-        for fmt in cli._FORMATS[name][1]
+        for fmt in FORMATS[name]
     ]
+    out += [(name, *runs[name][0], "--format", "json", "--pretty") for name in runs]
     out += [("render", "--figure", name) for name in render.figure_names()]
     return out
 
