@@ -38,18 +38,10 @@ __all__ = [
     "realize",
     "interior_diagonals",
     "is_sum_two_nonzero_squares",
-    "is_perfect_square",
     "exact_sqrt",
     "POINT_SYMMETRIES",
     "apply_symmetry",
 ]
-
-
-def is_perfect_square(n: int) -> bool:
-    if n < 0:
-        return False
-    r = isqrt(n)
-    return r * r == n
 
 
 def exact_sqrt(n: int) -> int | None:
@@ -223,9 +215,6 @@ class LatticeQuad:
 
     def __getitem__(self, i: int) -> Point:
         return self.v[i]
-
-    def translated(self, dx: int, dy: int) -> "LatticeQuad":
-        return LatticeQuad(tuple(Point(p.x + dx, p.y + dy) for p in self.v))
 
 
 def quad(*points: Point | tuple[int, int]) -> LatticeQuad:
@@ -473,7 +462,7 @@ def is_sum_two_nonzero_squares(n: int) -> bool:
         return False
     s = 1
     while 2 * s * s <= n:
-        if is_perfect_square(n - s * s):
+        if exact_sqrt(n - s * s) is not None:
             return True
         s += 1
     return False

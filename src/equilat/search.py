@@ -85,7 +85,8 @@ from itertools import accumulate
 from math import gcd, isqrt
 from typing import NamedTuple
 
-from equilat import kites
+from equilat import cyclic, kites, trapezoids
+from equilat.figures import NAMED_QUADS
 from equilat.geometry import (
     POINT_SYMMETRIES,
     DiagonalReport,
@@ -95,6 +96,7 @@ from equilat.geometry import (
     canonical_signature,
     classify,
     interior_diagonals,
+    perimeter,
     signature,
 )
 
@@ -401,47 +403,83 @@ def get_catalog(p_max: int = 42) -> LeqCatalog:
 
 
 class AuditReport(NamedTuple):
-    """Catalog classes cross-checked against the classification results."""
+    """Catalog classes cross-checked against the classification results.
+
+    Each check pairs what the search found with what a closed-form result
+    expects at the same bound, and `failed` names the checks that differ."""
 
     p_max: int
     kites_found: frozenset[tuple]
     kites_expected: frozenset[tuple]
+    kite_audits: tuple[kites.AuditOutcome, ...]  # one per closed-form member
     trapezoids_found: frozenset[tuple]
+    trapezoids_expected: frozenset[tuple]
     cyclic_found: frozenset[tuple]
+    cyclic_expected: frozenset[tuple]
     diagonal_exceptions: tuple[tuple[tuple, int], ...]  # (signature, rational length)
+    diagonal_exceptions_expected: tuple[tuple[tuple, int], ...]
+
+    @property
+    def failed(self) -> list[str]:
+        """Names of the checks that do not hold, in the order of the fields."""
+        checks = (
+            ("kites", self.kites_found == self.kites_expected),
+            ("kite_audits", all(outcome.passed for outcome in self.kite_audits)),
+            ("trapezoids", self.trapezoids_found == self.trapezoids_expected),
+            ("cyclic", self.cyclic_found == self.cyclic_expected),
+            ("diagonal_exceptions", self.diagonal_exceptions == self.diagonal_exceptions_expected),
+        )
+        return [name for name, ok in checks if not ok]
 
 
-def audit_theorems(catalog: LeqCatalog, p_max: int) -> AuditReport:
-    """Compare the catalog against the closed-form kite families and list
-    every class with a rational interior diagonal."""
-    if p_max != catalog.p_max:
-        raise ValueError("audit bound must match the catalog bound")
+# The one class with a rational interior diagonal: the right trapezoid with
+# sides 6, 4, 3, 5, whose diagonal of length 5 cuts off a 3-4-5 triangle.
+_RATIONAL_DIAGONAL = NAMED_QUADS["right-trapezoid-6-4-3-5"]
 
-    kites_found = frozenset(
-        sig for sig, cls in catalog.classes.items() if cls.classification.is_kite
-    )
-    kites_expected = frozenset(
-        signature(km.quad())
-        for tag in kites.FAMILIES
-        for km in kites.members_within_perimeter(tag, p_max)
-    )
-    trapezoids_found = frozenset(
-        sig for sig, cls in catalog.classes.items() if cls.classification.is_trapezoid
-    )
-    cyclic_found = frozenset(
-        sig for sig, cls in catalog.classes.items() if cls.classification.is_cyclic
-    )
-    exceptions = tuple(
-        (sig, diag.length)
-        for sig, cls in sorted(catalog.classes.items())
-        for diag in cls.diagonals.interior
-        if diag.rational
-    )
+
+def audit_theorems(catalog: LeqCatalog) -> AuditReport:
+    """Compare the catalog at its bound against the closed-form kite families,
+    the equable trapezoids, the cyclic solutions and the one rational interior
+    diagonal, and audit every closed-form kite from its coordinates."""
+    p_max = catalog.p_max
+    members = [km for tag in kites.FAMILIES for km in kites.members_within_perimeter(tag, p_max)]
+    # A trapezoid's perimeter exceeds its triangle's by twice its shorter
+    # parallel side, so triangles up to p_max give every trapezoid up to it.
+    trapezoid_embeddings = [
+        trapezoids.lattice_embedding(sol)
+        for sol in trapezoids.all_equable_trapezoids(p_max)
+        if sol.perimeter <= p_max
+    ]
     return AuditReport(
         p_max=p_max,
-        kites_found=kites_found,
-        kites_expected=kites_expected,
-        trapezoids_found=trapezoids_found,
-        cyclic_found=cyclic_found,
-        diagonal_exceptions=exceptions,
+        kites_found=_found(catalog, "is_kite"),
+        kites_expected=frozenset(signature(km.quad()) for km in members),
+        kite_audits=tuple(map(kites.audit_member, members)),
+        trapezoids_found=_found(catalog, "is_trapezoid"),
+        trapezoids_expected=frozenset(
+            signature(emb) for emb in trapezoid_embeddings if emb is not None
+        ),
+        cyclic_found=_found(catalog, "is_cyclic"),
+        cyclic_expected=frozenset(
+            signature(emb)
+            for sol in cyclic.solutions()
+            if sum(sol.sides) <= p_max
+            for emb in sol.embeddings
+        ),
+        diagonal_exceptions=tuple(
+            (sig, diag.length)
+            for sig, cls in sorted(catalog.classes.items())
+            for diag in cls.diagonals.interior
+            if diag.rational
+        ),
+        diagonal_exceptions_expected=(
+            ((signature(_RATIONAL_DIAGONAL), 5),) if perimeter(_RATIONAL_DIAGONAL) <= p_max else ()
+        ),
+    )
+
+
+def _found(catalog: LeqCatalog, flag: str) -> frozenset[tuple]:
+    """Signatures of the catalog classes whose classification sets `flag`."""
+    return frozenset(
+        sig for sig, cls in catalog.classes.items() if getattr(cls.classification, flag)
     )

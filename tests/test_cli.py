@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import equilat
-from equilat import cli, search
+from equilat import kites, search
 from equilat.cli import run, to_json
 
 
@@ -85,13 +85,23 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
 
     def test_interrupt_is_130(self, capsys, monkeypatch):
-        def interrupted(args):
+        def interrupted(p_max):
             raise KeyboardInterrupt
 
-        monkeypatch.setitem(cli._HANDLERS, "search", interrupted)
+        monkeypatch.setattr(search, "enumerate_leqs", interrupted)
         code, out, err = _run(capsys, "search", "--p-max", "1000")
         assert code == 130 and out == ""
         assert err == "equilat search: interrupted\n"
+
+    def test_pretty_needs_json(self, capsys):
+        code, out, err = _run(capsys, "search", "--p-max", "16", "--format", "text", "--pretty")
+        assert code == 2 and out == ""
+        assert err == "equilat search: --pretty needs --format json\n"
+
+    def test_render_has_no_pretty(self, capsys):
+        code, out, err = _run(capsys, "render", "--figure", "kite-3-15", "--pretty")
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --pretty" in err
 
     @pytest.mark.parametrize("command", ["search", "audit"])
     def test_workers_must_be_positive(self, capsys, command):
@@ -182,8 +192,8 @@ class TestSearchAndAudit:
         _, expected_out, _ = _run(capsys, "audit", "--p-max", "42", "--format", "json")
         real = search.audit_theorems
 
-        def missing_kite(catalog, p_max):
-            report = real(catalog, p_max)
+        def missing_kite(catalog):
+            report = real(catalog)
             return report._replace(
                 kites_expected=report.kites_expected | {(1, 1, 1, 1, 2, 2)}
             )
@@ -195,7 +205,37 @@ class TestSearchAndAudit:
         expected["kites_expected"] = sorted(expected["kites_expected"] + [[1, 1, 1, 1, 2, 2]])
         expected["kites_match"] = False
         assert json.loads(out) == expected
-        assert err.startswith("equilat audit: ") and len(err.splitlines()) == 1
+        assert err == "equilat audit: failed cross-checks: kites\n"
+
+    @pytest.mark.parametrize(
+        "check, corrupt",
+        [
+            ("kite_audits", lambda r: {
+                "kite_audits": r.kite_audits + (kites.AuditOutcome(False, "equable"),)
+            }),
+            ("trapezoids", lambda r: {"trapezoids_expected": r.trapezoids_expected - {
+                min(r.trapezoids_expected)
+            }}),
+            ("cyclic", lambda r: {"cyclic_expected": r.cyclic_expected | {(1, 1, 1, 1, 2, 2)}}),
+            ("diagonal_exceptions", lambda r: {"diagonal_exceptions_expected": ()}),
+        ],
+        ids=["kite_audits", "trapezoids", "cyclic", "diagonal_exceptions"],
+    )
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_failed_cross_check_exits_1(self, capsys, monkeypatch, check, corrupt, fmt):
+        # these expectations are not part of the output, so stdout stays as it is
+        argv = ("audit", "--p-max", "42", "--format", fmt)
+        _, expected_out, _ = _run(capsys, *argv)
+        real = search.audit_theorems
+
+        def corrupted(catalog):
+            report = real(catalog)
+            return report._replace(**corrupt(report))
+
+        monkeypatch.setattr(search, "audit_theorems", corrupted)
+        code, out, err = _run(capsys, *argv)
+        assert code == 1 and out == expected_out
+        assert err == f"equilat audit: failed cross-checks: {check}\n"
 
     def test_p_max_defaults_to_42(self, capsys):
         code, out, _ = _run(capsys, "search", "--format", "json")

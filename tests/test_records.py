@@ -29,7 +29,7 @@ RECORDS = [
     ("DiagonalReport", lambda: geometry.interior_diagonals(SQUARE), "interior"),
     ("LeqClass", lambda: next(iter(_catalog().classes.values())), "embeddings_seen"),
     ("LeqCatalog", _catalog, "classes"),
-    ("AuditReport", lambda: search.audit_theorems(_catalog(), 42), "kites_found"),
+    ("AuditReport", lambda: search.audit_theorems(_catalog()), "kites_found"),
     ("PellSolution", lambda: pell.PellSolution(2, 0), "n"),
     ("PellSpec", lambda: pell.spec_by_name("K1"), "seeds"),
     ("FamilyId", lambda: kites.FAMILIES["K1"], "q_sq"),

@@ -11,8 +11,10 @@ from equilat.geometry import (
     signature,
     twice_area,
 )
+from equilat.kites import AuditOutcome
 from equilat.search import (
     P_MAX_MAX,
+    P_MAX_MIN,
     AuditReport,
     _anchored_chains,
     _equable_quads,
@@ -322,7 +324,7 @@ class TestEnumerateLeqs:
 
 @pytest.fixture()
 def report() -> AuditReport:
-    return audit_theorems(get_catalog(42), 42)
+    return audit_theorems(get_catalog(42))
 
 
 class TestAudit:
@@ -358,16 +360,45 @@ class TestAudit:
             (signature(NAMED_QUADS["right-trapezoid-6-4-3-5"]), 5),
         )
 
-    def test_bound_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            audit_theorems(get_catalog(16), 42)
+    def test_expectations_at_42(self, report):
+        assert report.p_max == 42
+        assert report.trapezoids_expected == report.trapezoids_found
+        assert report.cyclic_expected == report.cyclic_found
+        assert report.diagonal_exceptions_expected == report.diagonal_exceptions
+        assert len(report.kite_audits) == 4  # K1-K4 each have one member up to 42
+        assert all(outcome.passed for outcome in report.kite_audits)
+        assert report.failed == []
+
+    def test_no_check_fails_at_any_small_bound(self):
+        failed = {p: audit_theorems(enumerate_leqs(p)).failed for p in range(P_MAX_MIN, 61)}
+        assert failed == {p: [] for p in range(P_MAX_MIN, 61)}
+
+    def test_rational_diagonal_expected_from_its_perimeter(self):
+        exception = ((signature(NAMED_QUADS["right-trapezoid-6-4-3-5"]), 5),)
+        assert audit_theorems(enumerate_leqs(17)).diagonal_exceptions_expected == ()
+        assert audit_theorems(enumerate_leqs(18)).diagonal_exceptions_expected == exception
+
+    @pytest.mark.parametrize(
+        "field, corrupt",
+        [
+            ("kites_expected", lambda r: r.kites_expected | {(1, 1, 1, 1, 2, 2)}),
+            ("kite_audits", lambda r: r.kite_audits + (AuditOutcome(False, "equable"),)),
+            ("trapezoids_expected", lambda r: r.trapezoids_expected - r.trapezoids_found),
+            ("cyclic_expected", lambda r: r.cyclic_found | {(1, 1, 1, 1, 2, 2)}),
+            ("diagonal_exceptions_expected", lambda r: ()),
+        ],
+    )
+    def test_each_corrupted_expectation_fails_its_check(self, report, field, corrupt):
+        check = field.removesuffix("_expected")
+        assert report._replace(**{field: corrupt(report)}).failed == [check]
 
 
 @pytest.mark.slow
 def test_audit_at_the_cap():
     cat = get_catalog(P_MAX_MAX)
-    report = audit_theorems(cat, P_MAX_MAX)
+    report = audit_theorems(cat)
     assert len(cat) == 405
+    assert report.failed == []
     assert report.kites_found == report.kites_expected
     assert len(report.kites_found) == 11
     assert len(report.trapezoids_found) == 5
