@@ -11,21 +11,42 @@ SVG document, and audit adds "failed", the cross-checks that do not hold.
 canonical: sorted keys, no floating point, rationals as {"num": ..., "den": ...};
 --pretty indents it and needs --format json.  Errors go to stderr.  Exit codes:
 0 success, 1 domain error, unwritable --out or failed audit cross-check (named
-on one stderr line), 2 usage error, 130 interrupted (Ctrl-C).
+on one stderr line), 2 usage error, 130 interrupted (Ctrl-C).  A command
+executes only the equilat modules it uses: see `_lazy_submodule`.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import io
 import json
 import sys
 
-from equilat import cyclic, kites, pell, render, search, trapezoids
+import equilat
 from equilat.errors import EquilatError
-from equilat.geometry import LatticeQuad
 
 __all__ = ["run", "main"]
+
+
+def _lazy_submodule(name: str):
+    """equilat.<name>, registered in sys.modules and on the package but executed
+    on its first attribute read, so each command runs only the modules it uses.
+    perfbench/trace_shim.py finds the modules it wraps in sys.modules, which is
+    why they are not imported inside the functions that use them."""
+    full = f"equilat.{name}"
+    if full not in sys.modules:  # one already imported is used as it is
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        spec.loader.exec_module(module)
+        setattr(equilat, name, module)
+    return sys.modules[full]
+
+
+cyclic, geometry, kites, pell, render, search, trapezoids = map(_lazy_submodule, (
+    "cyclic", "geometry", "kites", "pell", "render", "search", "trapezoids"))
 
 DEFAULT_P_MAX = 42
 
@@ -35,7 +56,7 @@ def _check_workers(args: argparse.Namespace) -> None:
         raise EquilatError("workers must be positive")
 
 
-def _quad_json(q: LatticeQuad | None) -> list[list[int]] | None:
+def _quad_json(q: geometry.LatticeQuad | None) -> list[list[int]] | None:
     return None if q is None else [[p.x, p.y] for p in q.v]
 
 
@@ -257,36 +278,43 @@ def _cmd_render(args: argparse.Namespace) -> dict:
     return {"svg": lambda: svg}
 
 
-# Each option a command may take: its flag and its argparse settings.
-_OPTIONS = {
-    "count": ("--count", {"type": int, "metavar": "N"}),
-    "family": ("--family", {"choices": list(kites.FAMILIES)}),
-    "p_max": ("--p-max", {"type": int, "metavar": "N"}),
-    "workers": ("--workers", {
-        "type": int, "metavar": "N",
-        "help": "accepted for compatibility; has no effect (must be >= 1)",
-    }),
-    "figure": ("--figure", {"choices": render.figure_names(), "required": True}),
+_N = {"type": int, "metavar": "N"}
+_CATALOG_OPTIONS = {
+    "--p-max": {**_N, "default": DEFAULT_P_MAX},
+    "--workers": {
+        **_N, "default": 1, "help": "accepted for compatibility; has no effect (must be >= 1)",
+    },
 }
 
-# name: (handler, help, formats with the default first, {option: default})
+# name: (handler, help, formats with the default first, options).  options gives
+# {flag: argparse settings}; it is called only for the command being run, since
+# some settings read a module that only that command loads.
 _COMMANDS = {
     "pell": (_cmd_pell, "print the built-in Pell equation solution streams",
-             ("text", "json", "csv"), {"count": 6}),
+             ("text", "json", "csv"), lambda: {"--count": {**_N, "default": 6}}),
     "kites": (_cmd_kites, "list kite family members with audit columns",
-              ("text", "json", "csv"), {"count": 4, "family": None}),
+              ("text", "json", "csv"), lambda: {
+                  "--count": {**_N, "default": 4},
+                  "--family": {"choices": list(kites.FAMILIES)},
+              }),
     "trapezoids": (_cmd_trapezoids, "list the equable trapezoids with integer sides",
-                   ("text", "json", "csv"), {"p_max": trapezoids.TRAPEZOID_SCAN_BOUND}),
-    "cyclic": (_cmd_cyclic, "enumerate cyclic candidates and solutions", ("text", "json"), {}),
+                   ("text", "json", "csv"), lambda: {"--p-max": {
+                       **_N, "default": trapezoids.TRAPEZOID_SCAN_BOUND,
+                       "help": "source triangle perimeter bound, not the trapezoid's",
+                   }}),
+    "cyclic": (_cmd_cyclic, "enumerate cyclic candidates and solutions", ("text", "json"), dict),
     "search": (_cmd_search, "exhaustive catalog of LEQ classes up to a perimeter bound",
-               ("text", "json", "csv"), {"p_max": DEFAULT_P_MAX, "workers": 1}),
+               ("text", "json", "csv"), lambda: _CATALOG_OPTIONS),
     "audit": (_cmd_audit, "cross-check the catalog against the classification results",
-              ("text", "json"), {"p_max": DEFAULT_P_MAX, "workers": 1}),
-    "render": (_cmd_render, "draw a named figure as SVG", ("svg",), {"figure": None}),
+              ("text", "json"), lambda: _CATALOG_OPTIONS),
+    "render": (_cmd_render, "draw a named figure as SVG", ("svg",),
+               lambda: {"--figure": {"choices": render.figure_names(), "required": True}}),
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser, with options only on the subparser of `command`: argparse
+    parses no other, and the others keep their help line."""
     parser = argparse.ArgumentParser(
         prog="equilat",
         description="Exact classification toolkit for lattice equable quadrilaterals.",
@@ -294,20 +322,25 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, formats, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
+        if name != command:
+            continue
         p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--out", metavar="PATH", default=None)
         if "json" in formats:
             p.add_argument("--pretty", action="store_true",
                            help="indent JSON output (needs --format json)")
-        for dest, default in options.items():
-            flag, settings = _OPTIONS[dest]
-            p.add_argument(flag, dest=dest, default=default, **settings)
+        for flag, settings in options().items():
+            p.add_argument(flag, **settings)
     return parser
 
 
 def run(argv: list[str] | None = None) -> int:
     """Parse argv and dispatch; returns the process exit code."""
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # The top-level parser takes no option with a value, so the first command
+    # name in argv is the subcommand argparse will parse it with.
+    parser = _build_parser(next((arg for arg in argv if arg in _COMMANDS), None))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -86,7 +86,6 @@ from math import gcd, isqrt
 from typing import NamedTuple
 
 from equilat import cyclic, kites, trapezoids
-from equilat.figures import NAMED_QUADS
 from equilat.geometry import (
     POINT_SYMMETRIES,
     DiagonalReport,
@@ -432,16 +431,16 @@ class AuditReport(NamedTuple):
         return [name for name, ok in checks if not ok]
 
 
-# The one class with a rational interior diagonal: the right trapezoid with
-# sides 6, 4, 3, 5, whose diagonal of length 5 cuts off a 3-4-5 triangle.
-_RATIONAL_DIAGONAL = NAMED_QUADS["right-trapezoid-6-4-3-5"]
-
-
 def audit_theorems(catalog: LeqCatalog) -> AuditReport:
     """Compare the catalog at its bound against the closed-form kite families,
     the equable trapezoids, the cyclic solutions and the one rational interior
     diagonal, and audit every closed-form kite from its coordinates."""
+    from equilat.figures import NAMED_QUADS  # so that search alone never runs figures
+
     p_max = catalog.p_max
+    # The one class with a rational interior diagonal: the right trapezoid with
+    # sides 6, 4, 3, 5, whose diagonal of length 5 cuts off a 3-4-5 triangle.
+    rational_diagonal = NAMED_QUADS["right-trapezoid-6-4-3-5"]
     members = [km for tag in kites.FAMILIES for km in kites.members_within_perimeter(tag, p_max)]
     # A trapezoid's perimeter exceeds its triangle's by twice its shorter
     # parallel side, so triangles up to p_max give every trapezoid up to it.
@@ -473,7 +472,7 @@ def audit_theorems(catalog: LeqCatalog) -> AuditReport:
             if diag.rational
         ),
         diagonal_exceptions_expected=(
-            ((signature(_RATIONAL_DIAGONAL), 5),) if perimeter(_RATIONAL_DIAGONAL) <= p_max else ()
+            ((signature(rational_diagonal), 5),) if perimeter(rational_diagonal) <= p_max else ()
         ),
     )
 

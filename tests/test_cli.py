@@ -8,8 +8,11 @@ from pathlib import Path
 import pytest
 
 import equilat
-from equilat import kites, search
+from equilat import kites, render, search
 from equilat.cli import run, to_json
+
+SRC = str(Path(equilat.__file__).resolve().parents[1])
+TRACE_SHIM = Path(__file__).resolve().parents[1] / "perfbench" / "trace_shim.py"
 
 
 def _run(capsys, *argv):
@@ -18,16 +21,33 @@ def _run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _python(*args):
+    """Run `python args...` in a fresh interpreter that imports equilat from SRC."""
+    return subprocess.run(
+        [sys.executable, *args], env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True, text=True,
+    )
+
+
 def _loaded_after_cli_import(names) -> set[str]:
     """Which of these modules a fresh interpreter has loaded after
     `import equilat.cli`."""
-    src = str(Path(equilat.__file__).resolve().parents[1])
     probe = "import sys, equilat.cli; print(*set(sys.argv[1:]) & set(sys.modules))"
-    done = subprocess.run(
-        [sys.executable, "-c", probe, *names], env={**os.environ, "PYTHONPATH": src},
-        capture_output=True, text=True, check=True,
-    )
+    done = _python("-c", probe, *names)
+    done.check_returncode()
     return set(done.stdout.split())
+
+
+# A module cli registers but has not yet executed is a LazyLoader placeholder,
+# whose type is a subclass of ModuleType.
+_EXECUTED_PROBE = """\
+import contextlib, io, sys, types
+import equilat.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = equilat.cli.run(sys.argv[1:])
+print(code, *(name for name, mod in sys.modules.items()
+              if name.startswith("equilat.") and type(mod) is types.ModuleType))
+"""
 
 
 class TestStartup:
@@ -55,6 +75,85 @@ class TestStartup:
             "cli", "search", "geometry", "trapezoids", "cyclic", "kites", "pell", "render"
         )]
         assert _loaded_after_cli_import(traced) == set(traced)
+
+    @pytest.mark.parametrize(
+        "argv, modules",
+        [
+            (("pell",), {"pell"}),
+            (("kites",), {"kites", "pell", "geometry"}),
+            (("search",), {"search", "geometry"}),
+            (("trapezoids",), {"trapezoids", "figures", "geometry"}),
+            (("cyclic",), {"cyclic", "figures", "geometry"}),
+            (("render", "--figure", "k1-nested"), {"render", "figures", "geometry"}),
+            (("audit",), {"search", "geometry", "figures", "kites", "pell", "trapezoids",
+                          "cyclic"}),
+        ],
+        ids=["pell", "kites", "search", "trapezoids", "cyclic", "render", "audit"],
+    )
+    def test_command_executes_only_the_modules_it_uses(self, argv, modules):
+        done = _python("-c", _EXECUTED_PROBE, *argv)
+        code, *executed = done.stdout.split()
+        assert (code, done.stderr) == ("0", "")
+        assert set(executed) == {f"equilat.{m}" for m in {"cli", "errors", *modules}}
+
+
+class TestTraceShim:
+    """The benchmark's trace shim wraps functions in modules that cli loads
+    lazily; its spans must still see the work."""
+
+    @pytest.mark.parametrize(
+        "argv, span",
+        [
+            (("pell", "--count", "3"), "pell.solutions"),
+            (("search", "--p-max", "42", "--format", "json"), "search.enumerate_leqs"),
+        ],
+        ids=["pell", "search"],
+    )
+    def test_spans_under_lazy_modules(self, tmp_path, argv, span):
+        trace_out = tmp_path / "trace.json"
+        done = _python(str(TRACE_SHIM), str(trace_out), *argv)
+        assert done.returncode == 0, done.stderr
+        trace = json.loads(trace_out.read_text())
+        assert {k: n for k, n in trace["counts"].items() if k.endswith(".errors") and n} == {}
+        assert span in {name for name, *_ in trace["spans"]}
+
+
+class TestHelpAndChoices:
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("pell", ["--format", "--out", "--pretty", "--count"]),
+            ("kites", ["--format", "--out", "--pretty", "--count", "--family"]),
+            ("trapezoids", ["--format", "--out", "--pretty", "--p-max"]),
+            ("cyclic", ["--format", "--out", "--pretty"]),
+            ("search", ["--format", "--out", "--pretty", "--p-max", "--workers"]),
+            ("audit", ["--format", "--out", "--pretty", "--p-max", "--workers"]),
+            ("render", ["--format", "--out", "--figure"]),
+        ],
+    )
+    def test_help_names_every_flag(self, command, flags):
+        done = _python("-m", "equilat.cli", command, "--help")
+        assert done.returncode == 0 and done.stderr == ""
+        assert done.stdout.startswith(f"usage: equilat {command} ")
+        named = {word.strip("[],") for word in done.stdout.split() if word.startswith(("--", "[--"))}
+        assert named == {"--help", *flags}
+
+    def test_trapezoids_p_max_help_names_the_triangle(self):
+        assert "source triangle perimeter bound" in _python("-m", "equilat.cli", "trapezoids", "--help").stdout
+
+    @pytest.mark.parametrize(
+        "argv, choices",
+        [
+            (("kites", "--family", "K9"), list(kites.FAMILIES)),
+            (("render", "--figure", "nope"), render.figure_names()),
+        ],
+        ids=["family", "figure"],
+    )
+    def test_bad_choice_names_the_valid_ones(self, argv, choices):
+        done = _python("-m", "equilat.cli", *argv)
+        assert done.returncode == 2 and done.stdout == ""
+        assert f"argument {argv[1]}: invalid choice: '{argv[2]}'" in done.stderr
+        assert all(f"'{choice}'" in done.stderr for choice in choices)
 
 
 class TestExitCodes:
