@@ -38,6 +38,25 @@ def _loaded_after_cli_import(names) -> set[str]:
     return set(done.stdout.split())
 
 
+# Executes every equilat module cli registers (vars() is an attribute read), so
+# that the top-level imports of all of them are on sys.modules, as at startup
+# of whichever command uses them.
+_ALL_EXECUTED_PROBE = """\
+import sys, equilat.cli
+for name in [name for name in sys.modules if name.startswith("equilat.")]:
+    vars(sys.modules[name])
+print(*set(sys.argv[1:]) & set(sys.modules))
+"""
+
+
+def _loaded_by_any_command(names) -> set[str]:
+    """Which of these modules a fresh interpreter has loaded once every equilat
+    module has executed."""
+    done = _python("-c", _ALL_EXECUTED_PROBE, *names)
+    done.check_returncode()
+    return set(done.stdout.split())
+
+
 # A module cli registers but has not yet executed is a LazyLoader placeholder,
 # whose type is a subclass of ModuleType.
 _EXECUTED_PROBE = """\
@@ -53,21 +72,21 @@ print(code, *(name for name, mod in sys.modules.items()
 class TestStartup:
     def test_import_does_not_load_urllib(self):
         # urllib.request alone costs about a third of the package's import time
-        assert _loaded_after_cli_import(["urllib.request"]) == set()
+        assert _loaded_by_any_command(["urllib.request"]) == set()
 
     def test_import_does_not_load_html(self):
         # render escapes its text itself; html pulls in html.entities, about
         # 2.5 ms of every command's import on a 2-vCPU Xeon (-X importtime)
-        assert _loaded_after_cli_import(["html", "html.entities"]) == set()
+        assert _loaded_by_any_command(["html", "html.entities"]) == set()
 
     def test_import_does_not_load_dataclasses(self):
         # building the records with dataclasses, which loads inspect, cost
         # about 30 ms of every command's startup on a 2-vCPU Xeon
-        assert _loaded_after_cli_import(["dataclasses", "inspect"]) == set()
+        assert _loaded_by_any_command(["dataclasses", "inspect"]) == set()
 
     def test_import_does_not_load_csv(self):
         # only --format csv writes CSV, so cli imports csv inside _csv_text
-        assert _loaded_after_cli_import(["csv", "_csv"]) == set()
+        assert _loaded_by_any_command(["csv", "_csv"]) == set()
 
     def test_import_loads_every_traced_module(self):
         # perfbench/trace_shim.py finds the modules it wraps in sys.modules
@@ -120,26 +139,27 @@ class TestTraceShim:
 
 class TestHelpAndChoices:
     @pytest.mark.parametrize(
-        "command, flags",
+        "command, flags, fragment",
         [
-            ("pell", ["--format", "--out", "--pretty", "--count"]),
-            ("kites", ["--format", "--out", "--pretty", "--count", "--family"]),
-            ("trapezoids", ["--format", "--out", "--pretty", "--p-max"]),
-            ("cyclic", ["--format", "--out", "--pretty"]),
-            ("search", ["--format", "--out", "--pretty", "--p-max", "--workers"]),
-            ("audit", ["--format", "--out", "--pretty", "--p-max", "--workers"]),
-            ("render", ["--format", "--out", "--figure"]),
+            ("pell", ["--format", "--out", "--pretty", "--count"], ""),
+            ("kites", ["--format", "--out", "--pretty", "--count", "--family"], ""),
+            # the bound is on the source triangle, while search and audit bound the quad
+            ("trapezoids", ["--format", "--out", "--pretty", "--p-max"],
+             "source triangle perimeter bound, not the trapezoid's"),
+            ("cyclic", ["--format", "--out", "--pretty"], ""),
+            ("search", ["--format", "--out", "--pretty", "--p-max", "--workers"], ""),
+            ("audit", ["--format", "--out", "--pretty", "--p-max", "--workers"], ""),
+            ("render", ["--format", "--out", "--figure"], ""),
         ],
+        ids=["pell", "kites", "trapezoids", "cyclic", "search", "audit", "render"],
     )
-    def test_help_names_every_flag(self, command, flags):
+    def test_help_names_every_flag(self, command, flags, fragment):
         done = _python("-m", "equilat.cli", command, "--help")
         assert done.returncode == 0 and done.stderr == ""
         assert done.stdout.startswith(f"usage: equilat {command} ")
+        assert fragment in " ".join(done.stdout.split())
         named = {word.strip("[],") for word in done.stdout.split() if word.startswith(("--", "[--"))}
         assert named == {"--help", *flags}
-
-    def test_trapezoids_p_max_help_names_the_triangle(self):
-        assert "source triangle perimeter bound" in _python("-m", "equilat.cli", "trapezoids", "--help").stdout
 
     @pytest.mark.parametrize(
         "argv, choices",
