@@ -15,9 +15,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from equilat.errors import InconsistencyError
-from equilat.figures import embedding_for
-from equilat.geometry import LatticeQuad, canonical_signature, exact_sqrt, realize
+from equilat.errors import Checked, InconsistencyError
+from equilat.figures import place
+from equilat.geometry import LatticeQuad, exact_sqrt
 
 __all__ = [
     "WxyzTriple",
@@ -47,7 +47,7 @@ class _WxyzTriple(NamedTuple):
     y: int
 
 
-class WxyzTriple(_WxyzTriple):
+class WxyzTriple(Checked, _WxyzTriple):
     """Candidate prefix (w, x, y) of a solution quadruple.
 
     Construction checks the cheap constraints only; the y-bound that caps the
@@ -57,16 +57,11 @@ class WxyzTriple(_WxyzTriple):
 
     __slots__ = ()
 
-    def __new__(cls, w: int, x: int, y: int) -> "WxyzTriple":
-        if not 0 < w <= x <= y:
+    def _check(self) -> None:
+        if not 0 < self.w <= self.x <= self.y:
             raise ValueError("need 0 < w <= x <= y")
-        if not 5 <= w * x <= 16:
+        if not 5 <= self.w * self.x <= 16:
             raise ValueError("need 5 <= w*x <= 16")
-        return super().__new__(cls, w, x, y)
-
-    @classmethod
-    def _make(cls, iterable) -> "WxyzTriple":  # so that _replace validates too
-        return cls(*iterable)
 
     def admissible(self) -> bool:
         return self.y <= Y_CAP and _within_y_bound(self.w, self.x, self.y)
@@ -172,10 +167,7 @@ def realizable_orderings(
         p_sq, q_sq = _diagonals_sq(order)
         embedding = None
         if p_sq.denominator == 1 and q_sq.denominator == 1:
-            sides_sq = tuple(s * s for s in order)
-            diag_sq = (int(p_sq), int(q_sq))
-            embedding = embedding_for(canonical_signature(sides_sq, diag_sq)) \
-                or realize(sides_sq, diag_sq)
+            embedding = place(tuple(s * s for s in order), (int(p_sq), int(q_sq)))
         out.append((order, embedding))
     return out
 
@@ -186,29 +178,19 @@ class _CyclicSolution(NamedTuple):
     orderings: tuple[tuple[tuple[int, int, int, int], LatticeQuad | None], ...]
 
 
-class CyclicSolution(_CyclicSolution):
+class CyclicSolution(Checked, _CyclicSolution):
     """One solution quadruple with its side lengths and lattice embeddings."""
 
     __slots__ = ()
 
-    def __new__(
-        cls,
-        wxyz: tuple[int, int, int, int],
-        sides: tuple[int, int, int, int],
-        orderings: tuple[tuple[tuple[int, int, int, int], LatticeQuad | None], ...],
-    ) -> "CyclicSolution":
-        w, x, y, z = wxyz
+    def _check(self) -> None:
+        w, x, y, z = self.wxyz
         if w * x * y * z != (w + x + y + z) ** 2:
             raise ValueError("wxyz does not satisfy the product identity")
         if z >= w + x + y:
             raise ValueError("z must be smaller than w+x+y")
-        if not brahmagupta_check(*sides):
+        if not brahmagupta_check(*self.sides):
             raise ValueError("sides fail the Brahmagupta equability condition")
-        return super().__new__(cls, wxyz, sides, orderings)
-
-    @classmethod
-    def _make(cls, iterable) -> "CyclicSolution":  # so that _replace validates too
-        return cls(*iterable)
 
     @property
     def embeddings(self) -> tuple[LatticeQuad, ...]:

@@ -10,9 +10,16 @@ from __future__ import annotations
 from fractions import Fraction
 
 from equilat.errors import InconsistencyError
-from equilat.geometry import LatticeQuad, is_equable, quad, signature
+from equilat.geometry import (
+    LatticeQuad,
+    canonical_signature,
+    is_equable,
+    quad,
+    realize,
+    signature,
+)
 
-__all__ = ["NAMED_QUADS", "KNOWN_EMBEDDINGS", "FIGURE_PANELS", "embedding_for"]
+__all__ = ["NAMED_QUADS", "KNOWN_EMBEDDINGS", "FIGURE_PANELS", "place"]
 
 
 NAMED_QUADS: dict[str, LatticeQuad] = {
@@ -48,8 +55,12 @@ for _q in NAMED_QUADS.values():
     KNOWN_EMBEDDINGS.setdefault(signature(_q), _q)
 
 
-def embedding_for(sig: tuple[int, ...]) -> LatticeQuad | None:
-    return KNOWN_EMBEDDINGS.get(sig)
+def place(sides_sq: tuple[int, ...], diag_sq: tuple[int, int]) -> LatticeQuad | None:
+    """A lattice placement of the shape with these squared sides, in cyclic
+    order, and squared diagonals: its named drawing when it has one, else
+    `geometry.realize`'s answer; None when the lattice has none."""
+    named = KNOWN_EMBEDDINGS.get(canonical_signature(sides_sq, diag_sq))
+    return named or realize(sides_sq, diag_sq)
 
 
 # Figure compositions for the SVG renderer.  Each panel: polygons drawn with

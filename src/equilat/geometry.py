@@ -9,14 +9,13 @@ overflow a non-issue, so coordinates of any magnitude are safe.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
-from typing import Iterator, NamedTuple, Sequence
+from math import isqrt
+from typing import NamedTuple, Sequence
 
-from equilat.errors import InvalidQuadError
+from equilat.errors import Checked, InvalidQuadError
 
 __all__ = [
     "Point",
-    "RatPoint",
     "LatticeQuad",
     "QuadClassification",
     "SideData",
@@ -37,10 +36,8 @@ __all__ = [
     "canonical_signature",
     "realize",
     "interior_diagonals",
-    "is_sum_two_nonzero_squares",
     "exact_sqrt",
     "POINT_SYMMETRIES",
-    "apply_symmetry",
 ]
 
 
@@ -70,58 +67,8 @@ class Point(NamedTuple):
         return dx * dx + dy * dy
 
 
-class _RatPoint(NamedTuple):
-    x_num: int
-    y_num: int
-    den: int = 1
-
-
-class RatPoint(_RatPoint):
-    """Rational point stored as (x_num/den, y_num/den) with a reduced, positive
-    shared denominator: gcd(x_num, y_num, den) == 1."""
-
-    __slots__ = ()
-
-    def __new__(cls, x_num: int, y_num: int, den: int = 1) -> "RatPoint":
-        if den == 0:
-            raise ValueError("zero denominator")
-        g = gcd(x_num, y_num, den)
-        if den < 0:
-            g = -g
-        return super().__new__(cls, x_num // g, y_num // g, den // g)
-
-    @classmethod
-    def _make(cls, iterable) -> "RatPoint":  # so that _replace normalises too
-        return cls(*iterable)
-
-    @classmethod
-    def from_fractions(cls, x: Fraction, y: Fraction) -> "RatPoint":
-        den = x.denominator * y.denominator // gcd(x.denominator, y.denominator)
-        return cls(x.numerator * (den // x.denominator), y.numerator * (den // y.denominator), den)
-
-    @classmethod
-    def from_point(cls, p: Point) -> "RatPoint":
-        return cls(p.x, p.y, 1)
-
-    @property
-    def x(self) -> Fraction:
-        return Fraction(self.x_num, self.den)
-
-    @property
-    def y(self) -> Fraction:
-        return Fraction(self.y_num, self.den)
-
-    def is_lattice(self) -> bool:
-        return self.den == 1
-
-    def to_point(self) -> Point:
-        if self.den != 1:
-            raise ValueError(f"{self} is not a lattice point")
-        return Point(self.x_num, self.y_num)
-
-
-def midpoint(a: Point, b: Point) -> RatPoint:
-    return RatPoint.from_fractions(Fraction(a.x + b.x, 2), Fraction(a.y + b.y, 2))
+def midpoint(a: Point, b: Point) -> tuple[Fraction, Fraction]:
+    return Fraction(a.x + b.x, 2), Fraction(a.y + b.y, 2)
 
 
 def orient(a: Point, b: Point, c: Point) -> int:
@@ -168,19 +115,24 @@ def is_simple(points: Sequence[Point]) -> bool:
     )
 
 
-class LatticeQuad:
-    """Simple lattice quadrilateral in positive (counterclockwise) order.
+class _LatticeQuad(NamedTuple):
+    v: tuple[Point, Point, Point, Point]
+
+
+class LatticeQuad(Checked, _LatticeQuad):
+    """Simple lattice quadrilateral in positive (counterclockwise) order: the
+    1-tuple of its vertex tuple `v`.
 
     Any vertex order may be passed in; a clockwise list is reversed in place
     (keeping the first vertex first).  Self-intersecting or degenerate input
-    is rejected with InvalidQuadError rather than repaired.  Immutable;
-    equality, hashing and repr go by the vertex tuple `v`.
+    is rejected with InvalidQuadError rather than repaired.  The constructor
+    normalises as well as checks, so it replaces `Checked.__new__`; pickling,
+    copying and `_replace`, through `Checked._make`, still run it.
     """
 
-    __slots__ = ("v",)
-    v: tuple[Point, Point, Point, Point]
+    __slots__ = ()
 
-    def __init__(self, v: Sequence[Point]) -> None:
+    def __new__(cls, v: Sequence[Point]) -> "LatticeQuad":
         pts = tuple(v)
         if len(pts) != 4:
             raise InvalidQuadError("a quadrilateral needs exactly four vertices")
@@ -188,33 +140,7 @@ class LatticeQuad:
             raise InvalidQuadError(f"vertices {pts} do not bound a simple quadrilateral")
         if _shoelace(pts) < 0:
             pts = (pts[0], pts[3], pts[2], pts[1])
-        object.__setattr__(self, "v", pts)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return LatticeQuad, (self.v,)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.v == other.v
-
-    def __hash__(self) -> int:
-        return hash((self.v,))
-
-    def __repr__(self) -> str:
-        return f"LatticeQuad(v={self.v!r})"
-
-    def __iter__(self) -> Iterator[Point]:
-        return iter(self.v)
-
-    def __getitem__(self, i: int) -> Point:
-        return self.v[i]
+        return tuple.__new__(cls, (pts,))
 
 
 def quad(*points: Point | tuple[int, int]) -> LatticeQuad:
@@ -341,7 +267,7 @@ def is_cyclic(q: LatticeQuad) -> bool:
     return det == 0
 
 
-def reflect_point(a: Point, axis_from: Point, axis_to: Point) -> RatPoint:
+def reflect_point(a: Point, axis_from: Point, axis_to: Point) -> tuple[Fraction, Fraction]:
     """Exact reflection of a across the line through the two axis points."""
     if axis_from == axis_to:
         raise ValueError("axis endpoints must be distinct")
@@ -353,7 +279,7 @@ def reflect_point(a: Point, axis_from: Point, axis_to: Point) -> RatPoint:
     dot = vx * dx + vy * dy
     rx = axis_from.x * den + 2 * dot * dx - den * vx
     ry = axis_from.y * den + 2 * dot * dy - den * vy
-    return RatPoint(rx, ry, den)
+    return Fraction(rx, den), Fraction(ry, den)
 
 
 def canonical_signature(
@@ -456,18 +382,6 @@ def interior_diagonals(q: LatticeQuad) -> DiagonalReport:
     return DiagonalReport(interior=(d13,), exterior=(d02,))
 
 
-def is_sum_two_nonzero_squares(n: int) -> bool:
-    """True iff n = s^2 + t^2 for some integers s, t >= 1."""
-    if n < 2:
-        return False
-    s = 1
-    while 2 * s * s <= n:
-        if exact_sqrt(n - s * s) is not None:
-            return True
-        s += 1
-    return False
-
-
 # The eight lattice-preserving point symmetries as matrices (a, b, c, d)
 # acting by (x, y) -> (a x + b y, c x + d y).
 POINT_SYMMETRIES: tuple[tuple[int, int, int, int], ...] = (
@@ -480,8 +394,3 @@ POINT_SYMMETRIES: tuple[tuple[int, int, int, int], ...] = (
     (0, 1, -1, 0),
     (0, -1, -1, 0),
 )
-
-
-def apply_symmetry(p: Point, m: tuple[int, int, int, int]) -> Point:
-    a, b, c, d = m
-    return Point(a * p.x + b * p.y, c * p.x + d * p.y)

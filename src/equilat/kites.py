@@ -20,15 +20,12 @@ from equilat.errors import EquilatError, InconsistencyError
 from equilat.geometry import (
     LatticeQuad,
     Point,
-    RatPoint,
     classify,
     is_equable,
     is_simple,
     midpoint,
     orient,
     reflect_point,
-    signature,
-    twice_area,
 )
 
 __all__ = [
@@ -97,7 +94,7 @@ class KiteMember(NamedTuple):
 
     family: FamilyId
     sol: pell.PellSolution
-    M: RatPoint
+    M: tuple[Fraction, Fraction]  # midpoint of AC
     A: Point
     B: Point
     C: Point
@@ -151,7 +148,7 @@ def member(family: FamilyId | str, sol: pell.PellSolution) -> KiteMember:
     return KiteMember(
         family=fam,
         sol=sol,
-        M=RatPoint.from_fractions(mx, my),
+        M=(mx, my),
         A=Point(int(ax), int(ay)),
         B=Point(fam.b_mult * sol.n * fam.b_dir[0], fam.b_mult * sol.n * fam.b_dir[1]),
         C=Point(int(cx), int(cy)),
@@ -230,7 +227,7 @@ def audit_member(km: KiteMember) -> AuditOutcome:
          "Vieta relations fail"),
     )
     checks.append(
-        ("reflection", reflect_point(km.A, o, km.B) == RatPoint.from_point(km.C),
+        ("reflection", reflect_point(km.A, o, km.B) == km.C,
          "C is not the reflection of A in OB"),
     )
     checks.append(("midpoint", midpoint(km.A, km.C) == km.M, "M is not the midpoint of AC"))
@@ -243,9 +240,8 @@ def audit_member(km: KiteMember) -> AuditOutcome:
 
 def convexity(km: KiteMember) -> Convexity:
     """Convex iff M falls strictly between O and B along the symmetry axis."""
-    dot_num = km.M.x_num * km.B.x + km.M.y_num * km.B.y
-    b_sq = km.B.x * km.B.x + km.B.y * km.B.y
-    if 0 < dot_num < km.M.den * b_sq:
+    mx, my = km.M
+    if 0 < mx * km.B.x + my * km.B.y < km.B.x * km.B.x + km.B.y * km.B.y:
         return Convexity.CONVEX
     return Convexity.DART
 
@@ -260,11 +256,10 @@ def kite_from_parallelogram(a: Point, b: Point) -> LatticeQuad | None:
     o = Point(0, 0)
     if orient(o, a, b) == 0:
         raise ValueError("O, A, B must span a nondegenerate triangle")
-    image = reflect_point(a, o, b)
-    if not image.is_lattice():
+    cx, cy = reflect_point(a, o, b)
+    if cx.denominator != 1 or cy.denominator != 1:
         return None
-    c = image.to_point()
-    pts = (o, a, b, c)
+    pts = (o, a, b, Point(int(cx), int(cy)))
     if not is_simple(pts):
         return None
     return LatticeQuad(pts)

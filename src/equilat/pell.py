@@ -14,7 +14,7 @@ from itertools import islice
 from math import isqrt
 from typing import Iterator, NamedTuple
 
-from equilat.errors import InconsistencyError
+from equilat.errors import Checked, InconsistencyError
 
 __all__ = [
     "PellSolution",
@@ -46,32 +46,23 @@ class _PellSpec(NamedTuple):
     rec: int
 
 
-class PellSpec(_PellSpec):
+class PellSpec(Checked, _PellSpec):
     """One equation alpha*n^2 - beta*i^2 = gamma with seeds and recurrence."""
 
     __slots__ = ()
 
-    def __new__(
-        cls, name: str, alpha: int, beta: int, gamma: int,
-        seeds: tuple[PellSolution, ...], rec: int,
-    ) -> "PellSpec":
-        self = super().__new__(cls, name, alpha, beta, gamma, seeds, rec)
-        if alpha < 1 or beta < 1:
+    def _check(self) -> None:
+        if self.alpha < 1 or self.beta < 1:
             raise ValueError("alpha and beta must be positive")
-        if gamma == 0:
+        if self.gamma == 0:
             raise ValueError("gamma must be nonzero")
-        if rec < 3:
+        if self.rec < 3:
             raise ValueError("recurrence multiplier must be at least 3")
-        for s in seeds:
+        for s in self.seeds:
             if s.n < 0 or s.i < 0:
                 raise ValueError(f"seed {s} is not nonnegative")
             if not self.satisfies(s.n, s.i):
-                raise ValueError(f"seed {s} does not satisfy {name}")
-        return self
-
-    @classmethod
-    def _make(cls, iterable) -> "PellSpec":  # so that _replace validates too
-        return cls(*iterable)
+                raise ValueError(f"seed {s} does not satisfy {self.name}")
 
     def satisfies(self, n: int, i: int) -> bool:
         return self.alpha * n * n - self.beta * i * i == self.gamma

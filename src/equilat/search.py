@@ -327,7 +327,6 @@ class LeqClass(NamedTuple):
     classification: QuadClassification
     diagonals: DiagonalReport
     embeddings_seen: int
-    embeddings: tuple[LatticeQuad, ...]
 
     @property
     def perimeter(self) -> int:
@@ -383,14 +382,14 @@ def enumerate_leqs(p_max: int) -> LeqCatalog:
 
     classes: dict[tuple, LeqClass] = {}
     for sig in sorted(chains):
-        embeds = [LatticeQuad(tuple(map(Point, f[::2], f[1::2]))) for f in sorted(chains[sig])]
+        first = min(chains[sig])
+        rep = LatticeQuad(tuple(map(Point, first[::2], first[1::2])))
         classes[sig] = LeqClass(
             signature=sig,
-            representative=embeds[0],
-            classification=classify(embeds[0]),
-            diagonals=interior_diagonals(embeds[0]),
-            embeddings_seen=len(embeds),
-            embeddings=tuple(embeds),
+            representative=rep,
+            classification=classify(rep),
+            diagonals=interior_diagonals(rep),
+            embeddings_seen=len(chains[sig]),
         )
     return LeqCatalog(p_max=p_max, classes=classes)
 

@@ -37,9 +37,9 @@ from math import isqrt
 from typing import NamedTuple
 
 from equilat import pell
-from equilat.errors import EquilatError, InconsistencyError
-from equilat.figures import embedding_for
-from equilat.geometry import LatticeQuad, canonical_signature, realize
+from equilat.errors import Checked, EquilatError, InconsistencyError
+from equilat.figures import place
+from equilat.geometry import LatticeQuad
 
 __all__ = [
     "HeronianTriangle",
@@ -88,24 +88,19 @@ class _HeronianTriangle(NamedTuple):
     area: int
 
 
-class HeronianTriangle(_HeronianTriangle):
+class HeronianTriangle(Checked, _HeronianTriangle):
     """Integer-sided triangle with integer area."""
 
     __slots__ = ()
 
-    def __new__(cls, sides: tuple[int, int, int], perimeter: int, area: int) -> "HeronianTriangle":
-        x, y, z = sides
+    def _check(self) -> None:
+        x, y, z = self.sides
         if not (0 < x <= y <= z) or x + y <= z:
-            raise ValueError(f"{sides} is not a valid (ordered) triangle")
-        if perimeter != x + y + z:
+            raise ValueError(f"{self.sides} is not a valid (ordered) triangle")
+        if self.perimeter != x + y + z:
             raise ValueError("perimeter does not match the sides")
-        if area < 1 or heron_area(x, y, z) != area:
+        if self.area < 1 or heron_area(x, y, z) != self.area:
             raise ValueError("area does not satisfy Heron's formula")
-        return super().__new__(cls, sides, perimeter, area)
-
-    @classmethod
-    def _make(cls, iterable) -> "HeronianTriangle":  # so that _replace validates too
-        return cls(*iterable)
 
     @classmethod
     def from_sides(cls, x: int, y: int, z: int) -> "HeronianTriangle":
@@ -225,7 +220,7 @@ class _TrapezoidSolution(NamedTuple):
     figure_tag: str | None = None
 
 
-class TrapezoidSolution(_TrapezoidSolution):
+class TrapezoidSolution(Checked, _TrapezoidSolution):
     """Equable trapezoid built from a Heronian triangle.
 
     quad_sides lists (long parallel side a, leg AB, short parallel side c,
@@ -234,29 +229,13 @@ class TrapezoidSolution(_TrapezoidSolution):
 
     __slots__ = ()
 
-    def __new__(
-        cls,
-        triangle: HeronianTriangle,
-        f: int,
-        c: int,
-        a: int,
-        legs: tuple[int, int],
-        h: Fraction,
-        quad_sides: tuple[int, int, int, int],
-        figure_tag: str | None = None,
-    ) -> "TrapezoidSolution":
-        if c < 1:
+    def _check(self) -> None:
+        if self.c < 1:
             raise ValueError("short parallel side must be positive")
-        if h <= 2:
+        if self.h <= 2:
             raise ValueError("equable trapezoids need height > 2")
-        area = h * (a + c) / 2
-        if area != a + c + legs[0] + legs[1]:
+        if self.h * (self.a + self.c) / 2 != self.a + self.c + sum(self.legs):
             raise ValueError("trapezoid is not equable")
-        return super().__new__(cls, triangle, f, c, a, legs, h, quad_sides, figure_tag)
-
-    @classmethod
-    def _make(cls, iterable) -> "TrapezoidSolution":  # so that _replace validates too
-        return cls(*iterable)
 
     @property
     def perimeter(self) -> int:
@@ -341,6 +320,4 @@ def lattice_embedding(ts: TrapezoidSolution) -> LatticeQuad | None:
     diag_ac = (xc - a) ** 2 + h_sq  # A -> C
     if diag_ob.denominator != 1 or diag_ac.denominator != 1:
         return None  # squared diagonals not integers: no lattice placement
-    sides_sq = (a * a, leg_ab**2, c * c, leg_co**2)
-    diag_sq = (int(diag_ob), int(diag_ac))
-    return embedding_for(canonical_signature(sides_sq, diag_sq)) or realize(sides_sq, diag_sq)
+    return place((a * a, leg_ab**2, c * c, leg_co**2), (int(diag_ob), int(diag_ac)))

@@ -10,10 +10,12 @@ from equilat.geometry import (
     POINT_SYMMETRIES,
     LatticeQuad,
     Point,
-    apply_symmetry,
     is_simple,
     orient,
+    quad,
+    signature,
 )
+from equilat.search import _anchored_chains, _equable_quads
 
 _CYCLIC_ORDERS = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2))
 
@@ -32,6 +34,11 @@ def random_quad(rng: random.Random, span: int = 30) -> LatticeQuad:
             except ValueError:
                 break
     raise AssertionError("unreachable")
+
+
+def apply_symmetry(p: Point, m: tuple[int, int, int, int]) -> Point:
+    a, b, c, d = m
+    return Point(a * p.x + b * p.y, c * p.x + d * p.y)
 
 
 def random_congruent_copy(rng: random.Random, q: LatticeQuad) -> LatticeQuad:
@@ -106,3 +113,16 @@ def diagonal_midpoint(q: LatticeQuad, i: int, j: int) -> tuple[Fraction, Fractio
         Fraction(q.v[i].x + q.v[j].x, 2),
         Fraction(q.v[i].y + q.v[j].y, 2),
     )
+
+
+def catalog_placements(p_max: int) -> dict[tuple, list[LatticeQuad]]:
+    """The placements that `enumerate_leqs(p_max)` counts in each class's
+    `embeddings_seen`, in order of their flat vertex tuples: the anchored
+    chains of every hit of the join, grouped by the hit's signature."""
+    chains: dict[tuple, set[tuple[int, ...]]] = {}
+    for pts, sides in _equable_quads(p_max):
+        chains.setdefault(signature(quad(*pts)), set()).update(_anchored_chains(pts, max(sides)))
+    return {
+        sig: [LatticeQuad(tuple(map(Point, f[::2], f[1::2]))) for f in sorted(flats)]
+        for sig, flats in chains.items()
+    }

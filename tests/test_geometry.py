@@ -10,14 +10,12 @@ from equilat.errors import InvalidQuadError
 from equilat.geometry import (
     LatticeQuad,
     Point,
-    RatPoint,
     canonical_signature,
     classify,
     interior_diagonals,
     is_cyclic,
     is_equable,
     is_simple,
-    is_sum_two_nonzero_squares,
     orient,
     quad,
     realize,
@@ -29,6 +27,7 @@ from equilat.geometry import (
 from equilat.pell import PellSolution
 from equilat.search import P_MAX_MAX, get_catalog
 from helpers import (
+    catalog_placements,
     concyclic_by_circumcenter,
     diagonal_midpoint,
     random_congruent_copy,
@@ -181,7 +180,7 @@ class TestClassify:
 
     def test_matches_point_arithmetic_on_catalog(self):
         # every placement of every class, so each shape flag is set somewhere
-        embeds = [e for c in get_catalog(42).classes.values() for e in c.embeddings]
+        embeds = [e for placements in catalog_placements(42).values() for e in placements]
         flags = [tuple(classify(e)) for e in embeds]
         assert flags == [_classify_by_points(e) for e in embeds]
         assert all(any(f[i] for f in flags) for i in range(9) if i != 1)
@@ -235,14 +234,14 @@ class TestIsCyclic:
 
 class TestReflectPoint:
     def test_non_lattice_image(self):
-        assert reflect_point(Point(3, 0), Point(0, 0), Point(3, 6)) == RatPoint(-9, 12, 5)
+        image = reflect_point(Point(3, 0), Point(0, 0), Point(3, 6))
+        assert image == (Fraction(-9, 5), Fraction(12, 5))
 
     def test_lattice_image(self):
-        r = reflect_point(Point(5, 0), Point(0, 0), Point(8, 4))
-        assert r.is_lattice() and r.to_point() == Point(3, 4)
+        assert reflect_point(Point(5, 0), Point(0, 0), Point(8, 4)) == Point(3, 4)
 
     def test_point_on_axis_is_fixed(self):
-        assert reflect_point(Point(2, 4), Point(0, 0), Point(1, 2)) == RatPoint(2, 4, 1)
+        assert reflect_point(Point(2, 4), Point(0, 0), Point(1, 2)) == Point(2, 4)
 
     def test_rejects_degenerate_axis(self):
         with pytest.raises(ValueError):
@@ -251,9 +250,9 @@ class TestReflectPoint:
     @given(lattice_quads())
     def test_involution(self, q):
         a, b, c, _ = q.v
-        r = reflect_point(a, b, c)
-        if r.is_lattice():
-            assert reflect_point(r.to_point(), b, c).to_point() == a
+        rx, ry = reflect_point(a, b, c)
+        if rx.denominator == ry.denominator == 1:
+            assert reflect_point(Point(int(rx), int(ry)), b, c) == a
 
 
 class TestSignature:
@@ -351,44 +350,3 @@ class TestInteriorDiagonals:
             (outer,) = report.exterior
             assert strictly_inside(q, *diagonal_midpoint(q, *inner.ends))
             assert not strictly_inside(q, *diagonal_midpoint(q, *outer.ends))
-
-
-class TestSumTwoNonzeroSquares:
-    def test_80(self):
-        assert is_sum_two_nonzero_squares(80)
-
-    @pytest.mark.parametrize("n", [4, 9, 16, 36, 64, 196])
-    def test_square_side_lengths_are_not(self, n):
-        assert not is_sum_two_nonzero_squares(n)
-
-    def test_one(self):
-        assert not is_sum_two_nonzero_squares(1)
-
-    @given(st.integers(1, 3000))
-    def test_against_direct_scan(self, n):
-        brute = any(
-            s * s + t * t == n for s in range(1, 60) for t in range(s, 60) if s * s <= n
-        )
-        assert is_sum_two_nonzero_squares(n) == brute
-
-
-class TestRatPoint:
-    def test_reduction(self):
-        assert RatPoint(-81, 108, 45) == RatPoint(-9, 12, 5)
-
-    def test_sign_normalisation(self):
-        assert RatPoint(3, -4, -2) == RatPoint(-3, 4, 2)
-
-    def test_zero_denominator(self):
-        with pytest.raises(ValueError) as exc:
-            RatPoint(1, 2, 0)
-        assert str(exc.value) == "zero denominator"
-
-    def test_from_fractions(self):
-        p = RatPoint.from_fractions(Fraction(3, 2), Fraction(-3, 2))
-        assert (p.x_num, p.y_num, p.den) == (3, -3, 2)
-
-    def test_lattice_roundtrip(self):
-        assert RatPoint(6, -8, 2).to_point() == Point(3, -4)
-        with pytest.raises(ValueError):
-            RatPoint(1, 1, 2).to_point()

@@ -2,13 +2,17 @@
 copies that rerun the constructor checks, and LatticeQuad's value identity."""
 
 import copy
+import importlib
 import pickle
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import equilat
 from equilat import cyclic, geometry, kites, pell, search, trapezoids
-from equilat.geometry import LatticeQuad, Point, RatPoint, quad
+from equilat.errors import Checked, InvalidQuadError
+from equilat.geometry import LatticeQuad, Point, quad
 
 SQUARE = quad((0, 0), (4, 0), (4, 4), (0, 4))
 T345 = trapezoids.HeronianTriangle.from_sides(3, 4, 5)
@@ -21,7 +25,6 @@ def _catalog():
 # (record, a factory for one instance, a field to assign)
 RECORDS = [
     ("Point", lambda: Point(1, 2), "x"),
-    ("RatPoint", lambda: RatPoint(1, 2, 3), "den"),
     ("LatticeQuad", lambda: SQUARE, "v"),
     ("SideData", lambda: geometry.side_data(SQUARE), "sq"),
     ("QuadClassification", lambda: geometry.classify(SQUARE), "convex"),
@@ -73,25 +76,44 @@ def test_sorts_by_field_order(unsorted, expected):
     assert sorted(unsorted) == expected
 
 
+REPLACE_CHECKS = [
+    (pell.spec_by_name("K1"), {"rec": 2}),
+    (cyclic.WxyzTriple(1, 5, 5), {"w": 0}),
+    (cyclic.CyclicSolution((4, 4, 4, 4), (4, 4, 4, 4), ()), {"sides": (1, 1, 1, 1)}),
+    (T345, {"area": 7}),
+    (trapezoids.trapezoid_from(T345, 3), {"h": Fraction(2)}),
+]
+
+
 @pytest.mark.parametrize(
-    "record, changes",
-    [
-        (pell.spec_by_name("K1"), {"rec": 2}),
-        (cyclic.WxyzTriple(1, 5, 5), {"w": 0}),
-        (cyclic.CyclicSolution((4, 4, 4, 4), (4, 4, 4, 4), ()), {"sides": (1, 1, 1, 1)}),
-        (T345, {"area": 7}),
-        (trapezoids.trapezoid_from(T345, 3), {"h": Fraction(2)}),
-    ],
-    ids=["PellSpec", "WxyzTriple", "CyclicSolution", "HeronianTriangle", "TrapezoidSolution"],
+    "record, changes", REPLACE_CHECKS, ids=[type(r).__name__ for r, _ in REPLACE_CHECKS]
 )
 def test_replace_reruns_the_checks(record, changes):
     with pytest.raises(ValueError):
         record._replace(**changes)
 
 
-def test_ratpoint_replace_normalises():
-    assert RatPoint(1, 2, 3)._replace(den=-3) == RatPoint(-1, -2, 3)
-    assert RatPoint(1, 2, 3)._replace(den=-3).den == 3
+def test_every_exported_record_is_checked_here():
+    # a new record type must join RECORDS, and a new Checked one REPLACE_CHECKS
+    modules = [
+        importlib.import_module(f"equilat.{m.name}") for m in pkgutil.iter_modules(equilat.__path__)
+    ]
+    exported = [getattr(m, name) for m in modules for name in getattr(m, "__all__", ())]
+    types = [cls for cls in exported if isinstance(cls, type)]
+    records = {cls.__name__ for cls in types if issubclass(cls, tuple)}
+    assert records == {name for name, _, _ in RECORDS} - {"LeqCatalog"}
+    checked = {cls.__name__ for cls in types if issubclass(cls, Checked)}
+    assert checked == {type(r).__name__ for r, _ in REPLACE_CHECKS} | {"LatticeQuad"}
+
+
+class TestLatticeQuadReplace:
+    def test_bow_tie_is_rejected(self):
+        with pytest.raises(InvalidQuadError):
+            SQUARE._replace(v=(Point(0, 0), Point(4, 4), Point(4, 0), Point(0, 4)))
+
+    def test_clockwise_vertices_are_reoriented(self):
+        clockwise = (Point(0, 0), Point(0, 4), Point(4, 4), Point(4, 0))
+        assert SQUARE._replace(v=clockwise).v == SQUARE.v
 
 
 class TestLatticeQuadIdentity:

@@ -23,6 +23,7 @@ from equilat.search import (
     get_catalog,
     integer_norm_vectors,
 )
+from helpers import catalog_placements
 
 
 def _full_square_scan(max_len: int) -> list[tuple[int, int, int]]:
@@ -263,11 +264,12 @@ def test_join_matches_anchored_walk(p_max):
     walk = _anchored_walk(p_max)
     cat = enumerate_leqs(p_max)
     assert cat.signatures() == set(walk)
+    placements = catalog_placements(p_max)
+    assert {sig: [_flat(e) for e in quads] for sig, quads in placements.items()} == walk
     for sig, flats in walk.items():
         cls = cat.classes[sig]
         assert _flat(cls.representative) == flats[0]
         assert cls.embeddings_seen == len(flats)
-        assert [_flat(e) for e in cls.embeddings] == flats
 
 
 class TestEnumerateLeqs:
@@ -312,9 +314,11 @@ class TestEnumerateLeqs:
 
     def test_embeddings_are_the_counted_placements(self):
         cat = get_catalog(42)
-        for cls in cat.classes.values():
-            assert len(cls.embeddings) == cls.embeddings_seen
-            assert all(signature(e) == cls.signature for e in cls.embeddings)
+        placements = catalog_placements(42)
+        assert placements.keys() == cat.classes.keys()
+        for sig, cls in cat.classes.items():
+            assert len(placements[sig]) == cls.embeddings_seen
+            assert all(signature(e) == sig for e in placements[sig])
 
     def test_config_validation(self):
         for p_max in (0, 8, 11, 1001, 5000):

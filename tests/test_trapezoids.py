@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from equilat import trapezoids
+from equilat import figures
 from equilat.errors import InconsistencyError
 from equilat.geometry import Point, quad, signature
 from equilat.pell import PellSolution
@@ -255,7 +255,7 @@ class TestLatticeEmbedding:
         # with the named drawings hidden, every answer comes from the realizer;
         # the search catalog, which the realizer replaced, is the oracle
         named = [(sol, lattice_embedding(sol)) for sol in all_equable_trapezoids()]
-        monkeypatch.setattr(trapezoids, "embedding_for", lambda sig: None)
+        monkeypatch.setattr(figures, "KNOWN_EMBEDDINGS", {})
         for sol, drawing in named:
             emb = lattice_embedding(sol)
             assert emb is not None and signature(emb) == signature(drawing)
