@@ -97,7 +97,7 @@ def _cmd_pell(args: argparse.Namespace) -> dict:
             **{key: getattr(spec, key) for key in keys},
             "solutions": [[s.n, s.i] for s in pell.solutions(spec, args.count)],
         }
-        for spec in pell.builtin_specs()
+        for spec in pell.SPECS.values()
     ]
     return {
         "json": lambda: rows,

@@ -22,7 +22,6 @@ from equilat.geometry import LatticeQuad, exact_sqrt
 __all__ = [
     "WxyzTriple",
     "CyclicSolution",
-    "Y_CAP",
     "enumerate_candidates",
     "solve_z",
     "sides",
@@ -32,11 +31,9 @@ __all__ = [
     "solutions",
 ]
 
-Y_CAP = 84  # hard cap on y; the exact inequality below is tighter throughout
-
-
 def _within_y_bound(w: int, x: int, y: int) -> bool:
-    # integer form of y <= (w + x) / (sqrt(w x) - 2)
+    # integer form of y <= (w + x) / (sqrt(w x) - 2), finite since w x >= 5;
+    # the largest admissible y is 25
     s = w + x + 2 * y
     return w * x * y * y <= s * s
 
@@ -64,7 +61,7 @@ class WxyzTriple(Checked, _WxyzTriple):
             raise ValueError("need 5 <= w*x <= 16")
 
     def admissible(self) -> bool:
-        return self.y <= Y_CAP and _within_y_bound(self.w, self.x, self.y)
+        return _within_y_bound(self.w, self.x, self.y)
 
 
 def enumerate_candidates() -> list[WxyzTriple]:
@@ -73,7 +70,7 @@ def enumerate_candidates() -> list[WxyzTriple]:
     for w in range(1, 5):
         for x in range(max(w, -(-5 // w)), 16 // w + 1):
             y = x
-            while y <= Y_CAP and _within_y_bound(w, x, y):
+            while _within_y_bound(w, x, y):
                 out.append(WxyzTriple(w, x, y))
                 y += 1
     return out
@@ -124,18 +121,17 @@ def brahmagupta_check(a: int, b: int, c: int, d: int) -> bool:
 
 def cyclic_orderings(side_lengths: tuple[int, int, int, int]) -> list[tuple[int, int, int, int]]:
     """Distinct cyclic arrangements of the side multiset, up to rotation and
-    reflection; each class is shown as its lexicographically largest member."""
-    from itertools import permutations
+    reflection; each class is shown as its lexicographically largest member.
 
-    classes = {}
-    for perm in permutations(side_lengths):
-        images = []
-        for base in (perm, perm[::-1]):
-            for r in range(4):
-                images.append(base[r:] + base[:r])
-        rep = max(images)
-        classes[min(images)] = rep
-    return sorted(classes.values(), reverse=True)
+    An arrangement is fixed by which side faces the first one, so the three
+    orders below cover every class.
+    """
+    a, b, c, d = side_lengths
+    reps = {
+        max(base[r:] + base[:r] for base in (order, order[::-1]) for r in range(4))
+        for order in ((a, b, c, d), (a, c, b, d), (a, b, d, c))
+    }
+    return sorted(reps, reverse=True)
 
 
 def _diagonals_sq(order: tuple[int, int, int, int]) -> tuple[Fraction, Fraction]:
@@ -156,20 +152,16 @@ def realizable_orderings(
 ) -> list[tuple[tuple[int, int, int, int], LatticeQuad | None]]:
     """Decide lattice realizability for every cyclic arrangement of the sides.
 
-    An order realizes as a lattice quad only if both squared diagonals are
-    integers and `geometry.realize` places those six squared lengths on the
-    lattice; the named drawing is returned when the shape has one.
+    Each order's squared sides and exact squared diagonals go to
+    `figures.place`, which answers None unless the lattice holds them and
+    returns the named drawing when the shape has one.
     """
     if not brahmagupta_check(*side_lengths):
         raise ValueError(f"{side_lengths} is not an equable cyclic side multiset")
-    out = []
-    for order in cyclic_orderings(side_lengths):
-        p_sq, q_sq = _diagonals_sq(order)
-        embedding = None
-        if p_sq.denominator == 1 and q_sq.denominator == 1:
-            embedding = place(tuple(s * s for s in order), (int(p_sq), int(q_sq)))
-        out.append((order, embedding))
-    return out
+    return [
+        (order, place(tuple(s * s for s in order), _diagonals_sq(order)))
+        for order in cyclic_orderings(side_lengths)
+    ]
 
 
 class _CyclicSolution(NamedTuple):

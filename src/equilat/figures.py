@@ -2,7 +2,8 @@
 
 These fixed vertex lists are the canonical drawings: congruence classes found
 elsewhere (search catalog, trapezoid construction, cyclic side orders) are
-mapped back to these coordinates for display and embedding answers.
+mapped back to these coordinates for display and embedding answers, through
+`place`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from equilat.geometry import (
     signature,
 )
 
-__all__ = ["NAMED_QUADS", "KNOWN_EMBEDDINGS", "FIGURE_PANELS", "place"]
+__all__ = ["NAMED_QUADS", "KNOWN_EMBEDDINGS", "place"]
 
 
 NAMED_QUADS: dict[str, LatticeQuad] = {
@@ -55,69 +56,13 @@ for _q in NAMED_QUADS.values():
     KNOWN_EMBEDDINGS.setdefault(signature(_q), _q)
 
 
-def place(sides_sq: tuple[int, ...], diag_sq: tuple[int, int]) -> LatticeQuad | None:
+def place(sides_sq: tuple[int, ...], diag_sq: tuple[int | Fraction, ...]) -> LatticeQuad | None:
     """A lattice placement of the shape with these squared sides, in cyclic
-    order, and squared diagonals: its named drawing when it has one, else
-    `geometry.realize`'s answer; None when the lattice has none."""
+    order, and exact squared diagonals: its named drawing when it has one,
+    else `geometry.realize`'s answer; None when the lattice has none, as when
+    a squared diagonal is not an integer."""
+    if any(d.denominator != 1 for d in diag_sq):
+        return None
+    diag_sq = tuple(map(int, diag_sq))
     named = KNOWN_EMBEDDINGS.get(canonical_signature(sides_sq, diag_sq))
     return named or realize(sides_sq, diag_sq)
-
-
-# Figure compositions for the SVG renderer.  Each panel: polygons drawn with
-# vertex labels, optional dashed segments, optional marked (possibly
-# non-lattice) points.
-_F = Fraction
-
-FIGURE_PANELS: dict[str, list[dict]] = {
-    "rhombus-pair": [
-        {"polygons": [NAMED_QUADS["rhombus-5"].v], "labels": ["O", "A", "B", "C"]},
-        {"polygons": [NAMED_QUADS["rhombus-5-alt"].v], "labels": ["O", "A", "B", "C"]},
-    ],
-    "kite-3-15": [
-        {
-            "polygons": [NAMED_QUADS["kite-3-15"].v],
-            "labels": ["O", "A", "B", "C"],
-            "dashed": [((0, 0), (12, 12))],
-        },
-    ],
-    "trapezoid-20-4-15-3": [
-        {
-            "polygons": [NAMED_QUADS["trapezoid-20-4-15-3"].v],
-            "labels": ["O", "A", "B", "C"],
-            "dashed": [((0, 3), (4, 3))],
-            "marks": [((4, 3), "A'")],
-        },
-    ],
-    "right-trapezoids": [
-        {"polygons": [NAMED_QUADS["right-trapezoid-6-4-3-5"].v], "labels": ["O", "A", "B", "C"],
-         "dashed": [((3, 0), (3, 4))], "marks": [((3, 0), "A'")]},
-        {"polygons": [NAMED_QUADS["right-trapezoid-10-3-6-5"].v], "labels": ["O", "A", "B", "C"],
-         "dashed": [((4, 0), (4, 3))], "marks": [((4, 0), "A'")]},
-    ],
-    "isosceles-trapezoids": [
-        {"polygons": [NAMED_QUADS["isosceles-trapezoid-8-5-2-5"].v], "labels": ["O", "A", "B", "C"],
-         "dashed": [((6, 0), (3, 4))], "marks": [((6, 0), "A'")]},
-        {"polygons": [NAMED_QUADS["isosceles-trapezoid-14-5-6-5"].v], "labels": ["O", "A", "B", "C"],
-         "dashed": [((8, 0), (4, 3))], "marks": [((8, 0), "A'")]},
-    ],
-    "k1-nested": [
-        {
-            "polygons": [
-                NAMED_QUADS["kite-k1-n18"].v,
-                NAMED_QUADS["kite-k1-n7"].v,
-                NAMED_QUADS["dart-10-5"].v,
-            ],
-            "labels": None,
-        },
-    ],
-    "parallelogram-failure": [
-        {"polygons": [NAMED_QUADS["rectangle-3-6"].v], "labels": ["O", "A", "B", "C'"],
-         "dashed": [((0, 0), (3, 6))]},
-        {
-            "polygons": [((0, 0), (3, 0), (3, 6), (_F(-9, 5), _F(12, 5)))],
-            "labels": ["O", "A", "B", "C"],
-            "dashed": [((0, 0), (3, 6))],
-            "marks": [((_F(-9, 5), _F(12, 5)), "(-9/5, 12/5)")],
-        },
-    ],
-}

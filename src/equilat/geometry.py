@@ -18,14 +18,12 @@ __all__ = [
     "Point",
     "LatticeQuad",
     "QuadClassification",
-    "SideData",
     "Diagonal",
     "DiagonalReport",
     "quad",
     "orient",
     "midpoint",
     "twice_area",
-    "side_data",
     "perimeter",
     "is_equable",
     "is_simple",
@@ -55,12 +53,6 @@ class Point(NamedTuple):
     x: int
     y: int
 
-    def __add__(self, other: "Point") -> "Point":
-        return Point(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: "Point") -> "Point":
-        return Point(self.x - other.x, self.y - other.y)
-
     def dist_sq(self, other: "Point") -> int:
         dx = self.x - other.x
         dy = self.y - other.y
@@ -76,43 +68,32 @@ def orient(a: Point, b: Point, c: Point) -> int:
     return (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
 
 
-def _simple_from_origin(x1: int, y1: int, x2: int, y2: int, x3: int, y3: int) -> bool:
-    """Simplicity test for the quad (0,0),(x1,y1),(x2,y2),(x3,y3).
-
-    True iff the four vertices are distinct, no three are collinear, and the
-    two pairs of opposite edges do not cross.  Shared endpoints of adjacent
-    edges are the only allowed contacts; with no three vertices collinear a
-    vertex cannot lie in the interior of a non-incident edge, so testing the
-    opposite-edge pairs for proper crossings is exhaustive.
-    """
-    if (x1, y1) == (0, 0) or (x2, y2) == (0, 0) or (x3, y3) == (0, 0):
-        return False
-    if (x1, y1) == (x2, y2) or (x2, y2) == (x3, y3) or (x1, y1) == (x3, y3):
-        return False
-    a = x1 * y2 - x2 * y1          # orient(O, v1, v2)
-    b = x1 * y3 - x3 * y1          # orient(O, v1, v3)
-    c = x2 * y3 - x3 * y2          # orient(O, v2, v3)
-    d = a - b + c                  # orient(v1, v2, v3)
-    if a == 0 or b == 0 or c == 0 or d == 0:
-        return False
-    if a * b < 0 and c * d < 0:    # edge O-v1 crosses edge v2-v3
-        return False
-    if a * d < 0 and b * c < 0:    # edge v1-v2 crosses edge v3-O
-        return False
-    return True
-
-
 def is_simple(points: Sequence[Point]) -> bool:
     """True iff the four points, joined in order, bound a simple quadrilateral
-    with no three vertices collinear."""
+    with no three vertices collinear.
+
+    With P0 moved to the origin: no three vertices may be collinear, which
+    also makes them distinct, and the two pairs of opposite edges must not
+    cross.  Shared endpoints of adjacent edges are the only allowed contacts;
+    with no three vertices collinear a vertex cannot lie in the interior of a
+    non-incident edge, so testing the opposite-edge pairs for proper
+    crossings is exhaustive.
+    """
     if len(points) != 4:
         raise ValueError("expected exactly four points")
-    p0 = points[0]
-    return _simple_from_origin(
-        points[1].x - p0.x, points[1].y - p0.y,
-        points[2].x - p0.x, points[2].y - p0.y,
-        points[3].x - p0.x, points[3].y - p0.y,
-    )
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = points
+    x1, y1, x2, y2, x3, y3 = x1 - x0, y1 - y0, x2 - x0, y2 - y0, x3 - x0, y3 - y0
+    a = x1 * y2 - x2 * y1          # orient(P0, P1, P2)
+    b = x1 * y3 - x3 * y1          # orient(P0, P1, P3)
+    c = x2 * y3 - x3 * y2          # orient(P0, P2, P3)
+    d = a - b + c                  # orient(P1, P2, P3)
+    if a == 0 or b == 0 or c == 0 or d == 0:
+        return False
+    if a * b < 0 and c * d < 0:    # edge P0-P1 crosses edge P2-P3
+        return False
+    if a * d < 0 and b * c < 0:    # edge P1-P2 crosses edge P3-P0
+        return False
+    return True
 
 
 class _LatticeQuad(NamedTuple):
@@ -162,35 +143,21 @@ def twice_area(q: LatticeQuad) -> int:
     return _shoelace(q.v)
 
 
-class SideData(NamedTuple):
-    """Squared side lengths in vertex order, integer lengths when all four are
-    perfect squares, and the two squared diagonals (v0v2, v1v3)."""
-
-    sq: tuple[int, int, int, int]
-    lengths: tuple[int, int, int, int] | None
-    diag_sq: tuple[int, int]
-
-
-def side_data(q: LatticeQuad) -> SideData:
-    v = q.v
-    sq = tuple(v[i].dist_sq(v[(i + 1) % 4]) for i in range(4))
-    roots = [exact_sqrt(s) for s in sq]
-    lengths = tuple(roots) if all(r is not None for r in roots) else None
-    return SideData(sq, lengths, (v[0].dist_sq(v[2]), v[1].dist_sq(v[3])))
+def _sides_sq(v: Sequence[Point]) -> tuple[int, int, int, int]:
+    """Squared side lengths in vertex order."""
+    return tuple(v[i].dist_sq(v[(i + 1) % 4]) for i in range(4))
 
 
 def perimeter(q: LatticeQuad) -> int | None:
     """Integer perimeter, or None when some side has irrational length."""
-    sd = side_data(q)
-    return sum(sd.lengths) if sd.lengths is not None else None
+    roots = [exact_sqrt(s) for s in _sides_sq(q.v)]
+    return None if None in roots else sum(roots)
 
 
 def is_equable(q: LatticeQuad) -> bool:
     """True iff area equals perimeter, compared exactly (2K == 2P)."""
-    sd = side_data(q)
-    if sd.lengths is None:
-        return False
-    return twice_area(q) == 2 * sum(sd.lengths)
+    p = perimeter(q)
+    return p is not None and twice_area(q) == 2 * p
 
 
 class QuadClassification(NamedTuple):
@@ -205,8 +172,14 @@ class QuadClassification(NamedTuple):
     is_cyclic: bool
 
 
-def _turns(v: Sequence[Point]) -> list[int]:
-    return [orient(v[i - 1], v[i], v[(i + 1) % 4]) for i in range(4)]
+def _reflex_index(v: Sequence[Point]) -> int | None:
+    """The vertex whose turn is not a left turn, or None for a convex quad.
+
+    A simple quad has at most one reflex vertex, and its turn is the least.
+    """
+    turns = [orient(v[i - 1], v[i], v[(i + 1) % 4]) for i in range(4)]
+    least = min(turns)
+    return None if least > 0 else turns.index(least)
 
 
 def classify(q: LatticeQuad) -> QuadClassification:
@@ -218,9 +191,8 @@ def classify(q: LatticeQuad) -> QuadClassification:
     (x0, y0), (x1, y1), (x2, y2), (x3, y3) = q.v
     ex = (x1 - x0, x2 - x1, x3 - x2, x0 - x3)  # edge i runs from v[i] to v[i + 1]
     ey = (y1 - y0, y2 - y1, y3 - y2, y0 - y3)
-    turns = [ex[i - 1] * ey[i] - ey[i - 1] * ex[i] for i in range(4)]
-    convex = min(turns) > 0
-    reflex_index = None if convex else turns.index(min(turns))
+    reflex_index = _reflex_index(q.v)
+    convex = reflex_index is None
 
     s0, s1, s2, s3 = (ex[i] * ex[i] + ey[i] * ey[i] for i in range(4))
     kite = (s0 == s1 and s2 == s3) or (s1 == s2 and s3 == s0)
@@ -307,8 +279,8 @@ def canonical_signature(
 
 def signature(q: LatticeQuad) -> tuple[int, int, int, int, int, int]:
     """Congruence signature of a quad; see canonical_signature."""
-    sd = side_data(q)
-    return canonical_signature(sd.sq, sd.diag_sq)
+    v = q.v
+    return canonical_signature(_sides_sq(v), (v[0].dist_sq(v[2]), v[1].dist_sq(v[3])))
 
 
 def _circle_points(n: int) -> list[Point]:
@@ -371,12 +343,11 @@ def interior_diagonals(q: LatticeQuad) -> DiagonalReport:
     one reflex vertex; the diagonal through it is interior, the other lies
     outside the polygon.
     """
-    turns = _turns(q.v)
+    reflex = _reflex_index(q.v)
     d02 = _diagonal(q, 0, 2)
     d13 = _diagonal(q, 1, 3)
-    if min(turns) > 0:
+    if reflex is None:
         return DiagonalReport(interior=(d02, d13), exterior=())
-    reflex = turns.index(min(turns))
     if reflex in (0, 2):
         return DiagonalReport(interior=(d02,), exterior=(d13,))
     return DiagonalReport(interior=(d13,), exterior=(d02,))

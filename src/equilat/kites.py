@@ -123,7 +123,7 @@ def member(family: FamilyId | str, sol: pell.PellSolution) -> KiteMember:
     kite duplicates the K1 rhombus.
     """
     fam = _family(family)
-    spec = pell.spec_by_name(fam.tag)
+    spec = pell.SPECS[fam.tag]
     if not spec.satisfies(sol.n, sol.i):
         raise ValueError(f"{sol} does not satisfy the {fam.tag} equation")
     if fam.tag == "K2" and sol.n == 1:
@@ -162,7 +162,7 @@ def member(family: FamilyId | str, sol: pell.PellSolution) -> KiteMember:
 
 def iter_members(family: FamilyId | str) -> Iterator[KiteMember]:
     fam = _family(family)
-    for sol in pell.iter_solutions(pell.spec_by_name(fam.tag)):
+    for sol in pell.iter_solutions(pell.SPECS[fam.tag]):
         if fam.tag == "K2" and sol.n == 1:
             continue
         yield member(fam, sol)

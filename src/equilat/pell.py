@@ -20,8 +20,7 @@ __all__ = [
     "PellSolution",
     "PellSpec",
     "PellInconsistencyError",
-    "builtin_specs",
-    "spec_by_name",
+    "SPECS",
     "iter_solutions",
     "solutions",
     "seed_search",
@@ -68,25 +67,18 @@ class PellSpec(Checked, _PellSpec):
         return self.alpha * n * n - self.beta * i * i == self.gamma
 
 
-def builtin_specs() -> tuple[PellSpec, ...]:
-    """The four kite-family equations and the four triangle-family restrictions."""
-    return (
-        PellSpec("K1", 1, 5, 4, (PellSolution(2, 0), PellSolution(3, 1)), 3),
-        PellSpec("K2", 1, 5, 1, (PellSolution(1, 0), PellSolution(9, 4)), 18),
-        PellSpec("K3", 1, 2, 1, (PellSolution(1, 0), PellSolution(3, 2)), 6),
-        PellSpec("K4", 2, 1, 1, (PellSolution(1, 1), PellSolution(5, 7)), 6),
-        PellSpec("x^2+1=2y^2", 1, 2, -1, (PellSolution(1, 1), PellSolution(7, 5)), 6),
-        PellSpec("x^2-1=2y^2", 1, 2, 1, (PellSolution(1, 0), PellSolution(3, 2)), 6),
-        PellSpec("x^2+2=3y^2", 1, 3, -2, (PellSolution(1, 1), PellSolution(5, 3)), 4),
-        PellSpec("x^2-1=3y^2", 1, 3, 1, (PellSolution(1, 0), PellSolution(2, 1)), 4),
-    )
-
-
-def spec_by_name(name: str) -> PellSpec:
-    for spec in builtin_specs():
-        if spec.name == name:
-            return spec
-    raise KeyError(name)
+# The four kite-family equations and the four triangle-family restrictions, by
+# name, in the order `equilat pell` prints them.
+SPECS: dict[str, PellSpec] = {spec.name: spec for spec in (
+    PellSpec("K1", 1, 5, 4, (PellSolution(2, 0), PellSolution(3, 1)), 3),
+    PellSpec("K2", 1, 5, 1, (PellSolution(1, 0), PellSolution(9, 4)), 18),
+    PellSpec("K3", 1, 2, 1, (PellSolution(1, 0), PellSolution(3, 2)), 6),
+    PellSpec("K4", 2, 1, 1, (PellSolution(1, 1), PellSolution(5, 7)), 6),
+    PellSpec("x^2+1=2y^2", 1, 2, -1, (PellSolution(1, 1), PellSolution(7, 5)), 6),
+    PellSpec("x^2-1=2y^2", 1, 2, 1, (PellSolution(1, 0), PellSolution(3, 2)), 6),
+    PellSpec("x^2+2=3y^2", 1, 3, -2, (PellSolution(1, 1), PellSolution(5, 3)), 4),
+    PellSpec("x^2-1=3y^2", 1, 3, 1, (PellSolution(1, 0), PellSolution(2, 1)), 4),
+)}
 
 
 def iter_solutions(spec: PellSpec) -> Iterator[PellSolution]:

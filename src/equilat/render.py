@@ -6,10 +6,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import ceil, floor
 
-from equilat.figures import FIGURE_PANELS
-from equilat.geometry import Point
+from equilat.figures import NAMED_QUADS
 
-__all__ = ["UNIT", "figure_names", "render_figure"]
+__all__ = ["UNIT", "FIGURE_PANELS", "figure_names", "render_figure"]
 
 UNIT = 24
 PAD = 1  # lattice units of margin around each panel
@@ -17,6 +16,62 @@ PANEL_GAP = 36  # px between panels
 
 _FILL = "#4c72b0"
 _GRID = "#b0b0b0"
+
+# Figure compositions.  Each panel: polygons drawn with vertex labels,
+# optional dashed segments, optional marked (possibly non-lattice) points.
+FIGURE_PANELS: dict[str, list[dict]] = {
+    "rhombus-pair": [
+        {"polygons": [NAMED_QUADS["rhombus-5"].v], "labels": ["O", "A", "B", "C"]},
+        {"polygons": [NAMED_QUADS["rhombus-5-alt"].v], "labels": ["O", "A", "B", "C"]},
+    ],
+    "kite-3-15": [
+        {
+            "polygons": [NAMED_QUADS["kite-3-15"].v],
+            "labels": ["O", "A", "B", "C"],
+            "dashed": [((0, 0), (12, 12))],
+        },
+    ],
+    "trapezoid-20-4-15-3": [
+        {
+            "polygons": [NAMED_QUADS["trapezoid-20-4-15-3"].v],
+            "labels": ["O", "A", "B", "C"],
+            "dashed": [((0, 3), (4, 3))],
+            "marks": [((4, 3), "A'")],
+        },
+    ],
+    "right-trapezoids": [
+        {"polygons": [NAMED_QUADS["right-trapezoid-6-4-3-5"].v], "labels": ["O", "A", "B", "C"],
+         "dashed": [((3, 0), (3, 4))], "marks": [((3, 0), "A'")]},
+        {"polygons": [NAMED_QUADS["right-trapezoid-10-3-6-5"].v], "labels": ["O", "A", "B", "C"],
+         "dashed": [((4, 0), (4, 3))], "marks": [((4, 0), "A'")]},
+    ],
+    "isosceles-trapezoids": [
+        {"polygons": [NAMED_QUADS["isosceles-trapezoid-8-5-2-5"].v], "labels": ["O", "A", "B", "C"],
+         "dashed": [((6, 0), (3, 4))], "marks": [((6, 0), "A'")]},
+        {"polygons": [NAMED_QUADS["isosceles-trapezoid-14-5-6-5"].v], "labels": ["O", "A", "B", "C"],
+         "dashed": [((8, 0), (4, 3))], "marks": [((8, 0), "A'")]},
+    ],
+    "k1-nested": [
+        {
+            "polygons": [
+                NAMED_QUADS["kite-k1-n18"].v,
+                NAMED_QUADS["kite-k1-n7"].v,
+                NAMED_QUADS["dart-10-5"].v,
+            ],
+            "labels": None,
+        },
+    ],
+    "parallelogram-failure": [
+        {"polygons": [NAMED_QUADS["rectangle-3-6"].v], "labels": ["O", "A", "B", "C'"],
+         "dashed": [((0, 0), (3, 6))]},
+        {
+            "polygons": [((0, 0), (3, 0), (3, 6), (Fraction(-9, 5), Fraction(12, 5)))],
+            "labels": ["O", "A", "B", "C"],
+            "dashed": [((0, 0), (3, 6))],
+            "marks": [((Fraction(-9, 5), Fraction(12, 5)), "(-9/5, 12/5)")],
+        },
+    ],
+}
 
 
 def _escape(text: str) -> str:
@@ -30,8 +85,6 @@ def figure_names() -> list[str]:
 
 
 def _coords(v) -> tuple[Fraction, Fraction]:
-    if isinstance(v, Point):
-        return Fraction(v.x), Fraction(v.y)
     x, y = v
     return Fraction(x), Fraction(y)
 

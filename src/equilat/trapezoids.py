@@ -184,7 +184,7 @@ def family_member(row: int, sol: pell.PellSolution) -> HeronianTriangle:
     """
     if row not in _ROWS:
         raise ValueError(f"row must be 1..4, got {row}")
-    spec = pell.spec_by_name(_ROWS[row]["pell"])
+    spec = pell.SPECS[_ROWS[row]["pell"]]
     x, y = sol.n, sol.i
     if not spec.satisfies(x, y):
         raise ValueError(f"({x},{y}) does not satisfy {spec.name}")
@@ -200,7 +200,7 @@ def family_member(row: int, sol: pell.PellSolution) -> HeronianTriangle:
 def family_members_within(row: int, p_max: int) -> list[HeronianTriangle]:
     """All members of one family row with perimeter <= p_max."""
     out = []
-    for sol in pell.iter_solutions(pell.spec_by_name(_ROWS[row]["pell"])):
+    for sol in pell.iter_solutions(pell.SPECS[_ROWS[row]["pell"]]):
         if sol.n < _ROWS[row]["x_min"]:
             continue
         if _ROWS[row]["perimeter"](sol.n) > p_max:
@@ -318,6 +318,4 @@ def lattice_embedding(ts: TrapezoidSolution) -> LatticeQuad | None:
         raise InconsistencyError(f"{ts.quad_sides}: side data inconsistent with the height")
     diag_ob = (xc + c) ** 2 + h_sq  # O -> B
     diag_ac = (xc - a) ** 2 + h_sq  # A -> C
-    if diag_ob.denominator != 1 or diag_ac.denominator != 1:
-        return None  # squared diagonals not integers: no lattice placement
-    return place((a * a, leg_ab**2, c * c, leg_co**2), (int(diag_ob), int(diag_ac)))
+    return place((a * a, leg_ab**2, c * c, leg_co**2), (diag_ob, diag_ac))

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 from equilat.geometry import (
     POINT_SYMMETRIES,
@@ -52,6 +53,22 @@ def random_congruent_copy(rng: random.Random, q: LatticeQuad) -> LatticeQuad:
     if rng.random() < 0.5:
         pts = [pts[0]] + pts[1:][::-1]
     return LatticeQuad(tuple(pts))
+
+
+def cyclic_orderings_by_permutations(
+    side_lengths: tuple[int, int, int, int],
+) -> list[tuple[int, int, int, int]]:
+    """Reference oracle: the enumeration that `cyclic.cyclic_orderings`
+    replaced, over all 24 permutations of the sides, each with its eight
+    dihedral images, keyed by the least image and shown as the largest."""
+    classes = {}
+    for perm in permutations(side_lengths):
+        images = []
+        for base in (perm, perm[::-1]):
+            for r in range(4):
+                images.append(base[r:] + base[:r])
+        classes[min(images)] = max(images)
+    return sorted(classes.values(), reverse=True)
 
 
 def circumcenter(a: Point, b: Point, c: Point) -> tuple[Fraction, Fraction]:

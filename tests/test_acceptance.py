@@ -49,7 +49,7 @@ def test_criterion_1_pell_prefixes():
             "K4": [1, 5, 29, 169, 985],
         }
         for name, expected in prefixes.items():
-            spec = pell.spec_by_name(name)
+            spec = pell.SPECS[name]
             got = [s.n for s in pell.solutions(spec, len(expected))]
             assert got == expected, name
 
@@ -183,7 +183,7 @@ def test_criterion_7_concave_example_in_p60_catalog():
 def test_criterion_8_property_suites():
     with criterion(8, "oracle-equivalence property suites", 60.0):
         # pell stream vs exhaustive scan to n <= 1e5, all eight equations
-        for spec in pell.builtin_specs():
+        for spec in pell.SPECS.values():
             bound = 100_000
             stream = []
             for sol in pell.iter_solutions(spec):

@@ -23,14 +23,9 @@ from equilat import cli, render
 DIGESTS = Path(__file__).parent / "data" / "cli_stdout_sha256.json"
 
 
-FORMATS = {
-    "pell": ("text", "json", "csv"),
-    "kites": ("text", "json", "csv"),
-    "trapezoids": ("text", "json", "csv"),
-    "cyclic": ("text", "json"),
-    "search": ("text", "json", "csv"),
-    "audit": ("text", "json"),
-}
+# Every format each command accepts, as its parser offers them; render's
+# runs are its figures, pinned separately below.
+FORMATS = {name: spec[2] for name, spec in cli._COMMANDS.items() if name != "render"}
 
 
 def _commands() -> list[tuple[str, ...]]:
@@ -47,9 +42,9 @@ def _commands() -> list[tuple[str, ...]]:
     }
     out = [
         (name, *args, "--format", fmt)
-        for name, arg_sets in runs.items()
-        for args in arg_sets
-        for fmt in FORMATS[name]
+        for name, formats in FORMATS.items()
+        for args in runs[name]
+        for fmt in formats
     ]
     out += [(name, *runs[name][0], "--format", "json", "--pretty") for name in runs]
     out += [("render", "--figure", name) for name in render.figure_names()]

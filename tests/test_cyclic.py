@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from equilat import figures
@@ -17,6 +19,7 @@ from equilat.errors import InconsistencyError
 from equilat.figures import NAMED_QUADS
 from equilat.geometry import canonical_signature, exact_sqrt, quad, signature
 from equilat.search import get_catalog
+from helpers import cyclic_orderings_by_permutations
 
 
 def _dihedral_class(order):
@@ -137,6 +140,10 @@ class TestOrderings:
         assert len(cyclic_orderings((6, 6, 3, 3))) == 2
         assert len(cyclic_orderings((4, 4, 4, 4))) == 1
         assert len(cyclic_orderings((1, 2, 3, 4))) == 3
+
+    def test_matches_the_permutation_oracle(self):
+        for sides_ in product(range(1, 9), repeat=4):
+            assert cyclic_orderings(sides_) == cyclic_orderings_by_permutations(sides_), sides_
 
     def test_trapezoid_order_realizable(self):
         result = dict(realizable_orderings((8, 5, 5, 2)))

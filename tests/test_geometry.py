@@ -17,10 +17,10 @@ from equilat.geometry import (
     is_equable,
     is_simple,
     orient,
+    perimeter,
     quad,
     realize,
     reflect_point,
-    side_data,
     signature,
     twice_area,
 )
@@ -72,21 +72,21 @@ class TestTwiceArea:
 
 
 class TestSideData:
+    """Squared sides and diagonals, read through perimeter and signature."""
+
     def test_square(self):
-        sd = side_data(SQUARE)
-        assert sd.sq == (16, 16, 16, 16)
-        assert sd.lengths == (4, 4, 4, 4)
-        assert sd.diag_sq == (32, 32)
+        assert perimeter(SQUARE) == 16
+        assert signature(SQUARE) == (16, 16, 16, 16, 32, 32)
 
     def test_right_trapezoid(self):
-        sd = side_data(TRAP_6_4_3_5)
-        assert sd.lengths == (6, 4, 3, 5)
-        assert sd.diag_sq == (52, 25)
+        assert perimeter(TRAP_6_4_3_5) == 6 + 4 + 3 + 5
+        # sides 6, 4, 3, 5 from v0, diagonals |v0v2|^2 = 52 and |v1v3|^2 = 25
+        assert canonical_signature((36, 16, 9, 25), (52, 25)) == signature(TRAP_6_4_3_5)
 
     def test_irrational_side(self):
-        sd = side_data(quad((0, 0), (1, 0), (2, 1), (0, 1)))
-        assert sd.sq == (1, 2, 4, 1)
-        assert sd.lengths is None
+        q = quad((0, 0), (1, 0), (2, 1), (0, 1))
+        assert perimeter(q) is None
+        assert signature(q) == canonical_signature((1, 2, 4, 1), (5, 2))
 
 
 class TestIsEquable:
@@ -102,7 +102,7 @@ class TestIsEquable:
     @given(lattice_quads())
     def test_equable_implies_integer_sides(self, q):
         if is_equable(q):
-            assert side_data(q).lengths is not None
+            assert perimeter(q) is not None
 
 
 class TestIsSimple:
@@ -116,7 +116,12 @@ class TestIsSimple:
         assert not is_simple((Point(0, 0), Point(3, 0), Point(6, 0), Point(0, 4)))
 
     def test_duplicate_vertex(self):
-        assert not is_simple((Point(0, 0), Point(4, 0), Point(4, 0), Point(0, 4)))
+        square = (Point(0, 0), Point(4, 0), Point(4, 4), Point(0, 4))
+        for i in range(4):
+            for j in range(4):
+                if i != j:  # vertex j moved onto vertex i
+                    pts = tuple(square[i] if k == j else p for k, p in enumerate(square))
+                    assert not is_simple(pts), pts
 
     def test_quad_constructor_rejects_bowtie(self):
         with pytest.raises(InvalidQuadError):
@@ -144,20 +149,20 @@ class TestIsSimple:
 
 
 def _classify_by_points(q):
-    """Reference oracle: classify's flags from Point differences, as the
-    function computed them before it worked on plain coordinates."""
+    """Reference oracle: classify's flags from the vertices' coordinate
+    differences, written out one vertex at a time."""
     v = q.v
     turns = [orient(v[i - 1], v[i], v[(i + 1) % 4]) for i in range(4)]
     convex = min(turns) > 0
-    s0, s1, s2, s3 = side_data(q).sq
+    s0, s1, s2, s3 = (v[i].dist_sq(v[(i + 1) % 4]) for i in range(4))
     kite = (s0 == s1 and s2 == s3) or (s1 == s2 and s3 == s0)
-    edges = [v[(i + 1) % 4] - v[i] for i in range(4)]
-    par02 = edges[0].x * edges[2].y - edges[0].y * edges[2].x == 0
-    par13 = edges[1].x * edges[3].y - edges[1].y * edges[3].x == 0
+    edges = [(v[(i + 1) % 4].x - v[i].x, v[(i + 1) % 4].y - v[i].y) for i in range(4)]
+    par02 = edges[0][0] * edges[2][1] - edges[0][1] * edges[2][0] == 0
+    par13 = edges[1][0] * edges[3][1] - edges[1][1] * edges[3][0] == 0
     trapezoid = par02 != par13
     right_at = [
-        (v[i - 1] - v[i]).x * (v[(i + 1) % 4] - v[i]).x
-        + (v[i - 1] - v[i]).y * (v[(i + 1) % 4] - v[i]).y == 0
+        (v[i - 1].x - v[i].x) * (v[(i + 1) % 4].x - v[i].x)
+        + (v[i - 1].y - v[i].y) * (v[(i + 1) % 4].y - v[i].y) == 0
         for i in range(4)
     ]
     return (

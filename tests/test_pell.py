@@ -4,11 +4,10 @@ from equilat.pell import (
     PellInconsistencyError,
     PellSolution,
     PellSpec,
-    builtin_specs,
+    SPECS,
     iter_solutions,
     seed_search,
     solutions,
-    spec_by_name,
 )
 
 # sequence prefixes printed in the family discussion
@@ -21,7 +20,7 @@ OEIS_PREFIXES = {
 
 
 def test_builtin_specs_count_and_names():
-    specs = builtin_specs()
+    specs = list(SPECS.values())
     assert len(specs) == 8
     assert [s.name for s in specs] == [
         "K1", "K2", "K3", "K4",
@@ -31,24 +30,24 @@ def test_builtin_specs_count_and_names():
 
 @pytest.mark.parametrize("name,prefix", OEIS_PREFIXES.items())
 def test_oeis_prefixes(name, prefix):
-    spec = spec_by_name(name)
+    spec = SPECS[name]
     assert [s.n for s in solutions(spec, len(prefix))] == prefix
 
 
 def test_k1_first_solutions():
-    assert solutions(spec_by_name("K1"), 4) == [
+    assert solutions(SPECS["K1"], 4) == [
         PellSolution(2, 0), PellSolution(3, 1), PellSolution(7, 3), PellSolution(18, 8),
     ]
 
 
 def test_k3_first_solutions():
-    assert solutions(spec_by_name("K3"), 3) == [
+    assert solutions(SPECS["K3"], 3) == [
         PellSolution(1, 0), PellSolution(3, 2), PellSolution(17, 12),
     ]
 
 
 def test_row4_restriction_solutions():
-    assert solutions(spec_by_name("x^2-1=3y^2"), 3) == [
+    assert solutions(SPECS["x^2-1=3y^2"], 3) == [
         PellSolution(1, 0), PellSolution(2, 1), PellSolution(7, 4),
     ]
 
@@ -68,7 +67,7 @@ class TestSeedSearch:
         assert seed_search(1, 5, 3, 50) == []
 
 
-@pytest.mark.parametrize("spec", builtin_specs(), ids=lambda s: s.name)
+@pytest.mark.parametrize("spec", SPECS.values(), ids=lambda s: s.name)
 def test_stream_matches_scan_oracle(spec):
     bound = 10_000
     from_stream = []
@@ -79,7 +78,7 @@ def test_stream_matches_scan_oracle(spec):
     assert from_stream == seed_search(spec.alpha, spec.beta, spec.gamma, bound)
 
 
-@pytest.mark.parametrize("spec", builtin_specs(), ids=lambda s: s.name)
+@pytest.mark.parametrize("spec", SPECS.values(), ids=lambda s: s.name)
 def test_stream_monotone_and_valid(spec):
     sols = solutions(spec, 12)
     assert all(a.n < b.n for a, b in zip(sols, sols[1:]))
@@ -87,12 +86,12 @@ def test_stream_monotone_and_valid(spec):
 
 
 def test_k1_parity_fact():
-    for s in solutions(spec_by_name("K1"), 15):
+    for s in solutions(SPECS["K1"], 15):
         assert s.n % 2 == s.i % 2
 
 
 def test_k4_odd_i_fact():
-    for s in solutions(spec_by_name("K4"), 15):
+    for s in solutions(SPECS["K4"], 15):
         assert s.i % 2 == 1
 
 
@@ -131,4 +130,10 @@ def test_recurrence_inconsistency_detected():
 
 def test_count_must_be_positive():
     with pytest.raises(ValueError):
-        solutions(spec_by_name("K1"), 0)
+        solutions(SPECS["K1"], 0)
+
+
+def test_unknown_name_is_a_key_error():
+    with pytest.raises(KeyError) as exc:
+        SPECS["K5"]
+    assert exc.value.args == ("K5",)

@@ -26,7 +26,6 @@ def _catalog():
 RECORDS = [
     ("Point", lambda: Point(1, 2), "x"),
     ("LatticeQuad", lambda: SQUARE, "v"),
-    ("SideData", lambda: geometry.side_data(SQUARE), "sq"),
     ("QuadClassification", lambda: geometry.classify(SQUARE), "convex"),
     ("Diagonal", lambda: geometry.interior_diagonals(SQUARE).interior[0], "length"),
     ("DiagonalReport", lambda: geometry.interior_diagonals(SQUARE), "interior"),
@@ -34,7 +33,7 @@ RECORDS = [
     ("LeqCatalog", _catalog, "classes"),
     ("AuditReport", lambda: search.audit_theorems(_catalog()), "kites_found"),
     ("PellSolution", lambda: pell.PellSolution(2, 0), "n"),
-    ("PellSpec", lambda: pell.spec_by_name("K1"), "seeds"),
+    ("PellSpec", lambda: pell.SPECS["K1"], "seeds"),
     ("FamilyId", lambda: kites.FAMILIES["K1"], "q_sq"),
     ("KiteMember", lambda: kites.generate("K1", 1)[0], "A"),
     ("AuditOutcome", lambda: kites.audit_member(kites.generate("K1", 1)[0]), "passed"),
@@ -77,7 +76,7 @@ def test_sorts_by_field_order(unsorted, expected):
 
 
 REPLACE_CHECKS = [
-    (pell.spec_by_name("K1"), {"rec": 2}),
+    (pell.SPECS["K1"], {"rec": 2}),
     (cyclic.WxyzTriple(1, 5, 5), {"w": 0}),
     (cyclic.CyclicSolution((4, 4, 4, 4), (4, 4, 4, 4), ()), {"sides": (1, 1, 1, 1)}),
     (T345, {"area": 7}),
