@@ -206,7 +206,6 @@ _FLAGS = ("convex", "kite", "dart", "parallelogram", "trapezoid",
 
 def _cmd_search(args: argparse.Namespace) -> dict:
     _check_workers(args)
-    catalog = search.enumerate_leqs(args.p_max)
     rows = [
         {
             "signature": list(cls.signature),
@@ -224,15 +223,15 @@ def _cmd_search(args: argparse.Namespace) -> dict:
             },
             "embeddings_seen": cls.embeddings_seen,
         }
-        for cls in catalog.classes.values()
+        for cls in search.enumerate_leqs(args.p_max).values()
     ]
     return {
-        "json": lambda: {"p_max": catalog.p_max, "classes": rows},
+        "json": lambda: {"p_max": args.p_max, "classes": rows},
         "csv": lambda: (["signature", "perimeter", *_FLAGS], [
             [" ".join(map(str, r["signature"])), r["perimeter"], *(r[flag] for flag in _FLAGS)]
             for r in rows
         ]),
-        "text": lambda: [f"{len(rows)} classes with perimeter <= {catalog.p_max}"] + [
+        "text": lambda: [f"{len(rows)} classes with perimeter <= {args.p_max}"] + [
             f"P={r['perimeter']:>3} sig={tuple(r['signature'])} "
             f"rep={[tuple(v) for v in r['vertices']]}"
             for r in rows
@@ -242,7 +241,7 @@ def _cmd_search(args: argparse.Namespace) -> dict:
 
 def _cmd_audit(args: argparse.Namespace) -> dict:
     _check_workers(args)
-    report = search.audit_theorems(search.enumerate_leqs(args.p_max))
+    report = search.audit_theorems(args.p_max)
     kites_match = report.kites_found == report.kites_expected
     payload = {
         "p_max": report.p_max,

@@ -112,21 +112,17 @@ class KiteMember(NamedTuple):
         return 2 * self.K_A
 
 
-def _family(family: FamilyId | str) -> FamilyId:
-    return family if isinstance(family, FamilyId) else FAMILIES[family]
-
-
-def member(family: FamilyId | str, sol: pell.PellSolution) -> KiteMember:
-    """Materialize the family row for one Pell solution.
+def member(tag: str, sol: pell.PellSolution) -> KiteMember:
+    """Materialize the row of family `tag` for one Pell solution.
 
     The solution must satisfy the family's equation; K2 rejects n = 1, whose
     kite duplicates the K1 rhombus.
     """
-    fam = _family(family)
-    spec = pell.SPECS[fam.tag]
+    fam = FAMILIES[tag]
+    spec = pell.SPECS[tag]
     if not spec.satisfies(sol.n, sol.i):
-        raise ValueError(f"{sol} does not satisfy the {fam.tag} equation")
-    if fam.tag == "K2" and sol.n == 1:
+        raise ValueError(f"{sol} does not satisfy the {tag} equation")
+    if tag == "K2" and sol.n == 1:
         raise FamilyExclusionError("K2 requires n > 1; the n = 1 kite is the K1 rhombus")
 
     scale = Fraction(fam.m_n * sol.n + fam.m_i * sol.i, fam.m_den)
@@ -139,11 +135,11 @@ def member(family: FamilyId | str, sol: pell.PellSolution) -> KiteMember:
     cx, cy = mx - hx, my - hy
     # always lattice points by the parity facts of the equations
     if ax.denominator != 1 or ay.denominator != 1 or cx.denominator != 1 or cy.denominator != 1:
-        raise InconsistencyError(f"{fam.tag}{sol}: A or C is not a lattice point")
+        raise InconsistencyError(f"{tag}{sol}: A or C is not a lattice point")
     a_len, rem_a = divmod(fam.a_n * sol.n + fam.a_i * sol.i, fam.ab_den)
     b_len, rem_b = divmod(fam.a_n * sol.n - fam.a_i * sol.i, fam.ab_den)
     if rem_a or rem_b:
-        raise InconsistencyError(f"{fam.tag}{sol}: side lengths are not integers")
+        raise InconsistencyError(f"{tag}{sol}: side lengths are not integers")
 
     return KiteMember(
         family=fam,
@@ -160,25 +156,24 @@ def member(family: FamilyId | str, sol: pell.PellSolution) -> KiteMember:
     )
 
 
-def iter_members(family: FamilyId | str) -> Iterator[KiteMember]:
-    fam = _family(family)
-    for sol in pell.iter_solutions(pell.SPECS[fam.tag]):
-        if fam.tag == "K2" and sol.n == 1:
+def iter_members(tag: str) -> Iterator[KiteMember]:
+    for sol in pell.iter_solutions(pell.SPECS[tag]):
+        if tag == "K2" and sol.n == 1:
             continue
-        yield member(fam, sol)
+        yield member(tag, sol)
 
 
-def generate(family: FamilyId | str, count: int) -> list[KiteMember]:
+def generate(tag: str, count: int) -> list[KiteMember]:
     """First `count` admissible members in increasing n."""
     if count < 1:
         raise ValueError("count must be positive")
-    return list(islice(iter_members(family), count))
+    return list(islice(iter_members(tag), count))
 
 
-def members_within_perimeter(family: FamilyId | str, p_max: int) -> list[KiteMember]:
+def members_within_perimeter(tag: str, p_max: int) -> list[KiteMember]:
     """All members with perimeter (= area = 2*K_A) at most p_max."""
     out = []
-    for km in iter_members(family):
+    for km in iter_members(tag):
         if km.perimeter > p_max:
             break
         out.append(km)

@@ -62,6 +62,8 @@ class PellSpec(Checked, _PellSpec):
                 raise ValueError(f"seed {s} is not nonnegative")
             if not self.satisfies(s.n, s.i):
                 raise ValueError(f"seed {s} does not satisfy {self.name}")
+        if len(self.seeds) < 2:
+            raise ValueError(f"{self.name}: need at least two seeds to run the recurrence")
 
     def satisfies(self, n: int, i: int) -> bool:
         return self.alpha * n * n - self.beta * i * i == self.gamma
@@ -88,10 +90,7 @@ def iter_solutions(spec: PellSpec) -> Iterator[PellSolution]:
     indefinitely.  Raises PellInconsistencyError if an extended pair fails the
     equation (a wrong spec, not bad input).
     """
-    if len(spec.seeds) < 2:
-        raise ValueError(f"{spec.name}: need at least two seeds to run the recurrence")
-    for s in spec.seeds:
-        yield s
+    yield from spec.seeds
     prev, last = spec.seeds[-2], spec.seeds[-1]
     while True:
         nxt = PellSolution(spec.rec * last.n - prev.n, spec.rec * last.i - prev.i)

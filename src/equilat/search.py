@@ -101,7 +101,6 @@ from equilat.geometry import (
 
 __all__ = [
     "LeqClass",
-    "LeqCatalog",
     "AuditReport",
     "integer_norm_vectors",
     "enumerate_leqs",
@@ -333,42 +332,9 @@ class LeqClass(NamedTuple):
         return sum(map(isqrt, self.signature[:4]))
 
 
-class LeqCatalog:
-    """Deduplicated classes keyed by congruence signature.  Immutable;
-    compared by identity."""
-
-    __slots__ = ("p_max", "classes")
-    p_max: int
-    classes: dict[tuple, LeqClass]
-
-    def __init__(self, p_max: int, classes: dict[tuple, LeqClass] | None = None) -> None:
-        object.__setattr__(self, "p_max", p_max)
-        object.__setattr__(self, "classes", {} if classes is None else classes)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return LeqCatalog, (self.p_max, self.classes)
-
-    def __repr__(self) -> str:
-        return f"LeqCatalog(p_max={self.p_max!r}, classes={self.classes!r})"
-
-    def signatures(self) -> set[tuple]:
-        return set(self.classes)
-
-    def __contains__(self, sig: tuple) -> bool:
-        return tuple(sig) in self.classes
-
-    def __len__(self) -> int:
-        return len(self.classes)
-
-
-def enumerate_leqs(p_max: int) -> LeqCatalog:
-    """Complete catalog of LEQ classes with perimeter <= p_max."""
+def enumerate_leqs(p_max: int) -> dict[tuple, LeqClass]:
+    """Complete catalog of LEQ classes with perimeter <= p_max, keyed by
+    signature in increasing signature order."""
     if not P_MAX_MIN <= p_max <= P_MAX_MAX:
         raise ValueError(f"p_max must lie in [{P_MAX_MIN}, {P_MAX_MAX}]")
     chains: dict[tuple, set[tuple[int, ...]]] = {}
@@ -391,11 +357,11 @@ def enumerate_leqs(p_max: int) -> LeqCatalog:
             diagonals=interior_diagonals(rep),
             embeddings_seen=len(chains[sig]),
         )
-    return LeqCatalog(p_max=p_max, classes=classes)
+    return classes
 
 
 @lru_cache(maxsize=8)
-def get_catalog(p_max: int = 42) -> LeqCatalog:
+def get_catalog(p_max: int) -> dict[tuple, LeqClass]:
     """Catalog cached for the life of the process."""
     return enumerate_leqs(p_max)
 
@@ -430,13 +396,13 @@ class AuditReport(NamedTuple):
         return [name for name, ok in checks if not ok]
 
 
-def audit_theorems(catalog: LeqCatalog) -> AuditReport:
-    """Compare the catalog at its bound against the closed-form kite families,
+def audit_theorems(p_max: int) -> AuditReport:
+    """Compare the catalog at p_max against the closed-form kite families,
     the equable trapezoids, the cyclic solutions and the one rational interior
     diagonal, and audit every closed-form kite from its coordinates."""
     from equilat.figures import NAMED_QUADS  # so that search alone never runs figures
 
-    p_max = catalog.p_max
+    catalog = enumerate_leqs(p_max)
     # The one class with a rational interior diagonal: the right trapezoid with
     # sides 6, 4, 3, 5, whose diagonal of length 5 cuts off a 3-4-5 triangle.
     rational_diagonal = NAMED_QUADS["right-trapezoid-6-4-3-5"]
@@ -466,7 +432,7 @@ def audit_theorems(catalog: LeqCatalog) -> AuditReport:
         ),
         diagonal_exceptions=tuple(
             (sig, diag.length)
-            for sig, cls in sorted(catalog.classes.items())
+            for sig, cls in catalog.items()
             for diag in cls.diagonals.interior
             if diag.rational
         ),
@@ -476,8 +442,6 @@ def audit_theorems(catalog: LeqCatalog) -> AuditReport:
     )
 
 
-def _found(catalog: LeqCatalog, flag: str) -> frozenset[tuple]:
+def _found(catalog: dict[tuple, LeqClass], flag: str) -> frozenset[tuple]:
     """Signatures of the catalog classes whose classification sets `flag`."""
-    return frozenset(
-        sig for sig, cls in catalog.classes.items() if getattr(cls.classification, flag)
-    )
+    return frozenset(sig for sig, cls in catalog.items() if getattr(cls.classification, flag))

@@ -142,7 +142,7 @@ def test_criterion_6_search_audit_42():
         assert perimeter(NAMED_QUADS["kite-3-15"]) == 36
         assert perimeter(NAMED_QUADS["dart-10-5"]) == 30
 
-        report = search.audit_theorems(catalog)
+        report = search.audit_theorems(42)
         assert report.failed == []
         assert report.kites_found == report.kites_expected
         assert report.cyclic_found == {

@@ -311,8 +311,8 @@ class TestSearchAndAudit:
         _, expected_out, _ = _run(capsys, "audit", "--p-max", "42", "--format", "json")
         real = search.audit_theorems
 
-        def missing_kite(catalog):
-            report = real(catalog)
+        def missing_kite(p_max):
+            report = real(p_max)
             return report._replace(
                 kites_expected=report.kites_expected | {(1, 1, 1, 1, 2, 2)}
             )
@@ -347,8 +347,8 @@ class TestSearchAndAudit:
         _, expected_out, _ = _run(capsys, *argv)
         real = search.audit_theorems
 
-        def corrupted(catalog):
-            report = real(catalog)
+        def corrupted(p_max):
+            report = real(p_max)
             return report._replace(**corrupt(report))
 
         monkeypatch.setattr(search, "audit_theorems", corrupted)

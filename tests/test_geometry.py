@@ -303,7 +303,7 @@ class TestSignature:
 class TestRealize:
     def test_every_catalog_class_up_to_100(self):
         # the search catalog is the oracle: each class realizes as itself
-        for sig in get_catalog(100).classes:
+        for sig in get_catalog(100):
             assert signature(realize(sig[:4], sig[4:])) == sig
 
     @pytest.mark.parametrize(

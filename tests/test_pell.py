@@ -100,6 +100,12 @@ def test_seed_validation():
         PellSpec("bad", 1, 5, 4, (PellSolution(2, 1),), 3)
 
 
+def test_one_seed_is_rejected_when_built():
+    # the recurrence needs two seeds, so a spec with one could never stream
+    with pytest.raises(ValueError, match="need at least two seeds"):
+        PellSpec("one-seed", 1, 5, 4, (PellSolution(2, 0),), 3)
+
+
 @pytest.mark.parametrize(
     "args, message",
     [

@@ -18,10 +18,6 @@ SQUARE = quad((0, 0), (4, 0), (4, 4), (0, 4))
 T345 = trapezoids.HeronianTriangle.from_sides(3, 4, 5)
 
 
-def _catalog():
-    return search.get_catalog(42)
-
-
 # (record, a factory for one instance, a field to assign)
 RECORDS = [
     ("Point", lambda: Point(1, 2), "x"),
@@ -29,9 +25,8 @@ RECORDS = [
     ("QuadClassification", lambda: geometry.classify(SQUARE), "convex"),
     ("Diagonal", lambda: geometry.interior_diagonals(SQUARE).interior[0], "length"),
     ("DiagonalReport", lambda: geometry.interior_diagonals(SQUARE), "interior"),
-    ("LeqClass", lambda: next(iter(_catalog().classes.values())), "embeddings_seen"),
-    ("LeqCatalog", _catalog, "classes"),
-    ("AuditReport", lambda: search.audit_theorems(_catalog()), "kites_found"),
+    ("LeqClass", lambda: next(iter(search.get_catalog(42).values())), "embeddings_seen"),
+    ("AuditReport", lambda: search.audit_theorems(42), "kites_found"),
     ("PellSolution", lambda: pell.PellSolution(2, 0), "n"),
     ("PellSpec", lambda: pell.SPECS["K1"], "seeds"),
     ("FamilyId", lambda: kites.FAMILIES["K1"], "q_sq"),
@@ -100,7 +95,7 @@ def test_every_exported_record_is_checked_here():
     exported = [getattr(m, name) for m in modules for name in getattr(m, "__all__", ())]
     types = [cls for cls in exported if isinstance(cls, type)]
     records = {cls.__name__ for cls in types if issubclass(cls, tuple)}
-    assert records == {name for name, _, _ in RECORDS} - {"LeqCatalog"}
+    assert records == {name for name, _, _ in RECORDS}
     checked = {cls.__name__ for cls in types if issubclass(cls, Checked)}
     assert checked == {type(r).__name__ for r, _ in REPLACE_CHECKS} | {"LatticeQuad"}
 
@@ -132,10 +127,3 @@ class TestLatticeQuadIdentity:
     def test_copies_are_equal(self):
         assert copy.deepcopy(SQUARE) == SQUARE
         assert pickle.loads(pickle.dumps(SQUARE)) == SQUARE
-
-
-def test_catalogs_compare_by_identity():
-    first, second = search.enumerate_leqs(20), search.enumerate_leqs(20)
-    assert first == first and first != second
-    assert first.classes == second.classes
-    assert pickle.loads(pickle.dumps(first)).classes == first.classes

@@ -219,7 +219,7 @@ def test_windowed_join_matches_unwindowed(p_max):
 
 def test_smallest_class_is_the_square():
     assert list(_equable_quads(15)) == [] == _unwindowed_join(15)
-    assert enumerate_leqs(16).signatures() == {signature(NAMED_QUADS["square-4"])}
+    assert set(enumerate_leqs(16)) == {signature(NAMED_QUADS["square-4"])}
 
 
 def _all_images_anchored_chains(
@@ -263,11 +263,12 @@ def _flat(q) -> tuple[int, ...]:
 def test_join_matches_anchored_walk(p_max):
     walk = _anchored_walk(p_max)
     cat = enumerate_leqs(p_max)
-    assert cat.signatures() == set(walk)
+    assert set(cat) == set(walk)
+    assert list(cat) == sorted(cat)  # callers rely on signature order
     placements = catalog_placements(p_max)
     assert {sig: [_flat(e) for e in quads] for sig, quads in placements.items()} == walk
     for sig, flats in walk.items():
-        cls = cat.classes[sig]
+        cls = cat[sig]
         assert _flat(cls.representative) == flats[0]
         assert cls.embeddings_seen == len(flats)
 
@@ -285,38 +286,36 @@ class TestEnumerateLeqs:
     def test_symmetry_reduction_is_complete(self):
         # full enumeration with no canonical-first-edge reduction finds the
         # same congruence classes
-        assert get_catalog(20).signatures() == _unrestricted_class_set(20)
+        assert set(get_catalog(20)) == _unrestricted_class_set(20)
 
     def test_rerun_with_smaller_bound_is_prefix(self):
         big = get_catalog(42)
         for p in (16, 20, 30):
             small = get_catalog(p)
-            expected = {s for s, c in big.classes.items() if c.perimeter <= p}
-            assert small.signatures() == expected
+            expected = {s for s, c in big.items() if c.perimeter <= p}
+            assert set(small) == expected
 
     def test_representatives_are_valid(self):
-        cat = get_catalog(42)
-        for sig, cls in cat.classes.items():
+        for sig, cls in get_catalog(42).items():
             rep = cls.representative
             assert is_simple(rep.v)
             assert is_equable(rep)
             assert twice_area(rep) > 0
             assert signature(rep) == sig
             sides = [isqrt(s) for s in sig[:4]]
-            assert all(1 <= s <= cat.p_max - 3 for s in sides)
-            assert cls.perimeter <= cat.p_max
+            assert all(1 <= s <= 42 - 3 for s in sides)
+            assert cls.perimeter <= 42
 
     def test_parallelogram_diagonals_all_irrational(self):
-        cat = get_catalog(42)
-        for cls in cat.classes.values():
+        for cls in get_catalog(42).values():
             if cls.classification.is_parallelogram:
                 assert all(not d.rational for d in cls.diagonals.interior)
 
     def test_embeddings_are_the_counted_placements(self):
         cat = get_catalog(42)
         placements = catalog_placements(42)
-        assert placements.keys() == cat.classes.keys()
-        for sig, cls in cat.classes.items():
+        assert placements.keys() == cat.keys()
+        for sig, cls in cat.items():
             assert len(placements[sig]) == cls.embeddings_seen
             assert all(signature(e) == sig for e in placements[sig])
 
@@ -328,7 +327,7 @@ class TestEnumerateLeqs:
 
 @pytest.fixture()
 def report() -> AuditReport:
-    return audit_theorems(get_catalog(42))
+    return audit_theorems(42)
 
 
 class TestAudit:
@@ -369,13 +368,13 @@ class TestAudit:
         assert all(outcome.passed for outcome in report.kite_audits)
 
     def test_no_check_fails_at_any_small_bound(self):
-        failed = {p: audit_theorems(enumerate_leqs(p)).failed for p in range(P_MAX_MIN, 61)}
+        failed = {p: audit_theorems(p).failed for p in range(P_MAX_MIN, 61)}
         assert failed == {p: [] for p in range(P_MAX_MIN, 61)}
 
     def test_rational_diagonal_expected_from_its_perimeter(self):
         exception = ((signature(NAMED_QUADS["right-trapezoid-6-4-3-5"]), 5),)
-        assert audit_theorems(enumerate_leqs(17)).diagonal_exceptions_expected == ()
-        assert audit_theorems(enumerate_leqs(18)).diagonal_exceptions_expected == exception
+        assert audit_theorems(17).diagonal_exceptions_expected == ()
+        assert audit_theorems(18).diagonal_exceptions_expected == exception
 
     @pytest.mark.parametrize(
         "field, corrupt",
@@ -394,9 +393,8 @@ class TestAudit:
 
 @pytest.mark.slow
 def test_audit_at_the_cap():
-    cat = get_catalog(P_MAX_MAX)
-    report = audit_theorems(cat)
-    assert len(cat) == 405
+    report = audit_theorems(P_MAX_MAX)
+    assert len(get_catalog(P_MAX_MAX)) == 405
     assert report.failed == []
     assert report.kites_found == report.kites_expected
     assert len(report.kites_found) == 11
