@@ -51,7 +51,10 @@ def _commands() -> list[tuple[str, ...]]:
     return out
 
 
-SLOW = [("audit", "--p-max", "1000", "--format", "json")]
+SLOW = [
+    ("audit", "--p-max", "1000", "--format", "json"),
+    ("search", "--p-max", "1000", "--format", "json"),
+]
 
 
 def _digest(argv: tuple[str, ...]) -> str:
