@@ -20,8 +20,7 @@ the edge table and the diagonals.
 
 The area bounds the half-chains too.  Each half's cross product is at least
 1, and the two sum to twice the area, that is 2 * perimeter <= 2 p_max, so
-each lies in [1, T] with T = 2 p_max - 1.  With x2 = dx - x1,
-cross = x1*dy - dx*y1 = x1*y2 - x2*y1.
+each lies in [1, T] with T = 2 p_max - 1.
 
 Axis edges need no lookup: with half = (p_max - 1) // 2 the longest side,
 (x, 0) and (0, y) are edges for every 1 <= |x|, |y| <= half, so the edge
@@ -47,23 +46,25 @@ and the bound with 0 <= dy <= dx leaves four cases:
 
 The last two cases read column dx directly.  For the first two, each
 partner enters an active list at the first column of its range and leaves
-it after the last, so a column of diagonals costs O(its half-chains) and the
-buckets still hold one column at a time.
+it after the last, so a column of diagonals costs O(its half-chains).
 
-Pairs of off-axis edges are listed through two windows on the table's
-columns, each an O(1) slice of a column sorted by y:
+Half-chains of two off-axis edges come from pairs of directions.  Each
+off-axis edge is i*g(P) with i >= 1, P = (x, y) a primitive base with
+x > y > 0, and g one of the eight lattice symmetries, whose images of P are
+distinct.  So g is fixed by v1, and each half-chain (v1, v2) is the image
+under g of exactly one (i*P, j*q), q an image of the base Q of v2.  A
+rotation keeps cross(i*P, j*q) = i*j*c, c = cross(P, q), and a reflection
+negates it, so g is a rotation when c > 0 and a reflection when c < 0; of
+the four of that kind exactly one moves d0 = i*P + j*q into the quadrant
+dx > 0, dy >= 0, and the half-chain is kept when d lands in the eighth.
+Hence each one is listed once.  For P = (x1, y1) and Q = (x2, y2) the eight
+images q give only four values of |c|: |x1*y2 - y1*x2|, x1*y2 + y1*x2,
+|x1*x2 - y1*y2| and x1*x2 + y1*y2, so a pair of bases whose two differences
+exceed T is skipped at once, and otherwise 1 <= |c|*i*j <= T bounds i, j.
 
-- y1, per pair of columns (x1, x2): 0 <= dy <= dx puts dx*y1 within
-  [min(0, x1)*dx - T, max(0, x1)*dx - 1], so
-  min(0, x1) - T // dx <= y1 <= max(0, x1) - 1; and |y2| <= ymax2, the
-  largest |y| in column x2, puts x2*y1 within [-|x1|*ymax2 - T, |x1|*ymax2 - 1].
-- y2, per v1: -y1 <= y2 <= dx - y1, |y2| <= ymax2 and
-  x2*y1 + 1 <= x1*y2 <= x2*y1 + T, whose ends swap when dividing by x1 < 0.
-
-The cases and windows restate the bound exactly, so the join finds the hits
-of the unwindowed pairing of every v1 with every v2, one of each turned pair;
-that pairing stays in the tests as an oracle.  At 1000 both list 70 810
-pairs (v1, v2) within the bound; the unwindowed pairing tries 11.1 million.
+The cases and the direction pairs restate the bound exactly, so the join
+finds the hits of pairing every v1 with every v2 = d - v1 without the bound,
+which the tests keep as an oracle, one of each turned pair.
 
 Each hit is written out in the placements the eight lattice symmetries give
 it, from every vertex whose outgoing edge is a longest edge and lies in the
@@ -79,9 +80,7 @@ vertex of the placement that anchors it.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from functools import lru_cache
-from itertools import accumulate
 from math import gcd, isqrt
 from typing import NamedTuple
 
@@ -136,49 +135,94 @@ def integer_norm_vectors(max_len: int) -> list[tuple[int, int, int]]:
     return out
 
 
+def _off_axis_half_chains(p_max: int, edges: list[tuple[int, int, int]]) -> dict[int, list]:
+    """Per column dx of diagonals, the half-chains 0 -> v1 -> d of two
+    off-axis edges as (dy, k, x1, y1, l1, l2), k = cross(v1, v2) - 2(l1 + l2):
+    every such half-chain whose diagonal d lies in the eighth dx > 0,
+    0 <= dy <= dx, whose cross product lies in [1, 2 p_max - 1] and whose
+    other half has room, once.  `edges` is the edge table
+    integer_norm_vectors((p_max - 1) // 2).  The module docstring derives the
+    pairs of directions."""
+    half = (p_max - 1) // 2
+    top = 2 * p_max - 1
+    out: dict[int, list] = {dx: [] for dx in range(1, half + 1)}
+    bases = [(x, y, r) for x, y, r in edges if x > y > 0 and gcd(x, y) == 1]
+    for x1, y1, r1 in bases:
+        for x2, y2, r2 in bases:
+            a, b, e, f = x1 * y2, y1 * x2, x1 * x2, y1 * y2
+            if abs(a - b) > top and abs(e - f) > top:
+                continue  # a + b and e + f are larger still
+            for qx, qy, c in (
+                (x2, y2, a - b), (-x2, -y2, b - a), (-x2, y2, a + b), (x2, -y2, -a - b),
+                (y2, x2, e - f), (-y2, -x2, f - e), (-y2, x2, e + f), (y2, -x2, -e - f),
+            ):
+                # A reflection through y = x first turns c < 0 into -c > 0,
+                # so a rotation finishes either symmetry.
+                px, py = x1, y1
+                if c < 0:
+                    px, py, qx, qy, c = y1, x1, qy, qx, -c
+                if not 1 <= c <= top:
+                    continue
+                for i in range(1, min(half // r1, top // c) + 1):
+                    ux, uy, l1 = i * px, i * py, i * r1
+                    for j in range(1, min(half // r2, top // (c * i)) + 1):
+                        sx, sy = ux + j * qx, uy + j * qy
+                        # The one rotation that moves d0 = (sx, sy) into the
+                        # quadrant dx > 0, dy >= 0, applied to d0 and v1.  p
+                        # lies in the open first quadrant and q less than a
+                        # half-turn after it, so d0 is never in the fourth.
+                        if sx > 0 and sy >= 0:
+                            dx, dy, vx, vy = sx, sy, ux, uy
+                        elif sy > 0:
+                            dx, dy, vx, vy = sy, -sx, uy, -ux
+                        else:
+                            dx, dy, vx, vy = -sx, -sy, -ux, -uy
+                        if dy > dx:
+                            continue
+                        l2 = j * r2
+                        # The other half needs more than |d|, so dx <= half.
+                        rest = p_max - l1 - l2
+                        if rest * rest > dx * dx + dy * dy:
+                            out[dx].append((dy, c * i * j - 2 * (l1 + l2), vx, vy, l1, l2))
+    return out
+
+
 def _equable_quads(p_max: int):
     """Yield (vertices, sides) for every counterclockwise equable quad
     (0, P1, d, P3) with integer sides and perimeter <= p_max whose interior
     diagonal d = P2 - P0 lies in the eighth dx > 0, 0 <= dy <= dx, but only
     one of each such quad and its 180-degree turn about d/2.  The module
     docstring derives the bound 1 <= cross(v1, v2) <= 2 p_max - 1 on the
-    half-chains, the windows on pairs of off-axis edges and the four cases
-    with an axis edge."""
+    half-chains, the four cases with an axis edge and the pairs of
+    directions that list the rest."""
     half = (p_max - 1) // 2  # every side and diagonal is shorter than p_max / 2
     top = 2 * p_max - 1  # the largest cross product a half-chain can have
-    # Column x of the edge table holds the (y, length) of its off-axis edges
-    # sorted by y, the largest y in it, and prefix counts over y in
-    # [-ymax, ymax]: the entries with lo <= y <= hi are
-    # col[start[lo + ymax]:start[hi + ymax + 1]].  The axis edges (x, 0) and
-    # (0, y) exist for every 1 <= |x|, |y| <= half and are not stored.
-    columns: list[list[tuple[int, int]]] = [[] for _ in range(2 * half + 1)]
-    for x, y, length in integer_norm_vectors(half):
-        if x and y:
-            columns[x + half].append((y, length))
-    table = []
+    edges = integer_norm_vectors(half)
+    # Column dx >= 1 of the edge table holds the (y, length) of its off-axis
+    # edges.  The axis edges (x, 0) and (0, y) exist for every
+    # 1 <= |x|, |y| <= half and are not stored.
+    columns: list[list[tuple[int, int]]] = [[] for _ in range(half + 1)]
     # An off-axis edge (x, y) with y >= 1 partners a horizontal edge over a
     # contiguous range lo..hi of diagonal columns dx.  after_h[lo] lists it,
     # with hi, as the v2 after a horizontal v1, before_h[lo] as the v1
     # before a horizontal v2.
     after_h: list[list[tuple[int, int, int, int]]] = [[] for _ in range(half + 1)]
     before_h: list[list[tuple[int, int, int, int]]] = [[] for _ in range(half + 1)]
-    for x, col in enumerate(columns, -half):
-        col.sort()
-        ymax = col[-1][0] if col else 0
-        counts = [0] * (2 * ymax + 2)
-        for y, length in col:
-            counts[y + ymax + 1] += 1
-            if y > 0:
-                # v2 = (x, y) after v1 = (dx - x, 0): 1 <= dx - x <= top // y
-                lo, hi = max(y, x + 1), min(half, x + min(half, top // y))
-                if lo <= hi:
-                    after_h[lo].append((x, y, length, hi))
-                # v1 = (x, y) before v2 = (dx - x, 0): 1 <= x - dx <= top // y
-                lo, hi = max(y, x - min(half, top // y)), min(half, x - 1)
-                if lo <= hi:
-                    before_h[lo].append((x, y, length, hi))
-        table.append((col, ymax, list(accumulate(counts))))
-    xs = [x for x, col in enumerate(columns, -half) if col]
+    for x, y, length in edges:
+        if not (x and y):
+            continue
+        if x > 0:
+            columns[x].append((y, length))
+        if y > 0:
+            # v2 = (x, y) after v1 = (dx - x, 0): 1 <= dx - x <= top // y
+            lo, hi = max(y, x + 1), min(half, x + min(half, top // y))
+            if lo <= hi:
+                after_h[lo].append((x, y, length, hi))
+            # v1 = (x, y) before v2 = (dx - x, 0): 1 <= x - dx <= top // y
+            lo, hi = max(y, x - min(half, top // y)), min(half, x - 1)
+            if lo <= hi:
+                before_h[lo].append((x, y, length, hi))
+    off_axis = _off_axis_half_chains(p_max, edges)
 
     active_after: list[tuple[int, int, int, int]] = []
     active_before: list[tuple[int, int, int, int]] = []
@@ -186,55 +230,9 @@ def _equable_quads(p_max: int):
         # Half-chains 0 -> v1 -> d right of d, for one column of diagonals at
         # a time, keyed by (dy, k).
         buckets: dict[tuple[int, int], list[tuple[int, int, int, int]]] = {}
+        for dy, k, x1, y1, l1, l2 in off_axis.pop(dx):
+            buckets.setdefault((dy, k), []).append((x1, y1, l1, l2))
         w = top // dx
-        # Both edges off-axis: v2 = d - v1 is drawn from column dx - x1.
-        for x1 in xs[bisect_left(xs, dx - half):]:  # x2 = dx - x1 <= half
-            x2 = dx - x1
-            col2, ymax2, start2 = table[x2 + half]
-            if not col2:
-                continue
-            col1, ymax1, start1 = table[x1 + half]
-            # y1 window: 0 <= dy <= dx, |y1| <= ymax1, and some |y2| <= ymax2
-            # must leave cross = x1*y2 - x2*y1 in [1, top].
-            lo, hi = (-w, x1 - 1) if x1 > 0 else (x1 - w, -1)
-            reach = (x1 if x1 > 0 else -x1) * ymax2
-            if x2 > 0:
-                lo_c, hi_c = -((reach + top) // x2), (reach - 1) // x2
-            else:
-                lo_c, hi_c = -((1 - reach) // x2), (-reach - top) // x2
-            # max() and min() calls cost more than these tests in this loop
-            if lo < lo_c:
-                lo = lo_c
-            if lo < -ymax1:
-                lo = -ymax1
-            if hi > hi_c:
-                hi = hi_c
-            if hi > ymax1:
-                hi = ymax1
-            if lo > hi:
-                continue
-            # y2 window per y1: 0 <= dy <= dx, |y2| <= ymax2 and
-            # x1*y2 in [x2*y1 + 1, x2*y1 + top]; dividing by x1 < 0 swaps the
-            # ends.
-            c_lo, c_hi = (1, top) if x1 > 0 else (top, 1)
-            for y1, l1 in col1[start1[lo + ymax1]:start1[hi + ymax1 + 1]]:
-                a = -y1 if y1 < ymax2 else -ymax2
-                b = dx - y1 if dx - y1 < ymax2 else ymax2
-                n = x2 * y1
-                t = -((-n - c_lo) // x1)
-                if t > a:
-                    a = t
-                t = (n + c_hi) // x1
-                if t < b:
-                    b = t
-                if a > b:
-                    continue
-                for y2, l2 in col2[start2[a + ymax2]:start2[b + ymax2 + 1]]:
-                    dy = y1 + y2
-                    rest = p_max - l1 - l2  # the other half needs more than |d|
-                    if rest * rest > dx * dx + dy * dy:
-                        key = (dy, x1 * y2 - x2 * y1 - 2 * (l1 + l2))
-                        buckets.setdefault(key, []).append((x1, y1, l1, l2))
         # v1 = (x1, 0), v2 = (x2, y2): cross = x1*y2.
         active_after = [e for e in active_after if e[3] >= dx] + after_h[dx]
         for x2, y2, l2, _ in active_after:
@@ -251,9 +249,10 @@ def _equable_quads(p_max: int):
             if rest * rest > dx * dx + y1 * y1:
                 key = (y1, l2 * y1 - 2 * (l1 + l2))
                 buckets.setdefault(key, []).append((x1, y1, l1, l2))
-        col, ymax, start = table[dx + half]
-        # v1 = (0, y1), v2 = (dx, y2): cross = -dx*y1, and y2 >= 1.
-        for y2, l2 in col[start[ymax + 1]:]:
+        col = columns[dx]
+        # v1 = (0, y1), v2 = (dx, y2): cross = -dx*y1; y1's range is empty
+        # unless y2 >= 1.
+        for y2, l2 in col:
             for y1 in range(max(-w, -y2), min(-1, dx - y2) + 1):
                 dy = y1 + y2
                 rest = p_max + y1 - l2

@@ -18,6 +18,7 @@ from equilat.search import (
     AuditReport,
     _anchored_chains,
     _equable_quads,
+    _off_axis_half_chains,
     audit_theorems,
     enumerate_leqs,
     get_catalog,
@@ -158,8 +159,8 @@ def _anchored_walk(p_max: int) -> dict[tuple, list[tuple[int, ...]]]:
 
 
 def _unwindowed_join(p_max: int) -> list:
-    """Reference oracle: the diagonal join before its half-chains were
-    windowed by the area bound.  For each diagonal column dx it pairs every
+    """Reference oracle: the diagonal join without the area bound on its
+    half-chains.  For each diagonal column dx it pairs every
     v1 with every v2 = d - v1 in the column dx - x1, keeps those with
     0 <= dy <= dx, a positive cross product and room for the other half, and
     joins bucket k with bucket -k.  Returns the sorted hits."""
@@ -215,6 +216,55 @@ def test_windowed_join_matches_unwindowed(p_max):
     assert len(seen) == len(hits)
     assert not [h for h in hits if _turned(h) != h and _turned(h) in seen]
     assert sorted(seen | set(map(_turned, hits))) == _unwindowed_join(p_max)
+
+
+def _off_axis_scan(p_max: int) -> list[tuple[int, ...]]:
+    """Reference oracle for `_off_axis_half_chains`: every pair (v1, v2) of
+    off-axis edges with cross(v1, v2) in [1, 2 p_max - 1], d = v1 + v2 in
+    0 <= dy <= dx <= half and room for the other half, as sorted
+    (dx, dy, key, x1, y1, l1, l2)."""
+    half = (p_max - 1) // 2
+    columns: dict[int, list[tuple[int, int]]] = {}
+    for x, y, length in _full_square_scan(half):
+        if x and y:
+            columns.setdefault(x, []).append((y, length))
+    out = []
+    for x1, col1 in columns.items():
+        for x2, col2 in columns.items():
+            dx = x1 + x2
+            if not 1 <= dx <= half:
+                continue
+            for y1, l1 in col1:
+                for y2, l2 in col2:
+                    dy = y1 + y2
+                    cross = x1 * y2 - y1 * x2
+                    rest = p_max - l1 - l2
+                    if (
+                        0 <= dy <= dx
+                        and 1 <= cross <= 2 * p_max - 1
+                        and rest * rest > dx * dx + dy * dy
+                    ):
+                        out.append((dx, dy, cross - 2 * (l1 + l2), x1, y1, l1, l2))
+    return sorted(out)
+
+
+@pytest.mark.parametrize(
+    "p_max", [*range(16, 61), 100, 150, 200, 401, pytest.param(1000, marks=pytest.mark.slow)]
+)
+def test_off_axis_pairs_match_scan(p_max):
+    # Each half-chain once, in the column of its diagonal, with its key.
+    columns = _off_axis_half_chains(p_max, integer_norm_vectors((p_max - 1) // 2))
+    assert set(columns) == set(range(1, (p_max - 1) // 2 + 1))
+    listed = [(dx, *chain) for dx, column in columns.items() for chain in column]
+    assert sorted(listed) == _off_axis_scan(p_max)
+
+
+@pytest.mark.parametrize(
+    "p_max, hits", [(200, 131), pytest.param(1000, 468, marks=pytest.mark.slow)]
+)
+def test_join_hit_counts(p_max, hits):
+    # The trace reports this count as search.canonical_signature.calls.
+    assert sum(1 for _ in _equable_quads(p_max)) == hits
 
 
 def test_smallest_class_is_the_square():
