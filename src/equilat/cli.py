@@ -347,7 +347,13 @@ def run(argv: list[str] | None = None) -> int:
     if getattr(args, "pretty", False) and args.format != "json":
         print(f"equilat {args.command}: --pretty needs --format json", file=sys.stderr)
         return 2
+    # Pell and kite values outgrow CPython's limit on int-to-str conversion
+    # (4300 digits by default, since 3.11): pell --count 3500 does.  So the
+    # command builds and writes its output without the limit.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
     try:
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
         out = _COMMANDS[args.command][0](args)
         data = out[args.format]()
         _emit(_SERIALIZERS[args.format](data, getattr(args, "pretty", False)), args.out)
@@ -357,6 +363,9 @@ def run(argv: list[str] | None = None) -> int:
     except KeyboardInterrupt:
         print(f"equilat {args.command}: interrupted", file=sys.stderr)
         return 130  # 128 + SIGINT, as shells report it
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
     if out.get("failed"):
         print(f"equilat {args.command}: failed cross-checks: {', '.join(out['failed'])}",
               file=sys.stderr)

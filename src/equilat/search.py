@@ -22,49 +22,34 @@ The area bounds the half-chains too.  Each half's cross product is at least
 1, and the two sum to twice the area, that is 2 * perimeter <= 2 p_max, so
 each lies in [1, T] with T = 2 p_max - 1.
 
-Axis edges need no lookup: with half = (p_max - 1) // 2 the longest side,
-(x, 0) and (0, y) are edges for every 1 <= |x|, |y| <= half, so the edge
-table holds only the off-axis edges, listed from Euclid's formula for the
-Pythagorean triples, and a half-chain with an axis edge is fixed by its other
-edge and the column dx.  Two horizontal or two vertical edges are collinear,
-and the bound with 0 <= dy <= dx leaves four cases:
-
-- v1 = (x1, 0): cross = x1*y2, so x1 >= 1, 1 <= y2 = dy <= dx and
-  x1 <= T // y2.  An off-axis v2 = (x2, y2) is thus the partner of a
-  horizontal v1 for the contiguous columns
-  max(y2, x2 + 1) <= dx <= min(half, x2 + min(half, T // y2)).
-- v2 = (x2, 0): cross = -x2*y1, so x2 <= -1, 1 <= y1 = dy <= dx and
-  -x2 <= T // y1; an off-axis v1 = (x1, y1) is the partner for
-  max(y1, x1 - min(half, T // y1)) <= dx <= min(half, x1 - 1).
-- v1 = (0, y1): dx = x2 and cross = -dx*y1, so for each off-axis v2 in
-  column dx, y1 runs over [max(-(T // dx), -y2), min(-1, dx - y2)], which
-  is empty unless y2 >= 1.
-- v2 = (0, y2): dx = x1 and cross = dx*y2, so for each v1 in column dx, y2
-  runs over [max(1, -y1), min(T // dx, dx - y1, half)].  Here v1 may be
-  horizontal: (dx, 0) then (0, y2) is the one half-chain of two axis edges,
-  since (0, y1) then (x2, 0) would have dy = y1 < 0.
-
-The last two cases read column dx directly.  For the first two, each
-partner enters an active list at the first column of its range and leaves
-it after the last, so a column of diagonals costs O(its half-chains).
-
-Half-chains of two off-axis edges come from pairs of directions.  Each
-off-axis edge is i*g(P) with i >= 1, P = (x, y) a primitive base with
-x > y > 0, and g one of the eight lattice symmetries, whose images of P are
-distinct.  So g is fixed by v1, and each half-chain (v1, v2) is the image
-under g of exactly one (i*P, j*q), q an image of the base Q of v2.  A
+Half-chains come from pairs of directions.  Every edge is i*g(P) with
+i >= 1, g one of the eight lattice symmetries and P = (x, y) a primitive
+base with x > y >= 0: the axis (1, 0) or a primitive Pythagorean direction
+from Euclid's formula.  So each half-chain (v1, v2) is the image under some
+g of (i*P, j*q), P the base of v1 and q an image of the base Q of v2.  A
 rotation keeps cross(i*P, j*q) = i*j*c, c = cross(P, q), and a reflection
 negates it, so g is a rotation when c > 0 and a reflection when c < 0; of
 the four of that kind exactly one moves d0 = i*P + j*q into the quadrant
-dx > 0, dy >= 0, and the half-chain is kept when d lands in the eighth.
-Hence each one is listed once.  For P = (x1, y1) and Q = (x2, y2) the eight
-images q give only four values of |c|: |x1*y2 - y1*x2|, x1*y2 + y1*x2,
-|x1*x2 - y1*y2| and x1*x2 + y1*y2, so a pair of bases whose two differences
-exceed T is skipped at once, and otherwise 1 <= |c|*i*j <= T bounds i, j.
+dx > 0, dy >= 0.  An off-axis base has eight distinct images, so v1 fixes
+g.  (1, 0) has four, each the image of one rotation and one reflection, so
+q runs over those four only, and P = (1, 0) takes only rotations.  Hence
+each half-chain with d in the quadrant is listed once.  For P = (x1, y1)
+and Q = (x2, y2) the eight images q give only four values of |c|:
+|x1*y2 - y1*x2|, x1*y2 + y1*x2, |x1*x2 - y1*y2| and x1*x2 + y1*y2, so a
+pair of bases whose two differences exceed T is skipped at once, and
+otherwise 1 <= |c|*i*j <= T bounds i, j.
 
-The cases and the direction pairs restate the bound exactly, so the join
-finds the hits of pairing every v1 with every v2 = d - v1 without the bound,
-which the tests keep as an oracle, one of each turned pair.
+Each pair of bases is taken once.  Reflecting a half-chain through y = x
+and reversing it keeps its cross product, lengths and key, swaps the bases
+of its edges and sends d = (dx, dy) to (dy, dx).  So for P != Q a
+half-chain of (P, Q) with dy >= dx gives one of (Q, P) in the eighth,
+except on the x-axis, where the mirror lies on the y-axis, outside the
+quadrant; there reflecting through the x-axis and reversing gives the
+half-chains of (Q, P) from those of (P, Q) with the same d.
+
+The pairs of directions restate the bound exactly, so the join finds the
+hits of pairing every v1 with every v2 = d - v1 without the bound, which
+the tests keep as an oracle, one of each turned pair.
 
 Each hit is written out in the placements the eight lattice symmetries give
 it, from every vertex whose outgoing edge is a longest edge and lies in the
@@ -80,6 +65,7 @@ vertex of the placement that anchors it.
 
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
 from math import gcd, isqrt
 from typing import NamedTuple
@@ -135,55 +121,71 @@ def integer_norm_vectors(max_len: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def _off_axis_half_chains(p_max: int, edges: list[tuple[int, int, int]]) -> dict[int, list]:
-    """Per column dx of diagonals, the half-chains 0 -> v1 -> d of two
-    off-axis edges as (dy, k, x1, y1, l1, l2), k = cross(v1, v2) - 2(l1 + l2):
-    every such half-chain whose diagonal d lies in the eighth dx > 0,
-    0 <= dy <= dx, whose cross product lies in [1, 2 p_max - 1] and whose
-    other half has room, once.  `edges` is the edge table
-    integer_norm_vectors((p_max - 1) // 2).  The module docstring derives the
-    pairs of directions."""
+def _half_chains(p_max: int, edges: list[tuple[int, int, int]]) -> dict[int, array]:
+    """Per column dx of diagonals, the half-chains 0 -> v1 -> d as flat runs
+    of (dy, k, x1, y1, l1, l2), k = cross(v1, v2) - 2(l1 + l2): every
+    half-chain whose diagonal d lies in the eighth dx > 0, 0 <= dy <= dx,
+    whose cross product lies in [1, 2 p_max - 1] and whose other half has
+    room, once.  `edges` is the edge table integer_norm_vectors((p_max - 1) // 2).
+    The module docstring derives the pairs of directions."""
     half = (p_max - 1) // 2
     top = 2 * p_max - 1
-    out: dict[int, list] = {dx: [] for dx in range(1, half + 1)}
-    bases = [(x, y, r) for x, y, r in edges if x > y > 0 and gcd(x, y) == 1]
-    for x1, y1, r1 in bases:
-        for x2, y2, r2 in bases:
+    out = {dx: array("q") for dx in range(1, half + 1)}
+    # put[dx] appends to column dx; fromlist resizes the array once, where
+    # extending it by a tuple grows it item by item at twice the cost.
+    put = [None, *(col.fromlist for col in out.values())]
+    # Longest first, so that the long loop over bases[n:] runs inside.
+    bases = [(x, y, r) for x, y, r in reversed(edges) if x > y >= 0 and gcd(x, y) == 1]
+    for n, (x1, y1, r1) in enumerate(bases):
+        for x2, y2, r2 in bases[n:]:
             a, b, e, f = x1 * y2, y1 * x2, x1 * x2, y1 * y2
             if abs(a - b) > top and abs(e - f) > top:
                 continue  # a + b and e + f are larger still
-            for qx, qy, c in (
+            images = (
                 (x2, y2, a - b), (-x2, -y2, b - a), (-x2, y2, a + b), (x2, -y2, -a - b),
                 (y2, x2, e - f), (-y2, -x2, f - e), (-y2, x2, e + f), (y2, -x2, -e - f),
-            ):
+            )
+            if not y2:
+                images = images[:2] + images[4:6]  # the four images of (1, 0)
+            swap = (x2, y2) != (x1, y1)
+            for qx, qy, c in images:
                 # A reflection through y = x first turns c < 0 into -c > 0,
                 # so a rotation finishes either symmetry.
                 px, py = x1, y1
                 if c < 0:
+                    if not y1:
+                        continue  # a rotation lists the same half-chains
                     px, py, qx, qy, c = y1, x1, qy, qx, -c
                 if not 1 <= c <= top:
                     continue
                 for i in range(1, min(half // r1, top // c) + 1):
-                    ux, uy, l1 = i * px, i * py, i * r1
-                    for j in range(1, min(half // r2, top // (c * i)) + 1):
-                        sx, sy = ux + j * qx, uy + j * qy
+                    ux, uy, l1, ci = i * px, i * py, i * r1, c * i
+                    for j in range(1, min(half // r2, top // ci) + 1):
+                        sx, sy, l2 = ux + j * qx, uy + j * qy, j * r2
+                        # The other half needs more than |d|, so dx, dy <= half.
+                        rest = p_max - l1 - l2
+                        if rest * rest <= sx * sx + sy * sy:
+                            continue
                         # The one rotation that moves d0 = (sx, sy) into the
                         # quadrant dx > 0, dy >= 0, applied to d0 and v1.  p
-                        # lies in the open first quadrant and q less than a
-                        # half-turn after it, so d0 is never in the fourth.
+                        # lies in the quadrant and q less than a half-turn
+                        # after it, so d0 is never in the open fourth.
                         if sx > 0 and sy >= 0:
                             dx, dy, vx, vy = sx, sy, ux, uy
                         elif sy > 0:
                             dx, dy, vx, vy = sy, -sx, uy, -ux
                         else:
                             dx, dy, vx, vy = -sx, -sy, -ux, -uy
-                        if dy > dx:
-                            continue
-                        l2 = j * r2
-                        # The other half needs more than |d|, so dx <= half.
-                        rest = p_max - l1 - l2
-                        if rest * rest > dx * dx + dy * dy:
-                            out[dx].append((dy, c * i * j - 2 * (l1 + l2), vx, vy, l1, l2))
+                        k = ci * j - 2 * (l1 + l2)
+                        if dy <= dx:
+                            put[dx]([dy, k, vx, vy, l1, l2])
+                        if swap:
+                            # The half-chains of (Q, P): mirrors through y = x,
+                            # and on the x-axis through the x-axis.
+                            if dy >= dx:
+                                put[dy]([dx, k, dy - vy, dx - vx, l2, l1])
+                            if not dy:
+                                put[dx]([0, k, dx - vx, vy, l2, l1])
     return out
 
 
@@ -193,80 +195,16 @@ def _equable_quads(p_max: int):
     diagonal d = P2 - P0 lies in the eighth dx > 0, 0 <= dy <= dx, but only
     one of each such quad and its 180-degree turn about d/2.  The module
     docstring derives the bound 1 <= cross(v1, v2) <= 2 p_max - 1 on the
-    half-chains, the four cases with an axis edge and the pairs of
-    directions that list the rest."""
+    half-chains and the pairs of directions that list them."""
     half = (p_max - 1) // 2  # every side and diagonal is shorter than p_max / 2
-    top = 2 * p_max - 1  # the largest cross product a half-chain can have
-    edges = integer_norm_vectors(half)
-    # Column dx >= 1 of the edge table holds the (y, length) of its off-axis
-    # edges.  The axis edges (x, 0) and (0, y) exist for every
-    # 1 <= |x|, |y| <= half and are not stored.
-    columns: list[list[tuple[int, int]]] = [[] for _ in range(half + 1)]
-    # An off-axis edge (x, y) with y >= 1 partners a horizontal edge over a
-    # contiguous range lo..hi of diagonal columns dx.  after_h[lo] lists it,
-    # with hi, as the v2 after a horizontal v1, before_h[lo] as the v1
-    # before a horizontal v2.
-    after_h: list[list[tuple[int, int, int, int]]] = [[] for _ in range(half + 1)]
-    before_h: list[list[tuple[int, int, int, int]]] = [[] for _ in range(half + 1)]
-    for x, y, length in edges:
-        if not (x and y):
-            continue
-        if x > 0:
-            columns[x].append((y, length))
-        if y > 0:
-            # v2 = (x, y) after v1 = (dx - x, 0): 1 <= dx - x <= top // y
-            lo, hi = max(y, x + 1), min(half, x + min(half, top // y))
-            if lo <= hi:
-                after_h[lo].append((x, y, length, hi))
-            # v1 = (x, y) before v2 = (dx - x, 0): 1 <= x - dx <= top // y
-            lo, hi = max(y, x - min(half, top // y)), min(half, x - 1)
-            if lo <= hi:
-                before_h[lo].append((x, y, length, hi))
-    off_axis = _off_axis_half_chains(p_max, edges)
-
-    active_after: list[tuple[int, int, int, int]] = []
-    active_before: list[tuple[int, int, int, int]] = []
+    columns = _half_chains(p_max, integer_norm_vectors(half))
     for dx in range(1, half + 1):
         # Half-chains 0 -> v1 -> d right of d, for one column of diagonals at
         # a time, keyed by (dy, k).
         buckets: dict[tuple[int, int], list[tuple[int, int, int, int]]] = {}
-        for dy, k, x1, y1, l1, l2 in off_axis.pop(dx):
+        it = iter(columns.pop(dx))
+        for dy, k, x1, y1, l1, l2 in zip(it, it, it, it, it, it):
             buckets.setdefault((dy, k), []).append((x1, y1, l1, l2))
-        w = top // dx
-        # v1 = (x1, 0), v2 = (x2, y2): cross = x1*y2.
-        active_after = [e for e in active_after if e[3] >= dx] + after_h[dx]
-        for x2, y2, l2, _ in active_after:
-            x1 = dx - x2
-            rest = p_max - x1 - l2
-            if rest * rest > dx * dx + y2 * y2:
-                key = (y2, x1 * y2 - 2 * (x1 + l2))
-                buckets.setdefault(key, []).append((x1, 0, x1, l2))
-        # v1 = (x1, y1), v2 = (x2, 0): cross = -x2*y1.
-        active_before = [e for e in active_before if e[3] >= dx] + before_h[dx]
-        for x1, y1, l1, _ in active_before:
-            l2 = x1 - dx
-            rest = p_max - l1 - l2
-            if rest * rest > dx * dx + y1 * y1:
-                key = (y1, l2 * y1 - 2 * (l1 + l2))
-                buckets.setdefault(key, []).append((x1, y1, l1, l2))
-        col = columns[dx]
-        # v1 = (0, y1), v2 = (dx, y2): cross = -dx*y1; y1's range is empty
-        # unless y2 >= 1.
-        for y2, l2 in col:
-            for y1 in range(max(-w, -y2), min(-1, dx - y2) + 1):
-                dy = y1 + y2
-                rest = p_max + y1 - l2
-                if rest * rest > dx * dx + dy * dy:
-                    key = (dy, -dx * y1 - 2 * (l2 - y1))
-                    buckets.setdefault(key, []).append((0, y1, -y1, l2))
-        # v1 = (dx, y1), v2 = (0, y2): cross = dx*y2; v1 may be (dx, 0).
-        for y1, l1 in ((0, dx), *col):
-            for y2 in range(max(1, -y1), min(w, dx - y1, half) + 1):
-                dy = y1 + y2
-                rest = p_max - l1 - y2
-                if rest * rest > dx * dx + dy * dy:
-                    key = (dy, dx * y2 - 2 * (l1 + y2))
-                    buckets.setdefault(key, []).append((dx, y1, l1, y2))
         # The left half (P2, P3, P0) negated is a right half (u1, u2) of the
         # same d; negation keeps both the cross product and the lengths.
         # Bucket 0 pairs each u with itself and the v after it.

@@ -237,6 +237,20 @@ class TestPell:
         assert [s[0] for s in rows["K1"]["solutions"]] == [2, 3, 7, 18, 47, 123]
         assert [s[0] for s in rows["K2"]["solutions"][:5]] == [1, 9, 161, 2889, 51841]
 
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit")
+    def test_past_the_int_str_limit(self, capsys):
+        # 640 is the lowest limit CPython takes; K2 passes 640 digits at index 512.
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, err = _run(capsys, "pell", "--count", "600", "--format", "json")
+            assert sys.get_int_max_str_digits() == 640  # restored after the command
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert (code, err) == (0, "")
+        rows = {r["name"]: r for r in json.loads(out)}
+        assert max(len(str(n)) for n, _ in rows["K2"]["solutions"]) > 640
+
 
 class TestKites:
     def test_k1_b_column(self, capsys):

@@ -18,7 +18,7 @@ from equilat.search import (
     AuditReport,
     _anchored_chains,
     _equable_quads,
-    _off_axis_half_chains,
+    _half_chains,
     audit_theorems,
     enumerate_leqs,
     get_catalog,
@@ -211,6 +211,8 @@ def _turned(hit):
 )
 def test_windowed_join_matches_unwindowed(p_max):
     # The join yields one of each hit and its turn; the oracle yields both.
+    # The join has no windows any more; the name stays so that the test ids
+    # stay stable.
     hits = list(_equable_quads(p_max))
     seen = set(hits)
     assert len(seen) == len(hits)
@@ -218,16 +220,15 @@ def test_windowed_join_matches_unwindowed(p_max):
     assert sorted(seen | set(map(_turned, hits))) == _unwindowed_join(p_max)
 
 
-def _off_axis_scan(p_max: int) -> list[tuple[int, ...]]:
-    """Reference oracle for `_off_axis_half_chains`: every pair (v1, v2) of
-    off-axis edges with cross(v1, v2) in [1, 2 p_max - 1], d = v1 + v2 in
-    0 <= dy <= dx <= half and room for the other half, as sorted
-    (dx, dy, key, x1, y1, l1, l2)."""
+def _half_chain_scan(p_max: int) -> list[tuple[int, ...]]:
+    """Reference oracle for `_half_chains`: every pair (v1, v2) of
+    integer-norm edges, axis edges included, with cross(v1, v2) in
+    [1, 2 p_max - 1], d = v1 + v2 in 0 <= dy <= dx <= half and room for the
+    other half, as sorted (dx, dy, key, x1, y1, l1, l2)."""
     half = (p_max - 1) // 2
     columns: dict[int, list[tuple[int, int]]] = {}
     for x, y, length in _full_square_scan(half):
-        if x and y:
-            columns.setdefault(x, []).append((y, length))
+        columns.setdefault(x, []).append((y, length))
     out = []
     for x1, col1 in columns.items():
         for x2, col2 in columns.items():
@@ -252,11 +253,15 @@ def _off_axis_scan(p_max: int) -> list[tuple[int, ...]]:
     "p_max", [*range(16, 61), 100, 150, 200, 401, pytest.param(1000, marks=pytest.mark.slow)]
 )
 def test_off_axis_pairs_match_scan(p_max):
-    # Each half-chain once, in the column of its diagonal, with its key.
-    columns = _off_axis_half_chains(p_max, integer_norm_vectors((p_max - 1) // 2))
+    # Every half-chain, axis edges included, once, in the column of its
+    # diagonal, with its key.  The name predates axis edges in the
+    # generator and stays so that the test ids stay stable.
+    columns = _half_chains(p_max, integer_norm_vectors((p_max - 1) // 2))
     assert set(columns) == set(range(1, (p_max - 1) // 2 + 1))
-    listed = [(dx, *chain) for dx, column in columns.items() for chain in column]
-    assert sorted(listed) == _off_axis_scan(p_max)
+    listed = [
+        (dx, *chain) for dx, column in columns.items() for chain in zip(*[iter(column)] * 6)
+    ]
+    assert sorted(listed) == _half_chain_scan(p_max)
 
 
 @pytest.mark.parametrize(
