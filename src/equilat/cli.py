@@ -57,7 +57,7 @@ def _check_workers(args: argparse.Namespace) -> None:
 
 
 def _quad_json(q: geometry.LatticeQuad | None) -> list[list[int]] | None:
-    return None if q is None else [[p.x, p.y] for p in q.v]
+    return None if q is None else [[p.x, p.y] for p in q]
 
 
 def to_json(payload, pretty: bool) -> str:
@@ -120,7 +120,7 @@ def _cmd_kites(args: argparse.Namespace) -> dict:
         {
             "family": tag, "n": km.sol.n, "i": km.sol.i,
             "A": list(km.A), "B": list(km.B), "C": list(km.C),
-            "K_A": km.K_A, "a": km.a, "b": km.b, "q_sq": km.q_sq,
+            "K_A": km.K_A, "a": km.a, "b": km.b, "q_sq": km.family.q_sq,
             "convexity": kites.convexity(km).value,
         }
         for tag in tags
@@ -191,7 +191,7 @@ def _cmd_cyclic(args: argparse.Namespace) -> dict:
         },
         "text": lambda: [f"{len(candidates)} candidates, {len(sols)} solutions"] + [
             f"wxyz={s.wxyz} sides={s.sides}: " + "; ".join(
-                f"{order}" + ("" if emb is None else f" -> {[(p.x, p.y) for p in emb.v]}")
+                f"{order}" + ("" if emb is None else f" -> {[(p.x, p.y) for p in emb]}")
                 for order, emb in s.orderings
             )
             for s in sols

@@ -20,7 +20,6 @@ from equilat.figures import place
 from equilat.geometry import LatticeQuad, exact_sqrt
 
 __all__ = [
-    "WxyzTriple",
     "CyclicSolution",
     "enumerate_candidates",
     "solve_z",
@@ -31,58 +30,27 @@ __all__ = [
     "solutions",
 ]
 
-def _within_y_bound(w: int, x: int, y: int) -> bool:
-    # integer form of y <= (w + x) / (sqrt(w x) - 2), finite since w x >= 5;
-    # the largest admissible y is 25
-    s = w + x + 2 * y
-    return w * x * y * y <= s * s
 
-
-class _WxyzTriple(NamedTuple):
-    w: int
-    x: int
-    y: int
-
-
-class WxyzTriple(Checked, _WxyzTriple):
-    """Candidate prefix (w, x, y) of a solution quadruple.
-
-    Construction checks the cheap constraints only; the y-bound that caps the
-    enumeration is exposed through `admissible`, so triples just past it can
-    still be probed with solve_z.
-    """
-
-    __slots__ = ()
-
-    def _check(self) -> None:
-        if not 0 < self.w <= self.x <= self.y:
-            raise ValueError("need 0 < w <= x <= y")
-        if not 5 <= self.w * self.x <= 16:
-            raise ValueError("need 5 <= w*x <= 16")
-
-    def admissible(self) -> bool:
-        return _within_y_bound(self.w, self.x, self.y)
-
-
-def enumerate_candidates() -> list[WxyzTriple]:
-    """All 63 admissible (w, x, y) triples, in lexicographic order."""
+def enumerate_candidates() -> list[tuple[int, int, int]]:
+    """All 63 admissible (w, x, y) triples, in lexicographic order: those with
+    0 < w <= x <= y, 5 <= w*x <= 16 and y <= (w + x) / (sqrt(w x) - 2), a
+    bound that is finite since w x >= 5 and admits y up to 25."""
     out = []
     for w in range(1, 5):
         for x in range(max(w, -(-5 // w)), 16 // w + 1):
             y = x
-            while _within_y_bound(w, x, y):
-                out.append(WxyzTriple(w, x, y))
+            while w * x * y * y <= (w + x + 2 * y) ** 2:  # the y bound in integers
+                out.append((w, x, y))
                 y += 1
     return out
 
 
-def solve_z(t: WxyzTriple) -> int | None:
+def solve_z(w: int, x: int, y: int) -> int | None:
     """Integer z with w*x*y*z = (w+x+y+z)^2 and y <= z < w+x+y, or None.
 
     Takes the negative square root branch; the positive branch never adds a
     solution (it only meets the z-bound when the discriminant vanishes).
     """
-    w, x, y = t.w, t.x, t.y
     wxy = w * x * y
     s = w + x + y
     disc = wxy * wxy - 4 * wxy * s
@@ -192,11 +160,11 @@ class CyclicSolution(Checked, _CyclicSolution):
 def solutions() -> list[CyclicSolution]:
     """All equable cyclic quadrilateral solutions, smallest w first."""
     out = []
-    for t in enumerate_candidates():
-        z = solve_z(t)
+    for w, x, y in enumerate_candidates():
+        z = solve_z(w, x, y)
         if z is None:
             continue
-        ws = (t.w, t.x, t.y, z)
+        ws = (w, x, y, z)
         a, b, c, d = sides(ws)
         side_desc = tuple(sorted((a, b, c, d), reverse=True))
         out.append(

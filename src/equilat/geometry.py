@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import NamedTuple, Sequence
 
-from equilat.errors import Checked, InvalidQuadError
+from equilat.errors import InvalidQuadError
 
 __all__ = [
     "Point",
@@ -96,19 +96,15 @@ def is_simple(points: Sequence[Point]) -> bool:
     return True
 
 
-class _LatticeQuad(NamedTuple):
-    v: tuple[Point, Point, Point, Point]
-
-
-class LatticeQuad(Checked, _LatticeQuad):
+class LatticeQuad(tuple):
     """Simple lattice quadrilateral in positive (counterclockwise) order: the
-    1-tuple of its vertex tuple `v`.
+    tuple of its four vertices.
 
     Any vertex order may be passed in; a clockwise list is reversed in place
     (keeping the first vertex first).  Self-intersecting or degenerate input
-    is rejected with InvalidQuadError rather than repaired.  The constructor
-    normalises as well as checks, so it replaces `Checked.__new__`; pickling,
-    copying and `_replace`, through `Checked._make`, still run it.
+    is rejected with InvalidQuadError rather than repaired.  Pickling and
+    copying pass the vertices back through `__new__` (tuple's
+    `__getnewargs__`), so they rerun the checks.
     """
 
     __slots__ = ()
@@ -119,9 +115,12 @@ class LatticeQuad(Checked, _LatticeQuad):
             raise InvalidQuadError("a quadrilateral needs exactly four vertices")
         if not is_simple(pts):
             raise InvalidQuadError(f"vertices {pts} do not bound a simple quadrilateral")
-        if _shoelace(pts) < 0:
+        if twice_area(pts) < 0:
             pts = (pts[0], pts[3], pts[2], pts[1])
-        return tuple.__new__(cls, (pts,))
+        return tuple.__new__(cls, pts)
+
+    def __repr__(self) -> str:
+        return f"LatticeQuad({tuple.__repr__(self)})"
 
 
 def quad(*points: Point | tuple[int, int]) -> LatticeQuad:
@@ -130,17 +129,13 @@ def quad(*points: Point | tuple[int, int]) -> LatticeQuad:
     return LatticeQuad(pts)
 
 
-def _shoelace(pts: Sequence[Point]) -> int:
+def twice_area(v: Sequence[Point]) -> int:
+    """Twice the signed area of the polygon v (shoelace); positive for a LatticeQuad."""
     total = 0
-    for i in range(len(pts)):
-        p, q_ = pts[i], pts[(i + 1) % len(pts)]
+    for i in range(len(v)):
+        p, q_ = v[i], v[(i + 1) % len(v)]
         total += p.x * q_.y - q_.x * p.y
     return total
-
-
-def twice_area(q: LatticeQuad) -> int:
-    """Twice the area of the quadrilateral (shoelace); always positive."""
-    return _shoelace(q.v)
 
 
 def _sides_sq(v: Sequence[Point]) -> tuple[int, int, int, int]:
@@ -150,7 +145,7 @@ def _sides_sq(v: Sequence[Point]) -> tuple[int, int, int, int]:
 
 def perimeter(q: LatticeQuad) -> int | None:
     """Integer perimeter, or None when some side has irrational length."""
-    roots = [exact_sqrt(s) for s in _sides_sq(q.v)]
+    roots = [exact_sqrt(s) for s in _sides_sq(q)]
     return None if None in roots else sum(roots)
 
 
@@ -188,10 +183,10 @@ def classify(q: LatticeQuad) -> QuadClassification:
     Trapezoid uses the exclusive definition (exactly one parallel pair), so a
     parallelogram is never a trapezoid.  A dart is a concave kite.
     """
-    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = q.v
-    ex = (x1 - x0, x2 - x1, x3 - x2, x0 - x3)  # edge i runs from v[i] to v[i + 1]
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = q
+    ex = (x1 - x0, x2 - x1, x3 - x2, x0 - x3)  # edge i runs from q[i] to q[i + 1]
     ey = (y1 - y0, y2 - y1, y3 - y2, y0 - y3)
-    reflex_index = _reflex_index(q.v)
+    reflex_index = _reflex_index(q)
     convex = reflex_index is None
 
     s0, s1, s2, s3 = (ex[i] * ex[i] + ey[i] * ey[i] for i in range(4))
@@ -203,7 +198,7 @@ def classify(q: LatticeQuad) -> QuadClassification:
     trapezoid = par02 != par13
     isosceles = trapezoid and ((par02 and s1 == s3) or (par13 and s0 == s2))
 
-    # the angle at v[i] is right when edges i - 1 and i are perpendicular
+    # the angle at q[i] is right when edges i - 1 and i are perpendicular
     right_at = [ex[i - 1] * ex[i] + ey[i - 1] * ey[i] == 0 for i in range(4)]
     right = trapezoid and any(right_at[i - 1] and right_at[i] for i in range(4))
 
@@ -227,11 +222,10 @@ def is_cyclic(q: LatticeQuad) -> bool:
     (x, y, x^2 + y^2, 1), reduced to a 3x3 integer determinant by
     subtracting the first row.
     """
-    v = q.v
     rows = []
-    x0, y0 = v[0].x, v[0].y
+    x0, y0 = q[0].x, q[0].y
     z0 = x0 * x0 + y0 * y0
-    for p in v[1:]:
+    for p in q[1:]:
         z = p.x * p.x + p.y * p.y
         rows.append((p.x - x0, p.y - y0, z - z0))
     (a1, b1, c1), (a2, b2, c2), (a3, b3, c3) = rows
@@ -279,8 +273,7 @@ def canonical_signature(
 
 def signature(q: LatticeQuad) -> tuple[int, int, int, int, int, int]:
     """Congruence signature of a quad; see canonical_signature."""
-    v = q.v
-    return canonical_signature(_sides_sq(v), (v[0].dist_sq(v[2]), v[1].dist_sq(v[3])))
+    return canonical_signature(_sides_sq(q), (q[0].dist_sq(q[2]), q[1].dist_sq(q[3])))
 
 
 def _circle_points(n: int) -> list[Point]:
@@ -331,7 +324,7 @@ class DiagonalReport(NamedTuple):
 
 
 def _diagonal(q: LatticeQuad, i: int, j: int) -> Diagonal:
-    sq = q.v[i].dist_sq(q.v[j])
+    sq = q[i].dist_sq(q[j])
     root = exact_sqrt(sq)
     return Diagonal((i, j), sq, root is not None, root)
 
@@ -343,7 +336,7 @@ def interior_diagonals(q: LatticeQuad) -> DiagonalReport:
     one reflex vertex; the diagonal through it is interior, the other lies
     outside the polygon.
     """
-    reflex = _reflex_index(q.v)
+    reflex = _reflex_index(q)
     d02 = _diagonal(q, 0, 2)
     d13 = _diagonal(q, 1, 3)
     if reflex is None:

@@ -101,8 +101,6 @@ class KiteMember(NamedTuple):
     K_A: int
     a: int
     b: int
-    q_sq: int
-    vieta: tuple[int, int, int]  # (k, m, n)
 
     def quad(self) -> LatticeQuad:
         return LatticeQuad((Point(0, 0), self.A, self.B, self.C))
@@ -151,8 +149,6 @@ def member(tag: str, sol: pell.PellSolution) -> KiteMember:
         K_A=fam.k_a * sol.n,
         a=a_len,
         b=b_len,
-        q_sq=fam.q_sq,
-        vieta=(fam.k, fam.m, sol.n),
     )
 
 
@@ -213,10 +209,10 @@ def audit_member(km: KiteMember) -> AuditOutcome:
         ("gcd", gcd(km.a, km.b) == fam.gcd_ab, f"gcd(a,b) != {fam.gcd_ab}")
     )
     checks.append(
-        ("q_sq", km.A.dist_sq(km.C) == km.q_sq == Fraction(16 * fam.k * fam.m**2, fam.k * fam.m**2 - 4),
-         f"|AC|^2 != {km.q_sq}")
+        ("q_sq", km.A.dist_sq(km.C) == fam.q_sq == Fraction(16 * fam.k * fam.m**2, fam.k * fam.m**2 - 4),
+         f"|AC|^2 != {fam.q_sq}")
     )
-    k, m, n = km.vieta
+    k, m, n = fam.k, fam.m, km.sol.n
     checks.append(
         ("vieta", km.a * km.b == k * (m * m + n * n) and km.a + km.b == k * m * n,
          "Vieta relations fail"),

@@ -7,6 +7,7 @@ from fractions import Fraction
 from math import ceil, floor
 
 from equilat.figures import NAMED_QUADS
+from equilat.geometry import reflect_point
 
 __all__ = ["UNIT", "FIGURE_PANELS", "figure_names", "render_figure"]
 
@@ -17,58 +18,62 @@ PANEL_GAP = 36  # px between panels
 _FILL = "#4c72b0"
 _GRID = "#b0b0b0"
 
+# parallelogram-failure: A reflected in the rectangle's diagonal OB is no lattice point
+_O, _A, _B, _ = NAMED_QUADS["rectangle-3-6"]
+_C = reflect_point(_A, _O, _B)
+
 # Figure compositions.  Each panel: polygons drawn with vertex labels,
 # optional dashed segments, optional marked (possibly non-lattice) points.
 FIGURE_PANELS: dict[str, list[dict]] = {
     "rhombus-pair": [
-        {"polygons": [NAMED_QUADS["rhombus-5"].v], "labels": ["O", "A", "B", "C"]},
-        {"polygons": [NAMED_QUADS["rhombus-5-alt"].v], "labels": ["O", "A", "B", "C"]},
+        {"polygons": [NAMED_QUADS["rhombus-5"]], "labels": ["O", "A", "B", "C"]},
+        {"polygons": [NAMED_QUADS["rhombus-5-alt"]], "labels": ["O", "A", "B", "C"]},
     ],
     "kite-3-15": [
         {
-            "polygons": [NAMED_QUADS["kite-3-15"].v],
+            "polygons": [NAMED_QUADS["kite-3-15"]],
             "labels": ["O", "A", "B", "C"],
             "dashed": [((0, 0), (12, 12))],
         },
     ],
     "trapezoid-20-4-15-3": [
         {
-            "polygons": [NAMED_QUADS["trapezoid-20-4-15-3"].v],
+            "polygons": [NAMED_QUADS["trapezoid-20-4-15-3"]],
             "labels": ["O", "A", "B", "C"],
             "dashed": [((0, 3), (4, 3))],
             "marks": [((4, 3), "A'")],
         },
     ],
     "right-trapezoids": [
-        {"polygons": [NAMED_QUADS["right-trapezoid-6-4-3-5"].v], "labels": ["O", "A", "B", "C"],
+        {"polygons": [NAMED_QUADS["right-trapezoid-6-4-3-5"]], "labels": ["O", "A", "B", "C"],
          "dashed": [((3, 0), (3, 4))], "marks": [((3, 0), "A'")]},
-        {"polygons": [NAMED_QUADS["right-trapezoid-10-3-6-5"].v], "labels": ["O", "A", "B", "C"],
+        {"polygons": [NAMED_QUADS["right-trapezoid-10-3-6-5"]], "labels": ["O", "A", "B", "C"],
          "dashed": [((4, 0), (4, 3))], "marks": [((4, 0), "A'")]},
     ],
     "isosceles-trapezoids": [
-        {"polygons": [NAMED_QUADS["isosceles-trapezoid-8-5-2-5"].v], "labels": ["O", "A", "B", "C"],
+        {"polygons": [NAMED_QUADS["isosceles-trapezoid-8-5-2-5"]], "labels": ["O", "A", "B", "C"],
          "dashed": [((6, 0), (3, 4))], "marks": [((6, 0), "A'")]},
-        {"polygons": [NAMED_QUADS["isosceles-trapezoid-14-5-6-5"].v], "labels": ["O", "A", "B", "C"],
+        {"polygons": [NAMED_QUADS["isosceles-trapezoid-14-5-6-5"]], "labels": ["O", "A", "B", "C"],
          "dashed": [((8, 0), (4, 3))], "marks": [((8, 0), "A'")]},
     ],
     "k1-nested": [
         {
             "polygons": [
-                NAMED_QUADS["kite-k1-n18"].v,
-                NAMED_QUADS["kite-k1-n7"].v,
-                NAMED_QUADS["dart-10-5"].v,
+                NAMED_QUADS["kite-k1-n18"],
+                NAMED_QUADS["kite-k1-n7"],
+                NAMED_QUADS["dart-10-5"],
             ],
             "labels": None,
         },
     ],
     "parallelogram-failure": [
-        {"polygons": [NAMED_QUADS["rectangle-3-6"].v], "labels": ["O", "A", "B", "C'"],
+        {"polygons": [NAMED_QUADS["rectangle-3-6"]], "labels": ["O", "A", "B", "C'"],
          "dashed": [((0, 0), (3, 6))]},
         {
-            "polygons": [((0, 0), (3, 0), (3, 6), (Fraction(-9, 5), Fraction(12, 5)))],
+            "polygons": [(_O, _A, _B, _C)],
             "labels": ["O", "A", "B", "C"],
             "dashed": [((0, 0), (3, 6))],
-            "marks": [((Fraction(-9, 5), Fraction(12, 5)), "(-9/5, 12/5)")],
+            "marks": [(_C, f"({_C[0]}, {_C[1]})")],
         },
     ],
 }

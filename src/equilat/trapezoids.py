@@ -213,8 +213,6 @@ class _TrapezoidSolution(NamedTuple):
     triangle: HeronianTriangle
     f: int
     c: int
-    a: int
-    legs: tuple[int, int]
     h: Fraction
     quad_sides: tuple[int, int, int, int]
     figure_tag: str | None = None
@@ -223,7 +221,7 @@ class _TrapezoidSolution(NamedTuple):
 class TrapezoidSolution(Checked, _TrapezoidSolution):
     """Equable trapezoid built from a Heronian triangle.
 
-    quad_sides lists (long parallel side a, leg AB, short parallel side c,
+    quad_sides lists (long parallel side c + f, leg AB, short parallel side c,
     leg CO) in cyclic vertex order O, A, B, C.
     """
 
@@ -232,9 +230,11 @@ class TrapezoidSolution(Checked, _TrapezoidSolution):
     def _check(self) -> None:
         if self.c < 1:
             raise ValueError("short parallel side must be positive")
+        if self.quad_sides[::2] != (self.c + self.f, self.c):
+            raise ValueError("quad_sides must run (c + f, leg, c, leg)")
         if self.h <= 2:
             raise ValueError("equable trapezoids need height > 2")
-        if self.h * (self.a + self.c) / 2 != self.a + self.c + sum(self.legs):
+        if self.h * sum(self.quad_sides[::2]) / 2 != self.perimeter:
             raise ValueError("trapezoid is not equable")
 
     @property
@@ -285,8 +285,6 @@ def trapezoid_from(t: HeronianTriangle, f: int) -> TrapezoidSolution | None:
         triangle=t,
         f=f,
         c=c,
-        a=c + f,
-        legs=legs,
         h=Fraction(2 * t.area, f),
         quad_sides=(c + f, legs[0], c, legs[1]),
         figure_tag=tag,
@@ -309,8 +307,8 @@ def all_equable_trapezoids(p_max: int = TRAPEZOID_SCAN_BOUND) -> list[TrapezoidS
 def lattice_embedding(ts: TrapezoidSolution) -> LatticeQuad | None:
     """A lattice realization of the trapezoid: its named drawing when it has
     one, else the exact realizer's answer; None when the lattice has none."""
-    a, c, f = ts.a, ts.c, ts.f
-    leg_ab, leg_co = ts.legs
+    a, leg_ab, c, leg_co = ts.quad_sides
+    f = ts.f
     # plant the triangle O, A'(f, 0), C with C above; exact rationals
     xc = Fraction(f * f + leg_co**2 - leg_ab**2, 2 * f)
     h_sq = leg_co**2 - xc * xc

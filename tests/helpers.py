@@ -47,7 +47,7 @@ def random_congruent_copy(rng: random.Random, q: LatticeQuad) -> LatticeQuad:
     point symmetries, a vertex-cycle rotation, and an optional reversal."""
     m = POINT_SYMMETRIES[rng.randrange(8)]
     dx, dy = rng.randint(-100, 100), rng.randint(-100, 100)
-    pts = [Point(p.x + dx, p.y + dy) for p in (apply_symmetry(p, m) for p in q.v)]
+    pts = [Point(p.x + dx, p.y + dy) for p in (apply_symmetry(p, m) for p in q)]
     r = rng.randrange(4)
     pts = pts[r:] + pts[:r]
     if rng.random() < 0.5:
@@ -86,7 +86,7 @@ def circumcenter(a: Point, b: Point, c: Point) -> tuple[Fraction, Fraction]:
 def concyclic_by_circumcenter(q: LatticeQuad) -> bool:
     """Independent concyclicity check: circumcenter of the first three
     vertices is equidistant from the fourth (exact rationals)."""
-    a, b, c, d = q.v
+    a, b, c, d = q
     ux, uy = circumcenter(a, b, c)
     r_sq = (ux - a.x) ** 2 + (uy - a.y) ** 2
     return (ux - d.x) ** 2 + (uy - d.y) ** 2 == r_sq
@@ -111,13 +111,12 @@ def point_on_segment(px: Fraction, py: Fraction, a: Point, b: Point) -> bool:
 def strictly_inside(q: LatticeQuad, px: Fraction, py: Fraction) -> bool:
     """Exact point-in-simple-polygon (crossing number); boundary counts as
     outside."""
-    verts = q.v
     for i in range(4):
-        if point_on_segment(px, py, verts[i], verts[(i + 1) % 4]):
+        if point_on_segment(px, py, q[i], q[(i + 1) % 4]):
             return False
     crossings = 0
     for i in range(4):
-        a, b = verts[i], verts[(i + 1) % 4]
+        a, b = q[i], q[(i + 1) % 4]
         if (a.y > py) != (b.y > py):
             x_int = Fraction(a.x) + Fraction(py - a.y, b.y - a.y) * (b.x - a.x)
             if x_int > px:
@@ -127,8 +126,8 @@ def strictly_inside(q: LatticeQuad, px: Fraction, py: Fraction) -> bool:
 
 def diagonal_midpoint(q: LatticeQuad, i: int, j: int) -> tuple[Fraction, Fraction]:
     return (
-        Fraction(q.v[i].x + q.v[j].x, 2),
-        Fraction(q.v[i].y + q.v[j].y, 2),
+        Fraction(q[i].x + q[j].x, 2),
+        Fraction(q[i].y + q[j].y, 2),
     )
 
 

@@ -76,7 +76,7 @@ def test_criterion_2_kite_tables():
                 outcome = kites.audit_member(m)
                 assert outcome.passed, (tag, m.sol, outcome)
                 assert m.K_A == k_a_coeff * m.sol.n
-                assert m.q_sq == q_sq
+                assert m.A.dist_sq(m.C) == q_sq
                 assert m.family.gcd_ab == gcd_ab
 
 

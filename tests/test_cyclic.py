@@ -5,7 +5,6 @@ import pytest
 from equilat import figures
 from equilat.cyclic import (
     CyclicSolution,
-    WxyzTriple,
     _diagonals_sq,
     brahmagupta_check,
     cyclic_orderings,
@@ -36,11 +35,11 @@ class TestEnumerateCandidates:
 
     def test_contains_solution_prefixes(self):
         cands = set(enumerate_candidates())
-        assert WxyzTriple(1, 9, 10) in cands
-        assert WxyzTriple(2, 5, 5) in cands
+        assert (1, 9, 10) in cands
+        assert (2, 5, 5) in cands
 
     def test_excludes_small_products(self):
-        assert all(t.w * t.x >= 5 for t in enumerate_candidates())
+        assert all(w * x >= 5 for w, x, _ in enumerate_candidates())
 
     def test_lexicographic_order(self):
         cands = enumerate_candidates()
@@ -55,46 +54,24 @@ class TestEnumerateCandidates:
                     s = w + x + 2 * y
                     if 5 <= w * x <= 16 and w * x * y * y <= s * s:
                         brute.append((w, x, y))
-        assert [(t.w, t.x, t.y) for t in enumerate_candidates()] == brute
-
-    def test_invariant_validation(self):
-        with pytest.raises(ValueError):
-            WxyzTriple(1, 4, 10)  # wx < 5
-        assert not WxyzTriple(1, 5, 26).admissible()  # beyond the y bound
-        assert all(t.admissible() for t in enumerate_candidates())
-
-    @pytest.mark.parametrize(
-        "wxy, message",
-        [
-            ((0, 5, 5), "need 0 < w <= x <= y"),
-            ((2, 1, 5), "need 0 < w <= x <= y"),
-            ((1, 5, 4), "need 0 < w <= x <= y"),
-            ((1, 4, 10), "need 5 <= w*x <= 16"),
-            ((2, 9, 10), "need 5 <= w*x <= 16"),
-        ],
-    )
-    def test_check_messages(self, wxy, message):
-        with pytest.raises(ValueError) as exc:
-            WxyzTriple(*wxy)
-        assert str(exc.value) == message
+        assert enumerate_candidates() == brute
 
 
 class TestSolveZ:
     def test_2_5_5(self):
-        assert solve_z(WxyzTriple(2, 5, 5)) == 8
+        assert solve_z(2, 5, 5) == 8
 
     def test_4_4_4(self):
-        assert solve_z(WxyzTriple(4, 4, 4)) == 4
+        assert solve_z(4, 4, 4) == 4
 
     def test_1_9_11_absent(self):
-        assert solve_z(WxyzTriple(1, 9, 11)) is None
+        assert solve_z(1, 9, 11) is None
 
     def test_positive_root_never_adds_solutions(self):
         # oracle: admissible z from the positive branch must already be found
         negative_branch = set()
         positive_branch = set()
-        for t in enumerate_candidates():
-            w, x, y = t.w, t.x, t.y
+        for w, x, y in enumerate_candidates():
             wxy = w * x * y
             s = w + x + y
             disc = wxy * wxy - 4 * wxy * s

@@ -65,8 +65,8 @@ class TestTwiceArea:
         for diag in report.interior:
             i, j = diag.ends
             k, l = [m for m in range(4) if m not in diag.ends]
-            t1 = orient(q.v[i], q.v[k], q.v[j])
-            t2 = orient(q.v[i], q.v[j], q.v[l])
+            t1 = orient(q[i], q[k], q[j])
+            t2 = orient(q[i], q[j], q[l])
             # both halves positively oriented, areas add up exactly
             assert abs(t1) + abs(t2) == twice_area(q)
 
@@ -107,7 +107,7 @@ class TestIsEquable:
 
 class TestIsSimple:
     def test_square(self):
-        assert is_simple(SQUARE.v)
+        assert is_simple(SQUARE)
 
     def test_bowtie(self):
         assert not is_simple((Point(0, 0), Point(4, 0), Point(0, 4), Point(4, 4)))
@@ -145,13 +145,12 @@ class TestIsSimple:
     def test_quad_constructor_reverses_clockwise_input(self):
         q = quad((0, 0), (0, 4), (4, 4), (4, 0))
         assert twice_area(q) == 32
-        assert q.v[0] == Point(0, 0)
+        assert q[0] == Point(0, 0)
 
 
-def _classify_by_points(q):
+def _classify_by_points(v):
     """Reference oracle: classify's flags from the vertices' coordinate
     differences, written out one vertex at a time."""
-    v = q.v
     turns = [orient(v[i - 1], v[i], v[(i + 1) % 4]) for i in range(4)]
     convex = min(turns) > 0
     s0, s1, s2, s3 = (v[i].dist_sq(v[(i + 1) % 4]) for i in range(4))
@@ -174,7 +173,7 @@ def _classify_by_points(q):
         trapezoid,
         trapezoid and ((par02 and s1 == s3) or (par13 and s0 == s2)),
         trapezoid and any(right_at[i] and right_at[(i + 1) % 4] for i in range(4)),
-        is_cyclic(q),
+        is_cyclic(v),
     )
 
 
@@ -254,7 +253,7 @@ class TestReflectPoint:
 
     @given(lattice_quads())
     def test_involution(self, q):
-        a, b, c, _ = q.v
+        a, b, c, _ = q
         rx, ry = reflect_point(a, b, c)
         if rx.denominator == ry.denominator == 1:
             assert reflect_point(Point(int(rx), int(ry)), b, c) == a
@@ -276,7 +275,7 @@ class TestSignature:
 
     def test_canonical_signature_is_dihedral_min(self):
         # oracle: measure every dihedral vertex relabeling directly
-        v = TRAP_6_4_3_5.v
+        v = TRAP_6_4_3_5
         seen = []
         for base in (v, (v[0], v[3], v[2], v[1])):
             for r in range(4):
@@ -349,7 +348,7 @@ class TestInteriorDiagonals:
         report = interior_diagonals(q)
         if not report.exterior:
             # convex: the diagonals properly cross inside
-            assert segments_cross(q.v[0], q.v[2], q.v[1], q.v[3])
+            assert segments_cross(q[0], q[2], q[1], q[3])
         else:
             (inner,) = report.interior
             (outer,) = report.exterior

@@ -32,7 +32,7 @@ class TestMember:
         km = member("K1", PellSolution(3, 1))
         assert km.M == (8, 4)
         assert (km.A, km.B, km.C) == (Point(10, 0), Point(6, 3), Point(6, 8))
-        assert (km.K_A, km.a, km.b, km.q_sq) == (15, 10, 5, 80)
+        assert (km.K_A, km.a, km.b, km.A.dist_sq(km.C)) == (15, 10, 5, 80)
 
     def test_k2_n9(self):
         km = member("K2", PellSolution(9, 4))
@@ -94,15 +94,15 @@ class TestAudit:
         km1 = member("K1", PellSolution(3, 1))
         assert (km1.K_A, km1.a, km1.b) == (15, 10, 5)
         km3 = member("K3", PellSolution(1, 0))
-        assert (km3.a, km3.b, km3.q_sq) == (4, 4, 32)
+        assert (km3.a, km3.b, km3.A.dist_sq(km3.C)) == (4, 4, 32)
         km4 = member("K4", PellSolution(1, 1))
-        assert (km4.K_A, km4.a, km4.b, km4.q_sq) == (18, 15, 3, 18)
+        assert (km4.K_A, km4.a, km4.b, km4.A.dist_sq(km4.C)) == (18, 15, 3, 18)
 
     def test_detects_corrupted_member(self):
         km = member("K1", PellSolution(3, 1))
         bad = KiteMember(
             family=km.family, sol=km.sol, M=km.M, A=km.A, B=km.B, C=km.C,
-            K_A=km.K_A, a=km.a + 5, b=km.b, q_sq=km.q_sq, vieta=km.vieta,
+            K_A=km.K_A, a=km.a + 5, b=km.b,
         )
         outcome = audit_member(bad)
         assert not outcome.passed and outcome.failed_check == "a"
@@ -174,12 +174,12 @@ class TestKiteFromParallelogram:
     def test_rhombus_case(self):
         q = kite_from_parallelogram(Point(5, 0), Point(8, 4))
         assert q is not None
-        assert set(q.v) == {Point(0, 0), Point(5, 0), Point(8, 4), Point(3, 4)}
+        assert set(q) == {Point(0, 0), Point(5, 0), Point(8, 4), Point(3, 4)}
 
     def test_square_case(self):
         q = kite_from_parallelogram(Point(4, 0), Point(4, 4))
         assert q is not None
-        assert set(q.v) == {Point(0, 0), Point(4, 0), Point(4, 4), Point(0, 4)}
+        assert set(q) == {Point(0, 0), Point(4, 0), Point(4, 4), Point(0, 4)}
 
     def test_degenerate_axis_rejected(self):
         with pytest.raises(ValueError):

@@ -158,9 +158,9 @@ def _anchored_walk(p_max: int) -> dict[tuple, list[tuple[int, ...]]]:
     return {sig: sorted(flats) for sig, flats in found.items()}
 
 
-def _unwindowed_join(p_max: int) -> list:
-    """Reference oracle: the diagonal join without the area bound on its
-    half-chains.  For each diagonal column dx it pairs every
+def _pairwise_join(p_max: int) -> list:
+    """Reference oracle: the diagonal join over every pair of integer-norm
+    edges, without the area bound on its half-chains.  For each diagonal column dx it pairs every
     v1 with every v2 = d - v1 in the column dx - x1, keeps those with
     0 <= dy <= dx, a positive cross product and room for the other half, and
     joins bucket k with bucket -k.  Returns the sorted hits."""
@@ -209,15 +209,13 @@ def _turned(hit):
         pytest.param(1000, marks=pytest.mark.slow),
     ],
 )
-def test_windowed_join_matches_unwindowed(p_max):
+def test_join_matches_pairwise_join(p_max):
     # The join yields one of each hit and its turn; the oracle yields both.
-    # The join has no windows any more; the name stays so that the test ids
-    # stay stable.
     hits = list(_equable_quads(p_max))
     seen = set(hits)
     assert len(seen) == len(hits)
     assert not [h for h in hits if _turned(h) != h and _turned(h) in seen]
-    assert sorted(seen | set(map(_turned, hits))) == _unwindowed_join(p_max)
+    assert sorted(seen | set(map(_turned, hits))) == _pairwise_join(p_max)
 
 
 def _half_chain_scan(p_max: int) -> list[tuple[int, ...]]:
@@ -252,10 +250,9 @@ def _half_chain_scan(p_max: int) -> list[tuple[int, ...]]:
 @pytest.mark.parametrize(
     "p_max", [*range(16, 61), 100, 150, 200, 401, pytest.param(1000, marks=pytest.mark.slow)]
 )
-def test_off_axis_pairs_match_scan(p_max):
+def test_half_chains_match_scan(p_max):
     # Every half-chain, axis edges included, once, in the column of its
-    # diagonal, with its key.  The name predates axis edges in the
-    # generator and stays so that the test ids stay stable.
+    # diagonal, with its key.
     columns = _half_chains(p_max, integer_norm_vectors((p_max - 1) // 2))
     assert set(columns) == set(range(1, (p_max - 1) // 2 + 1))
     listed = [
@@ -273,7 +270,7 @@ def test_join_hit_counts(p_max, hits):
 
 
 def test_smallest_class_is_the_square():
-    assert list(_equable_quads(15)) == [] == _unwindowed_join(15)
+    assert list(_equable_quads(15)) == [] == _pairwise_join(15)
     assert set(enumerate_leqs(16)) == {signature(NAMED_QUADS["square-4"])}
 
 
@@ -309,7 +306,7 @@ def test_anchoring_matches_all_images(p_max):
 
 
 def _flat(q) -> tuple[int, ...]:
-    return tuple(c for p in q.v for c in (p.x, p.y))
+    return tuple(c for p in q for c in (p.x, p.y))
 
 
 @pytest.mark.parametrize(
@@ -353,7 +350,7 @@ class TestEnumerateLeqs:
     def test_representatives_are_valid(self):
         for sig, cls in get_catalog(42).items():
             rep = cls.representative
-            assert is_simple(rep.v)
+            assert is_simple(rep)
             assert is_equable(rep)
             assert twice_area(rep) > 0
             assert signature(rep) == sig

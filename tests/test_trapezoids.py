@@ -249,7 +249,7 @@ class TestLatticeEmbedding:
         for sol in all_equable_trapezoids():
             emb = lattice_embedding(sol)
             assert emb is not None
-            assert sorted(Point(0, 0).dist_sq(p) for p in emb.v)  # lattice quad
+            assert sorted(Point(0, 0).dist_sq(p) for p in emb)  # lattice quad
 
     def test_realizer_matches_catalog_lookup(self, monkeypatch):
         # with the named drawings hidden, every answer comes from the realizer;
@@ -263,9 +263,7 @@ class TestLatticeEmbedding:
 
     def test_inconsistent_height_is_an_error(self):
         sol = trapezoid_from(T345, 3)
-        bad = SimpleNamespace(
-            a=sol.a, c=sol.c, f=sol.f, legs=sol.legs, h=sol.h + 1, quad_sides=sol.quad_sides
-        )
+        bad = SimpleNamespace(f=sol.f, h=sol.h + 1, quad_sides=sol.quad_sides)
         with pytest.raises(InconsistencyError):
             lattice_embedding(bad)
 
@@ -280,8 +278,7 @@ class TestValidation:
     def test_solution_invariants(self):
         with pytest.raises(ValueError):
             TrapezoidSolution(
-                triangle=T345, f=3, c=0, a=3, legs=(4, 5),
-                h=Fraction(4), quad_sides=(3, 4, 0, 5),
+                triangle=T345, f=3, c=0, h=Fraction(4), quad_sides=(3, 4, 0, 5),
             )
 
     @pytest.mark.parametrize(
@@ -304,15 +301,14 @@ class TestValidation:
         "changes, message",
         [
             ({"c": 0}, "short parallel side must be positive"),
+            ({"quad_sides": (1, 1, 1, 1)}, "quad_sides must run (c + f, leg, c, leg)"),
             ({"h": Fraction(2)}, "equable trapezoids need height > 2"),
-            ({"legs": (4, 6)}, "trapezoid is not equable"),
+            ({"quad_sides": (6, 4, 3, 6)}, "trapezoid is not equable"),
         ],
-        ids=["c", "h", "equability"],
+        ids=["c", "sides", "h", "equability"],
     )
     def test_solution_check_messages(self, changes, message):
-        fields = dict(
-            triangle=T345, f=3, c=3, a=6, legs=(4, 5), h=Fraction(4), quad_sides=(6, 4, 3, 5)
-        )
+        fields = dict(triangle=T345, f=3, c=3, h=Fraction(4), quad_sides=(6, 4, 3, 5))
         TrapezoidSolution(**fields)  # the unchanged fields are valid
         with pytest.raises(ValueError) as exc:
             TrapezoidSolution(**{**fields, **changes})
