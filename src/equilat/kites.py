@@ -3,13 +3,14 @@
 Each family row turns one Pell solution (n, i) into a concrete kite
 O(0,0), A, B, C symmetric about the diagonal OB, with C the reflection of A.
 Families K1/K2/K3/K4 pair with the equations n^2-5i^2=4, n^2-5i^2=1,
-n^2-2i^2=1 and 2n^2-i^2=1; their members have gcd(a, b) = 5, 5, 4, 3 and
-squared cross-diagonal q^2 = 80, 20, 32, 18 respectively.
+n^2-2i^2=1 and 2n^2-i^2=1; their members have gcd(a, b) = 5, 5, 4, 3.
+Every other constant follows from the Vieta pair (k, m) = (5, 1), (5, 2),
+(8, 1), (9, 2): the area of triangle OAB is K_A = k*m*n, and the squared
+cross-diagonal is q^2 = |AC|^2 = 16km^2 / (km^2 - 4) = 80, 20, 32, 18.
 """
 
 from __future__ import annotations
 
-import enum
 from fractions import Fraction
 from itertools import islice
 from math import gcd
@@ -31,7 +32,6 @@ from equilat.geometry import (
 __all__ = [
     "FamilyId",
     "KiteMember",
-    "Convexity",
     "AuditOutcome",
     "FamilyExclusionError",
     "FAMILIES",
@@ -54,11 +54,11 @@ class FamilyId(NamedTuple):
     M = ((m_n*n + m_i*i) / m_den) * m_dir  is the midpoint of AC,
     A = M + half-chord, C = M - half-chord, B = b_mult*n * b_dir.
     a = (a_n*n + a_i*i) / ab_den and b = (a_n*n - a_i*i) / ab_den are the
-    side lengths OA and AB, K_A = k_a * n is the area of triangle OAB, and
-    (k, m) are the Vieta constants with ab = k(m^2 + n^2), a + b = k*m*n.
+    side lengths OA and AB, and (k, m) are the Vieta constants with
+    ab = k(m^2 + n^2) and a + b = k*m*n.  The rest is derived: the area of
+    triangle OAB is K_A = k*m*n, and q_sq = |AC|^2 = 16km^2 / (km^2 - 4).
     """
 
-    tag: str
     k: int
     m: int
     m_n: int
@@ -68,25 +68,23 @@ class FamilyId(NamedTuple):
     half_chord: tuple[int, int, int]  # (dx, dy, den)
     b_mult: int
     b_dir: tuple[int, int]
-    k_a: int
     a_n: int
     a_i: int
     ab_den: int
     gcd_ab: int
-    q_sq: int
+
+    @property
+    def q_sq(self) -> int:
+        """|AC|^2 = 16km^2 / (km^2 - 4); audit_member checks it against A and C."""
+        return 16 * self.k * self.m**2 // (self.k * self.m**2 - 4)
 
 
 FAMILIES: dict[str, FamilyId] = {
-    "K1": FamilyId("K1", 5, 1, 1, 5, 2, (2, 1), (2, -4, 1), 1, (2, 1), 5, 5, 5, 2, 5, 80),
-    "K2": FamilyId("K2", 5, 2, 2, 5, 1, (2, 1), (1, -2, 1), 4, (2, 1), 10, 5, 10, 1, 5, 20),
-    "K3": FamilyId("K3", 8, 1, 1, 2, 1, (2, 2), (2, -2, 1), 4, (1, 1), 8, 4, 4, 1, 4, 32),
-    "K4": FamilyId("K4", 9, 2, 4, 3, 2, (3, 3), (3, -3, 2), 12, (1, 1), 18, 9, 6, 1, 3, 18),
+    "K1": FamilyId(5, 1, 1, 5, 2, (2, 1), (2, -4, 1), 1, (2, 1), 5, 5, 2, 5),
+    "K2": FamilyId(5, 2, 2, 5, 1, (2, 1), (1, -2, 1), 4, (2, 1), 5, 10, 1, 5),
+    "K3": FamilyId(8, 1, 1, 2, 1, (2, 2), (2, -2, 1), 4, (1, 1), 4, 4, 1, 4),
+    "K4": FamilyId(9, 2, 4, 3, 2, (3, 3), (3, -3, 2), 12, (1, 1), 9, 6, 1, 3),
 }
-
-
-class Convexity(enum.Enum):
-    CONVEX = "convex"
-    DART = "dart"
 
 
 class KiteMember(NamedTuple):
@@ -146,7 +144,7 @@ def member(tag: str, sol: pell.PellSolution) -> KiteMember:
         A=Point(int(ax), int(ay)),
         B=Point(fam.b_mult * sol.n * fam.b_dir[0], fam.b_mult * sol.n * fam.b_dir[1]),
         C=Point(int(cx), int(cy)),
-        K_A=fam.k_a * sol.n,
+        K_A=fam.k * fam.m * sol.n,
         a=a_len,
         b=b_len,
     )
@@ -208,10 +206,7 @@ def audit_member(km: KiteMember) -> AuditOutcome:
     checks.append(
         ("gcd", gcd(km.a, km.b) == fam.gcd_ab, f"gcd(a,b) != {fam.gcd_ab}")
     )
-    checks.append(
-        ("q_sq", km.A.dist_sq(km.C) == fam.q_sq == Fraction(16 * fam.k * fam.m**2, fam.k * fam.m**2 - 4),
-         f"|AC|^2 != {fam.q_sq}")
-    )
+    checks.append(("q_sq", km.A.dist_sq(km.C) == fam.q_sq, f"|AC|^2 != {fam.q_sq}"))
     k, m, n = fam.k, fam.m, km.sol.n
     checks.append(
         ("vieta", km.a * km.b == k * (m * m + n * n) and km.a + km.b == k * m * n,
@@ -229,12 +224,13 @@ def audit_member(km: KiteMember) -> AuditOutcome:
     return AuditOutcome(True)
 
 
-def convexity(km: KiteMember) -> Convexity:
-    """Convex iff M falls strictly between O and B along the symmetry axis."""
+def convexity(km: KiteMember) -> str:
+    """Either "convex", when M falls strictly between O and B along the symmetry
+    axis, or "dart"."""
     mx, my = km.M
     if 0 < mx * km.B.x + my * km.B.y < km.B.x * km.B.x + km.B.y * km.B.y:
-        return Convexity.CONVEX
-    return Convexity.DART
+        return "convex"
+    return "dart"
 
 
 def kite_from_parallelogram(a: Point, b: Point) -> LatticeQuad | None:

@@ -18,63 +18,51 @@ PANEL_GAP = 36  # px between panels
 _FILL = "#4c72b0"
 _GRID = "#b0b0b0"
 
+_LABELS = ["O", "A", "B", "C"]
+_KITE = NAMED_QUADS["kite-3-15"]
+
 # parallelogram-failure: A reflected in the rectangle's diagonal OB is no lattice point
-_O, _A, _B, _ = NAMED_QUADS["rectangle-3-6"]
+_O, _A, _B, _ = _RECT = NAMED_QUADS["rectangle-3-6"]
 _C = reflect_point(_A, _O, _B)
+
+
+def _trapezoid(name: str) -> dict:
+    """Panel of the trapezoid drawing O, A, B, C with legs AB and CO.  It marks
+    A' = A - B + C, which ends the base OA' = f of the source triangle OA'C,
+    and dashes the cut A'C, from its lower end, that leaves the strip A'ABC."""
+    _, a, b, c = q = NAMED_QUADS[name]
+    a1 = (a.x - b.x + c.x, a.y - b.y + c.y)
+    cut = tuple(sorted((a1, c), key=lambda p: (p[1], p[0])))
+    return {"polygons": [q], "labels": _LABELS, "dashed": [cut], "marks": [(a1, "A'")]}
+
 
 # Figure compositions.  Each panel: polygons drawn with vertex labels,
 # optional dashed segments, optional marked (possibly non-lattice) points.
 FIGURE_PANELS: dict[str, list[dict]] = {
     "rhombus-pair": [
-        {"polygons": [NAMED_QUADS["rhombus-5"]], "labels": ["O", "A", "B", "C"]},
-        {"polygons": [NAMED_QUADS["rhombus-5-alt"]], "labels": ["O", "A", "B", "C"]},
+        {"polygons": [NAMED_QUADS["rhombus-5"]], "labels": _LABELS},
+        {"polygons": [NAMED_QUADS["rhombus-5-alt"]], "labels": _LABELS},
     ],
-    "kite-3-15": [
-        {
-            "polygons": [NAMED_QUADS["kite-3-15"]],
-            "labels": ["O", "A", "B", "C"],
-            "dashed": [((0, 0), (12, 12))],
-        },
-    ],
-    "trapezoid-20-4-15-3": [
-        {
-            "polygons": [NAMED_QUADS["trapezoid-20-4-15-3"]],
-            "labels": ["O", "A", "B", "C"],
-            "dashed": [((0, 3), (4, 3))],
-            "marks": [((4, 3), "A'")],
-        },
-    ],
+    "kite-3-15": [{"polygons": [_KITE], "labels": _LABELS, "dashed": [_KITE[::2]]}],
+    "trapezoid-20-4-15-3": [_trapezoid("trapezoid-20-4-15-3")],
     "right-trapezoids": [
-        {"polygons": [NAMED_QUADS["right-trapezoid-6-4-3-5"]], "labels": ["O", "A", "B", "C"],
-         "dashed": [((3, 0), (3, 4))], "marks": [((3, 0), "A'")]},
-        {"polygons": [NAMED_QUADS["right-trapezoid-10-3-6-5"]], "labels": ["O", "A", "B", "C"],
-         "dashed": [((4, 0), (4, 3))], "marks": [((4, 0), "A'")]},
+        _trapezoid("right-trapezoid-6-4-3-5"),
+        _trapezoid("right-trapezoid-10-3-6-5"),
     ],
     "isosceles-trapezoids": [
-        {"polygons": [NAMED_QUADS["isosceles-trapezoid-8-5-2-5"]], "labels": ["O", "A", "B", "C"],
-         "dashed": [((6, 0), (3, 4))], "marks": [((6, 0), "A'")]},
-        {"polygons": [NAMED_QUADS["isosceles-trapezoid-14-5-6-5"]], "labels": ["O", "A", "B", "C"],
-         "dashed": [((8, 0), (4, 3))], "marks": [((8, 0), "A'")]},
+        _trapezoid("isosceles-trapezoid-8-5-2-5"),
+        _trapezoid("isosceles-trapezoid-14-5-6-5"),
     ],
     "k1-nested": [
         {
-            "polygons": [
-                NAMED_QUADS["kite-k1-n18"],
-                NAMED_QUADS["kite-k1-n7"],
-                NAMED_QUADS["dart-10-5"],
-            ],
+            "polygons": [NAMED_QUADS[n] for n in ("kite-k1-n18", "kite-k1-n7", "dart-10-5")],
             "labels": None,
         },
     ],
     "parallelogram-failure": [
-        {"polygons": [NAMED_QUADS["rectangle-3-6"]], "labels": ["O", "A", "B", "C'"],
-         "dashed": [((0, 0), (3, 6))]},
-        {
-            "polygons": [(_O, _A, _B, _C)],
-            "labels": ["O", "A", "B", "C"],
-            "dashed": [((0, 0), (3, 6))],
-            "marks": [(_C, f"({_C[0]}, {_C[1]})")],
-        },
+        {"polygons": [_RECT], "labels": ["O", "A", "B", "C'"], "dashed": [(_O, _B)]},
+        {"polygons": [(_O, _A, _B, _C)], "labels": _LABELS, "dashed": [(_O, _B)],
+         "marks": [(_C, f"({_C[0]}, {_C[1]})")]},
     ],
 }
 
@@ -106,14 +94,8 @@ class _Panel:
         self.labels = spec.get("labels")
         self.dashed = [(_coords(a), _coords(b)) for a, b in spec.get("dashed", ())]
         self.marks = [(_coords(p), text) for p, text in spec.get("marks", ())]
-        xs = [x for poly in self.polygons for x, _ in poly]
-        ys = [y for poly in self.polygons for _, y in poly]
-        for (ax, ay), (bx, by) in self.dashed:
-            xs += [ax, bx]
-            ys += [ay, by]
-        for (px, py), _ in self.marks:
-            xs.append(px)
-            ys.append(py)
+        points = [p for part in (*self.polygons, *self.dashed) for p in part]
+        xs, ys = zip(*points, *(p for p, _ in self.marks))
         self.min_x = floor(min(xs)) - PAD
         self.max_x = ceil(max(xs)) + PAD
         self.min_y = floor(min(ys)) - PAD

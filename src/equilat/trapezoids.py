@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 from equilat import pell
 from equilat.errors import Checked, EquilatError, InconsistencyError
-from equilat.figures import place
+from equilat.figures import NAMED_QUADS, place
 from equilat.geometry import LatticeQuad
 
 __all__ = [
@@ -146,31 +146,27 @@ def enumerate_perimeter_dominant(p_max: int) -> list[HeronianTriangle]:
 
 
 # Infinite families of perimeter-dominant Heronian triangles: closed forms for
-# the sides, perimeter and area, the governing restriction equation, and the
-# smallest admissible x.
+# the sides and area, the governing restriction equation, and the smallest
+# admissible x.
 _ROWS: dict[int, dict] = {
     1: {
         "pell": "x^2+1=2y^2", "x_min": 7,
         "sides": lambda x: (3, 3 * x * x + 1, 3 * x * x + 2),
-        "perimeter": lambda x: 6 * x * x + 6,
         "area": lambda x, y: 6 * x * y,
     },
     2: {
         "pell": "x^2-1=2y^2", "x_min": 3,
         "sides": lambda x: (3, 3 * x * x - 2, 3 * x * x - 1),
-        "perimeter": lambda x: 6 * x * x,
         "area": lambda x, y: 6 * x * y,
     },
     3: {
         "pell": "x^2+2=3y^2", "x_min": 5,
         "sides": lambda x: (4, 2 * x * x + 1, 2 * x * x + 3),
-        "perimeter": lambda x: 4 * x * x + 8,
         "area": lambda x, y: 6 * x * y,
     },
     4: {
         "pell": "x^2-1=3y^2", "x_min": 2,
         "sides": lambda x: (4, 4 * x * x - 3, 4 * x * x - 1),
-        "perimeter": lambda x: 8 * x * x,
         "area": lambda x, y: 12 * x * y,
     },
 }
@@ -180,7 +176,8 @@ def family_member(row: int, sol: pell.PellSolution) -> HeronianTriangle:
     """Closed-form triangle of one family row at parameter (x, y) = (n, i).
 
     The parameter must satisfy the row's restriction equation and its lower
-    bound on x; the result is cross-checked against heron_area.
+    bound on x; HeronianTriangle checks the closed-form area against
+    heron_area.
     """
     if row not in _ROWS:
         raise ValueError(f"row must be 1..4, got {row}")
@@ -191,10 +188,7 @@ def family_member(row: int, sol: pell.PellSolution) -> HeronianTriangle:
     if x < _ROWS[row]["x_min"]:
         raise ValueError(f"row {row} requires x >= {_ROWS[row]['x_min']}")
     sides = _ROWS[row]["sides"](x)
-    triangle = HeronianTriangle(sides, _ROWS[row]["perimeter"](x), _ROWS[row]["area"](x, y))
-    if heron_area(*sides) != triangle.area:
-        raise ValueError(f"row {row} closed form disagrees with Heron at {sol}")
-    return triangle
+    return HeronianTriangle(sides, sum(sides), _ROWS[row]["area"](x, y))
 
 
 def family_members_within(row: int, p_max: int) -> list[HeronianTriangle]:
@@ -203,7 +197,7 @@ def family_members_within(row: int, p_max: int) -> list[HeronianTriangle]:
     for sol in pell.iter_solutions(pell.SPECS[_ROWS[row]["pell"]]):
         if sol.n < _ROWS[row]["x_min"]:
             continue
-        if _ROWS[row]["perimeter"](sol.n) > p_max:
+        if sum(_ROWS[row]["sides"](sol.n)) > p_max:
             break
         out.append(family_member(row, sol))
     return out
@@ -236,19 +230,27 @@ class TrapezoidSolution(Checked, _TrapezoidSolution):
             raise ValueError("equable trapezoids need height > 2")
         if self.h * sum(self.quad_sides[::2]) / 2 != self.perimeter:
             raise ValueError("trapezoid is not equable")
+        if sorted((self.f, *self.quad_sides[1::2])) != list(self.triangle.sides):
+            raise ValueError("the legs must be the triangle's other two sides")
+        if self.figure_tag is not None:
+            d = NAMED_QUADS.get(self.figure_tag, ())
+            sides_sq = [p.dist_sq(q) for p, q in zip(d, d[1:] + d[:1])]
+            if sides_sq != [x * x for x in self.quad_sides]:
+                raise ValueError(f"drawing {self.figure_tag!r} does not have these sides")
 
     @property
     def perimeter(self) -> int:
         return sum(self.quad_sides)
 
 
-# Published cyclic side orders of the five solutions, keyed by (sides, f).
-_FIGURE_TAGS: dict[tuple[tuple[int, int, int], int], tuple[str, tuple[int, int]]] = {
-    ((3, 4, 5), 3): ("right-trapezoid-6-4-3-5", (4, 5)),
-    ((3, 4, 5), 4): ("right-trapezoid-10-3-6-5", (3, 5)),
-    ((3, 4, 5), 5): ("trapezoid-20-4-15-3", (4, 3)),
-    ((5, 5, 6), 6): ("isosceles-trapezoid-8-5-2-5", (5, 5)),
-    ((5, 5, 8), 8): ("isosceles-trapezoid-14-5-6-5", (5, 5)),
+# The named drawings of the five solutions, keyed by (sides, f).  Each drawing
+# O, A, B, C has the legs AB and CO in their published order.
+_FIGURE_TAGS: dict[tuple[tuple[int, int, int], int], str] = {
+    ((3, 4, 5), 3): "right-trapezoid-6-4-3-5",
+    ((3, 4, 5), 4): "right-trapezoid-10-3-6-5",
+    ((3, 4, 5), 5): "trapezoid-20-4-15-3",
+    ((5, 5, 6), 6): "isosceles-trapezoid-8-5-2-5",
+    ((5, 5, 8), 8): "isosceles-trapezoid-14-5-6-5",
 }
 
 
@@ -267,20 +269,20 @@ def trapezoid_from(t: HeronianTriangle, f: int) -> TrapezoidSolution | None:
     """Equable trapezoid extending side f of the triangle, when one exists.
 
     Returns None when the strip width is not a positive integer.  Legs are
-    reported in the published cyclic order for the five classical solutions
-    and ascending otherwise.
+    read from the named drawing, in its published order, for the five
+    classical solutions, and are ascending otherwise.
     """
     c = shorter_parallel_side(t, f)
     if c.denominator != 1 or c < 1:
         return None
     c = int(c)
-    rest = list(t.sides)
-    rest.remove(f)
-    tag_entry = _FIGURE_TAGS.get((t.sides, f))
-    if tag_entry is not None:
-        tag, legs = tag_entry
+    tag = _FIGURE_TAGS.get((t.sides, f))
+    if tag is None:
+        legs = list(t.sides)
+        legs.remove(f)
     else:
-        tag, legs = None, (min(rest), max(rest))
+        vo, va, vb, vc = NAMED_QUADS[tag]
+        legs = isqrt(va.dist_sq(vb)), isqrt(vc.dist_sq(vo))
     return TrapezoidSolution(
         triangle=t,
         f=f,

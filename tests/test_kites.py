@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from equilat.figures import NAMED_QUADS
 from equilat.geometry import (
     Point,
     classify,
@@ -14,7 +15,6 @@ from equilat.geometry import (
 from equilat.kites import (
     FAMILIES,
     AuditOutcome,
-    Convexity,
     FamilyExclusionError,
     KiteMember,
     audit_member,
@@ -50,6 +50,28 @@ class TestMember:
     def test_rejects_non_solution(self):
         with pytest.raises(ValueError):
             member("K1", PellSolution(4, 1))
+
+
+# the kite drawings, each a family member: (name, family, n, i)
+DRAWN_MEMBERS = [
+    ("rhombus-5-alt", "K1", 2, 0),
+    ("dart-10-5", "K1", 3, 1),
+    ("kite-k1-n7", "K1", 7, 3),
+    ("kite-k1-n18", "K1", 18, 8),
+    ("kite-3-15", "K4", 1, 1),
+]
+
+
+@pytest.mark.parametrize("name, tag, n, i", DRAWN_MEMBERS, ids=[d[0] for d in DRAWN_MEMBERS])
+def test_drawing_is_a_family_member(name, tag, n, i):
+    assert NAMED_QUADS[name] == member(tag, PellSolution(n, i)).quad()
+
+
+@pytest.mark.parametrize("tag, q_sq", [("K1", 80), ("K2", 20), ("K3", 32), ("K4", 18)])
+def test_q_sq_is_exact(tag, q_sq):
+    fam = FAMILIES[tag]
+    assert fam.q_sq == q_sq
+    assert q_sq * (fam.k * fam.m**2 - 4) == 16 * fam.k * fam.m**2
 
 
 class TestGenerate:
@@ -120,20 +142,20 @@ class TestAudit:
 
 class TestConvexity:
     def test_rhombus_convex(self):
-        assert convexity(member("K1", PellSolution(2, 0))) is Convexity.CONVEX
+        assert convexity(member("K1", PellSolution(2, 0))) == "convex"
 
     def test_kite_3_15_convex(self):
-        assert convexity(member("K4", PellSolution(1, 1))) is Convexity.CONVEX
+        assert convexity(member("K4", PellSolution(1, 1))) == "convex"
 
     def test_k1_n3_dart(self):
-        assert convexity(member("K1", PellSolution(3, 1))) is Convexity.DART
+        assert convexity(member("K1", PellSolution(3, 1))) == "dart"
 
     def test_census_first_ten(self):
         convex = [
             (tag, km.sol)
             for tag in FAMILIES
             for km in generate(tag, 10)
-            if convexity(km) is Convexity.CONVEX
+            if convexity(km) == "convex"
         ]
         assert convex == [
             ("K1", PellSolution(2, 0)),
@@ -144,7 +166,7 @@ class TestConvexity:
     @pytest.mark.parametrize("tag", list(FAMILIES))
     def test_agrees_with_classify(self, tag):
         for km in generate(tag, 8):
-            assert (convexity(km) is Convexity.CONVEX) == classify(km.quad()).convex
+            assert (convexity(km) == "convex") == classify(km.quad()).convex
 
 
 class TestNonRedundancy:

@@ -29,7 +29,7 @@ RECORDS = [
     ("AuditReport", lambda: search.audit_theorems(42), "kites_found"),
     ("PellSolution", lambda: pell.PellSolution(2, 0), "n"),
     ("PellSpec", lambda: pell.SPECS["K1"], "seeds"),
-    ("FamilyId", lambda: kites.FAMILIES["K1"], "q_sq"),
+    ("FamilyId", lambda: kites.FAMILIES["K1"], "k"),
     ("KiteMember", lambda: kites.generate("K1", 1)[0], "A"),
     ("AuditOutcome", lambda: kites.audit_member(kites.generate("K1", 1)[0]), "passed"),
     ("CyclicSolution", lambda: cyclic.solutions()[0], "orderings"),

@@ -3,7 +3,10 @@ import html
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from equilat.render import _escape
+from equilat.figures import NAMED_QUADS
+from equilat.geometry import Point
+from equilat.render import FIGURE_PANELS, _escape
+from equilat.trapezoids import all_equable_trapezoids
 
 
 @given(st.text(alphabet=st.sampled_from("&<>\"'ax;#")))
@@ -11,3 +14,23 @@ from equilat.render import _escape
 @example("<desc>&amp;</desc>")
 def test_escape_matches_html_escape(text):
     assert _escape(text) == html.escape(text, quote=False)
+
+
+def test_trapezoid_panels_match_the_construction():
+    # each trapezoid panel marks A' at distance f from O, so that OA'C is the
+    # source triangle, and dashes the cut A'C
+    panels = [panel for spec in FIGURE_PANELS.values() for panel in spec]
+    sols = all_equable_trapezoids()
+    assert len(sols) == 5
+    for sol in sols:
+        drawing = NAMED_QUADS[sol.figure_tag]
+        [panel] = [panel for panel in panels if panel["polygons"] == [drawing]]
+        [(a1, label)] = panel["marks"]
+        o, _, _, c = drawing
+        a1 = Point(*a1)
+        assert label == "A'"
+        assert o.dist_sq(a1) == sol.f**2
+        sides_sq = sorted((o.dist_sq(a1), a1.dist_sq(c), c.dist_sq(o)))
+        assert sides_sq == [s * s for s in sol.triangle.sides]
+        [cut] = panel["dashed"]
+        assert set(cut) == {a1, c}

@@ -250,10 +250,9 @@ def _half_chain_scan(p_max: int) -> list[tuple[int, ...]]:
 @pytest.mark.parametrize(
     "p_max", [*range(16, 61), 100, 150, 200, 401, pytest.param(1000, marks=pytest.mark.slow)]
 )
-def test_off_axis_pairs_match_scan(p_max):
+def test_half_chains_match_scan(p_max):
     # Every half-chain, axis edges included, once, in the column of its
-    # diagonal, with its key.  The name predates axis edges in the
-    # generator and stays so that the test ids stay stable.
+    # diagonal, with its key.
     columns = _half_chains(p_max, integer_norm_vectors((p_max - 1) // 2))
     assert set(columns) == set(range(1, (p_max - 1) // 2 + 1))
     listed = [

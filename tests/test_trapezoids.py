@@ -304,8 +304,14 @@ class TestValidation:
             ({"quad_sides": (1, 1, 1, 1)}, "quad_sides must run (c + f, leg, c, leg)"),
             ({"h": Fraction(2)}, "equable trapezoids need height > 2"),
             ({"quad_sides": (6, 4, 3, 6)}, "trapezoid is not equable"),
+            # equable at h = 4, but 3 and 6 are not sides of (3, 4, 5)
+            ({"quad_sides": (6, 3, 3, 6)}, "the legs must be the triangle's other two sides"),
+            (
+                {"figure_tag": "right-trapezoid-10-3-6-5"},
+                "drawing 'right-trapezoid-10-3-6-5' does not have these sides",
+            ),
         ],
-        ids=["c", "sides", "h", "equability"],
+        ids=["c", "sides", "h", "equability", "legs", "drawing"],
     )
     def test_solution_check_messages(self, changes, message):
         fields = dict(triangle=T345, f=3, c=3, h=Fraction(4), quad_sides=(6, 4, 3, 5))
