@@ -123,14 +123,16 @@ def integer_norm_vectors(max_len: int) -> list[tuple[int, int, int]]:
 
 def _half_chains(p_max: int, edges: list[tuple[int, int, int]]) -> dict[int, array]:
     """Per column dx of diagonals, the half-chains 0 -> v1 -> d as flat runs
-    of (dy, k, x1, y1, l1, l2), k = cross(v1, v2) - 2(l1 + l2): every
+    of (dy, k, x1, y1), k = cross(v1, v2) - 2(|v1| + |v2|): every
     half-chain whose diagonal d lies in the eighth dx > 0, 0 <= dy <= dx,
     whose cross product lies in [1, 2 p_max - 1] and whose other half has
     room, once.  `edges` is the edge table integer_norm_vectors((p_max - 1) // 2).
     The module docstring derives the pairs of directions."""
     half = (p_max - 1) // 2
     top = 2 * p_max - 1
-    out = {dx: array("q") for dx in range(1, half + 1)}
+    # dy, |x1|, |y1| <= half and -2 p_max < k <= top fit a C int for any p_max
+    # <= P_MAX_MAX; a value out of range raises OverflowError, never wraps.
+    out = {dx: array("i") for dx in range(1, half + 1)}
     # put[dx] appends to column dx; fromlist resizes the array once, where
     # extending it by a tuple grows it item by item at twice the cost.
     put = [None, *(col.fromlist for col in out.values())]
@@ -178,19 +180,19 @@ def _half_chains(p_max: int, edges: list[tuple[int, int, int]]) -> dict[int, arr
                             dx, dy, vx, vy = -sx, -sy, -ux, -uy
                         k = ci * j - 2 * (l1 + l2)
                         if dy <= dx:
-                            put[dx]([dy, k, vx, vy, l1, l2])
+                            put[dx]([dy, k, vx, vy])
                         if swap:
                             # The half-chains of (Q, P): mirrors through y = x,
                             # and on the x-axis through the x-axis.
                             if dy >= dx:
-                                put[dy]([dx, k, dy - vy, dx - vx, l2, l1])
+                                put[dy]([dx, k, dy - vy, dx - vx])
                             if not dy:
-                                put[dx]([0, k, dx - vx, vy, l2, l1])
+                                put[dx]([0, k, dx - vx, vy])
     return out
 
 
 def _equable_quads(p_max: int):
-    """Yield (vertices, sides) for every counterclockwise equable quad
+    """Yield the vertices of every counterclockwise equable quad
     (0, P1, d, P3) with integer sides and perimeter <= p_max whose interior
     diagonal d = P2 - P0 lies in the eighth dx > 0, 0 <= dy <= dx, but only
     one of each such quad and its 180-degree turn about d/2.  The module
@@ -201,33 +203,33 @@ def _equable_quads(p_max: int):
     for dx in range(1, half + 1):
         # Half-chains 0 -> v1 -> d right of d, for one column of diagonals at
         # a time, keyed by (dy, k).
-        buckets: dict[tuple[int, int], list[tuple[int, int, int, int]]] = {}
+        buckets: dict[tuple[int, int], list[tuple[int, int]]] = {}
         it = iter(columns.pop(dx))
-        for dy, k, x1, y1, l1, l2 in zip(it, it, it, it, it, it):
-            buckets.setdefault((dy, k), []).append((x1, y1, l1, l2))
+        for dy, k, x1, y1 in zip(it, it, it, it):
+            buckets.setdefault((dy, k), []).append((x1, y1))
         # The left half (P2, P3, P0) negated is a right half (u1, u2) of the
         # same d; negation keeps both the cross product and the lengths.
         # Bucket 0 pairs each u with itself and the v after it.
         for (dy, k), uppers in buckets.items():
             if k < 0:
                 continue
-            for j, (ux, uy, m1, m2) in enumerate(buckets.get((dy, -k), ())):
+            for j, (ux, uy) in enumerate(buckets.get((dy, -k), ())):
                 qx, qy = dx - ux, dy - uy  # P3 = d - u1 = u2
-                for x1, y1, l1, l2 in uppers[j:] if k == 0 else uppers:
-                    if l1 + l2 + m1 + m2 > p_max:
+                # Twice the area, cross(v1, d) + cross(u1, d), is 2 * perimeter.
+                room = 2 * p_max - (ux * dy - uy * dx)
+                for x1, y1 in uppers[j:] if k == 0 else uppers:
+                    if x1 * dy - y1 * dx > room:
                         continue
                     if x1 * qy == y1 * qx or (dx - x1) * uy == (dy - y1) * ux:
                         continue  # three collinear vertices at P0 or at P2
-                    yield ((0, 0), (x1, y1), (dx, dy), (qx, qy)), (l1, l2, m1, m2)
+                    yield (0, 0), (x1, y1), (dx, dy), (qx, qy)
 
 
-def _anchored_chains(
-    pts: tuple[tuple[int, int], ...], longest: int
-) -> list[tuple[int, ...]]:
+def _anchored_chains(pts: tuple[tuple[int, int], ...], sq: int) -> list[tuple[int, ...]]:
     """Flat vertex tuples of the quad's images under the lattice symmetries,
     re-oriented counterclockwise and started at each vertex whose outgoing
-    edge is a longest edge in the half-quadrant dx > 0, dy >= 0."""
-    sq = longest * longest
+    edge is a longest edge, of squared length sq, in the half-quadrant
+    dx > 0, dy >= 0."""
     edges = []
     for (px, py), (qx, qy) in zip(pts, pts[1:] + pts[:1]):
         if (qx - px) ** 2 + (qy - py) ** 2 == sq:
@@ -275,13 +277,11 @@ def enumerate_leqs(p_max: int) -> dict[tuple, LeqClass]:
     if not P_MAX_MIN <= p_max <= P_MAX_MAX:
         raise ValueError(f"p_max must lie in [{P_MAX_MIN}, {P_MAX_MAX}]")
     chains: dict[tuple, set[tuple[int, ...]]] = {}
-    for pts, (l1, l2, m1, m2) in _equable_quads(p_max):
+    for pts in _equable_quads(p_max):
         (x1, y1), (dx, dy), (qx, qy) = pts[1:]
-        sig = canonical_signature(
-            (l1 * l1, l2 * l2, m1 * m1, m2 * m2),
-            (dx * dx + dy * dy, (qx - x1) ** 2 + (qy - y1) ** 2),
-        )
-        chains.setdefault(sig, set()).update(_anchored_chains(pts, max(l1, l2, m1, m2)))
+        sides_sq = [(c - a) ** 2 + (e - b) ** 2 for (a, b), (c, e) in zip(pts, pts[1:] + pts[:1])]
+        sig = canonical_signature(sides_sq, (dx * dx + dy * dy, (qx - x1) ** 2 + (qy - y1) ** 2))
+        chains.setdefault(sig, set()).update(_anchored_chains(pts, max(sides_sq)))
 
     classes: dict[tuple, LeqClass] = {}
     for sig in sorted(chains):

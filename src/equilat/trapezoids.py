@@ -84,7 +84,6 @@ def heron_area(x: int, y: int, z: int) -> int | None:
 
 class _HeronianTriangle(NamedTuple):
     sides: tuple[int, int, int]  # x <= y <= z
-    perimeter: int
     area: int
 
 
@@ -97,8 +96,6 @@ class HeronianTriangle(Checked, _HeronianTriangle):
         x, y, z = self.sides
         if not (0 < x <= y <= z) or x + y <= z:
             raise ValueError(f"{self.sides} is not a valid (ordered) triangle")
-        if self.perimeter != x + y + z:
-            raise ValueError("perimeter does not match the sides")
         if self.area < 1 or heron_area(x, y, z) != self.area:
             raise ValueError("area does not satisfy Heron's formula")
 
@@ -107,7 +104,11 @@ class HeronianTriangle(Checked, _HeronianTriangle):
         area = heron_area(x, y, z)
         if area is None:
             raise ValueError(f"({x},{y},{z}) is not Heronian")
-        return cls((x, y, z), x + y + z, area)
+        return cls((x, y, z), area)
+
+    @property
+    def perimeter(self) -> int:
+        return sum(self.sides)
 
     @property
     def delta(self) -> int:
@@ -140,7 +141,7 @@ def enumerate_perimeter_dominant(p_max: int) -> list[HeronianTriangle]:
                 area_sq = s * uv * w
                 area = isqrt(area_sq)
                 if area * area == area_sq and area < 2 * s:
-                    found.append(HeronianTriangle((u + v, u + w, v + w), 2 * s, area))
+                    found.append(HeronianTriangle((u + v, u + w, v + w), area))
     found.sort(key=lambda t: (t.perimeter, t.sides))
     return found
 
@@ -187,8 +188,7 @@ def family_member(row: int, sol: pell.PellSolution) -> HeronianTriangle:
         raise ValueError(f"({x},{y}) does not satisfy {spec.name}")
     if x < _ROWS[row]["x_min"]:
         raise ValueError(f"row {row} requires x >= {_ROWS[row]['x_min']}")
-    sides = _ROWS[row]["sides"](x)
-    return HeronianTriangle(sides, sum(sides), _ROWS[row]["area"](x, y))
+    return HeronianTriangle(_ROWS[row]["sides"](x), _ROWS[row]["area"](x, y))
 
 
 def family_members_within(row: int, p_max: int) -> list[HeronianTriangle]:
@@ -207,7 +207,6 @@ class _TrapezoidSolution(NamedTuple):
     triangle: HeronianTriangle
     f: int
     c: int
-    h: Fraction
     quad_sides: tuple[int, int, int, int]
     figure_tag: str | None = None
 
@@ -226,7 +225,7 @@ class TrapezoidSolution(Checked, _TrapezoidSolution):
             raise ValueError("short parallel side must be positive")
         if self.quad_sides[::2] != (self.c + self.f, self.c):
             raise ValueError("quad_sides must run (c + f, leg, c, leg)")
-        if self.h <= 2:
+        if self.f < 1 or self.h <= 2:  # h = 2 * area / f
             raise ValueError("equable trapezoids need height > 2")
         if self.h * sum(self.quad_sides[::2]) / 2 != self.perimeter:
             raise ValueError("trapezoid is not equable")
@@ -241,6 +240,11 @@ class TrapezoidSolution(Checked, _TrapezoidSolution):
     @property
     def perimeter(self) -> int:
         return sum(self.quad_sides)
+
+    @property
+    def h(self) -> Fraction:
+        """The height: the triangle's height on its side f."""
+        return Fraction(2 * self.triangle.area, self.f)
 
 
 # The named drawings of the five solutions, keyed by (sides, f).  Each drawing
@@ -284,12 +288,7 @@ def trapezoid_from(t: HeronianTriangle, f: int) -> TrapezoidSolution | None:
         vo, va, vb, vc = NAMED_QUADS[tag]
         legs = isqrt(va.dist_sq(vb)), isqrt(vc.dist_sq(vo))
     return TrapezoidSolution(
-        triangle=t,
-        f=f,
-        c=c,
-        h=Fraction(2 * t.area, f),
-        quad_sides=(c + f, legs[0], c, legs[1]),
-        figure_tag=tag,
+        triangle=t, f=f, c=c, quad_sides=(c + f, legs[0], c, legs[1]), figure_tag=tag
     )
 
 

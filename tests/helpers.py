@@ -131,13 +131,20 @@ def diagonal_midpoint(q: LatticeQuad, i: int, j: int) -> tuple[Fraction, Fractio
     )
 
 
+def longest_side_sq(pts: tuple[tuple[int, int], ...]) -> int:
+    """Squared length of the longest edge of the closed vertex chain pts."""
+    return max((c - a) ** 2 + (e - b) ** 2 for (a, b), (c, e) in zip(pts, pts[1:] + pts[:1]))
+
+
 def catalog_placements(p_max: int) -> dict[tuple, list[LatticeQuad]]:
     """The placements that `enumerate_leqs(p_max)` counts in each class's
     `embeddings_seen`, in order of their flat vertex tuples: the anchored
     chains of every hit of the join, grouped by the hit's signature."""
     chains: dict[tuple, set[tuple[int, ...]]] = {}
-    for pts, sides in _equable_quads(p_max):
-        chains.setdefault(signature(quad(*pts)), set()).update(_anchored_chains(pts, max(sides)))
+    for pts in _equable_quads(p_max):
+        chains.setdefault(signature(quad(*pts)), set()).update(
+            _anchored_chains(pts, longest_side_sq(pts))
+        )
     return {
         sig: [LatticeQuad(tuple(map(Point, f[::2], f[1::2]))) for f in sorted(flats)]
         for sig, flats in chains.items()

@@ -6,7 +6,6 @@ import copy
 import importlib
 import pickle
 import pkgutil
-from fractions import Fraction
 
 import pytest
 
@@ -34,7 +33,7 @@ RECORDS = [
     ("AuditOutcome", lambda: kites.audit_member(kites.generate("K1", 1)[0]), "passed"),
     ("CyclicSolution", lambda: cyclic.solutions()[0], "orderings"),
     ("HeronianTriangle", lambda: T345, "area"),
-    ("TrapezoidSolution", lambda: trapezoids.trapezoid_from(T345, 3), "h"),
+    ("TrapezoidSolution", lambda: trapezoids.trapezoid_from(T345, 3), "triangle"),
 ]
 
 
@@ -72,7 +71,8 @@ REPLACE_CHECKS = [
     ("PellSpec", pell.SPECS["K1"], {"rec": 2}),
     ("CyclicSolution", cyclic.CyclicSolution((4, 4, 4, 4), (4, 4, 4, 4), ()), {"sides": (1, 1, 1, 1)}),
     ("HeronianTriangle", T345, {"area": 7}),
-    ("TrapezoidSolution", TRAPEZOID, {"h": Fraction(2)}),
+    # f = 3 with c = 4 gives h = 4 and area 22 against perimeter 20
+    ("TrapezoidSolution", TRAPEZOID, {"c": 4, "quad_sides": (7, 4, 4, 5), "figure_tag": None}),
     # printed sides that disagree with the built trapezoid; (1, 1, 1, 1) is
     # even equable at h = 4, so only the check against c and f rejects it
     ("TrapezoidSolution-quad_sides", TRAPEZOID, {"quad_sides": (6, 4, 3, 6)}),

@@ -24,7 +24,7 @@ from equilat.search import (
     get_catalog,
     integer_norm_vectors,
 )
-from helpers import catalog_placements
+from helpers import catalog_placements, longest_side_sq
 
 
 def _full_square_scan(max_len: int) -> list[tuple[int, int, int]]:
@@ -163,7 +163,8 @@ def _pairwise_join(p_max: int) -> list:
     edges, without the area bound on its half-chains.  For each diagonal column dx it pairs every
     v1 with every v2 = d - v1 in the column dx - x1, keeps those with
     0 <= dy <= dx, a positive cross product and room for the other half, and
-    joins bucket k with bucket -k.  Returns the sorted hits."""
+    joins bucket k with bucket -k under the perimeter bound on the four
+    lengths.  Returns the sorted vertices of the hits."""
     half = (p_max - 1) // 2
     columns: dict[int, list[tuple[int, int]]] = {}
     for x, y, length in _full_square_scan(half):
@@ -190,15 +191,15 @@ def _pairwise_join(p_max: int) -> list:
                         continue
                     if x1 * qy == y1 * qx or (dx - x1) * uy == (dy - y1) * ux:
                         continue
-                    hits.append((((0, 0), (x1, y1), (dx, dy), (qx, qy)), (l1, l2, m1, m2)))
+                    hits.append(((0, 0), (x1, y1), (dx, dy), (qx, qy)))
     return sorted(hits)
 
 
 def _turned(hit):
     """The hit with its halves swapped: the same quad turned 180 degrees
     about d/2 and started at its old P2."""
-    (_, (x1, y1), (dx, dy), (qx, qy)), (l1, l2, m1, m2) = hit
-    return ((0, 0), (dx - qx, dy - qy), (dx, dy), (dx - x1, dy - y1)), (m1, m2, l1, l2)
+    _, (x1, y1), (dx, dy), (qx, qy) = hit
+    return (0, 0), (dx - qx, dy - qy), (dx, dy), (dx - x1, dy - y1)
 
 
 @pytest.mark.parametrize(
@@ -222,7 +223,7 @@ def _half_chain_scan(p_max: int) -> list[tuple[int, ...]]:
     """Reference oracle for `_half_chains`: every pair (v1, v2) of
     integer-norm edges, axis edges included, with cross(v1, v2) in
     [1, 2 p_max - 1], d = v1 + v2 in 0 <= dy <= dx <= half and room for the
-    other half, as sorted (dx, dy, key, x1, y1, l1, l2)."""
+    other half, as sorted (dx, dy, key, x1, y1)."""
     half = (p_max - 1) // 2
     columns: dict[int, list[tuple[int, int]]] = {}
     for x, y, length in _full_square_scan(half):
@@ -243,7 +244,7 @@ def _half_chain_scan(p_max: int) -> list[tuple[int, ...]]:
                         and 1 <= cross <= 2 * p_max - 1
                         and rest * rest > dx * dx + dy * dy
                     ):
-                        out.append((dx, dy, cross - 2 * (l1 + l2), x1, y1, l1, l2))
+                        out.append((dx, dy, cross - 2 * (l1 + l2), x1, y1))
     return sorted(out)
 
 
@@ -256,7 +257,7 @@ def test_half_chains_match_scan(p_max):
     columns = _half_chains(p_max, integer_norm_vectors((p_max - 1) // 2))
     assert set(columns) == set(range(1, (p_max - 1) // 2 + 1))
     listed = [
-        (dx, *chain) for dx, column in columns.items() for chain in zip(*[iter(column)] * 6)
+        (dx, *chain) for dx, column in columns.items() for chain in zip(*[iter(column)] * 4)
     ]
     assert sorted(listed) == _half_chain_scan(p_max)
 
@@ -275,7 +276,7 @@ def test_smallest_class_is_the_square():
 
 
 def _all_images_anchored_chains(
-    pts: tuple[tuple[int, int], ...], longest: int
+    pts: tuple[tuple[int, int], ...], sq: int
 ) -> list[tuple[int, ...]]:
     """Reference oracle: the anchoring that builds all eight images of the
     quad under the lattice symmetries, re-orients each counterclockwise and
@@ -289,7 +290,7 @@ def _all_images_anchored_chains(
         for i in range(4):
             ox, oy = img[i]
             ex, ey = img[(i + 1) % 4][0] - ox, img[(i + 1) % 4][1] - oy
-            if ex > 0 and ey >= 0 and ex * ex + ey * ey == longest * longest:
+            if ex > 0 and ey >= 0 and ex * ex + ey * ey == sq:
                 out.append(tuple(
                     v for x, y in img[i:] + img[:i] for v in (x - ox, y - oy)
                 ))
@@ -300,9 +301,9 @@ def _all_images_anchored_chains(
     "p_max", [16, 17, 42, 100, 200, pytest.param(1000, marks=pytest.mark.slow)]
 )
 def test_anchoring_matches_all_images(p_max):
-    for pts, sides in _equable_quads(p_max):
-        longest = max(sides)
-        assert _anchored_chains(pts, longest) == _all_images_anchored_chains(pts, longest)
+    for pts in _equable_quads(p_max):
+        sq = longest_side_sq(pts)
+        assert _anchored_chains(pts, sq) == _all_images_anchored_chains(pts, sq)
 
 
 def _flat(q) -> tuple[int, ...]:

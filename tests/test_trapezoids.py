@@ -36,7 +36,7 @@ def _scan_perimeter_dominant(p_max: int) -> list[HeronianTriangle]:
                     continue
                 area = heron_area(x, y, z)
                 if area is not None and p > area:
-                    found.append(HeronianTriangle((x, y, z), p, area))
+                    found.append(HeronianTriangle((x, y, z), area))
     found.sort(key=lambda t: (t.perimeter, t.sides))
     return found
 
@@ -271,24 +271,27 @@ class TestLatticeEmbedding:
 class TestValidation:
     def test_triangle_invariants(self):
         with pytest.raises(ValueError):
-            HeronianTriangle((3, 4, 5), 12, 7)
+            HeronianTriangle((3, 4, 5), 7)
         with pytest.raises(ValueError):
-            HeronianTriangle((1, 2, 3), 6, 1)
+            HeronianTriangle((1, 2, 3), 1)
 
     def test_solution_invariants(self):
         with pytest.raises(ValueError):
             TrapezoidSolution(
-                triangle=T345, f=3, c=0, h=Fraction(4), quad_sides=(3, 4, 0, 5),
+                triangle=T345, f=3, c=0, quad_sides=(3, 4, 0, 5),
             )
+        with pytest.raises(ValueError):  # f = 0 leaves the height 2 * area / f undefined
+            TrapezoidSolution(triangle=T345, f=0, c=3, quad_sides=(3, 4, 3, 5))
 
     @pytest.mark.parametrize(
         "args, message",
         [
-            (((1, 2, 3), 6, 1), "(1, 2, 3) is not a valid (ordered) triangle"),
-            (((4, 3, 5), 12, 6), "(4, 3, 5) is not a valid (ordered) triangle"),
-            (((3, 4, 5), 13, 6), "perimeter does not match the sides"),
-            (((3, 4, 5), 12, 7), "area does not satisfy Heron's formula"),
-            (((3, 4, 5), 12, 0), "area does not satisfy Heron's formula"),
+            (((1, 2, 3), 1), "(1, 2, 3) is not a valid (ordered) triangle"),
+            (((4, 3, 5), 6), "(4, 3, 5) is not a valid (ordered) triangle"),
+            # the perimeter 12 where the area 6 belongs
+            (((3, 4, 5), 12), "area does not satisfy Heron's formula"),
+            (((3, 4, 5), 7), "area does not satisfy Heron's formula"),
+            (((3, 4, 5), 0), "area does not satisfy Heron's formula"),
         ],
         ids=["degenerate", "unordered", "perimeter", "area", "zero-area"],
     )
@@ -302,7 +305,8 @@ class TestValidation:
         [
             ({"c": 0}, "short parallel side must be positive"),
             ({"quad_sides": (1, 1, 1, 1)}, "quad_sides must run (c + f, leg, c, leg)"),
-            ({"h": Fraction(2)}, "equable trapezoids need height > 2"),
+            # h = 2 * area / f = 2; 6 is not a side, which a later check catches
+            ({"f": 6, "quad_sides": (9, 4, 3, 5)}, "equable trapezoids need height > 2"),
             ({"quad_sides": (6, 4, 3, 6)}, "trapezoid is not equable"),
             # equable at h = 4, but 3 and 6 are not sides of (3, 4, 5)
             ({"quad_sides": (6, 3, 3, 6)}, "the legs must be the triangle's other two sides"),
@@ -314,7 +318,7 @@ class TestValidation:
         ids=["c", "sides", "h", "equability", "legs", "drawing"],
     )
     def test_solution_check_messages(self, changes, message):
-        fields = dict(triangle=T345, f=3, c=3, h=Fraction(4), quad_sides=(6, 4, 3, 5))
+        fields = dict(triangle=T345, f=3, c=3, quad_sides=(6, 4, 3, 5))
         TrapezoidSolution(**fields)  # the unchanged fields are valid
         with pytest.raises(ValueError) as exc:
             TrapezoidSolution(**{**fields, **changes})
