@@ -34,7 +34,7 @@ def _commands() -> list[tuple[str, ...]]:
     figure."""
     runs = {
         "pell": [(), ("--count", "40")],
-        "kites": [(), ("--count", "12"), ("--family", "K2", "--count", "3")],
+        "kites": [(), ("--count", "12"), ("--count", "200"), ("--family", "K2", "--count", "3")],
         "trapezoids": [()],
         "cyclic": [()],
         "search": [("--p-max", "42"), ("--p-max", "200")],

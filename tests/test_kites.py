@@ -108,7 +108,7 @@ class TestGenerate:
 class TestAudit:
     @pytest.mark.parametrize("tag", list(FAMILIES))
     def test_first_ten_members_pass(self, tag):
-        for km in generate(tag, 10):
+        for km in generate(tag, 30):
             outcome = audit_member(km)
             assert outcome.passed, (tag, km.sol, outcome)
 
