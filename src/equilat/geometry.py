@@ -22,7 +22,6 @@ __all__ = [
     "DiagonalReport",
     "quad",
     "orient",
-    "midpoint",
     "twice_area",
     "perimeter",
     "is_equable",
@@ -57,10 +56,6 @@ class Point(NamedTuple):
         dx = self.x - other.x
         dy = self.y - other.y
         return dx * dx + dy * dy
-
-
-def midpoint(a: Point, b: Point) -> tuple[Fraction, Fraction]:
-    return Fraction(a.x + b.x, 2), Fraction(a.y + b.y, 2)
 
 
 def orient(a: Point, b: Point, c: Point) -> int:

@@ -1,18 +1,25 @@
 """The four infinite families of lattice equable kites.
 
-Each family row turns one Pell solution (n, i) into a concrete kite
-O(0,0), A, B, C symmetric about the diagonal OB, with C the reflection of A.
+Each family row places the kite O(0,0), A, B, C, symmetric about the diagonal
+OB with C the reflection of A, for one Pell solution (n, i).
 Families K1/K2/K3/K4 pair with the equations n^2-5i^2=4, n^2-5i^2=1,
 n^2-2i^2=1 and 2n^2-i^2=1; their members have gcd(a, b) = 5, 5, 4, 3.
 Every other constant follows from the Vieta pair (k, m) = (5, 1), (5, 2),
 (8, 1), (9, 2): the area of triangle OAB is K_A = k*m*n, and the squared
 cross-diagonal is q^2 = |AC|^2 = 16km^2 / (km^2 - 4) = 80, 20, 32, 18.
+
+The members come from the recurrence that extends the Pell streams,
+v_{j+1} = t*v_j - v_{j-1} + w, run over (n, i, A, B, C) from the row's first
+two members, with t = 3, 18, 6, 6 the `rec` of the family's equation.  B and
+the midpoint of AC are linear in (n, i), and the chord A - C is the same for
+every member, so w is 0 on n, i and B, w_A = (2 - t)(A_0 - C_0)/2 and
+w_C = -w_A.  `audit_member` checks the coordinates against the paper's closed
+forms in (n, i).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import islice
+from itertools import islice, takewhile
 from math import gcd
 from typing import Iterator, NamedTuple
 
@@ -24,7 +31,6 @@ from equilat.geometry import (
     classify,
     is_equable,
     is_simple,
-    midpoint,
     orient,
     reflect_point,
 )
@@ -51,27 +57,22 @@ class FamilyExclusionError(EquilatError):
 class FamilyId(NamedTuple):
     """Constants of one family row.
 
-    M = ((m_n*n + m_i*i) / m_den) * m_dir  is the midpoint of AC,
-    A = M + half-chord, C = M - half-chord, B = b_mult*n * b_dir.
     a = (a_n*n + a_i*i) / ab_den and b = (a_n*n - a_i*i) / ab_den are the
     side lengths OA and AB, and (k, m) are the Vieta constants with
     ab = k(m^2 + n^2) and a + b = k*m*n.  The rest is derived: the area of
     triangle OAB is K_A = k*m*n, and q_sq = |AC|^2 = 16km^2 / (km^2 - 4).
+    `seeds` are the first two members as (n, i, Ax, Ay, Bx, By, Cx, Cy);
+    the later ones follow by the module's recurrence, with t the `rec` of the
+    family's Pell equation and w_A = -w_C = (2 - t)(A_0 - C_0)/2.
     """
 
     k: int
     m: int
-    m_n: int
-    m_i: int
-    m_den: int
-    m_dir: tuple[int, int]
-    half_chord: tuple[int, int, int]  # (dx, dy, den)
-    b_mult: int
-    b_dir: tuple[int, int]
     a_n: int
     a_i: int
     ab_den: int
     gcd_ab: int
+    seeds: tuple[tuple[int, ...], tuple[int, ...]]
 
     @property
     def q_sq(self) -> int:
@@ -80,10 +81,15 @@ class FamilyId(NamedTuple):
 
 
 FAMILIES: dict[str, FamilyId] = {
-    "K1": FamilyId(5, 1, 1, 5, 2, (2, 1), (2, -4, 1), 1, (2, 1), 5, 5, 2, 5),
-    "K2": FamilyId(5, 2, 2, 5, 1, (2, 1), (1, -2, 1), 4, (2, 1), 5, 10, 1, 5),
-    "K3": FamilyId(8, 1, 1, 2, 1, (2, 2), (2, -2, 1), 4, (1, 1), 4, 4, 1, 4),
-    "K4": FamilyId(9, 2, 4, 3, 2, (3, 3), (3, -3, 2), 12, (1, 1), 9, 6, 1, 3),
+    # k, m, a_n, a_i, ab_den, gcd_ab, then the seeds (n, i, Ax, Ay, Bx, By, Cx, Cy)
+    "K1": FamilyId(5, 1, 5, 5, 2, 5,
+                   ((2, 0, 4, -3, 4, 2, 0, 5), (3, 1, 10, 0, 6, 3, 6, 8))),
+    "K2": FamilyId(5, 2, 5, 10, 1, 5,
+                   ((9, 4, 77, 36, 72, 36, 75, 40), (161, 72, 1365, 680, 1288, 644, 1363, 684))),
+    "K3": FamilyId(8, 1, 4, 4, 1, 4,
+                   ((1, 0, 4, 0, 4, 4, 0, 4), (3, 2, 16, 12, 12, 12, 12, 16))),
+    "K4": FamilyId(9, 2, 9, 6, 1, 3,
+                   ((1, 1, 12, 9, 12, 12, 9, 12), (5, 7, 63, 60, 60, 60, 60, 63))),
 }
 
 
@@ -92,7 +98,6 @@ class KiteMember(NamedTuple):
 
     family: FamilyId
     sol: pell.PellSolution
-    M: tuple[Fraction, Fraction]  # midpoint of AC
     A: Point
     B: Point
     C: Point
@@ -109,52 +114,35 @@ class KiteMember(NamedTuple):
 
 
 def member(tag: str, sol: pell.PellSolution) -> KiteMember:
-    """Materialize the row of family `tag` for one Pell solution.
+    """The member of family `tag` at one Pell solution.
 
-    The solution must satisfy the family's equation; K2 rejects n = 1, whose
-    kite duplicates the K1 rhombus.
+    Raises ValueError unless `sol` is one of the family's members; K2 rejects
+    (1, 0), whose kite duplicates the K1 rhombus, with FamilyExclusionError.
     """
-    fam = FAMILIES[tag]
-    spec = pell.SPECS[tag]
-    if not spec.satisfies(sol.n, sol.i):
-        raise ValueError(f"{sol} does not satisfy the {tag} equation")
-    if tag == "K2" and sol.n == 1:
+    if tag == "K2" and sol == (1, 0):
         raise FamilyExclusionError("K2 requires n > 1; the n = 1 kite is the K1 rhombus")
-
-    scale = Fraction(fam.m_n * sol.n + fam.m_i * sol.i, fam.m_den)
-    mx = scale * fam.m_dir[0]
-    my = scale * fam.m_dir[1]
-    hx = Fraction(fam.half_chord[0], fam.half_chord[2])
-    hy = Fraction(fam.half_chord[1], fam.half_chord[2])
-
-    ax, ay = mx + hx, my + hy
-    cx, cy = mx - hx, my - hy
-    # always lattice points by the parity facts of the equations
-    if ax.denominator != 1 or ay.denominator != 1 or cx.denominator != 1 or cy.denominator != 1:
-        raise InconsistencyError(f"{tag}{sol}: A or C is not a lattice point")
-    a_len, rem_a = divmod(fam.a_n * sol.n + fam.a_i * sol.i, fam.ab_den)
-    b_len, rem_b = divmod(fam.a_n * sol.n - fam.a_i * sol.i, fam.ab_den)
-    if rem_a or rem_b:
-        raise InconsistencyError(f"{tag}{sol}: side lengths are not integers")
-
-    return KiteMember(
-        family=fam,
-        sol=sol,
-        M=(mx, my),
-        A=Point(int(ax), int(ay)),
-        B=Point(fam.b_mult * sol.n * fam.b_dir[0], fam.b_mult * sol.n * fam.b_dir[1]),
-        C=Point(int(cx), int(cy)),
-        K_A=fam.k * fam.m * sol.n,
-        a=a_len,
-        b=b_len,
-    )
+    for km in iter_members(tag):
+        if km.sol.n >= sol.n:
+            if km.sol == sol:
+                return km
+            break
+    raise ValueError(f"{sol} is not in the {tag} stream of members")
 
 
 def iter_members(tag: str) -> Iterator[KiteMember]:
-    for sol in pell.iter_solutions(pell.SPECS[tag]):
-        if tag == "K2" and sol.n == 1:
-            continue
-        yield member(tag, sol)
+    """Members in increasing n, from the row's seeds by the recurrence."""
+    fam = FAMILIES[tag]
+    t = pell.SPECS[tag].rec
+    _, _, ax0, ay0, _, _, cx0, cy0 = fam.seeds[0]
+    wx, wy = (2 - t) * (ax0 - cx0) // 2, (2 - t) * (ay0 - cy0) // 2
+    steps = pell.recurrence(t, *fam.seeds, (0, 0, wx, wy, 0, 0, -wx, -wy))
+    for n, i, ax, ay, bx, by, cx, cy in steps:
+        a_len, rem_a = divmod(fam.a_n * n + fam.a_i * i, fam.ab_den)
+        b_len, rem_b = divmod(fam.a_n * n - fam.a_i * i, fam.ab_den)
+        if rem_a or rem_b:
+            raise InconsistencyError(f"{tag}({n}, {i}): side lengths are not integers")
+        yield KiteMember(fam, pell.PellSolution(n, i), Point(ax, ay), Point(bx, by),
+                         Point(cx, cy), fam.k * fam.m * n, a_len, b_len)
 
 
 def generate(tag: str, count: int) -> list[KiteMember]:
@@ -166,12 +154,7 @@ def generate(tag: str, count: int) -> list[KiteMember]:
 
 def members_within_perimeter(tag: str, p_max: int) -> list[KiteMember]:
     """All members with perimeter (= area = 2*K_A) at most p_max."""
-    out = []
-    for km in iter_members(tag):
-        if km.perimeter > p_max:
-            break
-        out.append(km)
-    return out
+    return list(takewhile(lambda km: km.perimeter <= p_max, iter_members(tag)))
 
 
 class AuditOutcome(NamedTuple):
@@ -181,7 +164,8 @@ class AuditOutcome(NamedTuple):
 
 
 def audit_member(km: KiteMember) -> AuditOutcome:
-    """Recompute every claimed quantity from the raw coordinates.
+    """Check the closed forms in (n, i), K_A, a, b, q^2, Vieta and gcd,
+    against the coordinates the recurrence gave, and the kite itself.
 
     Failures are data, not exceptions: the outcome names the first check that
     does not hold.
@@ -200,8 +184,8 @@ def audit_member(km: KiteMember) -> AuditOutcome:
     checks.append(
         ("K_A", orient(o, km.A, km.B) == 2 * km.K_A, f"triangle area != {km.K_A}")
     )
-    checks.append(("a", o.dist_sq(km.A) == km.a * km.a, f"|OA| != {km.a}"))
-    checks.append(("b", km.A.dist_sq(km.B) == km.b * km.b, f"|AB| != {km.b}"))
+    checks.append(("a", km.a > 0 and o.dist_sq(km.A) == km.a * km.a, f"|OA| != {km.a}"))
+    checks.append(("b", km.b > 0 and km.A.dist_sq(km.B) == km.b * km.b, f"|AB| != {km.b}"))
     checks.append(("K_A=a+b", km.K_A == km.a + km.b, "half-quad equability fails"))
     checks.append(
         ("gcd", gcd(km.a, km.b) == fam.gcd_ab, f"gcd(a,b) != {fam.gcd_ab}")
@@ -216,7 +200,6 @@ def audit_member(km: KiteMember) -> AuditOutcome:
         ("reflection", reflect_point(km.A, o, km.B) == km.C,
          "C is not the reflection of A in OB"),
     )
-    checks.append(("midpoint", midpoint(km.A, km.C) == km.M, "M is not the midpoint of AC"))
 
     for name, ok, detail in checks:
         if not ok:
@@ -225,12 +208,10 @@ def audit_member(km: KiteMember) -> AuditOutcome:
 
 
 def convexity(km: KiteMember) -> str:
-    """Either "convex", when M falls strictly between O and B along the symmetry
-    axis, or "dart"."""
-    mx, my = km.M
-    if 0 < mx * km.B.x + my * km.B.y < km.B.x * km.B.x + km.B.y * km.B.y:
-        return "convex"
-    return "dart"
+    """Either "convex", when the midpoint of AC falls strictly between O and B
+    along the symmetry axis, or "dart"."""
+    along = (km.A.x + km.C.x) * km.B.x + (km.A.y + km.C.y) * km.B.y
+    return "convex" if 0 < along < 2 * km.B.dist_sq(Point(0, 0)) else "dart"
 
 
 def kite_from_parallelogram(a: Point, b: Point) -> LatticeQuad | None:

@@ -5,7 +5,8 @@ the full stream, ordered by increasing n, continues them with the second-order
 recurrence (n_j, i_j) = rec * (n_{j-1}, i_{j-1}) - (n_{j-2}, i_{j-2}).  Every
 emitted pair is re-checked against the equation, and completeness of the
 stream is asserted separately against the brute-force scan in `seed_search`
-(never proved here).
+(never proved here).  The kite families run the same recurrence, with a
+constant term, on their vertex coordinates.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ __all__ = [
     "PellSpec",
     "PellInconsistencyError",
     "SPECS",
+    "recurrence",
     "iter_solutions",
     "solutions",
     "seed_search",
@@ -83,6 +85,16 @@ SPECS: dict[str, PellSpec] = {spec.name: spec for spec in (
 )}
 
 
+def recurrence(
+    t: int, v0: tuple[int, ...], v1: tuple[int, ...], w: tuple[int, ...]
+) -> Iterator[tuple[int, ...]]:
+    """v0, v1, then v_{j+1} = t*v_j - v_{j-1} + w entry by entry, indefinitely."""
+    yield v0
+    while True:
+        yield v1
+        v0, v1 = v1, tuple(t * b - a + c for a, b, c in zip(v0, v1, w))
+
+
 def iter_solutions(spec: PellSpec) -> Iterator[PellSolution]:
     """Lazy stream of solutions in increasing n.
 
@@ -91,9 +103,9 @@ def iter_solutions(spec: PellSpec) -> Iterator[PellSolution]:
     equation (a wrong spec, not bad input).
     """
     yield from spec.seeds
-    prev, last = spec.seeds[-2], spec.seeds[-1]
-    while True:
-        nxt = PellSolution(spec.rec * last.n - prev.n, spec.rec * last.i - prev.i)
+    last = spec.seeds[-1]
+    steps = islice(recurrence(spec.rec, *spec.seeds[-2:], (0, 0)), 2, None)
+    for nxt in map(PellSolution._make, steps):
         if not spec.satisfies(nxt.n, nxt.i):
             raise PellInconsistencyError(
                 f"{spec.name}: recurrence produced {nxt}, which fails the equation"
@@ -101,7 +113,7 @@ def iter_solutions(spec: PellSpec) -> Iterator[PellSolution]:
         if nxt.n <= last.n:
             raise PellInconsistencyError(f"{spec.name}: stream is not increasing at {nxt}")
         yield nxt
-        prev, last = last, nxt
+        last = nxt
 
 
 def solutions(spec: PellSpec, count: int) -> list[PellSolution]:

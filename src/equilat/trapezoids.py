@@ -37,7 +37,7 @@ from math import isqrt
 from typing import NamedTuple
 
 from equilat import pell
-from equilat.errors import Checked, EquilatError, InconsistencyError
+from equilat.errors import Checked, EquilatError
 from equilat.figures import NAMED_QUADS, place
 from equilat.geometry import LatticeQuad
 
@@ -313,8 +313,6 @@ def lattice_embedding(ts: TrapezoidSolution) -> LatticeQuad | None:
     # plant the triangle O, A'(f, 0), C with C above; exact rationals
     xc = Fraction(f * f + leg_co**2 - leg_ab**2, 2 * f)
     h_sq = leg_co**2 - xc * xc
-    if h_sq != ts.h * ts.h:
-        raise InconsistencyError(f"{ts.quad_sides}: side data inconsistent with the height")
     diag_ob = (xc + c) ** 2 + h_sq  # O -> B
     diag_ac = (xc - a) ** 2 + h_sq  # A -> C
     return place((a * a, leg_ab**2, c * c, leg_co**2), (diag_ob, diag_ac))

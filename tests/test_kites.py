@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from equilat.figures import NAMED_QUADS
@@ -16,7 +14,6 @@ from equilat.kites import (
     FAMILIES,
     AuditOutcome,
     FamilyExclusionError,
-    KiteMember,
     audit_member,
     convexity,
     generate,
@@ -30,7 +27,6 @@ from equilat.pell import PellSolution
 class TestMember:
     def test_k1_n3(self):
         km = member("K1", PellSolution(3, 1))
-        assert km.M == (8, 4)
         assert (km.A, km.B, km.C) == (Point(10, 0), Point(6, 3), Point(6, 8))
         assert (km.K_A, km.a, km.b, km.A.dist_sq(km.C)) == (15, 10, 5, 80)
 
@@ -41,7 +37,8 @@ class TestMember:
     def test_k4_first(self):
         km = member("K4", PellSolution(1, 1))
         assert (km.A, km.B, km.C) == (Point(12, 9), Point(12, 12), Point(9, 12))
-        assert km.M == (Fraction(21, 2), Fraction(21, 2))  # lattice vertices, half-integral M
+        # lattice vertices, half-integral midpoint of AC
+        assert (km.A.x + km.C.x, km.A.y + km.C.y) == (21, 21)
 
     def test_k2_exclusion(self):
         with pytest.raises(FamilyExclusionError):
@@ -50,6 +47,12 @@ class TestMember:
     def test_rejects_non_solution(self):
         with pytest.raises(ValueError):
             member("K1", PellSolution(4, 1))
+
+    @pytest.mark.parametrize("sol", [PellSolution(-3, 1), PellSolution(3, -1)], ids=str)
+    def test_rejects_signed_solution(self, sol):
+        # both satisfy n^2 - 5i^2 = 4 but are not in the stream of members
+        with pytest.raises(ValueError):
+            member("K1", sol)
 
 
 # the kite drawings, each a family member: (name, family, n, i)
@@ -122,11 +125,18 @@ class TestAudit:
 
     def test_detects_corrupted_member(self):
         km = member("K1", PellSolution(3, 1))
-        bad = KiteMember(
-            family=km.family, sol=km.sol, M=km.M, A=km.A, B=km.B, C=km.C,
-            K_A=km.K_A, a=km.a + 5, b=km.b,
+        outcome = audit_member(km._replace(a=km.a + 5))
+        assert not outcome.passed and outcome.failed_check == "a"
+
+    def test_rejects_negative_lengths(self):
+        # the K1 closed forms at the signed solution (-3, 1): A and C of the
+        # rhombus (2, 0), B = (-6, -3), a = -5, b = -10 and K_A = -15, whose
+        # squared lengths and signed area all hold
+        km = member("K1", PellSolution(2, 0))._replace(
+            sol=PellSolution(-3, 1), A=Point(4, -3), B=Point(-6, -3), C=Point(0, 5),
+            K_A=-15, a=-5, b=-10,
         )
-        outcome = audit_member(bad)
+        outcome = audit_member(km)
         assert not outcome.passed and outcome.failed_check == "a"
 
     @pytest.mark.parametrize("tag", list(FAMILIES))

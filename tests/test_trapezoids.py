@@ -5,7 +5,6 @@ from types import SimpleNamespace
 import pytest
 
 from equilat import figures
-from equilat.errors import InconsistencyError
 from equilat.geometry import Point, quad, signature
 from equilat.pell import PellSolution
 from equilat.search import get_catalog
@@ -260,12 +259,6 @@ class TestLatticeEmbedding:
             emb = lattice_embedding(sol)
             assert emb is not None and signature(emb) == signature(drawing)
             assert signature(emb) in get_catalog(max(42, sol.perimeter))
-
-    def test_inconsistent_height_is_an_error(self):
-        sol = trapezoid_from(T345, 3)
-        bad = SimpleNamespace(f=sol.f, h=sol.h + 1, quad_sides=sol.quad_sides)
-        with pytest.raises(InconsistencyError):
-            lattice_embedding(bad)
 
 
 class TestValidation:
