@@ -127,9 +127,10 @@ def quad(*points: Point | tuple[int, int]) -> LatticeQuad:
 def twice_area(v: Sequence[Point]) -> int:
     """Twice the signed area of the polygon v (shoelace); positive for a LatticeQuad."""
     total = 0
-    for i in range(len(v)):
-        p, q_ = v[i], v[(i + 1) % len(v)]
-        total += p.x * q_.y - q_.x * p.y
+    px, py = v[-1]
+    for x, y in v:
+        total += px * y - x * py
+        px, py = x, y
     return total
 
 
@@ -167,7 +168,12 @@ def _reflex_index(v: Sequence[Point]) -> int | None:
 
     A simple quad has at most one reflex vertex, and its turn is the least.
     """
-    turns = [orient(v[i - 1], v[i], v[(i + 1) % 4]) for i in range(4)]
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = v
+    ax, ay, bx, by = x1 - x0, y1 - y0, x2 - x1, y2 - y1
+    cx, cy, dx, dy = x3 - x2, y3 - y2, x0 - x3, y0 - y3
+    # The turn at v[i], orient(v[i - 1], v[i], v[i + 1]), is the cross
+    # product of edges i - 1 and i.
+    turns = [dx * ay - dy * ax, ax * by - ay * bx, bx * cy - by * cx, cx * dy - cy * dx]
     least = min(turns)
     return None if least > 0 else turns.index(least)
 
@@ -179,22 +185,24 @@ def classify(q: LatticeQuad) -> QuadClassification:
     parallelogram is never a trapezoid.  A dart is a concave kite.
     """
     (x0, y0), (x1, y1), (x2, y2), (x3, y3) = q
-    ex = (x1 - x0, x2 - x1, x3 - x2, x0 - x3)  # edge i runs from q[i] to q[i + 1]
-    ey = (y1 - y0, y2 - y1, y3 - y2, y0 - y3)
+    # edges 0, 1, 2, 3 run from q[i] to q[i + 1]
+    ax, ay, bx, by = x1 - x0, y1 - y0, x2 - x1, y2 - y1
+    cx, cy, dx, dy = x3 - x2, y3 - y2, x0 - x3, y0 - y3
     reflex_index = _reflex_index(q)
     convex = reflex_index is None
 
-    s0, s1, s2, s3 = (ex[i] * ex[i] + ey[i] * ey[i] for i in range(4))
+    s0, s1, s2, s3 = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy, dx * dx + dy * dy
     kite = (s0 == s1 and s2 == s3) or (s1 == s2 and s3 == s0)
 
-    par02 = ex[0] * ey[2] == ey[0] * ex[2]
-    par13 = ex[1] * ey[3] == ey[1] * ex[3]
+    par02 = ax * cy == ay * cx
+    par13 = bx * dy == by * dx
     parallelogram = par02 and par13
     trapezoid = par02 != par13
     isosceles = trapezoid and ((par02 and s1 == s3) or (par13 and s0 == s2))
 
     # the angle at q[i] is right when edges i - 1 and i are perpendicular
-    right_at = [ex[i - 1] * ex[i] + ey[i - 1] * ey[i] == 0 for i in range(4)]
+    right_at = (dx * ax + dy * ay == 0, ax * bx + ay * by == 0,
+                bx * cx + by * cy == 0, cx * dx + cy * dy == 0)
     right = trapezoid and any(right_at[i - 1] and right_at[i] for i in range(4))
 
     return QuadClassification(
@@ -217,13 +225,11 @@ def is_cyclic(q: LatticeQuad) -> bool:
     (x, y, x^2 + y^2, 1), reduced to a 3x3 integer determinant by
     subtracting the first row.
     """
-    rows = []
-    x0, y0 = q[0].x, q[0].y
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = q
     z0 = x0 * x0 + y0 * y0
-    for p in q[1:]:
-        z = p.x * p.x + p.y * p.y
-        rows.append((p.x - x0, p.y - y0, z - z0))
-    (a1, b1, c1), (a2, b2, c2), (a3, b3, c3) = rows
+    a1, b1, c1 = x1 - x0, y1 - y0, x1 * x1 + y1 * y1 - z0
+    a2, b2, c2 = x2 - x0, y2 - y0, x2 * x2 + y2 * y2 - z0
+    a3, b3, c3 = x3 - x0, y3 - y0, x3 * x3 + y3 * y3 - z0
     det = a1 * (b2 * c3 - b3 * c2) - b1 * (a2 * c3 - a3 * c2) + c1 * (a2 * b3 - a3 * b2)
     return det == 0
 
@@ -255,15 +261,14 @@ def canonical_signature(
     (reflections included): four cyclic sides plus both diagonals determine
     the shape up to isometry.
     """
-    s = tuple(sides_sq)
-    d = tuple(diag_sq)
-    best = None
-    for base in (s, (s[3], s[2], s[1], s[0])):  # reversal keeps the diagonal pair
-        for r in range(4):
-            cand = base[r:] + base[:r] + (d[r % 2], d[(r + 1) % 2])
-            if best is None or cand < best:
-                best = cand
-    return best
+    a, b, c, d = sides_sq
+    p, q = diag_sq
+    # The four rotations of the cycle, then of its reversal, each followed by
+    # the diagonal from its first vertex; reversal keeps the diagonal pair.
+    return min(
+        (a, b, c, d, p, q), (b, c, d, a, q, p), (c, d, a, b, p, q), (d, a, b, c, q, p),
+        (d, c, b, a, p, q), (c, b, a, d, q, p), (b, a, d, c, p, q), (a, d, c, b, q, p),
+    )
 
 
 def signature(q: LatticeQuad) -> tuple[int, int, int, int, int, int]:
@@ -319,7 +324,8 @@ class DiagonalReport(NamedTuple):
 
 
 def _diagonal(q: LatticeQuad, i: int, j: int) -> Diagonal:
-    sq = q[i].dist_sq(q[j])
+    (x0, y0), (x1, y1) = q[i], q[j]
+    sq = (x1 - x0) ** 2 + (y1 - y0) ** 2
     root = exact_sqrt(sq)
     return Diagonal((i, j), sq, root is not None, root)
 

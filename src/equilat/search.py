@@ -18,6 +18,12 @@ half-chain with itself being a parallelogram.
 Every side and diagonal is shorter than half the perimeter, which bounds both
 the edge table and the diagonals.
 
+Each half-chain is stored as three ints: its key dy*K + k, the key
+dy*K - k of its partners, with K = 4 p_max > 2|k|, and its first edge.  Per
+column dx a set intersection in C finds the keys that some half-chain wants,
+and only the half-chains with those keys are bucketed in Python: 297 of
+5,895 at p_max = 200.
+
 The area bounds the half-chains too.  Each half's cross product is at least
 1, and the two sum to twice the area, that is 2 * perimeter <= 2 p_max, so
 each lies in [1, T] with T = 2 p_max - 1.
@@ -37,7 +43,11 @@ each half-chain with d in the quadrant is listed once.  For P = (x1, y1)
 and Q = (x2, y2) the eight images q give only four values of |c|:
 |x1*y2 - y1*x2|, x1*y2 + y1*x2, |x1*x2 - y1*y2| and x1*x2 + y1*y2, so a
 pair of bases whose two differences exceed T is skipped at once, and
-otherwise 1 <= |c|*i*j <= T bounds i, j.
+otherwise 1 <= |c|*i*j <= T bounds i, j.  The other half needs room too: its
+two sides exceed |d|, so (p_max - l1 - l2)^2 > |d|^2 with l1 = |v1| and
+l2 = j*r2, r2 = |Q|.  The j^2 terms of the two sides cancel, which leaves
+j <= (p_max (p_max - 2 l1) - 1) // (2 ((p_max - l1) r2 + v1.q)), whose
+divisor is positive because l1 < p_max / 2.
 
 Each pair of bases is taken once.  Reflecting a half-chain through y = x
 and reversing it keeps its cross product, lengths and key, swaps the bases
@@ -45,7 +55,9 @@ of its edges and sends d = (dx, dy) to (dy, dx).  So for P != Q a
 half-chain of (P, Q) with dy >= dx gives one of (Q, P) in the eighth,
 except on the x-axis, where the mirror lies on the y-axis, outside the
 quadrant; there reflecting through the x-axis and reversing gives the
-half-chains of (Q, P) from those of (P, Q) with the same d.
+half-chains of (Q, P) from those of (P, Q) with the same d.  For P = Q the
+same map sends (i, j) to (j, i), so j runs from i only, and the mirrors of
+j > i are filed as for P != Q.
 
 The pairs of directions restate the bound exactly, so the join finds the
 hits of pairing every v1 with every v2 = d - v1 without the bound, which
@@ -67,6 +79,7 @@ from __future__ import annotations
 
 from array import array
 from functools import lru_cache
+from itertools import compress
 from math import gcd, isqrt
 from typing import NamedTuple
 
@@ -123,15 +136,19 @@ def integer_norm_vectors(max_len: int) -> list[tuple[int, int, int]]:
 
 def _half_chains(p_max: int, edges: list[tuple[int, int, int]]) -> dict[int, array]:
     """Per column dx of diagonals, the half-chains 0 -> v1 -> d as flat runs
-    of (dy, k, x1, y1), k = cross(v1, v2) - 2(|v1| + |v2|): every
-    half-chain whose diagonal d lies in the eighth dx > 0, 0 <= dy <= dx,
-    whose cross product lies in [1, 2 p_max - 1] and whose other half has
-    room, once.  `edges` is the edge table integer_norm_vectors((p_max - 1) // 2).
-    The module docstring derives the pairs of directions."""
+    of (key, want, v): key = dy*K + k and want = dy*K - k with K = 4 p_max and
+    k = cross(v1, v2) - 2(|v1| + |v2|), and v = x1*V + y1 with
+    V = 2 half + 1, half = (p_max - 1) // 2.  Every half-chain whose diagonal
+    d lies in the eighth dx > 0, 0 <= dy <= dx, whose cross product lies in
+    [1, 2 p_max - 1] and whose other half has room, once.  `edges` is the edge
+    table integer_norm_vectors(half).  The module docstring derives the pairs
+    of directions."""
     half = (p_max - 1) // 2
     top = 2 * p_max - 1
-    # dy, |x1|, |y1| <= half and -2 p_max < k <= top fit a C int for any p_max
-    # <= P_MAX_MAX; a value out of range raises OverflowError, never wraps.
+    K, V = 4 * p_max, 2 * half + 1
+    # -2 p_max < k < 2 p_max, so a key fixes (dy, k); dy, |x1|, |y1| <= half.
+    # |key|, |want| < 2 p_max^2 and |v| < p_max^2 / 2 fit a C int for
+    # p_max < 32,768; a value out of range raises OverflowError, never wraps.
     out = {dx: array("i") for dx in range(1, half + 1)}
     # put[dx] appends to column dx; fromlist resizes the array once, where
     # extending it by a tuple grows it item by item at twice the cost.
@@ -149,7 +166,7 @@ def _half_chains(p_max: int, edges: list[tuple[int, int, int]]) -> dict[int, arr
             )
             if not y2:
                 images = images[:2] + images[4:6]  # the four images of (1, 0)
-            swap = (x2, y2) != (x1, y1)
+            same = (x2, y2) == (x1, y1)
             for qx, qy, c in images:
                 # A reflection through y = x first turns c < 0 into -c > 0,
                 # so a rotation finishes either symmetry.
@@ -162,12 +179,17 @@ def _half_chains(p_max: int, edges: list[tuple[int, int, int]]) -> dict[int, arr
                     continue
                 for i in range(1, min(half // r1, top // c) + 1):
                     ux, uy, l1, ci = i * px, i * py, i * r1, c * i
-                    for j in range(1, min(half // r2, top // ci) + 1):
-                        sx, sy, l2 = ux + j * qx, uy + j * qy, j * r2
-                        # The other half needs more than |d|, so dx, dy <= half.
-                        rest = p_max - l1 - l2
-                        if rest * rest <= sx * sx + sy * sy:
-                            continue
+                    # The other half needs more than |d|, so dx, dy <= half:
+                    # (p - l1 - j r2)^2 > |u + j q|^2, whose j^2 terms cancel.
+                    # The divisor is positive, since l1 <= half < p / 2.
+                    room = (p_max * (p_max - 2 * l1) - 1) // (
+                        2 * ((p_max - l1) * r2 + ux * qx + uy * qy))
+                    # For P = Q the mirrors of j > i are the half-chains of
+                    # j < i, so j starts at i; lo = 0 files every mirror.
+                    lo = i if same else 0
+                    kj, k0 = ci - 2 * r2, -2 * l1  # k = k0 + j * kj
+                    for j in range(lo or 1, min(half // r2, top // ci, room) + 1):
+                        sx, sy = ux + j * qx, uy + j * qy
                         # The one rotation that moves d0 = (sx, sy) into the
                         # quadrant dx > 0, dy >= 0, applied to d0 and v1.  p
                         # lies in the quadrant and q less than a half-turn
@@ -178,16 +200,18 @@ def _half_chains(p_max: int, edges: list[tuple[int, int, int]]) -> dict[int, arr
                             dx, dy, vx, vy = sy, -sx, uy, -ux
                         else:
                             dx, dy, vx, vy = -sx, -sy, -ux, -uy
-                        k = ci * j - 2 * (l1 + l2)
+                        k = k0 + j * kj
                         if dy <= dx:
-                            put[dx]([dy, k, vx, vy])
-                        if swap:
+                            t = dy * K
+                            put[dx]([t + k, t - k, vx * V + vy])
+                        if j > lo:
                             # The half-chains of (Q, P): mirrors through y = x,
                             # and on the x-axis through the x-axis.
                             if dy >= dx:
-                                put[dy]([dx, k, dy - vy, dx - vx])
+                                t = dx * K
+                                put[dy]([t + k, t - k, (dy - vy) * V + dx - vx])
                             if not dy:
-                                put[dx]([0, k, dx - vx, vy])
+                                put[dx]([k, -k, (dx - vx) * V + vy])
     return out
 
 
@@ -195,25 +219,36 @@ def _equable_quads(p_max: int):
     """Yield the vertices of every counterclockwise equable quad
     (0, P1, d, P3) with integer sides and perimeter <= p_max whose interior
     diagonal d = P2 - P0 lies in the eighth dx > 0, 0 <= dy <= dx, but only
-    one of each such quad and its 180-degree turn about d/2.  The module
-    docstring derives the bound 1 <= cross(v1, v2) <= 2 p_max - 1 on the
-    half-chains and the pairs of directions that list them."""
+    one of each such quad and its 180-degree turn about d/2.  Per column, a
+    set intersection in C keeps the half-chains whose key another one wants,
+    and only those reach Python.  The module docstring derives the bound
+    1 <= cross(v1, v2) <= 2 p_max - 1 on the half-chains and the pairs of
+    directions that list them."""
     half = (p_max - 1) // 2  # every side and diagonal is shorter than p_max / 2
+    K, V = 4 * p_max, 2 * half + 1
     columns = _half_chains(p_max, integer_norm_vectors(half))
     for dx in range(1, half + 1):
+        col = columns.pop(dx)
+        keys = col[0::3]
+        matched = set(keys).intersection(col[1::3])
+        if not matched:
+            continue
         # Half-chains 0 -> v1 -> d right of d, for one column of diagonals at
-        # a time, keyed by (dy, k).
-        buckets: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        it = iter(columns.pop(dx))
-        for dy, k, x1, y1 in zip(it, it, it, it):
-            buckets.setdefault((dy, k), []).append((x1, y1))
+        # a time, keyed by dy*K + k, with a partner key dy*K - k.
+        buckets: dict[int, list[tuple[int, int]]] = {}
+        for key, v in compress(zip(keys, col[2::3]), map(matched.__contains__, keys)):
+            x1, y1 = divmod(v + half, V)
+            buckets.setdefault(key, []).append((x1, y1 - half))
         # The left half (P2, P3, P0) negated is a right half (u1, u2) of the
         # same d; negation keeps both the cross product and the lengths.
         # Bucket 0 pairs each u with itself and the v after it.
-        for (dy, k), uppers in buckets.items():
+        for key, uppers in buckets.items():
+            dy, k = divmod(key + 2 * p_max, K)
+            k -= 2 * p_max
             if k < 0:
                 continue
-            for j, (ux, uy) in enumerate(buckets.get((dy, -k), ())):
+            # Some half-chain wants this key, so its partner bucket exists.
+            for j, (ux, uy) in enumerate(buckets[key - 2 * k]):
                 qx, qy = dx - ux, dy - uy  # P3 = d - u1 = u2
                 # Twice the area, cross(v1, d) + cross(u1, d), is 2 * perimeter.
                 room = 2 * p_max - (ux * dy - uy * dx)
@@ -230,30 +265,24 @@ def _anchored_chains(pts: tuple[tuple[int, int], ...], sq: int) -> list[tuple[in
     re-oriented counterclockwise and started at each vertex whose outgoing
     edge is a longest edge, of squared length sq, in the half-quadrant
     dx > 0, dy >= 0."""
-    edges = []
-    for (px, py), (qx, qy) in zip(pts, pts[1:] + pts[:1]):
-        if (qx - px) ** 2 + (qy - py) ** 2 == sq:
-            edges.append((qx - px, qy - py))
+    # A rotation (s = 1) maps the chain as it is; a reflection (s = -1) maps
+    # the reversed chain, which it leaves counterclockwise.  Per orientation,
+    # the next three vertices from each vertex whose outgoing edge is
+    # longest, relative to it, in the order of the vertices of the image.
+    starts: dict[int, list[tuple[int, ...]]] = {1: [], -1: []}
+    for s, chain in ((1, pts), (-1, pts[::-1])):
+        for i, (ox, oy) in enumerate(chain):
+            (ax, ay), (cx, cy), (fx, fy) = chain[i - 3], chain[i - 2], chain[i - 1]
+            vx, vy = ax - ox, ay - oy
+            if vx * vx + vy * vy == sq:
+                starts[s].append((vx, vy, cx - ox, cy - oy, fx - ox, fy - oy))
     out = []
     for a, b, c, e in POINT_SYMMETRIES:
-        # A rotation (s = 1) maps an edge v to g(v); a reflection (s = -1)
-        # reverses the chain, so its edges become -g(v).  Only images with a
-        # longest edge in the half-quadrant have an anchor.
-        s = a * e - b * c
-        for vx, vy in edges:
-            if s * (a * vx + b * vy) > 0 and s * (c * vx + e * vy) >= 0:
-                break
-        else:
-            continue
-        img = [(a * x + b * y, c * x + e * y) for x, y in pts]
-        if s < 0:
-            img.reverse()  # a reflection leaves the vertices clockwise
-        for i in range(4):
-            ox, oy = img[i]
-            ex, ey = img[(i + 1) % 4][0] - ox, img[(i + 1) % 4][1] - oy
-            if ex > 0 and ey >= 0 and ex * ex + ey * ey == sq:
-                _, _, (cx, cy), (fx, fy) = img[i:] + img[:i]
-                out.append((0, 0, ex, ey, cx - ox, cy - oy, fx - ox, fy - oy))
+        for vx, vy, cx, cy, fx, fy in starts[a * e - b * c]:
+            ex, ey = a * vx + b * vy, c * vx + e * vy
+            if ex > 0 and ey >= 0:
+                out.append((0, 0, ex, ey, a * cx + b * cy, c * cx + e * cy,
+                            a * fx + b * fy, c * fx + e * fy))
     return out
 
 
@@ -278,8 +307,11 @@ def enumerate_leqs(p_max: int) -> dict[tuple, LeqClass]:
         raise ValueError(f"p_max must lie in [{P_MAX_MIN}, {P_MAX_MAX}]")
     chains: dict[tuple, set[tuple[int, ...]]] = {}
     for pts in _equable_quads(p_max):
-        (x1, y1), (dx, dy), (qx, qy) = pts[1:]
-        sides_sq = [(c - a) ** 2 + (e - b) ** 2 for (a, b), (c, e) in zip(pts, pts[1:] + pts[:1])]
+        _, (x1, y1), (dx, dy), (qx, qy) = pts
+        sides_sq = (
+            x1 * x1 + y1 * y1, (dx - x1) ** 2 + (dy - y1) ** 2,
+            (qx - dx) ** 2 + (qy - dy) ** 2, qx * qx + qy * qy,
+        )
         sig = canonical_signature(sides_sq, (dx * dx + dy * dy, (qx - x1) ** 2 + (qy - y1) ** 2))
         chains.setdefault(sig, set()).update(_anchored_chains(pts, max(sides_sq)))
 

@@ -253,13 +253,28 @@ def _half_chain_scan(p_max: int) -> list[tuple[int, ...]]:
 )
 def test_half_chains_match_scan(p_max):
     # Every half-chain, axis edges included, once, in the column of its
-    # diagonal, with its key.
-    columns = _half_chains(p_max, integer_norm_vectors((p_max - 1) // 2))
-    assert set(columns) == set(range(1, (p_max - 1) // 2 + 1))
-    listed = [
-        (dx, *chain) for dx, column in columns.items() for chain in zip(*[iter(column)] * 4)
-    ]
+    # diagonal, with its key and the key of its partners.
+    half = (p_max - 1) // 2
+    K, V = 4 * p_max, 2 * half + 1
+    columns = _half_chains(p_max, integer_norm_vectors(half))
+    assert set(columns) == set(range(1, half + 1))
+    listed = []
+    for dx, column in columns.items():
+        for key, want, v in zip(*[iter(column)] * 3):
+            dy, k = divmod(key + K // 2, K)
+            k -= K // 2
+            assert want == dy * K - k
+            x1, y1 = divmod(v + half, V)
+            listed.append((dx, dy, k, x1, y1 - half))
     assert sorted(listed) == _half_chain_scan(p_max)
+
+
+@pytest.mark.parametrize(
+    "p_max, filed", [(200, 5895), pytest.param(1000, 70296, marks=pytest.mark.slow)]
+)
+def test_half_chain_counts(p_max, filed):
+    columns = _half_chains(p_max, integer_norm_vectors((p_max - 1) // 2))
+    assert sum(map(len, columns.values())) == 3 * filed
 
 
 @pytest.mark.parametrize(
