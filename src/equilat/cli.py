@@ -121,7 +121,7 @@ def _cmd_kites(args: argparse.Namespace) -> dict:
             "family": tag, "n": km.sol.n, "i": km.sol.i,
             "A": list(km.A), "B": list(km.B), "C": list(km.C),
             "K_A": km.K_A, "a": km.a, "b": km.b, "q_sq": km.family.q_sq,
-            "convexity": kites.convexity(km),
+            "convexity": "dart" if geometry.classify(km.quad()).is_dart else "convex",
         }
         for tag in tags
         for km in kites.generate(tag, args.count)

@@ -134,12 +134,12 @@ def realizable_orderings(
 
 class _CyclicSolution(NamedTuple):
     wxyz: tuple[int, int, int, int]
-    sides: tuple[int, int, int, int]  # nonincreasing
     orderings: tuple[tuple[tuple[int, int, int, int], LatticeQuad | None], ...]
 
 
 class CyclicSolution(Checked, _CyclicSolution):
-    """One solution quadruple with its side lengths and lattice embeddings."""
+    """One solution quadruple with the lattice embeddings of each cyclic order
+    of its sides."""
 
     __slots__ = ()
 
@@ -149,8 +149,13 @@ class CyclicSolution(Checked, _CyclicSolution):
             raise ValueError("wxyz does not satisfy the product identity")
         if z >= w + x + y:
             raise ValueError("z must be smaller than w+x+y")
-        if not brahmagupta_check(*self.sides):
-            raise ValueError("sides fail the Brahmagupta equability condition")
+        if [order for order, _ in self.orderings] != cyclic_orderings(self.sides):
+            raise ValueError("orderings are not the cyclic orders of the sides")
+
+    @property
+    def sides(self) -> tuple[int, int, int, int]:
+        """The side lengths, nonincreasing."""
+        return tuple(sorted(sides(self.wxyz), reverse=True))
 
     @property
     def embeddings(self) -> tuple[LatticeQuad, ...]:
@@ -162,16 +167,7 @@ def solutions() -> list[CyclicSolution]:
     out = []
     for w, x, y in enumerate_candidates():
         z = solve_z(w, x, y)
-        if z is None:
-            continue
-        ws = (w, x, y, z)
-        a, b, c, d = sides(ws)
-        side_desc = tuple(sorted((a, b, c, d), reverse=True))
-        out.append(
-            CyclicSolution(
-                wxyz=ws,
-                sides=side_desc,
-                orderings=tuple(realizable_orderings(side_desc)),
-            )
-        )
+        if z is not None:
+            ws = (w, x, y, z)
+            out.append(CyclicSolution(ws, tuple(realizable_orderings(sides(ws)))))
     return out

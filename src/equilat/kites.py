@@ -24,7 +24,7 @@ from math import gcd
 from typing import Iterator, NamedTuple
 
 from equilat import pell
-from equilat.errors import EquilatError, InconsistencyError
+from equilat.errors import InconsistencyError
 from equilat.geometry import (
     LatticeQuad,
     Point,
@@ -39,19 +39,13 @@ __all__ = [
     "FamilyId",
     "KiteMember",
     "AuditOutcome",
-    "FamilyExclusionError",
     "FAMILIES",
-    "member",
+    "iter_members",
     "generate",
     "members_within_perimeter",
     "audit_member",
-    "convexity",
     "kite_from_parallelogram",
 ]
-
-
-class FamilyExclusionError(EquilatError):
-    """Parameter row is excluded from its family (K2 with n = 1)."""
 
 
 class FamilyId(NamedTuple):
@@ -84,6 +78,7 @@ FAMILIES: dict[str, FamilyId] = {
     # k, m, a_n, a_i, ab_den, gcd_ab, then the seeds (n, i, Ax, Ay, Bx, By, Cx, Cy)
     "K1": FamilyId(5, 1, 5, 5, 2, 5,
                    ((2, 0, 4, -3, 4, 2, 0, 5), (3, 1, 10, 0, 6, 3, 6, 8))),
+    # K2 starts at (9, 4): its kite at n = 1 is K1's rhombus
     "K2": FamilyId(5, 2, 5, 10, 1, 5,
                    ((9, 4, 77, 36, 72, 36, 75, 40), (161, 72, 1365, 680, 1288, 644, 1363, 684))),
     "K3": FamilyId(8, 1, 4, 4, 1, 4,
@@ -111,22 +106,6 @@ class KiteMember(NamedTuple):
     @property
     def perimeter(self) -> int:
         return 2 * self.K_A
-
-
-def member(tag: str, sol: pell.PellSolution) -> KiteMember:
-    """The member of family `tag` at one Pell solution.
-
-    Raises ValueError unless `sol` is one of the family's members; K2 rejects
-    (1, 0), whose kite duplicates the K1 rhombus, with FamilyExclusionError.
-    """
-    if tag == "K2" and sol == (1, 0):
-        raise FamilyExclusionError("K2 requires n > 1; the n = 1 kite is the K1 rhombus")
-    for km in iter_members(tag):
-        if km.sol.n >= sol.n:
-            if km.sol == sol:
-                return km
-            break
-    raise ValueError(f"{sol} is not in the {tag} stream of members")
 
 
 def iter_members(tag: str) -> Iterator[KiteMember]:
@@ -205,13 +184,6 @@ def audit_member(km: KiteMember) -> AuditOutcome:
         if not ok:
             return AuditOutcome(False, name, detail)
     return AuditOutcome(True)
-
-
-def convexity(km: KiteMember) -> str:
-    """Either "convex", when the midpoint of AC falls strictly between O and B
-    along the symmetry axis, or "dart"."""
-    along = (km.A.x + km.C.x) * km.B.x + (km.A.y + km.C.y) * km.B.y
-    return "convex" if 0 < along < 2 * km.B.dist_sq(Point(0, 0)) else "dart"
 
 
 def kite_from_parallelogram(a: Point, b: Point) -> LatticeQuad | None:

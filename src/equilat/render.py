@@ -77,23 +77,20 @@ def figure_names() -> list[str]:
     return sorted(FIGURE_PANELS)
 
 
-def _coords(v) -> tuple[Fraction, Fraction]:
-    x, y = v
-    return Fraction(x), Fraction(y)
-
-
-def _fmt(value: Fraction) -> str:
+def _fmt(value: int | Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{float(value):.3f}".rstrip("0").rstrip(".")
 
 
 class _Panel:
+    """One panel's shapes; coordinates are ints or Fractions, as given."""
+
     def __init__(self, spec: dict):
-        self.polygons = [[_coords(v) for v in poly] for poly in spec["polygons"]]
+        self.polygons = spec["polygons"]
         self.labels = spec.get("labels")
-        self.dashed = [(_coords(a), _coords(b)) for a, b in spec.get("dashed", ())]
-        self.marks = [(_coords(p), text) for p, text in spec.get("marks", ())]
+        self.dashed = spec.get("dashed", ())
+        self.marks = spec.get("marks", ())
         points = [p for part in (*self.polygons, *self.dashed) for p in part]
         xs, ys = zip(*points, *(p for p, _ in self.marks))
         self.min_x = floor(min(xs)) - PAD

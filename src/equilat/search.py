@@ -83,7 +83,6 @@ from itertools import compress
 from math import gcd, isqrt
 from typing import NamedTuple
 
-from equilat import cyclic, kites, trapezoids
 from equilat.geometry import (
     POINT_SYMMETRIES,
     DiagonalReport,
@@ -344,7 +343,7 @@ class AuditReport(NamedTuple):
     p_max: int
     kites_found: frozenset[tuple]
     kites_expected: frozenset[tuple]
-    kite_audits: tuple[kites.AuditOutcome, ...]  # one per closed-form member
+    kite_audits: tuple["kites.AuditOutcome", ...]  # one per closed-form member
     trapezoids_found: frozenset[tuple]
     trapezoids_expected: frozenset[tuple]
     cyclic_found: frozenset[tuple]
@@ -369,7 +368,9 @@ def audit_theorems(p_max: int) -> AuditReport:
     """Compare the catalog at p_max against the closed-form kite families,
     the equable trapezoids, the cyclic solutions and the one rational interior
     diagonal, and audit every closed-form kite from its coordinates."""
-    from equilat.figures import NAMED_QUADS  # so that search alone never runs figures
+    # imported here so that search alone never runs the closed-form modules
+    from equilat import cyclic, kites, trapezoids
+    from equilat.figures import NAMED_QUADS
 
     catalog = enumerate_leqs(p_max)
     # The one class with a rational interior diagonal: the right trapezoid with

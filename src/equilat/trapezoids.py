@@ -39,7 +39,7 @@ from typing import NamedTuple
 from equilat import pell
 from equilat.errors import Checked, EquilatError
 from equilat.figures import NAMED_QUADS, place
-from equilat.geometry import LatticeQuad
+from equilat.geometry import LatticeQuad, exact_sqrt
 
 __all__ = [
     "HeronianTriangle",
@@ -74,10 +74,8 @@ def heron_area(x: int, y: int, z: int) -> int | None:
     if not (0 < x <= y <= z):
         raise ValueError("sides must be positive and ordered x <= y <= z")
     prod = (x + y + z) * (-x + y + z) * (x - y + z) * (x + y - z)
-    if prod <= 0:
-        return None
-    root = isqrt(prod)
-    if root * root != prod or root % 4:
+    root = exact_sqrt(prod)
+    if not root or root % 4:  # None, or 0 for a degenerate triangle
         return None
     return root // 4
 
@@ -134,13 +132,12 @@ def enumerate_perimeter_dominant(p_max: int) -> list[HeronianTriangle]:
             w_max = p_max // 2 - u - v
             if uv > 4:
                 w_max = min(w_max, (4 * (u + v) - 1) // (uv - 4))
-            elif isqrt(uv) ** 2 == uv:
+            elif exact_sqrt(uv) is not None:
                 w_max = min(w_max, (u + v - 1) ** 2 // 4)
             for w in range(v, w_max + 1):
                 s = u + v + w
-                area_sq = s * uv * w
-                area = isqrt(area_sq)
-                if area * area == area_sq and area < 2 * s:
+                area = exact_sqrt(s * uv * w)
+                if area is not None and area < 2 * s:
                     found.append(HeronianTriangle((u + v, u + w, v + w), area))
     found.sort(key=lambda t: (t.perimeter, t.sides))
     return found
@@ -266,7 +263,7 @@ def shorter_parallel_side(t: HeronianTriangle, f: int) -> Fraction:
         raise DegenerateTrapezoidError(
             f"side {f} >= area {t.area}: height would be at most 2"
         )
-    return Fraction(f * (t.perimeter - t.area), 2 * (t.area - f))
+    return Fraction(f * t.delta, 2 * (t.area - f))
 
 
 def trapezoid_from(t: HeronianTriangle, f: int) -> TrapezoidSolution | None:

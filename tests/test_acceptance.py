@@ -17,6 +17,7 @@ import pytest
 from equilat import cyclic, kites, pell, search, trapezoids
 from equilat.figures import NAMED_QUADS
 from equilat.geometry import (
+    classify,
     interior_diagonals,
     is_equable,
     perimeter,
@@ -86,7 +87,7 @@ def test_criterion_3_convexity_census():
             (tag, km)
             for tag in kites.FAMILIES
             for km in kites.generate(tag, 10)
-            if kites.convexity(km) == "convex"
+            if classify(km.quad()).convex
         ]
         assert [(tag, km.sol.n, km.sol.i) for tag, km in convex] == [
             ("K1", 2, 0), ("K3", 1, 0), ("K4", 1, 1),

@@ -95,6 +95,15 @@ class TestStartup:
         )]
         assert _loaded_after_cli_import(traced) == set(traced)
 
+    def test_search_import_executes_no_closed_form_module(self):
+        # audit_theorems imports cyclic, kites, trapezoids and figures itself
+        probe = "import sys, equilat.search; print(*(m for m in sys.modules if 'equilat' in m))"
+        done = _python("-c", probe)
+        done.check_returncode()
+        assert set(done.stdout.split()) == {
+            "equilat", "equilat.errors", "equilat.geometry", "equilat.search",
+        }
+
     @pytest.mark.parametrize(
         "argv, modules",
         [

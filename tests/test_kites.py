@@ -13,15 +13,20 @@ from equilat.geometry import (
 from equilat.kites import (
     FAMILIES,
     AuditOutcome,
-    FamilyExclusionError,
     audit_member,
-    convexity,
     generate,
+    iter_members,
     kite_from_parallelogram,
-    member,
     members_within_perimeter,
 )
-from equilat.pell import PellSolution
+from equilat.pell import SPECS, PellSolution
+
+
+def member(tag: str, sol: PellSolution):
+    """The member of family `tag` at `sol`: the stream's first with n >= sol.n."""
+    km = next(km for km in iter_members(tag) if km.sol.n >= sol.n)
+    assert km.sol == sol
+    return km
 
 
 class TestMember:
@@ -40,19 +45,12 @@ class TestMember:
         # lattice vertices, half-integral midpoint of AC
         assert (km.A.x + km.C.x, km.A.y + km.C.y) == (21, 21)
 
-    def test_k2_exclusion(self):
-        with pytest.raises(FamilyExclusionError):
-            member("K2", PellSolution(1, 0))
-
     def test_rejects_non_solution(self):
-        with pytest.raises(ValueError):
-            member("K1", PellSolution(4, 1))
-
-    @pytest.mark.parametrize("sol", [PellSolution(-3, 1), PellSolution(3, -1)], ids=str)
-    def test_rejects_signed_solution(self, sol):
-        # both satisfy n^2 - 5i^2 = 4 but are not in the stream of members
-        with pytest.raises(ValueError):
-            member("K1", sol)
+        # the stream holds no other parameter: each member's (n, i) solves
+        # its family's equation, with n > 0 and i >= 0
+        for tag in FAMILIES:
+            for km in generate(tag, 20):
+                assert SPECS[tag].satisfies(*km.sol) and km.sol.n > 0 and km.sol.i >= 0
 
 
 # the kite drawings, each a family member: (name, family, n, i)
@@ -152,20 +150,20 @@ class TestAudit:
 
 class TestConvexity:
     def test_rhombus_convex(self):
-        assert convexity(member("K1", PellSolution(2, 0))) == "convex"
+        assert classify(member("K1", PellSolution(2, 0)).quad()).convex
 
     def test_kite_3_15_convex(self):
-        assert convexity(member("K4", PellSolution(1, 1))) == "convex"
+        assert classify(member("K4", PellSolution(1, 1)).quad()).convex
 
     def test_k1_n3_dart(self):
-        assert convexity(member("K1", PellSolution(3, 1))) == "dart"
+        assert classify(member("K1", PellSolution(3, 1)).quad()).is_dart
 
     def test_census_first_ten(self):
         convex = [
             (tag, km.sol)
             for tag in FAMILIES
             for km in generate(tag, 10)
-            if convexity(km) == "convex"
+            if classify(km.quad()).convex
         ]
         assert convex == [
             ("K1", PellSolution(2, 0)),
@@ -175,8 +173,12 @@ class TestConvexity:
 
     @pytest.mark.parametrize("tag", list(FAMILIES))
     def test_agrees_with_classify(self, tag):
+        # a kite symmetric about OB is convex exactly when the midpoint of AC
+        # falls strictly between O and B along OB
         for km in generate(tag, 8):
-            assert (convexity(km) == "convex") == classify(km.quad()).convex
+            along = (km.A.x + km.C.x) * km.B.x + (km.A.y + km.C.y) * km.B.y
+            midpoint_between = 0 < along < 2 * km.B.dist_sq(Point(0, 0))
+            assert midpoint_between == classify(km.quad()).convex
 
 
 class TestNonRedundancy:

@@ -65,11 +65,15 @@ def test_sorts_by_field_order(unsorted, expected):
 
 
 TRAPEZOID = trapezoids.trapezoid_from(T345, 3)  # quad_sides (6, 4, 3, 5), h = 4
+CYCLIC = cyclic.solutions()  # wxyz (1, 9, 10, 10) first, the square (4, 4, 4, 4) last
 
 # (id, record, changes that break a check)
 REPLACE_CHECKS = [
     ("PellSpec", pell.SPECS["K1"], {"rec": 2}),
-    ("CyclicSolution", cyclic.CyclicSolution((4, 4, 4, 4), (4, 4, 4, 4), ()), {"sides": (1, 1, 1, 1)}),
+    ("CyclicSolution", CYCLIC[3], {"wxyz": (4, 4, 4, 5)}),
+    # sides follow from wxyz, so another solution's sides or orderings fail
+    ("CyclicSolution-sides", CYCLIC[0], {"sides": CYCLIC[1].sides}),
+    ("CyclicSolution-orderings", CYCLIC[0], {"orderings": CYCLIC[3].orderings}),
     ("HeronianTriangle", T345, {"area": 7}),
     # f = 3 with c = 4 gives h = 4 and area 22 against perimeter 20
     ("TrapezoidSolution", TRAPEZOID, {"c": 4, "quad_sides": (7, 4, 4, 5), "figure_tag": None}),
