@@ -134,12 +134,11 @@ def realizable_orderings(
 
 class _CyclicSolution(NamedTuple):
     wxyz: tuple[int, int, int, int]
-    orderings: tuple[tuple[tuple[int, int, int, int], LatticeQuad | None], ...]
 
 
 class CyclicSolution(Checked, _CyclicSolution):
-    """One solution quadruple with the lattice embeddings of each cyclic order
-    of its sides."""
+    """One solution quadruple; its sides, and the lattice embedding of each
+    cyclic order of them, follow from it."""
 
     __slots__ = ()
 
@@ -149,13 +148,16 @@ class CyclicSolution(Checked, _CyclicSolution):
             raise ValueError("wxyz does not satisfy the product identity")
         if z >= w + x + y:
             raise ValueError("z must be smaller than w+x+y")
-        if [order for order, _ in self.orderings] != cyclic_orderings(self.sides):
-            raise ValueError("orderings are not the cyclic orders of the sides")
 
     @property
     def sides(self) -> tuple[int, int, int, int]:
         """The side lengths, nonincreasing."""
         return tuple(sorted(sides(self.wxyz), reverse=True))
+
+    @property
+    def orderings(self) -> tuple[tuple[tuple[int, int, int, int], LatticeQuad | None], ...]:
+        """Each cyclic order of the sides with its lattice embedding, or None."""
+        return tuple(realizable_orderings(self.sides))
 
     @property
     def embeddings(self) -> tuple[LatticeQuad, ...]:
@@ -168,6 +170,5 @@ def solutions() -> list[CyclicSolution]:
     for w, x, y in enumerate_candidates():
         z = solve_z(w, x, y)
         if z is not None:
-            ws = (w, x, y, z)
-            out.append(CyclicSolution(ws, tuple(realizable_orderings(sides(ws)))))
+            out.append(CyclicSolution((w, x, y, z)))
     return out

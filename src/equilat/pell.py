@@ -20,17 +20,12 @@ from equilat.errors import Checked, InconsistencyError
 __all__ = [
     "PellSolution",
     "PellSpec",
-    "PellInconsistencyError",
     "SPECS",
     "recurrence",
     "iter_solutions",
     "solutions",
     "seed_search",
 ]
-
-
-class PellInconsistencyError(InconsistencyError):
-    """The recurrence produced a pair that fails its own equation."""
 
 
 class PellSolution(NamedTuple):
@@ -99,7 +94,7 @@ def iter_solutions(spec: PellSpec) -> Iterator[PellSolution]:
     """Lazy stream of solutions in increasing n.
 
     The seeds are the first entries of the stream; the recurrence extends it
-    indefinitely.  Raises PellInconsistencyError if an extended pair fails the
+    indefinitely.  Raises InconsistencyError if an extended pair fails the
     equation (a wrong spec, not bad input).
     """
     yield from spec.seeds
@@ -107,11 +102,11 @@ def iter_solutions(spec: PellSpec) -> Iterator[PellSolution]:
     steps = islice(recurrence(spec.rec, *spec.seeds[-2:], (0, 0)), 2, None)
     for nxt in map(PellSolution._make, steps):
         if not spec.satisfies(nxt.n, nxt.i):
-            raise PellInconsistencyError(
+            raise InconsistencyError(
                 f"{spec.name}: recurrence produced {nxt}, which fails the equation"
             )
         if nxt.n <= last.n:
-            raise PellInconsistencyError(f"{spec.name}: stream is not increasing at {nxt}")
+            raise InconsistencyError(f"{spec.name}: stream is not increasing at {nxt}")
         yield nxt
         last = nxt
 

@@ -37,14 +37,13 @@ from math import isqrt
 from typing import NamedTuple
 
 from equilat import pell
-from equilat.errors import Checked, EquilatError
+from equilat.errors import Checked
 from equilat.figures import NAMED_QUADS, place
 from equilat.geometry import LatticeQuad, exact_sqrt
 
 __all__ = [
     "HeronianTriangle",
     "TrapezoidSolution",
-    "DegenerateTrapezoidError",
     "TRAPEZOID_SCAN_BOUND",
     "heron_area",
     "enumerate_perimeter_dominant",
@@ -62,10 +61,6 @@ a completeness bound: the branch analysis in the module docstring leaves only
 the four family rows unbounded, and they give no trapezoid, so the five
 solutions are found at any bound of at least 18.  At 400 the list shows the
 three sporadic triangles and the smallest members of every family row."""
-
-
-class DegenerateTrapezoidError(EquilatError):
-    """Chosen side is at least the triangle area, forcing height <= 2."""
 
 
 def heron_area(x: int, y: int, z: int) -> int | None:
@@ -203,36 +198,41 @@ def family_members_within(row: int, p_max: int) -> list[HeronianTriangle]:
 class _TrapezoidSolution(NamedTuple):
     triangle: HeronianTriangle
     f: int
-    c: int
-    quad_sides: tuple[int, int, int, int]
-    figure_tag: str | None = None
 
 
 class TrapezoidSolution(Checked, _TrapezoidSolution):
-    """Equable trapezoid built from a Heronian triangle.
+    """Equable trapezoid built by extending the side f of a Heronian triangle.
 
     quad_sides lists (long parallel side c + f, leg AB, short parallel side c,
-    leg CO) in cyclic vertex order O, A, B, C.
+    leg CO) in cyclic vertex order O, A, B, C.  The legs are in the published
+    order of the named drawing when there is one, and ascending otherwise.
     """
 
     __slots__ = ()
 
     def _check(self) -> None:
-        if self.c < 1:
-            raise ValueError("short parallel side must be positive")
-        if self.quad_sides[::2] != (self.c + self.f, self.c):
-            raise ValueError("quad_sides must run (c + f, leg, c, leg)")
-        if self.f < 1 or self.h <= 2:  # h = 2 * area / f
-            raise ValueError("equable trapezoids need height > 2")
-        if self.h * sum(self.quad_sides[::2]) / 2 != self.perimeter:
-            raise ValueError("trapezoid is not equable")
-        if sorted((self.f, *self.quad_sides[1::2])) != list(self.triangle.sides):
-            raise ValueError("the legs must be the triangle's other two sides")
-        if self.figure_tag is not None:
-            d = NAMED_QUADS.get(self.figure_tag, ())
-            sides_sq = [p.dist_sq(q) for p, q in zip(d, d[1:] + d[:1])]
-            if sides_sq != [x * x for x in self.quad_sides]:
-                raise ValueError(f"drawing {self.figure_tag!r} does not have these sides")
+        c = shorter_parallel_side(self.triangle, self.f)
+        if c.denominator != 1 or c < 1:
+            raise ValueError(f"strip width {c} is not a positive integer")
+
+    @property
+    def c(self) -> int:
+        return int(shorter_parallel_side(self.triangle, self.f))
+
+    @property
+    def figure_tag(self) -> str | None:
+        return _FIGURE_TAGS.get((self.triangle.sides, self.f))
+
+    @property
+    def quad_sides(self) -> tuple[int, int, int, int]:
+        c, f, tag = self.c, self.f, self.figure_tag
+        if tag is None:
+            legs = list(self.triangle.sides)
+            legs.remove(f)
+        else:
+            vo, va, vb, vc = NAMED_QUADS[tag]
+            legs = isqrt(va.dist_sq(vb)), isqrt(vc.dist_sq(vo))
+        return (c + f, legs[0], c, legs[1])
 
     @property
     def perimeter(self) -> int:
@@ -256,37 +256,25 @@ _FIGURE_TAGS: dict[tuple[tuple[int, int, int], int], str] = {
 
 
 def shorter_parallel_side(t: HeronianTriangle, f: int) -> Fraction:
-    """Exact value of the strip width c for side choice f."""
+    """Exact value of the strip width c for side choice f.
+
+    The denominator is positive, as a Heronian triangle's area exceeds each
+    side: with tangent lengths u, v, w >= 1 and the side v + w,
+    A^2 = uvw(u+v+w), so A <= v + w needs uvw < v + w <= vw + 1.  Then u = 1
+    and v = 1 (or w = 1), and A^2 = w(w+2) lies strictly between two squares.
+    """
     if f not in t.sides:
         raise ValueError(f"{f} is not a side of {t.sides}")
-    if t.area <= f:
-        raise DegenerateTrapezoidError(
-            f"side {f} >= area {t.area}: height would be at most 2"
-        )
     return Fraction(f * t.delta, 2 * (t.area - f))
 
 
 def trapezoid_from(t: HeronianTriangle, f: int) -> TrapezoidSolution | None:
-    """Equable trapezoid extending side f of the triangle, when one exists.
-
-    Returns None when the strip width is not a positive integer.  Legs are
-    read from the named drawing, in its published order, for the five
-    classical solutions, and are ascending otherwise.
-    """
+    """Equable trapezoid extending side f of the triangle, or None when the
+    strip width is not a positive integer."""
     c = shorter_parallel_side(t, f)
     if c.denominator != 1 or c < 1:
         return None
-    c = int(c)
-    tag = _FIGURE_TAGS.get((t.sides, f))
-    if tag is None:
-        legs = list(t.sides)
-        legs.remove(f)
-    else:
-        vo, va, vb, vc = NAMED_QUADS[tag]
-        legs = isqrt(va.dist_sq(vb)), isqrt(vc.dist_sq(vo))
-    return TrapezoidSolution(
-        triangle=t, f=f, c=c, quad_sides=(c + f, legs[0], c, legs[1]), figure_tag=tag
-    )
+    return TrapezoidSolution(t, f)
 
 
 def all_equable_trapezoids(p_max: int = TRAPEZOID_SCAN_BOUND) -> list[TrapezoidSolution]:

@@ -1,7 +1,7 @@
 import pytest
 
+from equilat.errors import InconsistencyError
 from equilat.pell import (
-    PellInconsistencyError,
     PellSolution,
     PellSpec,
     SPECS,
@@ -130,7 +130,7 @@ def test_recurrence_inconsistency_detected():
     # both seeds satisfy n^2 - 5 i^2 = 4, but they are not consecutive
     # solutions, so the recurrence leaves the solution set
     bad = PellSpec("K1-skip", 1, 5, 4, (PellSolution(2, 0), PellSolution(7, 3)), 3)
-    with pytest.raises(PellInconsistencyError):
+    with pytest.raises(InconsistencyError):
         solutions(bad, 3)
 
 

@@ -31,7 +31,7 @@ RECORDS = [
     ("FamilyId", lambda: kites.FAMILIES["K1"], "k"),
     ("KiteMember", lambda: kites.generate("K1", 1)[0], "A"),
     ("AuditOutcome", lambda: kites.audit_member(kites.generate("K1", 1)[0]), "passed"),
-    ("CyclicSolution", lambda: cyclic.solutions()[0], "orderings"),
+    ("CyclicSolution", lambda: cyclic.solutions()[0], "wxyz"),
     ("HeronianTriangle", lambda: T345, "area"),
     ("TrapezoidSolution", lambda: trapezoids.trapezoid_from(T345, 3), "triangle"),
 ]
@@ -65,22 +65,17 @@ def test_sorts_by_field_order(unsorted, expected):
 
 
 TRAPEZOID = trapezoids.trapezoid_from(T345, 3)  # quad_sides (6, 4, 3, 5), h = 4
+T556 = trapezoids.HeronianTriangle.from_sides(5, 5, 6)
 CYCLIC = cyclic.solutions()  # wxyz (1, 9, 10, 10) first, the square (4, 4, 4, 4) last
 
 # (id, record, changes that break a check)
 REPLACE_CHECKS = [
     ("PellSpec", pell.SPECS["K1"], {"rec": 2}),
     ("CyclicSolution", CYCLIC[3], {"wxyz": (4, 4, 4, 5)}),
-    # sides follow from wxyz, so another solution's sides or orderings fail
-    ("CyclicSolution-sides", CYCLIC[0], {"sides": CYCLIC[1].sides}),
-    ("CyclicSolution-orderings", CYCLIC[0], {"orderings": CYCLIC[3].orderings}),
     ("HeronianTriangle", T345, {"area": 7}),
-    # f = 3 with c = 4 gives h = 4 and area 22 against perimeter 20
-    ("TrapezoidSolution", TRAPEZOID, {"c": 4, "quad_sides": (7, 4, 4, 5), "figure_tag": None}),
-    # printed sides that disagree with the built trapezoid; (1, 1, 1, 1) is
-    # even equable at h = 4, so only the check against c and f rejects it
-    ("TrapezoidSolution-quad_sides", TRAPEZOID, {"quad_sides": (6, 4, 3, 6)}),
-    ("TrapezoidSolution-equable-quad_sides", TRAPEZOID, {"quad_sides": (1, 1, 1, 1)}),
+    # side 5 of (5, 5, 6) gives the strip width 10/7
+    ("TrapezoidSolution", TRAPEZOID, {"triangle": T556, "f": 5}),
+    ("TrapezoidSolution-not-a-side", TRAPEZOID, {"f": 6}),
 ]
 
 
@@ -88,6 +83,8 @@ REPLACE_CHECKS = [
     "record, changes", [r[1:] for r in REPLACE_CHECKS], ids=[r[0] for r in REPLACE_CHECKS]
 )
 def test_replace_reruns_the_checks(record, changes):
+    # an unknown field name also raises ValueError, before any check runs
+    assert set(changes) <= set(record._fields)
     with pytest.raises(ValueError):
         record._replace(**changes)
 

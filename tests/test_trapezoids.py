@@ -1,15 +1,14 @@
 from fractions import Fraction
 from math import isqrt
-from types import SimpleNamespace
 
 import pytest
 
 from equilat import figures
-from equilat.geometry import Point, quad, signature
+from equilat.figures import NAMED_QUADS
+from equilat.geometry import classify, is_equable, quad, signature
 from equilat.pell import PellSolution
 from equilat.search import get_catalog
 from equilat.trapezoids import (
-    DegenerateTrapezoidError,
     HeronianTriangle,
     TrapezoidSolution,
     all_equable_trapezoids,
@@ -180,12 +179,18 @@ class TestTrapezoidFrom:
         with pytest.raises(ValueError):
             trapezoid_from(T345, 6)
 
-    def test_degeneracy_guard(self):
-        # no true Heronian triangle has area <= a side (scan to P=1500 finds
-        # none), so exercise the guard with a duck-typed impostor
-        fake = SimpleNamespace(sides=(3, 4, 5), perimeter=12, area=5)
-        with pytest.raises(DegenerateTrapezoidError):
-            shorter_parallel_side(fake, 5)
+    def test_area_exceeds_every_side(self):
+        # the lemma in shorter_parallel_side's docstring that keeps its
+        # denominator positive, over every Heronian triangle of perimeter <= 600
+        found = []
+        for x in range(1, 201):
+            for y in range(x, (600 - x) // 2 + 1):
+                for z in range(y, min(x + y, 601 - x - y)):
+                    area = heron_area(x, y, z)
+                    if area is not None:
+                        found.append((Fraction(area, z), (x, y, z)))
+        assert len(found) == 1723
+        assert min(found) == (Fraction(6, 5), (3, 4, 5))
 
     def test_solution_is_equable_in_rationals(self):
         for t, f in [(T345, 3), (T345, 4), (T345, 5), (T556, 6), (T558, 8)]:
@@ -245,10 +250,16 @@ class TestLatticeEmbedding:
         assert lattice_embedding(sol) == quad((0, 0), (16, 12), (12, 12), (0, 3))
 
     def test_all_five_embed(self):
-        for sol in all_equable_trapezoids():
+        # the embeddings check what the record derives: its sides, the order
+        # of its legs and its drawing
+        sols = all_equable_trapezoids()
+        assert len(sols) == 5
+        for sol in sols:
             emb = lattice_embedding(sol)
-            assert emb is not None
-            assert sorted(Point(0, 0).dist_sq(p) for p in emb)  # lattice quad
+            assert is_equable(emb) and classify(emb).is_trapezoid
+            sides_sq = [p.dist_sq(q) for p, q in zip(emb, emb[1:] + emb[:1])]
+            assert sides_sq == [s * s for s in sol.quad_sides]
+            assert emb == NAMED_QUADS[sol.figure_tag]
 
     def test_realizer_matches_catalog_lookup(self, monkeypatch):
         # with the named drawings hidden, every answer comes from the realizer;
@@ -269,12 +280,10 @@ class TestValidation:
             HeronianTriangle((1, 2, 3), 1)
 
     def test_solution_invariants(self):
-        with pytest.raises(ValueError):
-            TrapezoidSolution(
-                triangle=T345, f=3, c=0, quad_sides=(3, 4, 0, 5),
-            )
+        with pytest.raises(ValueError):  # the strip width 15/7
+            TrapezoidSolution(triangle=T558, f=5)
         with pytest.raises(ValueError):  # f = 0 leaves the height 2 * area / f undefined
-            TrapezoidSolution(triangle=T345, f=0, c=3, quad_sides=(3, 4, 3, 5))
+            TrapezoidSolution(triangle=T345, f=0)
 
     @pytest.mark.parametrize(
         "args, message",
@@ -296,22 +305,18 @@ class TestValidation:
     @pytest.mark.parametrize(
         "changes, message",
         [
-            ({"c": 0}, "short parallel side must be positive"),
-            ({"quad_sides": (1, 1, 1, 1)}, "quad_sides must run (c + f, leg, c, leg)"),
-            # h = 2 * area / f = 2; 6 is not a side, which a later check catches
-            ({"f": 6, "quad_sides": (9, 4, 3, 5)}, "equable trapezoids need height > 2"),
-            ({"quad_sides": (6, 4, 3, 6)}, "trapezoid is not equable"),
-            # equable at h = 4, but 3 and 6 are not sides of (3, 4, 5)
-            ({"quad_sides": (6, 3, 3, 6)}, "the legs must be the triangle's other two sides"),
+            # (5, 12, 13) has area = perimeter = 30, so every strip width is 0
             (
-                {"figure_tag": "right-trapezoid-10-3-6-5"},
-                "drawing 'right-trapezoid-10-3-6-5' does not have these sides",
+                {"triangle": HeronianTriangle.from_sides(5, 12, 13), "f": 5},
+                "strip width 0 is not a positive integer",
             ),
+            ({"triangle": T556, "f": 5}, "strip width 10/7 is not a positive integer"),
+            ({"f": 6}, "6 is not a side of (3, 4, 5)"),
         ],
-        ids=["c", "sides", "h", "equability", "legs", "drawing"],
+        ids=["c", "c-fraction", "not-a-side"],
     )
     def test_solution_check_messages(self, changes, message):
-        fields = dict(triangle=T345, f=3, c=3, quad_sides=(6, 4, 3, 5))
+        fields = dict(triangle=T345, f=3)
         TrapezoidSolution(**fields)  # the unchanged fields are valid
         with pytest.raises(ValueError) as exc:
             TrapezoidSolution(**{**fields, **changes})
