@@ -179,9 +179,10 @@ class TestTrapezoidFrom:
         with pytest.raises(ValueError):
             trapezoid_from(T345, 6)
 
-    def test_area_exceeds_every_side(self):
-        # the lemma in shorter_parallel_side's docstring that keeps its
-        # denominator positive, over every Heronian triangle of perimeter <= 600
+    def test_degeneracy_guard(self):
+        # no guard is needed against a side f >= area (height <= 2): the lemma
+        # in shorter_parallel_side's docstring keeps its denominator positive.
+        # Scan it over every Heronian triangle of perimeter <= 600.
         found = []
         for x in range(1, 201):
             for y in range(x, (600 - x) // 2 + 1):
@@ -310,10 +311,21 @@ class TestValidation:
                 {"triangle": HeronianTriangle.from_sides(5, 12, 13), "f": 5},
                 "strip width 0 is not a positive integer",
             ),
+            # quad_sides would be (c + f, leg, c, leg) = (13, 10, -3, 10)
+            (
+                {"triangle": HeronianTriangle.from_sides(10, 10, 16), "f": 16},
+                "strip width -3 is not a positive integer",
+            ),
+            # the height 2 * area / f is undefined
+            ({"f": 0}, "0 is not a side of (3, 4, 5)"),
+            # equable only in the rationals
             ({"triangle": T556, "f": 5}, "strip width 10/7 is not a positive integer"),
+            # the legs are the two sides other than f
             ({"f": 6}, "6 is not a side of (3, 4, 5)"),
+            # (5, 5, 8) is drawn extending f = 8, and f = 5 gives no trapezoid
+            ({"triangle": T558, "f": 5}, "strip width 15/7 is not a positive integer"),
         ],
-        ids=["c", "c-fraction", "not-a-side"],
+        ids=["c", "sides", "h", "equability", "legs", "drawing"],
     )
     def test_solution_check_messages(self, changes, message):
         fields = dict(triangle=T345, f=3)
