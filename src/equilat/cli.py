@@ -57,7 +57,7 @@ def _check_workers(args: argparse.Namespace) -> None:
 
 
 def _quad_json(q: geometry.LatticeQuad | None) -> list[list[int]] | None:
-    return None if q is None else [[p.x, p.y] for p in q]
+    return None if q is None else [list(p) for p in q]
 
 
 def to_json(payload, pretty: bool) -> str:
@@ -191,7 +191,7 @@ def _cmd_cyclic(args: argparse.Namespace) -> dict:
         },
         "text": lambda: [f"{len(candidates)} candidates, {len(sols)} solutions"] + [
             f"wxyz={s.wxyz} sides={s.sides}: " + "; ".join(
-                f"{order}" + ("" if emb is None else f" -> {[(p.x, p.y) for p in emb]}")
+                f"{order}" + ("" if emb is None else f" -> {list(emb)}")
                 for order, emb in s.orderings
             )
             for s in sols

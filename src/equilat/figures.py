@@ -15,7 +15,6 @@ from equilat.geometry import (
     LatticeQuad,
     canonical_signature,
     is_equable,
-    quad,
     realize,
     signature,
 )
@@ -24,20 +23,20 @@ __all__ = ["NAMED_QUADS", "KNOWN_EMBEDDINGS", "place"]
 
 
 NAMED_QUADS: dict[str, LatticeQuad] = {
-    "square-4": quad((0, 0), (4, 0), (4, 4), (0, 4)),
-    "rectangle-3-6": quad((0, 0), (3, 0), (3, 6), (0, 6)),
-    "rhombus-5": quad((0, 0), (5, 0), (8, 4), (3, 4)),
-    "rhombus-5-alt": quad((0, 0), (4, -3), (4, 2), (0, 5)),
-    "right-trapezoid-6-4-3-5": quad((0, 0), (6, 0), (6, 4), (3, 4)),
-    "right-trapezoid-10-3-6-5": quad((0, 0), (10, 0), (10, 3), (4, 3)),
-    "isosceles-trapezoid-8-5-2-5": quad((0, 0), (8, 0), (5, 4), (3, 4)),
-    "isosceles-trapezoid-14-5-6-5": quad((0, 0), (14, 0), (10, 3), (4, 3)),
-    "trapezoid-20-4-15-3": quad((0, 0), (16, 12), (12, 12), (0, 3)),
-    "kite-3-15": quad((0, 0), (12, 9), (12, 12), (9, 12)),
-    "dart-10-5": quad((0, 0), (10, 0), (6, 3), (6, 8)),
-    "kite-k1-n7": quad((0, 0), (24, 7), (14, 7), (20, 15)),
-    "kite-k1-n18": quad((0, 0), (60, 25), (36, 18), (56, 33)),
-    "concave-60": quad((0, 0), (20, 15), (8, 10), (8, 15)),
+    "square-4": LatticeQuad(((0, 0), (4, 0), (4, 4), (0, 4))),
+    "rectangle-3-6": LatticeQuad(((0, 0), (3, 0), (3, 6), (0, 6))),
+    "rhombus-5": LatticeQuad(((0, 0), (5, 0), (8, 4), (3, 4))),
+    "rhombus-5-alt": LatticeQuad(((0, 0), (4, -3), (4, 2), (0, 5))),
+    "right-trapezoid-6-4-3-5": LatticeQuad(((0, 0), (6, 0), (6, 4), (3, 4))),
+    "right-trapezoid-10-3-6-5": LatticeQuad(((0, 0), (10, 0), (10, 3), (4, 3))),
+    "isosceles-trapezoid-8-5-2-5": LatticeQuad(((0, 0), (8, 0), (5, 4), (3, 4))),
+    "isosceles-trapezoid-14-5-6-5": LatticeQuad(((0, 0), (14, 0), (10, 3), (4, 3))),
+    "trapezoid-20-4-15-3": LatticeQuad(((0, 0), (16, 12), (12, 12), (0, 3))),
+    "kite-3-15": LatticeQuad(((0, 0), (12, 9), (12, 12), (9, 12))),
+    "dart-10-5": LatticeQuad(((0, 0), (10, 0), (6, 3), (6, 8))),
+    "kite-k1-n7": LatticeQuad(((0, 0), (24, 7), (14, 7), (20, 15))),
+    "kite-k1-n18": LatticeQuad(((0, 0), (60, 25), (36, 18), (56, 33))),
+    "concave-60": LatticeQuad(((0, 0), (20, 15), (8, 10), (8, 15))),
 }
 
 
@@ -60,7 +59,12 @@ def place(sides_sq: tuple[int, ...], diag_sq: tuple[int | Fraction, ...]) -> Lat
     """A lattice placement of the shape with these squared sides, in cyclic
     order, and exact squared diagonals: its named drawing when it has one,
     else `geometry.realize`'s answer; None when the lattice has none, as when
-    a squared diagonal is not an integer."""
+    a squared diagonal is not an integer.
+
+    The placement is congruent to the shape, and no more: its sides in vertex
+    order are the requested cyclic order or its reverse, read from some
+    vertex, since a drawing starts where it likes and LatticeQuad turns a
+    clockwise find round."""
     if any(d.denominator != 1 for d in diag_sq):
         return None
     diag_sq = tuple(map(int, diag_sq))

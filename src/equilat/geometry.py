@@ -15,13 +15,11 @@ from typing import NamedTuple, Sequence
 from equilat.errors import InvalidQuadError
 
 __all__ = [
-    "Point",
     "LatticeQuad",
     "QuadClassification",
     "Diagonal",
     "DiagonalReport",
-    "quad",
-    "orient",
+    "dist_sq",
     "twice_area",
     "perimeter",
     "is_equable",
@@ -46,24 +44,12 @@ def exact_sqrt(n: int) -> int | None:
     return r if r * r == n else None
 
 
-class Point(NamedTuple):
-    """Lattice point."""
-
-    x: int
-    y: int
-
-    def dist_sq(self, other: "Point") -> int:
-        dx = self.x - other.x
-        dy = self.y - other.y
-        return dx * dx + dy * dy
+def dist_sq(a: tuple[int, int], b: tuple[int, int]) -> int:
+    """Squared distance between two lattice points."""
+    return (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2
 
 
-def orient(a: Point, b: Point, c: Point) -> int:
-    """Twice the signed area of triangle abc; positive for a left (ccw) turn."""
-    return (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
-
-
-def is_simple(points: Sequence[Point]) -> bool:
+def is_simple(points: Sequence[tuple[int, int]]) -> bool:
     """True iff the four points, joined in order, bound a simple quadrilateral
     with no three vertices collinear.
 
@@ -78,10 +64,10 @@ def is_simple(points: Sequence[Point]) -> bool:
         raise ValueError("expected exactly four points")
     (x0, y0), (x1, y1), (x2, y2), (x3, y3) = points
     x1, y1, x2, y2, x3, y3 = x1 - x0, y1 - y0, x2 - x0, y2 - y0, x3 - x0, y3 - y0
-    a = x1 * y2 - x2 * y1          # orient(P0, P1, P2)
-    b = x1 * y3 - x3 * y1          # orient(P0, P1, P3)
-    c = x2 * y3 - x3 * y2          # orient(P0, P2, P3)
-    d = a - b + c                  # orient(P1, P2, P3)
+    a = x1 * y2 - x2 * y1          # cross product P0P1 x P0P2
+    b = x1 * y3 - x3 * y1          # cross product P0P1 x P0P3
+    c = x2 * y3 - x3 * y2          # cross product P0P2 x P0P3
+    d = a - b + c                  # cross product P1P2 x P1P3
     if a == 0 or b == 0 or c == 0 or d == 0:
         return False
     if a * b < 0 and c * d < 0:    # edge P0-P1 crosses edge P2-P3
@@ -93,7 +79,7 @@ def is_simple(points: Sequence[Point]) -> bool:
 
 class LatticeQuad(tuple):
     """Simple lattice quadrilateral in positive (counterclockwise) order: the
-    tuple of its four vertices.
+    tuple of its four vertices, each an (x, y) tuple of ints.
 
     Any vertex order may be passed in; a clockwise list is reversed in place
     (keeping the first vertex first).  Self-intersecting or degenerate input
@@ -104,8 +90,8 @@ class LatticeQuad(tuple):
 
     __slots__ = ()
 
-    def __new__(cls, v: Sequence[Point]) -> "LatticeQuad":
-        pts = tuple(v)
+    def __new__(cls, v: Sequence[Sequence[int]]) -> "LatticeQuad":
+        pts = tuple((x, y) for x, y in v)
         if len(pts) != 4:
             raise InvalidQuadError("a quadrilateral needs exactly four vertices")
         if not is_simple(pts):
@@ -118,13 +104,7 @@ class LatticeQuad(tuple):
         return f"LatticeQuad({tuple.__repr__(self)})"
 
 
-def quad(*points: Point | tuple[int, int]) -> LatticeQuad:
-    """Convenience constructor: quad((0,0), (4,0), (4,4), (0,4))."""
-    pts = tuple(p if isinstance(p, Point) else Point(*p) for p in points)
-    return LatticeQuad(pts)
-
-
-def twice_area(v: Sequence[Point]) -> int:
+def twice_area(v: Sequence[tuple[int, int]]) -> int:
     """Twice the signed area of the polygon v (shoelace); positive for a LatticeQuad."""
     total = 0
     px, py = v[-1]
@@ -134,9 +114,9 @@ def twice_area(v: Sequence[Point]) -> int:
     return total
 
 
-def _sides_sq(v: Sequence[Point]) -> tuple[int, int, int, int]:
+def _sides_sq(v: Sequence[tuple[int, int]]) -> tuple[int, int, int, int]:
     """Squared side lengths in vertex order."""
-    return tuple(v[i].dist_sq(v[(i + 1) % 4]) for i in range(4))
+    return tuple(dist_sq(v[i], v[(i + 1) % 4]) for i in range(4))
 
 
 def perimeter(q: LatticeQuad) -> int | None:
@@ -163,7 +143,7 @@ class QuadClassification(NamedTuple):
     is_cyclic: bool
 
 
-def _reflex_index(v: Sequence[Point]) -> int | None:
+def _reflex_index(v: Sequence[tuple[int, int]]) -> int | None:
     """The vertex whose turn is not a left turn, or None for a convex quad.
 
     A simple quad has at most one reflex vertex, and its turn is the least.
@@ -171,8 +151,7 @@ def _reflex_index(v: Sequence[Point]) -> int | None:
     (x0, y0), (x1, y1), (x2, y2), (x3, y3) = v
     ax, ay, bx, by = x1 - x0, y1 - y0, x2 - x1, y2 - y1
     cx, cy, dx, dy = x3 - x2, y3 - y2, x0 - x3, y0 - y3
-    # The turn at v[i], orient(v[i - 1], v[i], v[i + 1]), is the cross
-    # product of edges i - 1 and i.
+    # The turn at v[i] is the cross product of edges i - 1 and i.
     turns = [dx * ay - dy * ax, ax * by - ay * bx, bx * cy - by * cx, cx * dy - cy * dx]
     least = min(turns)
     return None if least > 0 else turns.index(least)
@@ -234,18 +213,19 @@ def is_cyclic(q: LatticeQuad) -> bool:
     return det == 0
 
 
-def reflect_point(a: Point, axis_from: Point, axis_to: Point) -> tuple[Fraction, Fraction]:
+def reflect_point(
+    a: tuple[int, int], axis_from: tuple[int, int], axis_to: tuple[int, int]
+) -> tuple[Fraction, Fraction]:
     """Exact reflection of a across the line through the two axis points."""
     if axis_from == axis_to:
         raise ValueError("axis endpoints must be distinct")
-    dx = axis_to.x - axis_from.x
-    dy = axis_to.y - axis_from.y
+    (ax, ay), (fx, fy), (tx, ty) = a, axis_from, axis_to
+    dx, dy = tx - fx, ty - fy
     den = dx * dx + dy * dy
-    vx = a.x - axis_from.x
-    vy = a.y - axis_from.y
+    vx, vy = ax - fx, ay - fy
     dot = vx * dx + vy * dy
-    rx = axis_from.x * den + 2 * dot * dx - den * vx
-    ry = axis_from.y * den + 2 * dot * dy - den * vy
+    rx = fx * den + 2 * dot * dx - den * vx
+    ry = fy * den + 2 * dot * dy - den * vy
     return Fraction(rx, den), Fraction(ry, den)
 
 
@@ -273,18 +253,18 @@ def canonical_signature(
 
 def signature(q: LatticeQuad) -> tuple[int, int, int, int, int, int]:
     """Congruence signature of a quad; see canonical_signature."""
-    return canonical_signature(_sides_sq(q), (q[0].dist_sq(q[2]), q[1].dist_sq(q[3])))
+    return canonical_signature(_sides_sq(q), (dist_sq(q[0], q[2]), dist_sq(q[1], q[3])))
 
 
-def _circle_points(n: int) -> list[Point]:
+def _circle_points(n: int) -> list[tuple[int, int]]:
     """Every lattice point at squared distance n from the origin."""
     out = []
     for x in range(-isqrt(n), isqrt(n) + 1):
         y = exact_sqrt(n - x * x)
         if y is not None:
-            out.append(Point(x, y))
+            out.append((x, y))
             if y:
-                out.append(Point(x, -y))
+                out.append((x, -y))
     return out
 
 
@@ -293,21 +273,24 @@ def realize(sides_sq: Sequence[int], diag_sq: Sequence[int]) -> LatticeQuad | No
     order from P0, and squared diagonals (|P0P2|^2, |P1P3|^2); None when the
     lattice has none.  realize(sig[:4], sig[4:]) realizes a signature.
 
+    The answer is congruent to the requested shape, but LatticeQuad turns a
+    clockwise find round, so its sides in vertex order are the requested
+    cyclic order or its reverse, read from some vertex.
+
     P0 sits at the origin and P1, P2, P3 range over the lattice points of the
     circles |P0P1|^2 = s0, |P0P2|^2 = d0 and |P0P3|^2 = s3.  The six lengths
     fix the shape up to congruence, so the first simple match is the answer.
     """
     s0, s1, s2, s3 = sides_sq
     d0, d1 = diag_sq
-    origin = Point(0, 0)
     on_s0, on_s3 = _circle_points(s0), _circle_points(s3)
     for b in _circle_points(d0):
         for a in on_s0:
-            if a.dist_sq(b) != s1:
+            if dist_sq(a, b) != s1:
                 continue
             for c in on_s3:
-                if b.dist_sq(c) == s2 and a.dist_sq(c) == d1 and is_simple((origin, a, b, c)):
-                    return LatticeQuad((origin, a, b, c))
+                if dist_sq(b, c) == s2 and dist_sq(a, c) == d1 and is_simple(((0, 0), a, b, c)):
+                    return LatticeQuad(((0, 0), a, b, c))
     return None
 
 
@@ -324,8 +307,7 @@ class DiagonalReport(NamedTuple):
 
 
 def _diagonal(q: LatticeQuad, i: int, j: int) -> Diagonal:
-    (x0, y0), (x1, y1) = q[i], q[j]
-    sq = (x1 - x0) ** 2 + (y1 - y0) ** 2
+    sq = dist_sq(q[i], q[j])
     root = exact_sqrt(sq)
     return Diagonal((i, j), sq, root is not None, root)
 

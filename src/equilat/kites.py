@@ -27,12 +27,12 @@ from equilat import pell
 from equilat.errors import InconsistencyError
 from equilat.geometry import (
     LatticeQuad,
-    Point,
     classify,
+    dist_sq,
     is_equable,
     is_simple,
-    orient,
     reflect_point,
+    twice_area,
 )
 
 __all__ = [
@@ -93,15 +93,15 @@ class KiteMember(NamedTuple):
 
     family: FamilyId
     sol: pell.PellSolution
-    A: Point
-    B: Point
-    C: Point
+    A: tuple[int, int]
+    B: tuple[int, int]
+    C: tuple[int, int]
     K_A: int
     a: int
     b: int
 
     def quad(self) -> LatticeQuad:
-        return LatticeQuad((Point(0, 0), self.A, self.B, self.C))
+        return LatticeQuad(((0, 0), self.A, self.B, self.C))
 
     @property
     def perimeter(self) -> int:
@@ -120,8 +120,8 @@ def iter_members(tag: str) -> Iterator[KiteMember]:
         b_len, rem_b = divmod(fam.a_n * n - fam.a_i * i, fam.ab_den)
         if rem_a or rem_b:
             raise InconsistencyError(f"{tag}({n}, {i}): side lengths are not integers")
-        yield KiteMember(fam, pell.PellSolution(n, i), Point(ax, ay), Point(bx, by),
-                         Point(cx, cy), fam.k * fam.m * n, a_len, b_len)
+        yield KiteMember(fam, pell.PellSolution(n, i), (ax, ay), (bx, by), (cx, cy),
+                         fam.k * fam.m * n, a_len, b_len)
 
 
 def generate(tag: str, count: int) -> list[KiteMember]:
@@ -150,7 +150,7 @@ def audit_member(km: KiteMember) -> AuditOutcome:
     does not hold.
     """
     fam = km.family
-    o = Point(0, 0)
+    o = (0, 0)
 
     checks: list[tuple[str, bool, str]] = []
 
@@ -161,15 +161,15 @@ def audit_member(km: KiteMember) -> AuditOutcome:
         checks.append(("equable", is_equable(q), "area differs from perimeter"))
         checks.append(("kite", classify(q).is_kite, "no two disjoint equal adjacent pairs"))
     checks.append(
-        ("K_A", orient(o, km.A, km.B) == 2 * km.K_A, f"triangle area != {km.K_A}")
+        ("K_A", twice_area((o, km.A, km.B)) == 2 * km.K_A, f"triangle area != {km.K_A}")
     )
-    checks.append(("a", km.a > 0 and o.dist_sq(km.A) == km.a * km.a, f"|OA| != {km.a}"))
-    checks.append(("b", km.b > 0 and km.A.dist_sq(km.B) == km.b * km.b, f"|AB| != {km.b}"))
+    checks.append(("a", km.a > 0 and dist_sq(o, km.A) == km.a * km.a, f"|OA| != {km.a}"))
+    checks.append(("b", km.b > 0 and dist_sq(km.A, km.B) == km.b * km.b, f"|AB| != {km.b}"))
     checks.append(("K_A=a+b", km.K_A == km.a + km.b, "half-quad equability fails"))
     checks.append(
         ("gcd", gcd(km.a, km.b) == fam.gcd_ab, f"gcd(a,b) != {fam.gcd_ab}")
     )
-    checks.append(("q_sq", km.A.dist_sq(km.C) == fam.q_sq, f"|AC|^2 != {fam.q_sq}"))
+    checks.append(("q_sq", dist_sq(km.A, km.C) == fam.q_sq, f"|AC|^2 != {fam.q_sq}"))
     k, m, n = fam.k, fam.m, km.sol.n
     checks.append(
         ("vieta", km.a * km.b == k * (m * m + n * n) and km.a + km.b == k * m * n,
@@ -186,20 +186,20 @@ def audit_member(km: KiteMember) -> AuditOutcome:
     return AuditOutcome(True)
 
 
-def kite_from_parallelogram(a: Point, b: Point) -> LatticeQuad | None:
+def kite_from_parallelogram(a: tuple[int, int], b: tuple[int, int]) -> LatticeQuad | None:
     """Reverse the cut-and-rearrange construction.
 
     Reflect A across the diagonal O-B of the parallelogram O, A, B, C'; when
     the image is a lattice point and O, A, B, image close up into a simple
     quadrilateral, that quadrilateral is the kite.  Returns None otherwise.
     """
-    o = Point(0, 0)
-    if orient(o, a, b) == 0:
+    o = (0, 0)
+    if twice_area((o, a, b)) == 0:
         raise ValueError("O, A, B must span a nondegenerate triangle")
     cx, cy = reflect_point(a, o, b)
     if cx.denominator != 1 or cy.denominator != 1:
         return None
-    pts = (o, a, b, Point(int(cx), int(cy)))
+    pts = (o, a, b, (int(cx), int(cy)))
     if not is_simple(pts):
         return None
     return LatticeQuad(pts)

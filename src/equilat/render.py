@@ -30,9 +30,9 @@ def _trapezoid(name: str) -> dict:
     """Panel of the trapezoid drawing O, A, B, C with legs AB and CO.  It marks
     A' = A - B + C, which ends the base OA' = f of the source triangle OA'C,
     and dashes the cut A'C, from its lower end, that leaves the strip A'ABC."""
-    _, a, b, c = q = NAMED_QUADS[name]
-    a1 = (a.x - b.x + c.x, a.y - b.y + c.y)
-    cut = tuple(sorted((a1, c), key=lambda p: (p[1], p[0])))
+    _, (ax, ay), (bx, by), (cx, cy) = q = NAMED_QUADS[name]
+    a1 = (ax - bx + cx, ay - by + cy)
+    cut = tuple(sorted((a1, (cx, cy)), key=lambda p: (p[1], p[0])))
     return {"polygons": [q], "labels": _LABELS, "dashed": [cut], "marks": [(a1, "A'")]}
 
 

@@ -87,7 +87,6 @@ from equilat.geometry import (
     POINT_SYMMETRIES,
     DiagonalReport,
     LatticeQuad,
-    Point,
     QuadClassification,
     canonical_signature,
     classify,
@@ -228,7 +227,7 @@ def _equable_quads(p_max: int):
     columns = _half_chains(p_max, integer_norm_vectors(half))
     for dx in range(1, half + 1):
         col = columns.pop(dx)
-        keys = col[0::3]
+        keys = col[0::3].tolist()
         matched = set(keys).intersection(col[1::3])
         if not matched:
             continue
@@ -317,7 +316,7 @@ def enumerate_leqs(p_max: int) -> dict[tuple, LeqClass]:
     classes: dict[tuple, LeqClass] = {}
     for sig in sorted(chains):
         first = min(chains[sig])
-        rep = LatticeQuad(tuple(map(Point, first[::2], first[1::2])))
+        rep = LatticeQuad(tuple(zip(first[::2], first[1::2])))
         classes[sig] = LeqClass(
             signature=sig,
             representative=rep,

@@ -39,7 +39,7 @@ from typing import NamedTuple
 from equilat import pell
 from equilat.errors import Checked
 from equilat.figures import NAMED_QUADS, place
-from equilat.geometry import LatticeQuad, exact_sqrt
+from equilat.geometry import LatticeQuad, dist_sq, exact_sqrt
 
 __all__ = [
     "HeronianTriangle",
@@ -231,7 +231,7 @@ class TrapezoidSolution(Checked, _TrapezoidSolution):
             legs.remove(f)
         else:
             vo, va, vb, vc = NAMED_QUADS[tag]
-            legs = isqrt(va.dist_sq(vb)), isqrt(vc.dist_sq(vo))
+            legs = isqrt(dist_sq(va, vb)), isqrt(dist_sq(vc, vo))
         return (c + f, legs[0], c, legs[1])
 
     @property

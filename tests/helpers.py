@@ -10,10 +10,7 @@ from itertools import permutations
 from equilat.geometry import (
     POINT_SYMMETRIES,
     LatticeQuad,
-    Point,
     is_simple,
-    orient,
-    quad,
     signature,
 )
 from equilat.search import _anchored_chains, _equable_quads
@@ -26,7 +23,7 @@ def random_quad(rng: random.Random, span: int = 30) -> LatticeQuad:
     cyclic order that closes into a simple polygon (general position admits
     at least one)."""
     while True:
-        pts = [Point(rng.randint(-span, span), rng.randint(-span, span)) for _ in range(4)]
+        pts = [(rng.randint(-span, span), rng.randint(-span, span)) for _ in range(4)]
         for order in _CYCLIC_ORDERS:
             arranged = tuple(pts[k] for k in order)
             try:
@@ -37,9 +34,9 @@ def random_quad(rng: random.Random, span: int = 30) -> LatticeQuad:
     raise AssertionError("unreachable")
 
 
-def apply_symmetry(p: Point, m: tuple[int, int, int, int]) -> Point:
-    a, b, c, d = m
-    return Point(a * p.x + b * p.y, c * p.x + d * p.y)
+def apply_symmetry(p: tuple[int, int], m: tuple[int, int, int, int]) -> tuple[int, int]:
+    (x, y), (a, b, c, d) = p, m
+    return a * x + b * y, c * x + d * y
 
 
 def random_congruent_copy(rng: random.Random, q: LatticeQuad) -> LatticeQuad:
@@ -47,7 +44,7 @@ def random_congruent_copy(rng: random.Random, q: LatticeQuad) -> LatticeQuad:
     point symmetries, a vertex-cycle rotation, and an optional reversal."""
     m = POINT_SYMMETRIES[rng.randrange(8)]
     dx, dy = rng.randint(-100, 100), rng.randint(-100, 100)
-    pts = [Point(p.x + dx, p.y + dy) for p in (apply_symmetry(p, m) for p in q)]
+    pts = [(x + dx, y + dy) for x, y in (apply_symmetry(p, m) for p in q)]
     r = rng.randrange(4)
     pts = pts[r:] + pts[:r]
     if rng.random() < 0.5:
@@ -71,41 +68,49 @@ def cyclic_orderings_by_permutations(
     return sorted(classes.values(), reverse=True)
 
 
-def circumcenter(a: Point, b: Point, c: Point) -> tuple[Fraction, Fraction]:
+def circumcenter(
+    a: tuple[int, int], b: tuple[int, int], c: tuple[int, int]
+) -> tuple[Fraction, Fraction]:
     """Exact circumcenter of a non-degenerate triangle."""
-    d = 2 * (a.x * (b.y - c.y) + b.x * (c.y - a.y) + c.x * (a.y - b.y))
+    (ax, ay), (bx, by), (cx, cy) = a, b, c
+    d = 2 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
     assert d != 0
-    za = a.x * a.x + a.y * a.y
-    zb = b.x * b.x + b.y * b.y
-    zc = c.x * c.x + c.y * c.y
-    ux = Fraction(za * (b.y - c.y) + zb * (c.y - a.y) + zc * (a.y - b.y), d)
-    uy = Fraction(za * (c.x - b.x) + zb * (a.x - c.x) + zc * (b.x - a.x), d)
+    za = ax * ax + ay * ay
+    zb = bx * bx + by * by
+    zc = cx * cx + cy * cy
+    ux = Fraction(za * (by - cy) + zb * (cy - ay) + zc * (ay - by), d)
+    uy = Fraction(za * (cx - bx) + zb * (ax - cx) + zc * (bx - ax), d)
     return ux, uy
 
 
 def concyclic_by_circumcenter(q: LatticeQuad) -> bool:
     """Independent concyclicity check: circumcenter of the first three
     vertices is equidistant from the fourth (exact rationals)."""
-    a, b, c, d = q
+    a, b, c, (dx, dy) = q
     ux, uy = circumcenter(a, b, c)
-    r_sq = (ux - a.x) ** 2 + (uy - a.y) ** 2
-    return (ux - d.x) ** 2 + (uy - d.y) ** 2 == r_sq
+    r_sq = (ux - a[0]) ** 2 + (uy - a[1]) ** 2
+    return (ux - dx) ** 2 + (uy - dy) ** 2 == r_sq
 
 
-def segments_cross(p1: Point, p2: Point, q1: Point, q2: Point) -> bool:
+def cross(o: tuple[int, int], a: tuple[int, int], b: tuple[int, int]) -> int:
+    """The cross product (a - o) x (b - o): positive for a left turn o, a, b."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def segments_cross(p1, p2, q1, q2) -> bool:
     """Proper crossing of open segments (endpoints excluded)."""
-    d1 = orient(p1, p2, q1)
-    d2 = orient(p1, p2, q2)
-    d3 = orient(q1, q2, p1)
-    d4 = orient(q1, q2, p2)
+    d1 = cross(p1, p2, q1)
+    d2 = cross(p1, p2, q2)
+    d3 = cross(q1, q2, p1)
+    d4 = cross(q1, q2, p2)
     return d1 * d2 < 0 and d3 * d4 < 0
 
 
-def point_on_segment(px: Fraction, py: Fraction, a: Point, b: Point) -> bool:
-    cross = (b.x - a.x) * (py - a.y) - (b.y - a.y) * (px - a.x)
-    if cross != 0:
+def point_on_segment(px: Fraction, py: Fraction, a: tuple[int, int], b: tuple[int, int]) -> bool:
+    (ax, ay), (bx, by) = a, b
+    if (bx - ax) * (py - ay) - (by - ay) * (px - ax) != 0:
         return False
-    return min(a.x, b.x) <= px <= max(a.x, b.x) and min(a.y, b.y) <= py <= max(a.y, b.y)
+    return min(ax, bx) <= px <= max(ax, bx) and min(ay, by) <= py <= max(ay, by)
 
 
 def strictly_inside(q: LatticeQuad, px: Fraction, py: Fraction) -> bool:
@@ -116,19 +121,17 @@ def strictly_inside(q: LatticeQuad, px: Fraction, py: Fraction) -> bool:
             return False
     crossings = 0
     for i in range(4):
-        a, b = q[i], q[(i + 1) % 4]
-        if (a.y > py) != (b.y > py):
-            x_int = Fraction(a.x) + Fraction(py - a.y, b.y - a.y) * (b.x - a.x)
+        (ax, ay), (bx, by) = q[i], q[(i + 1) % 4]
+        if (ay > py) != (by > py):
+            x_int = Fraction(ax) + Fraction(py - ay, by - ay) * (bx - ax)
             if x_int > px:
                 crossings += 1
     return crossings % 2 == 1
 
 
 def diagonal_midpoint(q: LatticeQuad, i: int, j: int) -> tuple[Fraction, Fraction]:
-    return (
-        Fraction(q[i].x + q[j].x, 2),
-        Fraction(q[i].y + q[j].y, 2),
-    )
+    (xi, yi), (xj, yj) = q[i], q[j]
+    return Fraction(xi + xj, 2), Fraction(yi + yj, 2)
 
 
 def longest_side_sq(pts: tuple[tuple[int, int], ...]) -> int:
@@ -142,10 +145,10 @@ def catalog_placements(p_max: int) -> dict[tuple, list[LatticeQuad]]:
     chains of every hit of the join, grouped by the hit's signature."""
     chains: dict[tuple, set[tuple[int, ...]]] = {}
     for pts in _equable_quads(p_max):
-        chains.setdefault(signature(quad(*pts)), set()).update(
+        chains.setdefault(signature(LatticeQuad(pts)), set()).update(
             _anchored_chains(pts, longest_side_sq(pts))
         )
     return {
-        sig: [LatticeQuad(tuple(map(Point, f[::2], f[1::2]))) for f in sorted(flats)]
+        sig: [LatticeQuad(tuple(zip(f[::2], f[1::2]))) for f in sorted(flats)]
         for sig, flats in chains.items()
     }

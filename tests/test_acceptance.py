@@ -17,11 +17,12 @@ import pytest
 from equilat import cyclic, kites, pell, search, trapezoids
 from equilat.figures import NAMED_QUADS
 from equilat.geometry import (
+    LatticeQuad,
     classify,
+    dist_sq,
     interior_diagonals,
     is_equable,
     perimeter,
-    quad,
     signature,
     twice_area,
 )
@@ -70,14 +71,14 @@ def test_criterion_2_kite_tables():
         constants = {"K1": (5, 80, 5), "K2": (10, 20, 5), "K3": (8, 32, 4), "K4": (18, 18, 3)}
         for tag, rows in tables.items():
             members = kites.generate(tag, len(rows))
-            got = [(m.sol.n, m.sol.i, (m.A.x, m.A.y), (m.B.x, m.B.y)) for m in members]
+            got = [(m.sol.n, m.sol.i, m.A, m.B) for m in members]
             assert got == rows, tag
             k_a_coeff, q_sq, gcd_ab = constants[tag]
             for m in members:
                 outcome = kites.audit_member(m)
                 assert outcome.passed, (tag, m.sol, outcome)
                 assert m.K_A == k_a_coeff * m.sol.n
-                assert m.A.dist_sq(m.C) == q_sq
+                assert dist_sq(m.A, m.C) == q_sq
                 assert m.family.gcd_ab == gcd_ab
 
 
@@ -164,7 +165,7 @@ def test_criterion_6_search_audit_42():
 
 def test_criterion_7_concave_example_quantities():
     with criterion(7, "concave example: K = P = 60, diagonals 12 and sqrt(164)", 1.0):
-        q = quad((0, 0), (20, 15), (8, 10), (8, 15))
+        q = LatticeQuad(((0, 0), (20, 15), (8, 10), (8, 15)))
         assert twice_area(q) == 120
         assert perimeter(q) == 60
         assert is_equable(q)

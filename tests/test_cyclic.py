@@ -16,7 +16,7 @@ from equilat.cyclic import (
 )
 from equilat.errors import InconsistencyError
 from equilat.figures import NAMED_QUADS
-from equilat.geometry import canonical_signature, exact_sqrt, quad, signature
+from equilat.geometry import LatticeQuad, canonical_signature, exact_sqrt, signature
 from equilat.search import get_catalog
 from helpers import cyclic_orderings_by_permutations
 
@@ -124,7 +124,7 @@ class TestOrderings:
 
     def test_trapezoid_order_realizable(self):
         result = dict(realizable_orderings((8, 5, 5, 2)))
-        assert result[(8, 5, 2, 5)] == quad((0, 0), (8, 0), (5, 4), (3, 4))
+        assert result[(8, 5, 2, 5)] == LatticeQuad(((0, 0), (8, 0), (5, 4), (3, 4)))
         assert result[(8, 5, 5, 2)] is None
 
     def test_kite_order_not_realizable(self):

@@ -5,20 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equilat import kites
+from equilat import cli, kites
 from equilat.errors import InvalidQuadError
+from equilat.figures import NAMED_QUADS
 from equilat.geometry import (
     LatticeQuad,
-    Point,
     canonical_signature,
     classify,
     interior_diagonals,
     is_cyclic,
     is_equable,
     is_simple,
-    orient,
     perimeter,
-    quad,
     realize,
     reflect_point,
     signature,
@@ -29,6 +27,7 @@ from equilat.search import P_MAX_MAX, get_catalog
 from helpers import (
     catalog_placements,
     concyclic_by_circumcenter,
+    cross,
     diagonal_midpoint,
     random_congruent_copy,
     random_quad,
@@ -36,11 +35,11 @@ from helpers import (
     strictly_inside,
 )
 
-SQUARE = quad((0, 0), (4, 0), (4, 4), (0, 4))
-CONCAVE_60 = quad((0, 0), (20, 15), (8, 10), (8, 15))
-DART_10_5 = quad((0, 0), (10, 0), (6, 3), (6, 8))
-TRAP_6_4_3_5 = quad((0, 0), (6, 0), (6, 4), (3, 4))
-TRAP_8_5_2_5 = quad((0, 0), (8, 0), (5, 4), (3, 4))
+SQUARE = LatticeQuad(((0, 0), (4, 0), (4, 4), (0, 4)))
+CONCAVE_60 = LatticeQuad(((0, 0), (20, 15), (8, 10), (8, 15)))
+DART_10_5 = LatticeQuad(((0, 0), (10, 0), (6, 3), (6, 8)))
+TRAP_6_4_3_5 = LatticeQuad(((0, 0), (6, 0), (6, 4), (3, 4)))
+TRAP_8_5_2_5 = LatticeQuad(((0, 0), (8, 0), (5, 4), (3, 4)))
 
 
 @st.composite
@@ -59,14 +58,19 @@ class TestTwiceArea:
     def test_dart(self):
         assert twice_area(DART_10_5) == 60
 
+    def test_triangle_sign_is_the_turn(self):
+        assert twice_area(((0, 0), (4, 0), (1, 3))) == 12
+        assert twice_area(((0, 0), (1, 3), (4, 0))) == -12
+        assert twice_area(((0, 0), (2, 1), (6, 3))) == 0
+
     @given(lattice_quads())
     def test_splits_across_each_interior_diagonal(self, q):
         report = interior_diagonals(q)
         for diag in report.interior:
             i, j = diag.ends
             k, l = [m for m in range(4) if m not in diag.ends]
-            t1 = orient(q[i], q[k], q[j])
-            t2 = orient(q[i], q[j], q[l])
+            t1 = twice_area((q[i], q[k], q[j]))
+            t2 = twice_area((q[i], q[j], q[l]))
             # both halves positively oriented, areas add up exactly
             assert abs(t1) + abs(t2) == twice_area(q)
 
@@ -84,7 +88,7 @@ class TestSideData:
         assert canonical_signature((36, 16, 9, 25), (52, 25)) == signature(TRAP_6_4_3_5)
 
     def test_irrational_side(self):
-        q = quad((0, 0), (1, 0), (2, 1), (0, 1))
+        q = LatticeQuad(((0, 0), (1, 0), (2, 1), (0, 1)))
         assert perimeter(q) is None
         assert signature(q) == canonical_signature((1, 2, 4, 1), (5, 2))
 
@@ -94,10 +98,10 @@ class TestIsEquable:
         assert is_equable(SQUARE)
 
     def test_isosceles_trapezoid(self):
-        assert is_equable(quad((0, 0), (14, 0), (10, 3), (4, 3)))
+        assert is_equable(LatticeQuad(((0, 0), (14, 0), (10, 3), (4, 3))))
 
     def test_rectangle_3x5(self):
-        assert not is_equable(quad((0, 0), (5, 0), (5, 3), (0, 3)))
+        assert not is_equable(LatticeQuad(((0, 0), (5, 0), (5, 3), (0, 3))))
 
     @given(lattice_quads())
     def test_equable_implies_integer_sides(self, q):
@@ -110,13 +114,13 @@ class TestIsSimple:
         assert is_simple(SQUARE)
 
     def test_bowtie(self):
-        assert not is_simple((Point(0, 0), Point(4, 0), Point(0, 4), Point(4, 4)))
+        assert not is_simple(((0, 0), (4, 0), (0, 4), (4, 4)))
 
     def test_collinear(self):
-        assert not is_simple((Point(0, 0), Point(3, 0), Point(6, 0), Point(0, 4)))
+        assert not is_simple(((0, 0), (3, 0), (6, 0), (0, 4)))
 
     def test_duplicate_vertex(self):
-        square = (Point(0, 0), Point(4, 0), Point(4, 4), Point(0, 4))
+        square = ((0, 0), (4, 0), (4, 4), (0, 4))
         for i in range(4):
             for j in range(4):
                 if i != j:  # vertex j moved onto vertex i
@@ -125,43 +129,54 @@ class TestIsSimple:
 
     def test_quad_constructor_rejects_bowtie(self):
         with pytest.raises(InvalidQuadError):
-            quad((0, 0), (4, 0), (0, 4), (4, 4))
+            LatticeQuad(((0, 0), (4, 0), (0, 4), (4, 4)))
 
     @pytest.mark.parametrize(
         "points, message",
         [
             (((0, 0), (4, 0), (4, 4)), "a quadrilateral needs exactly four vertices"),
             (((0, 0), (4, 0), (0, 4), (4, 4)),
-             "vertices (Point(x=0, y=0), Point(x=4, y=0), Point(x=0, y=4), Point(x=4, y=4))"
-             " do not bound a simple quadrilateral"),
+             "vertices ((0, 0), (4, 0), (0, 4), (4, 4)) do not bound a simple quadrilateral"),
         ],
         ids=["three-vertices", "bowtie"],
     )
     def test_quad_constructor_messages(self, points, message):
         with pytest.raises(InvalidQuadError) as exc:
-            LatticeQuad(tuple(Point(*p) for p in points))
+            LatticeQuad(points)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize(
+        "vertices",
+        [((0, 0), (4, 0), (4, 4), (0, 4)), [[0, 0], [4, 0], [4, 4], [0, 4]]],
+        ids=["tuples", "lists"],
+    )
+    def test_quad_from_plain_pairs_matches_named_drawing(self, vertices):
+        q, named = LatticeQuad(vertices), NAMED_QUADS["square-4"]
+        assert all(type(p) is tuple for p in q) and q == named
+        for f in (signature, perimeter, is_equable, classify, interior_diagonals,
+                  cli._quad_json):
+            assert f(q) == f(named), f.__name__
+
     def test_quad_constructor_reverses_clockwise_input(self):
-        q = quad((0, 0), (0, 4), (4, 4), (4, 0))
+        q = LatticeQuad(((0, 0), (0, 4), (4, 4), (4, 0)))
         assert twice_area(q) == 32
-        assert q[0] == Point(0, 0)
+        assert q[0] == (0, 0)
 
 
 def _classify_by_points(v):
     """Reference oracle: classify's flags from the vertices' coordinate
     differences, written out one vertex at a time."""
-    turns = [orient(v[i - 1], v[i], v[(i + 1) % 4]) for i in range(4)]
+    turns = [cross(v[i - 1], v[i], v[(i + 1) % 4]) for i in range(4)]
     convex = min(turns) > 0
-    s0, s1, s2, s3 = (v[i].dist_sq(v[(i + 1) % 4]) for i in range(4))
+    edges = [(v[(i + 1) % 4][0] - v[i][0], v[(i + 1) % 4][1] - v[i][1]) for i in range(4)]
+    s0, s1, s2, s3 = (ex * ex + ey * ey for ex, ey in edges)
     kite = (s0 == s1 and s2 == s3) or (s1 == s2 and s3 == s0)
-    edges = [(v[(i + 1) % 4].x - v[i].x, v[(i + 1) % 4].y - v[i].y) for i in range(4)]
     par02 = edges[0][0] * edges[2][1] - edges[0][1] * edges[2][0] == 0
     par13 = edges[1][0] * edges[3][1] - edges[1][1] * edges[3][0] == 0
     trapezoid = par02 != par13
     right_at = [
-        (v[i - 1].x - v[i].x) * (v[(i + 1) % 4].x - v[i].x)
-        + (v[i - 1].y - v[i].y) * (v[(i + 1) % 4].y - v[i].y) == 0
+        (v[i - 1][0] - v[i][0]) * (v[(i + 1) % 4][0] - v[i][0])
+        + (v[i - 1][1] - v[i][1]) * (v[(i + 1) % 4][1] - v[i][1]) == 0
         for i in range(4)
     ]
     return (
@@ -190,7 +205,7 @@ class TestClassify:
         assert all(any(f[i] for f in flags) for i in range(9) if i != 1)
 
     def test_rhombus(self):
-        c = classify(quad((0, 0), (4, -3), (4, 2), (0, 5)))
+        c = classify(LatticeQuad(((0, 0), (4, -3), (4, 2), (0, 5))))
         assert c.convex and c.is_kite and c.is_parallelogram
         assert not c.is_trapezoid and not c.is_dart
 
@@ -221,7 +236,7 @@ class TestClassify:
 
 class TestIsCyclic:
     def test_rectangle(self):
-        assert is_cyclic(quad((0, 0), (3, 0), (3, 6), (0, 6)))
+        assert is_cyclic(LatticeQuad(((0, 0), (3, 0), (3, 6), (0, 6))))
 
     def test_isosceles_trapezoid(self):
         assert is_cyclic(TRAP_8_5_2_5)
@@ -238,31 +253,31 @@ class TestIsCyclic:
 
 class TestReflectPoint:
     def test_non_lattice_image(self):
-        image = reflect_point(Point(3, 0), Point(0, 0), Point(3, 6))
+        image = reflect_point((3, 0), (0, 0), (3, 6))
         assert image == (Fraction(-9, 5), Fraction(12, 5))
 
     def test_lattice_image(self):
-        assert reflect_point(Point(5, 0), Point(0, 0), Point(8, 4)) == Point(3, 4)
+        assert reflect_point((5, 0), (0, 0), (8, 4)) == (3, 4)
 
     def test_point_on_axis_is_fixed(self):
-        assert reflect_point(Point(2, 4), Point(0, 0), Point(1, 2)) == Point(2, 4)
+        assert reflect_point((2, 4), (0, 0), (1, 2)) == (2, 4)
 
     def test_rejects_degenerate_axis(self):
         with pytest.raises(ValueError):
-            reflect_point(Point(1, 1), Point(2, 2), Point(2, 2))
+            reflect_point((1, 1), (2, 2), (2, 2))
 
     @given(lattice_quads())
     def test_involution(self, q):
         a, b, c, _ = q
         rx, ry = reflect_point(a, b, c)
         if rx.denominator == ry.denominator == 1:
-            assert reflect_point(Point(int(rx), int(ry)), b, c) == a
+            assert reflect_point((int(rx), int(ry)), b, c) == a
 
 
 class TestSignature:
     def test_rhombus_placements_share_signature(self):
-        left = quad((0, 0), (5, 0), (8, 4), (3, 4))
-        right = quad((0, 0), (4, -3), (4, 2), (0, 5))
+        left = LatticeQuad(((0, 0), (5, 0), (8, 4), (3, 4)))
+        right = LatticeQuad(((0, 0), (4, -3), (4, 2), (0, 5)))
         assert signature(left) == signature(right)
 
     def test_square(self):
@@ -280,10 +295,10 @@ class TestSignature:
         for base in (v, (v[0], v[3], v[2], v[1])):
             for r in range(4):
                 w = base[r:] + base[:r]
-                seen.append(
-                    tuple(w[i].dist_sq(w[(i + 1) % 4]) for i in range(4))
-                    + (w[0].dist_sq(w[2]), w[1].dist_sq(w[3]))
-                )
+                seen.append(tuple(
+                    (w[i][0] - w[j][0]) ** 2 + (w[i][1] - w[j][1]) ** 2
+                    for i, j in ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3))
+                ))
         assert signature(TRAP_6_4_3_5) == min(seen)
 
     def test_invariance_seeded_sample(self):

@@ -2,10 +2,9 @@ import pytest
 
 from equilat.figures import NAMED_QUADS
 from equilat.geometry import (
-    Point,
     classify,
+    dist_sq,
     is_equable,
-    quad,
     reflect_point,
     signature,
     twice_area,
@@ -32,18 +31,18 @@ def member(tag: str, sol: PellSolution):
 class TestMember:
     def test_k1_n3(self):
         km = member("K1", PellSolution(3, 1))
-        assert (km.A, km.B, km.C) == (Point(10, 0), Point(6, 3), Point(6, 8))
-        assert (km.K_A, km.a, km.b, km.A.dist_sq(km.C)) == (15, 10, 5, 80)
+        assert (km.A, km.B, km.C) == ((10, 0), (6, 3), (6, 8))
+        assert (km.K_A, km.a, km.b, dist_sq(km.A, km.C)) == (15, 10, 5, 80)
 
     def test_k2_n9(self):
         km = member("K2", PellSolution(9, 4))
-        assert (km.A, km.B) == (Point(77, 36), Point(72, 36))
+        assert (km.A, km.B) == ((77, 36), (72, 36))
 
     def test_k4_first(self):
         km = member("K4", PellSolution(1, 1))
-        assert (km.A, km.B, km.C) == (Point(12, 9), Point(12, 12), Point(9, 12))
+        assert (km.A, km.B, km.C) == ((12, 9), (12, 12), (9, 12))
         # lattice vertices, half-integral midpoint of AC
-        assert (km.A.x + km.C.x, km.A.y + km.C.y) == (21, 21)
+        assert (km.A[0] + km.C[0], km.A[1] + km.C[1]) == (21, 21)
 
     def test_rejects_non_solution(self):
         # the stream holds no other parameter: each member's (n, i) solves
@@ -78,12 +77,12 @@ def test_q_sq_is_exact(tag, q_sq):
 class TestGenerate:
     def test_k1_b_column(self):
         assert [km.B for km in generate("K1", 4)] == [
-            Point(4, 2), Point(6, 3), Point(14, 7), Point(36, 18),
+            (4, 2), (6, 3), (14, 7), (36, 18),
         ]
 
     def test_k3_b_column(self):
         assert [km.B for km in generate("K3", 3)] == [
-            Point(4, 4), Point(12, 12), Point(68, 68),
+            (4, 4), (12, 12), (68, 68),
         ]
 
     def test_k2_skips_n1(self):
@@ -102,7 +101,7 @@ class TestGenerate:
         }
         for tag, rows in expect.items():
             members = generate(tag, len(rows))
-            got = [(km.sol.n, km.sol.i, (km.A.x, km.A.y), (km.B.x, km.B.y)) for km in members]
+            got = [(km.sol.n, km.sol.i, km.A, km.B) for km in members]
             assert got == rows, tag
 
 
@@ -117,9 +116,9 @@ class TestAudit:
         km1 = member("K1", PellSolution(3, 1))
         assert (km1.K_A, km1.a, km1.b) == (15, 10, 5)
         km3 = member("K3", PellSolution(1, 0))
-        assert (km3.a, km3.b, km3.A.dist_sq(km3.C)) == (4, 4, 32)
+        assert (km3.a, km3.b, dist_sq(km3.A, km3.C)) == (4, 4, 32)
         km4 = member("K4", PellSolution(1, 1))
-        assert (km4.K_A, km4.a, km4.b, km4.A.dist_sq(km4.C)) == (18, 15, 3, 18)
+        assert (km4.K_A, km4.a, km4.b, dist_sq(km4.A, km4.C)) == (18, 15, 3, 18)
 
     def test_detects_corrupted_member(self):
         km = member("K1", PellSolution(3, 1))
@@ -131,7 +130,7 @@ class TestAudit:
         # rhombus (2, 0), B = (-6, -3), a = -5, b = -10 and K_A = -15, whose
         # squared lengths and signed area all hold
         km = member("K1", PellSolution(2, 0))._replace(
-            sol=PellSolution(-3, 1), A=Point(4, -3), B=Point(-6, -3), C=Point(0, 5),
+            sol=PellSolution(-3, 1), A=(4, -3), B=(-6, -3), C=(0, 5),
             K_A=-15, a=-5, b=-10,
         )
         outcome = audit_member(km)
@@ -139,7 +138,7 @@ class TestAudit:
 
     @pytest.mark.parametrize("tag", list(FAMILIES))
     def test_reflection_and_equability(self, tag):
-        o = Point(0, 0)
+        o = (0, 0)
         for km in generate(tag, 10):
             assert reflect_point(km.A, o, km.B) == km.C
             q = km.quad()
@@ -176,8 +175,9 @@ class TestConvexity:
         # a kite symmetric about OB is convex exactly when the midpoint of AC
         # falls strictly between O and B along OB
         for km in generate(tag, 8):
-            along = (km.A.x + km.C.x) * km.B.x + (km.A.y + km.C.y) * km.B.y
-            midpoint_between = 0 < along < 2 * km.B.dist_sq(Point(0, 0))
+            (ax, ay), (bx, by), (cx, cy) = km.A, km.B, km.C
+            along = (ax + cx) * bx + (ay + cy) * by
+            midpoint_between = 0 < along < 2 * (bx * bx + by * by)
             assert midpoint_between == classify(km.quad()).convex
 
 
@@ -203,22 +203,22 @@ class TestMembersWithinPerimeter:
 
 class TestKiteFromParallelogram:
     def test_rectangle_3x6_fails(self):
-        assert kite_from_parallelogram(Point(3, 0), Point(3, 6)) is None
+        assert kite_from_parallelogram((3, 0), (3, 6)) is None
 
     def test_rhombus_case(self):
-        q = kite_from_parallelogram(Point(5, 0), Point(8, 4))
+        q = kite_from_parallelogram((5, 0), (8, 4))
         assert q is not None
-        assert set(q) == {Point(0, 0), Point(5, 0), Point(8, 4), Point(3, 4)}
+        assert set(q) == {(0, 0), (5, 0), (8, 4), (3, 4)}
 
     def test_square_case(self):
-        q = kite_from_parallelogram(Point(4, 0), Point(4, 4))
+        q = kite_from_parallelogram((4, 0), (4, 4))
         assert q is not None
-        assert set(q) == {Point(0, 0), Point(4, 0), Point(4, 4), Point(0, 4)}
+        assert set(q) == {(0, 0), (4, 0), (4, 4), (0, 4)}
 
     def test_degenerate_axis_rejected(self):
         with pytest.raises(ValueError):
-            kite_from_parallelogram(Point(2, 2), Point(4, 4))
+            kite_from_parallelogram((2, 2), (4, 4))
 
     def test_collinear_closure_gives_no_quad(self):
         # reflection is a lattice point, but A, B, C line up: no quadrilateral
-        assert kite_from_parallelogram(Point(1, 1), Point(1, 0)) is None
+        assert kite_from_parallelogram((1, 1), (1, 0)) is None

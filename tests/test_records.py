@@ -12,15 +12,14 @@ import pytest
 import equilat
 from equilat import cyclic, geometry, kites, pell, search, trapezoids
 from equilat.errors import Checked, InvalidQuadError
-from equilat.geometry import LatticeQuad, Point, quad
+from equilat.geometry import LatticeQuad
 
-SQUARE = quad((0, 0), (4, 0), (4, 4), (0, 4))
+SQUARE = LatticeQuad(((0, 0), (4, 0), (4, 4), (0, 4)))
 T345 = trapezoids.HeronianTriangle.from_sides(3, 4, 5)
 
 
 # (record, a factory for one instance, a field to assign)
 RECORDS = [
-    ("Point", lambda: Point(1, 2), "x"),
     ("QuadClassification", lambda: geometry.classify(SQUARE), "convex"),
     ("Diagonal", lambda: geometry.interior_diagonals(SQUARE).interior[0], "length"),
     ("DiagonalReport", lambda: geometry.interior_diagonals(SQUARE), "interior"),
@@ -52,13 +51,12 @@ def test_fields_are_read_only(name, make, field):
 @pytest.mark.parametrize(
     "unsorted, expected",
     [
-        ([Point(1, 0), Point(0, 5), Point(0, -2)], [Point(0, -2), Point(0, 5), Point(1, 0)]),
         (
             [pell.PellSolution(3, 1), pell.PellSolution(2, 7), pell.PellSolution(2, 0)],
             [pell.PellSolution(2, 0), pell.PellSolution(2, 7), pell.PellSolution(3, 1)],
         ),
     ],
-    ids=["Point", "PellSolution"],
+    ids=["PellSolution"],
 )
 def test_sorts_by_field_order(unsorted, expected):
     assert sorted(unsorted) == expected
@@ -105,7 +103,7 @@ def test_every_exported_record_is_checked_here():
     assert checked == {type(r).__name__ for _, r, _ in REPLACE_CHECKS}
 
 
-BOW_TIE = (Point(0, 0), Point(4, 4), Point(4, 0), Point(0, 4))
+BOW_TIE = ((0, 0), (4, 4), (4, 0), (0, 4))
 
 
 def _unpickle_constructor(q):
@@ -124,29 +122,28 @@ class TestLatticeQuadChecks:
             construct(BOW_TIE)
 
     def test_clockwise_vertices_are_reoriented(self):
-        clockwise = (Point(0, 0), Point(0, 4), Point(4, 4), Point(4, 0))
+        clockwise = ((0, 0), (0, 4), (4, 4), (4, 0))
         assert LatticeQuad(clockwise) == SQUARE
         assert _unpickle_constructor(SQUARE)(clockwise) == SQUARE
 
 
 class TestLatticeQuadIdentity:
     def test_equality_and_hash_go_by_vertices(self):
-        vertices = (Point(0, 0), Point(4, 0), Point(4, 4), Point(0, 4))
+        vertices = ((0, 0), (4, 0), (4, 4), (0, 4))
         same = LatticeQuad(vertices)
         assert same == SQUARE == vertices and same is not SQUARE
         assert hash(same) == hash(SQUARE) == hash(vertices)
-        assert SQUARE != quad((0, 0), (4, 0), (4, 4), (0, 5))
+        assert SQUARE != LatticeQuad(((0, 0), (4, 0), (4, 4), (0, 5)))
 
     def test_items_are_read_only(self):
         with pytest.raises(TypeError):
-            SQUARE[0] = Point(1, 1)
+            SQUARE[0] = (1, 1)
         with pytest.raises(AttributeError):
             SQUARE.not_a_field = None
 
     def test_repr(self):
-        assert repr(quad((0, 0), (1, 0), (1, 1), (0, 1))) == (
-            "LatticeQuad((Point(x=0, y=0), Point(x=1, y=0), "
-            "Point(x=1, y=1), Point(x=0, y=1)))"
+        assert repr(LatticeQuad([[0, 0], [1, 0], [1, 1], [0, 1]])) == (
+            "LatticeQuad(((0, 0), (1, 0), (1, 1), (0, 1)))"
         )
 
     def test_copies_are_equal(self):

@@ -4,7 +4,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from equilat.figures import NAMED_QUADS
-from equilat.geometry import Point
+from equilat.geometry import dist_sq
 from equilat.render import FIGURE_PANELS, _escape
 from equilat.trapezoids import all_equable_trapezoids
 
@@ -27,10 +27,9 @@ def test_trapezoid_panels_match_the_construction():
         [panel] = [panel for panel in panels if panel["polygons"] == [drawing]]
         [(a1, label)] = panel["marks"]
         o, _, _, c = drawing
-        a1 = Point(*a1)
         assert label == "A'"
-        assert o.dist_sq(a1) == sol.f**2
-        sides_sq = sorted((o.dist_sq(a1), a1.dist_sq(c), c.dist_sq(o)))
+        assert dist_sq(o, a1) == sol.f**2
+        sides_sq = sorted((dist_sq(o, a1), dist_sq(a1, c), dist_sq(c, o)))
         assert sides_sq == [s * s for s in sol.triangle.sides]
         [cut] = panel["dashed"]
         assert set(cut) == {a1, c}

@@ -322,7 +322,7 @@ def test_anchoring_matches_all_images(p_max):
 
 
 def _flat(q) -> tuple[int, ...]:
-    return tuple(c for p in q for c in (p.x, p.y))
+    return tuple(c for p in q for c in p)
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ import pytest
 
 from equilat import figures
 from equilat.figures import NAMED_QUADS
-from equilat.geometry import classify, is_equable, quad, signature
+from equilat.geometry import LatticeQuad, classify, dist_sq, is_equable, signature
 from equilat.pell import PellSolution
 from equilat.search import get_catalog
 from equilat.trapezoids import (
@@ -240,15 +240,15 @@ class TestAllEquableTrapezoids:
 class TestLatticeEmbedding:
     def test_right_trapezoid(self):
         sol = trapezoid_from(T345, 3)
-        assert lattice_embedding(sol) == quad((0, 0), (6, 0), (6, 4), (3, 4))
+        assert lattice_embedding(sol) == LatticeQuad(((0, 0), (6, 0), (6, 4), (3, 4)))
 
     def test_isosceles_14_5_6_5(self):
         sol = trapezoid_from(T558, 8)
-        assert lattice_embedding(sol) == quad((0, 0), (14, 0), (10, 3), (4, 3))
+        assert lattice_embedding(sol) == LatticeQuad(((0, 0), (14, 0), (10, 3), (4, 3)))
 
     def test_slanted_20_4_15_3(self):
         sol = trapezoid_from(T345, 5)
-        assert lattice_embedding(sol) == quad((0, 0), (16, 12), (12, 12), (0, 3))
+        assert lattice_embedding(sol) == LatticeQuad(((0, 0), (16, 12), (12, 12), (0, 3)))
 
     def test_all_five_embed(self):
         # the embeddings check what the record derives: its sides, the order
@@ -258,7 +258,7 @@ class TestLatticeEmbedding:
         for sol in sols:
             emb = lattice_embedding(sol)
             assert is_equable(emb) and classify(emb).is_trapezoid
-            sides_sq = [p.dist_sq(q) for p, q in zip(emb, emb[1:] + emb[:1])]
+            sides_sq = [dist_sq(p, q) for p, q in zip(emb, emb[1:] + emb[:1])]
             assert sides_sq == [s * s for s in sol.quad_sides]
             assert emb == NAMED_QUADS[sol.figure_tag]
 
