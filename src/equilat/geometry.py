@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
+from operator import index
 from typing import NamedTuple, Sequence
 
 from equilat.errors import InvalidQuadError
@@ -26,7 +27,7 @@ __all__ = [
     "is_simple",
     "classify",
     "is_cyclic",
-    "reflect_point",
+    "side_swap",
     "signature",
     "canonical_signature",
     "realize",
@@ -91,7 +92,10 @@ class LatticeQuad(tuple):
     __slots__ = ()
 
     def __new__(cls, v: Sequence[Sequence[int]]) -> "LatticeQuad":
-        pts = tuple((x, y) for x, y in v)
+        try:
+            pts = tuple((index(x), index(y)) for x, y in v)
+        except TypeError:
+            raise InvalidQuadError("vertex coordinates must be integers") from None
         if len(pts) != 4:
             raise InvalidQuadError("a quadrilateral needs exactly four vertices")
         if not is_simple(pts):
@@ -213,20 +217,21 @@ def is_cyclic(q: LatticeQuad) -> bool:
     return det == 0
 
 
-def reflect_point(
-    a: tuple[int, int], axis_from: tuple[int, int], axis_to: tuple[int, int]
-) -> tuple[Fraction, Fraction]:
-    """Exact reflection of a across the line through the two axis points."""
-    if axis_from == axis_to:
-        raise ValueError("axis endpoints must be distinct")
-    (ax, ay), (fx, fy), (tx, ty) = a, axis_from, axis_to
-    dx, dy = tx - fx, ty - fy
+def side_swap(v: Sequence[tuple[int, int]], i: int) -> tuple[tuple, ...]:
+    """The paper's cut-and-rearrange: cut v along v[i]v[i+2] and reflect the
+    triangle (v[i], v[i+1], v[i+2]) in the cut's perpendicular bisector, with
+    indices mod 4.  The cut's ends swap places, so only v[i+1] moves, to an
+    exact pair of Fractions.  The swap is its own inverse and keeps the area
+    and the sides."""
+    j = (i + 1) % 4
+    (ax, ay), (bx, by), (cx, cy) = v[j - 1], v[j], v[(j + 1) % 4]
+    dx, dy = cx - ax, cy - ay
     den = dx * dx + dy * dy
-    vx, vy = ax - fx, ay - fy
-    dot = vx * dx + vy * dy
-    rx = fx * den + 2 * dot * dx - den * vx
-    ry = fy * den + 2 * dot * dy - den * vy
-    return Fraction(rx, den), Fraction(ry, den)
+    if den == 0:
+        raise ValueError("the ends of the cut coincide")
+    t = (2 * bx - ax - cx) * dx + (2 * by - ay - cy) * dy
+    moved = (Fraction(bx * den - t * dx, den), Fraction(by * den - t * dy, den))
+    return (*v[:j], moved, *v[j + 1:])
 
 
 def canonical_signature(
@@ -297,8 +302,11 @@ def realize(sides_sq: Sequence[int], diag_sq: Sequence[int]) -> LatticeQuad | No
 class Diagonal(NamedTuple):
     ends: tuple[int, int]
     sq: int
-    rational: bool
     length: int | None
+
+    @property
+    def rational(self) -> bool:
+        return self.length is not None
 
 
 class DiagonalReport(NamedTuple):
@@ -308,8 +316,7 @@ class DiagonalReport(NamedTuple):
 
 def _diagonal(q: LatticeQuad, i: int, j: int) -> Diagonal:
     sq = dist_sq(q[i], q[j])
-    root = exact_sqrt(sq)
-    return Diagonal((i, j), sq, root is not None, root)
+    return Diagonal((i, j), sq, exact_sqrt(sq))
 
 
 def interior_diagonals(q: LatticeQuad) -> DiagonalReport:

@@ -31,7 +31,7 @@ from equilat.geometry import (
     dist_sq,
     is_equable,
     is_simple,
-    reflect_point,
+    side_swap,
     twice_area,
 )
 
@@ -44,7 +44,6 @@ __all__ = [
     "generate",
     "members_within_perimeter",
     "audit_member",
-    "kite_from_parallelogram",
 ]
 
 
@@ -137,9 +136,12 @@ def members_within_perimeter(tag: str, p_max: int) -> list[KiteMember]:
 
 
 class AuditOutcome(NamedTuple):
-    passed: bool
     failed_check: str | None = None
     detail: str | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.failed_check is None
 
 
 def audit_member(km: KiteMember) -> AuditOutcome:
@@ -151,55 +153,33 @@ def audit_member(km: KiteMember) -> AuditOutcome:
     """
     fam = km.family
     o = (0, 0)
+    v = (o, km.A, km.B, km.C)
 
-    checks: list[tuple[str, bool, str]] = []
-
-    simple = is_simple((o, km.A, km.B, km.C))
-    checks.append(("simple", simple, "O,A,B,C is not a simple quadrilateral"))
+    simple = is_simple(v)
+    checks = [("simple", simple, "O,A,B,C is not a simple quadrilateral")]
     if simple:
         q = km.quad()
         checks.append(("equable", is_equable(q), "area differs from perimeter"))
         checks.append(("kite", classify(q).is_kite, "no two disjoint equal adjacent pairs"))
-    checks.append(
-        ("K_A", twice_area((o, km.A, km.B)) == 2 * km.K_A, f"triangle area != {km.K_A}")
-    )
-    checks.append(("a", km.a > 0 and dist_sq(o, km.A) == km.a * km.a, f"|OA| != {km.a}"))
-    checks.append(("b", km.b > 0 and dist_sq(km.A, km.B) == km.b * km.b, f"|AB| != {km.b}"))
-    checks.append(("K_A=a+b", km.K_A == km.a + km.b, "half-quad equability fails"))
-    checks.append(
-        ("gcd", gcd(km.a, km.b) == fam.gcd_ab, f"gcd(a,b) != {fam.gcd_ab}")
-    )
-    checks.append(("q_sq", dist_sq(km.A, km.C) == fam.q_sq, f"|AC|^2 != {fam.q_sq}"))
     k, m, n = fam.k, fam.m, km.sol.n
-    checks.append(
+    (bx, by), (cx, cy) = km.B, km.C
+    checks += [
+        ("K_A", twice_area((o, km.A, km.B)) == 2 * km.K_A, f"triangle area != {km.K_A}"),
+        ("a", km.a > 0 and dist_sq(o, km.A) == km.a * km.a, f"|OA| != {km.a}"),
+        ("b", km.b > 0 and dist_sq(km.A, km.B) == km.b * km.b, f"|AB| != {km.b}"),
+        ("K_A=a+b", km.K_A == km.a + km.b, "half-quad equability fails"),
+        ("gcd", gcd(km.a, km.b) == fam.gcd_ab, f"gcd(a,b) != {fam.gcd_ab}"),
+        ("q_sq", dist_sq(km.A, km.C) == fam.q_sq, f"|AC|^2 != {fam.q_sq}"),
         ("vieta", km.a * km.b == k * (m * m + n * n) and km.a + km.b == k * m * n,
          "Vieta relations fail"),
-    )
-    checks.append(
-        ("reflection", reflect_point(km.A, o, km.B) == km.C,
+        # the paper's construction: swapping OAB on OB gives the parallelogram
+        # O, B - C, B, C exactly when C is A's mirror image in OB
+        ("reflection", side_swap(v, 0) == (o, (bx - cx, by - cy), km.B, km.C),
          "C is not the reflection of A in OB"),
-    )
+    ]
 
     for name, ok, detail in checks:
         if not ok:
-            return AuditOutcome(False, name, detail)
-    return AuditOutcome(True)
+            return AuditOutcome(name, detail)
+    return AuditOutcome()
 
-
-def kite_from_parallelogram(a: tuple[int, int], b: tuple[int, int]) -> LatticeQuad | None:
-    """Reverse the cut-and-rearrange construction.
-
-    Reflect A across the diagonal O-B of the parallelogram O, A, B, C'; when
-    the image is a lattice point and O, A, B, image close up into a simple
-    quadrilateral, that quadrilateral is the kite.  Returns None otherwise.
-    """
-    o = (0, 0)
-    if twice_area((o, a, b)) == 0:
-        raise ValueError("O, A, B must span a nondegenerate triangle")
-    cx, cy = reflect_point(a, o, b)
-    if cx.denominator != 1 or cy.denominator != 1:
-        return None
-    pts = (o, a, b, (int(cx), int(cy)))
-    if not is_simple(pts):
-        return None
-    return LatticeQuad(pts)

@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import ceil, floor
 
 from equilat.figures import NAMED_QUADS
-from equilat.geometry import reflect_point
+from equilat.geometry import side_swap
 
 __all__ = ["UNIT", "FIGURE_PANELS", "figure_names", "render_figure"]
 
@@ -21,9 +21,9 @@ _GRID = "#b0b0b0"
 _LABELS = ["O", "A", "B", "C"]
 _KITE = NAMED_QUADS["kite-3-15"]
 
-# parallelogram-failure: A reflected in the rectangle's diagonal OB is no lattice point
-_O, _A, _B, _ = _RECT = NAMED_QUADS["rectangle-3-6"]
-_C = reflect_point(_A, _O, _B)
+# parallelogram-failure: swapped on OB, the rectangle's C' moves to C, no lattice point
+_RECT = NAMED_QUADS["rectangle-3-6"]
+_C = side_swap(_RECT, 2)[3]
 
 
 def _trapezoid(name: str) -> dict:
@@ -60,8 +60,8 @@ FIGURE_PANELS: dict[str, list[dict]] = {
         },
     ],
     "parallelogram-failure": [
-        {"polygons": [_RECT], "labels": ["O", "A", "B", "C'"], "dashed": [(_O, _B)]},
-        {"polygons": [(_O, _A, _B, _C)], "labels": _LABELS, "dashed": [(_O, _B)],
+        {"polygons": [_RECT], "labels": ["O", "A", "B", "C'"], "dashed": [_RECT[::2]]},
+        {"polygons": [(*_RECT[:3], _C)], "labels": _LABELS, "dashed": [_RECT[::2]],
          "marks": [(_C, f"({_C[0]}, {_C[1]})")]},
     ],
 }

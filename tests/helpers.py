@@ -92,6 +92,31 @@ def concyclic_by_circumcenter(q: LatticeQuad) -> bool:
     return (ux - dx) ** 2 + (uy - dy) ** 2 == r_sq
 
 
+def reflect_point(
+    a: tuple[int, int], axis_from: tuple[int, int], axis_to: tuple[int, int]
+) -> tuple[Fraction, Fraction]:
+    """Exact reflection of a across the line through the two axis points: the
+    oracle for `geometry.side_swap`, which moves v[i+1] to
+    v[i] + v[i+2] - reflect_point(v[i+1], v[i], v[i+2])."""
+    if axis_from == axis_to:
+        raise ValueError("axis endpoints must be distinct")
+    (ax, ay), (fx, fy), (tx, ty) = a, axis_from, axis_to
+    dx, dy = tx - fx, ty - fy
+    den = dx * dx + dy * dy
+    vx, vy = ax - fx, ay - fy
+    dot = vx * dx + vy * dy
+    rx = fx * den + 2 * dot * dx - den * vx
+    ry = fy * den + 2 * dot * dy - den * vy
+    return Fraction(rx, den), Fraction(ry, den)
+
+
+def lattice_points(v) -> tuple[tuple[int, int], ...] | None:
+    """The points v with int coordinates, or None when one is not whole."""
+    if any(Fraction(c).denominator != 1 for p in v for c in p):
+        return None
+    return tuple((int(x), int(y)) for x, y in v)
+
+
 def cross(o: tuple[int, int], a: tuple[int, int], b: tuple[int, int]) -> int:
     """The cross product (a - o) x (b - o): positive for a left turn o, a, b."""
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])

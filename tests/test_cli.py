@@ -353,7 +353,7 @@ class TestSearchAndAudit:
         "check, corrupt",
         [
             ("kite_audits", lambda r: {
-                "kite_audits": r.kite_audits + (kites.AuditOutcome(False, "equable"),)
+                "kite_audits": r.kite_audits + (kites.AuditOutcome("equable"),)
             }),
             ("trapezoids", lambda r: {"trapezoids_expected": r.trapezoids_expected - {
                 min(r.trapezoids_expected)

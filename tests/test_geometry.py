@@ -12,13 +12,14 @@ from equilat.geometry import (
     LatticeQuad,
     canonical_signature,
     classify,
+    dist_sq,
     interior_diagonals,
     is_cyclic,
     is_equable,
     is_simple,
     perimeter,
     realize,
-    reflect_point,
+    side_swap,
     signature,
     twice_area,
 )
@@ -31,6 +32,7 @@ from helpers import (
     diagonal_midpoint,
     random_congruent_copy,
     random_quad,
+    reflect_point,
     segments_cross,
     strictly_inside,
 )
@@ -157,6 +159,11 @@ class TestIsSimple:
                   cli._quad_json):
             assert f(q) == f(named), f.__name__
 
+    @pytest.mark.parametrize("x", [Fraction(4), 4.0, 4.5], ids=["fraction", "float", "half"])
+    def test_quad_constructor_rejects_non_integer_coordinates(self, x):
+        with pytest.raises(InvalidQuadError, match="vertex coordinates must be integers"):
+            LatticeQuad(((0, 0), (x, 0), (4, 4), (0, 4)))
+
     def test_quad_constructor_reverses_clockwise_input(self):
         q = LatticeQuad(((0, 0), (0, 4), (4, 4), (4, 0)))
         assert twice_area(q) == 32
@@ -252,6 +259,8 @@ class TestIsCyclic:
 
 
 class TestReflectPoint:
+    """The test-only oracle for side_swap, helpers.reflect_point."""
+
     def test_non_lattice_image(self):
         image = reflect_point((3, 0), (0, 0), (3, 6))
         assert image == (Fraction(-9, 5), Fraction(12, 5))
@@ -272,6 +281,30 @@ class TestReflectPoint:
         rx, ry = reflect_point(a, b, c)
         if rx.denominator == ry.denominator == 1:
             assert reflect_point((int(rx), int(ry)), b, c) == a
+
+
+def _sides_sq(v):
+    return sorted(dist_sq(v[k], v[(k + 1) % 4]) for k in range(4))
+
+
+class TestSideSwap:
+    def test_apex_on_the_bisector_of_the_cut_is_fixed(self):
+        # B is as far from A as from C, so the swap on AC brings it back
+        kite = NAMED_QUADS["kite-3-15"]
+        assert side_swap(kite, 1) == kite
+
+    @given(lattice_quads())
+    def test_agrees_with_reflection_oracle(self, q):
+        for i in range(4):
+            a, b, c = q[i], q[(i + 1) % 4], q[(i + 2) % 4]
+            rx, ry = reflect_point(b, a, c)
+            expected = list(q)
+            expected[(i + 1) % 4] = (a[0] + c[0] - rx, a[1] + c[1] - ry)
+            swapped = side_swap(q, i)
+            assert swapped == tuple(expected)
+            assert side_swap(swapped, i) == q
+            assert twice_area(swapped) == twice_area(q)
+            assert _sides_sq(swapped) == _sides_sq(q)
 
 
 class TestSignature:

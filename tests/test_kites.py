@@ -1,24 +1,28 @@
+from fractions import Fraction
+
 import pytest
 
+from equilat.errors import InvalidQuadError
 from equilat.figures import NAMED_QUADS
 from equilat.geometry import (
+    LatticeQuad,
     classify,
     dist_sq,
     is_equable,
-    reflect_point,
+    side_swap,
     signature,
     twice_area,
 )
 from equilat.kites import (
     FAMILIES,
-    AuditOutcome,
     audit_member,
     generate,
     iter_members,
-    kite_from_parallelogram,
     members_within_perimeter,
 )
 from equilat.pell import SPECS, PellSolution
+from equilat.search import get_catalog
+from helpers import lattice_points, reflect_point
 
 
 def member(tag: str, sol: PellSolution):
@@ -202,23 +206,52 @@ class TestMembersWithinPerimeter:
 
 
 class TestKiteFromParallelogram:
+    """The paper's construction run backwards: the parallelogram O, A, B, C'
+    swapped on its diagonal OB moves C' to A's mirror image in OB, which
+    closes the kite O, A, B, C when it is a lattice point."""
+
     def test_rectangle_3x6_fails(self):
-        assert kite_from_parallelogram((3, 0), (3, 6)) is None
+        swapped = side_swap(((0, 0), (3, 0), (3, 6), (0, 6)), 2)
+        assert swapped[3] == (Fraction(-9, 5), Fraction(12, 5))
+        assert lattice_points(swapped) is None
 
     def test_rhombus_case(self):
-        q = kite_from_parallelogram((5, 0), (8, 4))
-        assert q is not None
-        assert set(q) == {(0, 0), (5, 0), (8, 4), (3, 4)}
+        rhombus = ((0, 0), (5, 0), (8, 4), (3, 4))
+        assert side_swap(rhombus, 2) == rhombus
 
     def test_square_case(self):
-        q = kite_from_parallelogram((4, 0), (4, 4))
-        assert q is not None
-        assert set(q) == {(0, 0), (4, 0), (4, 4), (0, 4)}
+        square = ((0, 0), (4, 0), (4, 4), (0, 4))
+        assert side_swap(square, 2) == square
 
     def test_degenerate_axis_rejected(self):
-        with pytest.raises(ValueError):
-            kite_from_parallelogram((2, 2), (4, 4))
+        with pytest.raises(ValueError, match="the ends of the cut coincide"):
+            side_swap(((1, 1), (3, 0), (1, 1), (0, 3)), 2)
 
     def test_collinear_closure_gives_no_quad(self):
-        # reflection is a lattice point, but A, B, C line up: no quadrilateral
-        assert kite_from_parallelogram((1, 1), (1, 0)) is None
+        # the image is a lattice point, but A, B, C line up: no quadrilateral
+        closed = lattice_points(side_swap(((0, 0), (1, 1), (1, 0), (0, -1)), 2))
+        assert closed == ((0, 0), (1, 1), (1, 0), (1, -1))
+        with pytest.raises(InvalidQuadError, match="do not bound a simple quadrilateral"):
+            LatticeQuad(closed)
+
+    @pytest.mark.parametrize("tag", list(FAMILIES))
+    def test_first_ten_members_swap_to_parallelograms(self, tag):
+        for km in generate(tag, 10):
+            swapped = lattice_points(side_swap(((0, 0), km.A, km.B, km.C), 0))
+            assert swapped is not None, km.sol
+            assert classify(LatticeQuad(swapped)).is_parallelogram, km.sol
+
+    @pytest.mark.parametrize(
+        "p_max, count", [(200, 9), pytest.param(1000, 11, marks=pytest.mark.slow)]
+    )
+    def test_catalog_kites_swap_to_catalog_parallelograms(self, p_max, count):
+        catalog = get_catalog(p_max)
+        kites = [cls.representative for cls in catalog.values() if cls.classification.is_kite]
+        for q in kites:
+            # the symmetry diagonal runs through the vertex between two equal sides
+            i = 1 if dist_sq(q[0], q[1]) == dist_sq(q[1], q[2]) else 0
+            swapped = lattice_points(side_swap(q, i))
+            assert swapped is not None, q
+            par = LatticeQuad(swapped)
+            assert classify(par).is_parallelogram and signature(par) in catalog, q
+        assert len(kites) == count

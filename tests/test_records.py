@@ -29,7 +29,7 @@ RECORDS = [
     ("PellSpec", lambda: pell.SPECS["K1"], "seeds"),
     ("FamilyId", lambda: kites.FAMILIES["K1"], "k"),
     ("KiteMember", lambda: kites.generate("K1", 1)[0], "A"),
-    ("AuditOutcome", lambda: kites.audit_member(kites.generate("K1", 1)[0]), "passed"),
+    ("AuditOutcome", lambda: kites.audit_member(kites.generate("K1", 1)[0]), "failed_check"),
     ("CyclicSolution", lambda: cyclic.solutions()[0], "wxyz"),
     ("HeronianTriangle", lambda: T345, "area"),
     ("TrapezoidSolution", lambda: trapezoids.trapezoid_from(T345, 3), "triangle"),

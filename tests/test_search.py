@@ -448,7 +448,7 @@ class TestAudit:
         "field, corrupt",
         [
             ("kites_expected", lambda r: r.kites_expected | {(1, 1, 1, 1, 2, 2)}),
-            ("kite_audits", lambda r: r.kite_audits + (AuditOutcome(False, "equable"),)),
+            ("kite_audits", lambda r: r.kite_audits + (AuditOutcome("equable"),)),
             ("trapezoids_expected", lambda r: r.trapezoids_expected - r.trapezoids_found),
             ("cyclic_expected", lambda r: r.cyclic_found | {(1, 1, 1, 1, 2, 2)}),
             ("diagonal_exceptions_expected", lambda r: ()),
