@@ -3,10 +3,12 @@ separate from the implementation paths they validate."""
 
 from __future__ import annotations
 
+import argparse
 import random
 from fractions import Fraction
 from itertools import permutations
 
+from equilat.cli import _COMMANDS
 from equilat.geometry import (
     POINT_SYMMETRIES,
     LatticeQuad,
@@ -177,3 +179,26 @@ def catalog_placements(p_max: int) -> dict[tuple, list[LatticeQuad]]:
         sig: [LatticeQuad(tuple(zip(f[::2], f[1::2]))) for f in sorted(flats)]
         for sig, flats in chains.items()
     }
+
+
+def all_real_parser(command: str | None) -> argparse.ArgumentParser:
+    """Reference oracle for `cli._build_parser`: the same parser built with a
+    real `ArgumentParser` for every command, options only on that of
+    `command`."""
+    parser = argparse.ArgumentParser(
+        prog="equilat",
+        description="Exact classification toolkit for lattice equable quadrilaterals.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, formats, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name != command:
+            continue
+        p.add_argument("--format", choices=formats, default=formats[0])
+        p.add_argument("--out", metavar="PATH", default=None)
+        if "json" in formats:
+            p.add_argument("--pretty", action="store_true",
+                           help="indent JSON output (needs --format json)")
+        for flag, settings in options().items():
+            p.add_argument(flag, **settings)
+    return parser

@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import equilat
-from equilat import kites, render, search
+from equilat import cli, kites, render, search
 from equilat.cli import run, to_json
+from helpers import all_real_parser
 
 SRC = str(Path(equilat.__file__).resolve().parents[1])
 TRACE_SHIM = Path(__file__).resolve().parents[1] / "perfbench" / "trace_shim.py"
@@ -183,6 +184,25 @@ class TestHelpAndChoices:
         assert done.returncode == 2 and done.stdout == ""
         assert f"argument {argv[1]}: invalid choice: '{argv[2]}'" in done.stderr
         assert all(f"'{choice}'" in done.stderr for choice in choices)
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--help",), (), ("frobnicate",), ("--pretty", "search"),
+            *((command, "--help") for command in
+              ("pell", "kites", "trapezoids", "cyclic", "search", "audit", "render")),
+            ("kites", "--family", "K9"), ("render", "--figure", "nope"),
+        ],
+        ids=lambda argv: " ".join(argv) or "no-arguments",
+    )
+    def test_parser_matches_all_real_parsers(self, capsys, monkeypatch, argv):
+        # help, usage and invalid-choice output read only the name and help
+        # line of a subparser that does not parse the command line
+        monkeypatch.setattr(cli, "_build_parser", all_real_parser)
+        expected = _run(capsys, *argv)
+        monkeypatch.undo()
+        assert _run(capsys, *argv) == expected
 
 
 class TestExitCodes:
