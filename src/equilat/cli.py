@@ -312,16 +312,20 @@ _COMMANDS = {
 
 
 def _build_parser(command: str | None) -> argparse.ArgumentParser:
-    """The parser, with options only on the subparser of `command`: argparse
-    parses no other, and the others keep their help line."""
+    """The parser, with a real subparser for `command` only.  argparse parses
+    with no other, and its help, usage and invalid-choice messages read only
+    their name and help line, so the others are None."""
     parser = argparse.ArgumentParser(
         prog="equilat",
         description="Exact classification toolkit for lattice equable quadrilaterals.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        parser_class=lambda real, **kwargs: argparse.ArgumentParser(**kwargs) if real else None,
+    )
     for name, (_, help_text, formats, options) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        if name != command:
+        p = sub.add_parser(name, help=help_text, real=name == command)
+        if p is None:
             continue
         p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--out", metavar="PATH", default=None)

@@ -8,7 +8,6 @@ overflow a non-issue, so coordinates of any magnitude are safe.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import isqrt
 from operator import index
 from typing import NamedTuple, Sequence
@@ -93,7 +92,14 @@ class LatticeQuad(tuple):
 
     def __new__(cls, v: Sequence[Sequence[int]]) -> "LatticeQuad":
         try:
-            pts = tuple((index(x), index(y)) for x, y in v)
+            pts = tuple(map(tuple, v))
+            pairs = all(len(p) == 2 for p in pts)
+        except TypeError:
+            pairs = False
+        if not pairs:
+            raise InvalidQuadError("each vertex must be an (x, y) pair")
+        try:
+            pts = tuple((index(x), index(y)) for x, y in pts)
         except TypeError:
             raise InvalidQuadError("vertex coordinates must be integers") from None
         if len(pts) != 4:
@@ -223,6 +229,10 @@ def side_swap(v: Sequence[tuple[int, int]], i: int) -> tuple[tuple, ...]:
     indices mod 4.  The cut's ends swap places, so only v[i+1] moves, to an
     exact pair of Fractions.  The swap is its own inverse and keeps the area
     and the sides."""
+    # imported here, so that search and kites, which never swap, do not load
+    # fractions (and decimal) at startup
+    from fractions import Fraction
+
     j = (i + 1) % 4
     (ax, ay), (bx, by), (cx, cy) = v[j - 1], v[j], v[(j + 1) % 4]
     dx, dy = cx - ax, cy - ay

@@ -70,6 +70,16 @@ print(code, *(name for name, mod in sys.modules.items()
 """
 
 
+# Every module on sys.modules after a command has run.
+_LOADED_PROBE = """\
+import contextlib, io, sys
+import equilat.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = equilat.cli.run(sys.argv[1:])
+print(code, *sys.modules)
+"""
+
+
 class TestStartup:
     def test_import_does_not_load_urllib(self):
         # urllib.request alone costs about a third of the package's import time
@@ -88,6 +98,19 @@ class TestStartup:
     def test_import_does_not_load_csv(self):
         # only --format csv writes CSV, so cli imports csv inside _csv_text
         assert _loaded_by_any_command(["csv", "_csv"]) == set()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("search", "--p-max", "16"), ("kites", "--count", "2"), ("pell", "--count", "2")],
+        ids=["search", "kites", "pell"],
+    )
+    def test_command_does_not_load_fractions(self, argv):
+        # geometry imports fractions inside side_swap, which only audit and
+        # render call; fractions and decimal cost about 2.4 ms (-X importtime)
+        done = _python("-c", _LOADED_PROBE, *argv)
+        code, *loaded = done.stdout.split()
+        assert (code, done.stderr) == ("0", "")
+        assert {"fractions", "decimal"}.isdisjoint(loaded)
 
     def test_import_loads_every_traced_module(self):
         # perfbench/trace_shim.py finds the modules it wraps in sys.modules

@@ -164,6 +164,13 @@ class TestIsSimple:
         with pytest.raises(InvalidQuadError, match="vertex coordinates must be integers"):
             LatticeQuad(((0, 0), (x, 0), (4, 4), (0, 4)))
 
+    @pytest.mark.parametrize(
+        "vertex", [(0, 0, 0), (0,), 5, ()], ids=["triple", "single", "int", "empty"]
+    )
+    def test_quad_constructor_rejects_vertices_that_are_not_pairs(self, vertex):
+        with pytest.raises(InvalidQuadError, match=r"each vertex must be an \(x, y\) pair"):
+            LatticeQuad((vertex, (4, 0), (4, 4), (0, 4)))
+
     def test_quad_constructor_reverses_clockwise_input(self):
         q = LatticeQuad(((0, 0), (0, 4), (4, 4), (4, 0)))
         assert twice_area(q) == 32
