@@ -92,12 +92,9 @@ class LatticeQuad(tuple):
 
     def __new__(cls, v: Sequence[Sequence[int]]) -> "LatticeQuad":
         try:
-            pts = tuple(map(tuple, v))
-            pairs = all(len(p) == 2 for p in pts)
-        except TypeError:
-            pairs = False
-        if not pairs:
-            raise InvalidQuadError("each vertex must be an (x, y) pair")
+            pts = tuple((x, y) for x, y in v)
+        except (TypeError, ValueError):
+            raise InvalidQuadError("each vertex must be an (x, y) pair") from None
         try:
             pts = tuple((index(x), index(y)) for x, y in pts)
         except TypeError:

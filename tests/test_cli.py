@@ -106,7 +106,7 @@ class TestStartup:
     )
     def test_command_does_not_load_fractions(self, argv):
         # geometry imports fractions inside side_swap, which only audit and
-        # render call; fractions and decimal cost about 2.4 ms (-X importtime)
+        # render call; fractions and decimal cost about 3.8 ms (-X importtime)
         done = _python("-c", _LOADED_PROBE, *argv)
         code, *loaded = done.stdout.split()
         assert (code, done.stderr) == ("0", "")
@@ -213,6 +213,7 @@ class TestHelpAndChoices:
         "argv",
         [
             ("--help",), (), ("frobnicate",), ("--pretty", "search"),
+            ("sea",),  # argparse matches no prefix of a command name
             *((command, "--help") for command in
               ("pell", "kites", "trapezoids", "cyclic", "search", "audit", "render")),
             ("kites", "--family", "K9"), ("render", "--figure", "nope"),
