@@ -226,8 +226,8 @@ def side_swap(v: Sequence[tuple[int, int]], i: int) -> tuple[tuple, ...]:
     indices mod 4.  The cut's ends swap places, so only v[i+1] moves, to an
     exact pair of Fractions.  The swap is its own inverse and keeps the area
     and the sides."""
-    # imported here, so that search and kites, which never swap, do not load
-    # fractions (and decimal) at startup
+    # imported here: the search, kites and pell commands never swap, so they
+    # do not load fractions (and decimal)
     from fractions import Fraction
 
     j = (i + 1) % 4

@@ -208,7 +208,6 @@ class TestHelpAndChoices:
         assert f"argument {argv[1]}: invalid choice: '{argv[2]}'" in done.stderr
         assert all(f"'{choice}'" in done.stderr for choice in choices)
 
-
     @pytest.mark.parametrize(
         "argv",
         [
