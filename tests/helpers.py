@@ -6,7 +6,7 @@ from __future__ import annotations
 import argparse
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 from equilat.cli import _COMMANDS
 from equilat.geometry import (
@@ -131,6 +131,16 @@ def segments_cross(p1, p2, q1, q2) -> bool:
     d3 = cross(q1, q2, p1)
     d4 = cross(q1, q2, p2)
     return d1 * d2 < 0 and d3 * d4 < 0
+
+
+def simple_by_crossings(v) -> bool:
+    """Reference oracle for `geometry.is_simple`: no three of the four
+    vertices collinear, which also keeps them distinct, and neither pair of
+    opposite edges crossing."""
+    if any(cross(*trio) == 0 for trio in combinations(v, 3)):
+        return False
+    a, b, c, d = v
+    return not segments_cross(a, b, c, d) and not segments_cross(b, c, d, a)
 
 
 def point_on_segment(px: Fraction, py: Fraction, a: tuple[int, int], b: tuple[int, int]) -> bool:

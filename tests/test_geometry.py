@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +35,7 @@ from helpers import (
     random_quad,
     reflect_point,
     segments_cross,
+    simple_by_crossings,
     strictly_inside,
 )
 
@@ -128,6 +130,18 @@ class TestIsSimple:
                 if i != j:  # vertex j moved onto vertex i
                     pts = tuple(square[i] if k == j else p for k, p in enumerate(square))
                     assert not is_simple(pts), pts
+
+    def test_matches_crossing_oracle_on_every_small_quad(self):
+        # P0 at the origin and P1, P2, P3 anywhere in a 5x5 box: 15,625 quads
+        box = list(product(range(5), repeat=2))
+        simple = 0
+        for p1, p2, p3 in product(box, repeat=3):
+            pts = ((0, 0), p1, p2, p3)
+            assert is_simple(pts) == simple_by_crossings(pts), pts
+            if simple_by_crossings(pts):
+                simple += 1
+                assert twice_area(LatticeQuad(pts)) > 0, pts
+        assert simple == 4380
 
     def test_quad_constructor_rejects_bowtie(self):
         with pytest.raises(InvalidQuadError):
