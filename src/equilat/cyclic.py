@@ -144,6 +144,8 @@ class CyclicSolution(Checked, _CyclicSolution):
 
     def _check(self) -> None:
         w, x, y, z = self.wxyz
+        if not 0 < w <= x <= y <= z:
+            raise ValueError("wxyz must satisfy 0 < w <= x <= y <= z")
         if w * x * y * z != (w + x + y + z) ** 2:
             raise ValueError("wxyz does not satisfy the product identity")
         if z >= w + x + y:
@@ -151,8 +153,8 @@ class CyclicSolution(Checked, _CyclicSolution):
 
     @property
     def sides(self) -> tuple[int, int, int, int]:
-        """The side lengths, nonincreasing."""
-        return tuple(sorted(sides(self.wxyz), reverse=True))
+        """The side lengths, nonincreasing, as wxyz is nondecreasing."""
+        return sides(self.wxyz)
 
     @property
     def orderings(self) -> tuple[tuple[tuple[int, int, int, int], LatticeQuad | None], ...]:

@@ -49,32 +49,30 @@ def dist_sq(a: tuple[int, int], b: tuple[int, int]) -> int:
     return (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2
 
 
+def _turns(v: Sequence[tuple[int, int]]) -> tuple[int, int, int, int]:
+    """The turn at each vertex: the cross product of the edges into and out
+    of it, positive for a left turn."""
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = v
+    ax, ay, bx, by = x1 - x0, y1 - y0, x2 - x1, y2 - y1
+    cx, cy, dx, dy = x3 - x2, y3 - y2, x0 - x3, y0 - y3
+    return (dx * ay - dy * ax, ax * by - ay * bx, bx * cy - by * cx, cx * dy - cy * dx)
+
+
 def is_simple(points: Sequence[tuple[int, int]]) -> bool:
     """True iff the four points, joined in order, bound a simple quadrilateral
     with no three vertices collinear.
 
-    With P0 moved to the origin: no three vertices may be collinear, which
-    also makes them distinct, and the two pairs of opposite edges must not
-    cross.  Shared endpoints of adjacent edges are the only allowed contacts;
-    with no three vertices collinear a vertex cannot lie in the interior of a
-    non-incident edge, so testing the opposite-edge pairs for proper
-    crossings is exhaustive.
+    Decided by the four turns: none may be zero, and they may not split two
+    negative, two positive.  Any three of four cyclic vertices are
+    consecutive, so a zero turn means three collinear or two equal vertices.
+    Otherwise the polygon is simple or a bowtie.  A bowtie's two triangles
+    turn opposite ways, so its turns split two and two; a simple quad has at
+    most one reflex vertex, so its turns never do.
     """
     if len(points) != 4:
         raise ValueError("expected exactly four points")
-    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = points
-    x1, y1, x2, y2, x3, y3 = x1 - x0, y1 - y0, x2 - x0, y2 - y0, x3 - x0, y3 - y0
-    a = x1 * y2 - x2 * y1          # cross product P0P1 x P0P2
-    b = x1 * y3 - x3 * y1          # cross product P0P1 x P0P3
-    c = x2 * y3 - x3 * y2          # cross product P0P2 x P0P3
-    d = a - b + c                  # cross product P1P2 x P1P3
-    if a == 0 or b == 0 or c == 0 or d == 0:
-        return False
-    if a * b < 0 and c * d < 0:    # edge P0-P1 crosses edge P2-P3
-        return False
-    if a * d < 0 and b * c < 0:    # edge P1-P2 crosses edge P3-P0
-        return False
-    return True
+    turns = _turns(points)
+    return 0 not in turns and sum(t < 0 for t in turns) != 2
 
 
 class LatticeQuad(tuple):
@@ -155,11 +153,7 @@ def _reflex_index(v: Sequence[tuple[int, int]]) -> int | None:
 
     A simple quad has at most one reflex vertex, and its turn is the least.
     """
-    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = v
-    ax, ay, bx, by = x1 - x0, y1 - y0, x2 - x1, y2 - y1
-    cx, cy, dx, dy = x3 - x2, y3 - y2, x0 - x3, y0 - y3
-    # The turn at v[i] is the cross product of edges i - 1 and i.
-    turns = [dx * ay - dy * ax, ax * by - ay * bx, bx * cy - by * cx, cx * dy - cy * dx]
+    turns = _turns(v)
     least = min(turns)
     return None if least > 0 else turns.index(least)
 
@@ -309,7 +303,10 @@ def realize(sides_sq: Sequence[int], diag_sq: Sequence[int]) -> LatticeQuad | No
 class Diagonal(NamedTuple):
     ends: tuple[int, int]
     sq: int
-    length: int | None
+
+    @property
+    def length(self) -> int | None:
+        return exact_sqrt(self.sq)
 
     @property
     def rational(self) -> bool:
@@ -321,11 +318,6 @@ class DiagonalReport(NamedTuple):
     exterior: tuple[Diagonal, ...]
 
 
-def _diagonal(q: LatticeQuad, i: int, j: int) -> Diagonal:
-    sq = dist_sq(q[i], q[j])
-    return Diagonal((i, j), sq, exact_sqrt(sq))
-
-
 def interior_diagonals(q: LatticeQuad) -> DiagonalReport:
     """Split the two diagonals into interior and exterior.
 
@@ -334,8 +326,8 @@ def interior_diagonals(q: LatticeQuad) -> DiagonalReport:
     outside the polygon.
     """
     reflex = _reflex_index(q)
-    d02 = _diagonal(q, 0, 2)
-    d13 = _diagonal(q, 1, 3)
+    d02 = Diagonal((0, 2), dist_sq(q[0], q[2]))
+    d13 = Diagonal((1, 3), dist_sq(q[1], q[3]))
     if reflex is None:
         return DiagonalReport(interior=(d02, d13), exterior=())
     if reflex in (0, 2):

@@ -37,7 +37,7 @@ from math import isqrt
 from typing import NamedTuple
 
 from equilat import pell
-from equilat.errors import Checked
+from equilat.errors import Checked, InconsistencyError
 from equilat.figures import NAMED_QUADS, place
 from equilat.geometry import LatticeQuad, dist_sq, exact_sqrt
 
@@ -77,7 +77,6 @@ def heron_area(x: int, y: int, z: int) -> int | None:
 
 class _HeronianTriangle(NamedTuple):
     sides: tuple[int, int, int]  # x <= y <= z
-    area: int
 
 
 class HeronianTriangle(Checked, _HeronianTriangle):
@@ -87,17 +86,12 @@ class HeronianTriangle(Checked, _HeronianTriangle):
 
     def _check(self) -> None:
         x, y, z = self.sides
-        if not (0 < x <= y <= z) or x + y <= z:
-            raise ValueError(f"{self.sides} is not a valid (ordered) triangle")
-        if self.area < 1 or heron_area(x, y, z) != self.area:
-            raise ValueError("area does not satisfy Heron's formula")
+        if heron_area(x, y, z) is None:
+            raise ValueError(f"{self.sides} is not Heronian")
 
-    @classmethod
-    def from_sides(cls, x: int, y: int, z: int) -> "HeronianTriangle":
-        area = heron_area(x, y, z)
-        if area is None:
-            raise ValueError(f"({x},{y},{z}) is not Heronian")
-        return cls((x, y, z), area)
+    @property
+    def area(self) -> int:
+        return heron_area(*self.sides)
 
     @property
     def perimeter(self) -> int:
@@ -133,7 +127,7 @@ def enumerate_perimeter_dominant(p_max: int) -> list[HeronianTriangle]:
                 s = u + v + w
                 area = exact_sqrt(s * uv * w)
                 if area is not None and area < 2 * s:
-                    found.append(HeronianTriangle((u + v, u + w, v + w), area))
+                    found.append(HeronianTriangle((u + v, u + w, v + w)))
     found.sort(key=lambda t: (t.perimeter, t.sides))
     return found
 
@@ -165,31 +159,40 @@ _ROWS: dict[int, dict] = {
 }
 
 
+def _row(row: int) -> dict:
+    if row not in _ROWS:
+        raise ValueError(f"row must be 1..4, got {row}")
+    return _ROWS[row]
+
+
 def family_member(row: int, sol: pell.PellSolution) -> HeronianTriangle:
     """Closed-form triangle of one family row at parameter (x, y) = (n, i).
 
     The parameter must satisfy the row's restriction equation and its lower
-    bound on x; HeronianTriangle checks the closed-form area against
-    heron_area.
+    bound on x.  The row's closed-form area is checked against the area that
+    Heron's formula gives the sides.
     """
-    if row not in _ROWS:
-        raise ValueError(f"row must be 1..4, got {row}")
-    spec = pell.SPECS[_ROWS[row]["pell"]]
+    forms = _row(row)
+    spec = pell.SPECS[forms["pell"]]
     x, y = sol.n, sol.i
     if not spec.satisfies(x, y):
         raise ValueError(f"({x},{y}) does not satisfy {spec.name}")
-    if x < _ROWS[row]["x_min"]:
-        raise ValueError(f"row {row} requires x >= {_ROWS[row]['x_min']}")
-    return HeronianTriangle(_ROWS[row]["sides"](x), _ROWS[row]["area"](x, y))
+    if x < forms["x_min"]:
+        raise ValueError(f"row {row} requires x >= {forms['x_min']}")
+    t = HeronianTriangle(forms["sides"](x))
+    if t.area != forms["area"](x, y):
+        raise InconsistencyError(f"row {row} at ({x},{y}): the closed-form area is not Heron's")
+    return t
 
 
 def family_members_within(row: int, p_max: int) -> list[HeronianTriangle]:
     """All members of one family row with perimeter <= p_max."""
+    forms = _row(row)
     out = []
-    for sol in pell.iter_solutions(pell.SPECS[_ROWS[row]["pell"]]):
-        if sol.n < _ROWS[row]["x_min"]:
+    for sol in pell.iter_solutions(pell.SPECS[forms["pell"]]):
+        if sol.n < forms["x_min"]:
             continue
-        if sum(_ROWS[row]["sides"](sol.n)) > p_max:
+        if sum(forms["sides"](sol.n)) > p_max:
             break
         out.append(family_member(row, sol))
     return out

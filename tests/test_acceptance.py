@@ -105,8 +105,8 @@ def test_criterion_4_trapezoids():
         assert {s.quad_sides for s in sols} == {
             (6, 4, 3, 5), (10, 3, 6, 5), (8, 5, 2, 5), (14, 5, 6, 5), (20, 4, 15, 3),
         }
-        t556 = trapezoids.HeronianTriangle.from_sides(5, 5, 6)
-        t558 = trapezoids.HeronianTriangle.from_sides(5, 5, 8)
+        t556 = trapezoids.HeronianTriangle((5, 5, 6))
+        t558 = trapezoids.HeronianTriangle((5, 5, 8))
         assert trapezoids.shorter_parallel_side(t556, 5) == Fraction(10, 7)
         assert trapezoids.shorter_parallel_side(t558, 5) == Fraction(15, 7)
         for row in (1, 2, 3, 4):

@@ -204,8 +204,10 @@ class TestSolutions:
         [
             ((1, 9, 10, 11), "wxyz does not satisfy the product identity"),
             ((1, 5, 24, 30), "z must be smaller than w+x+y"),
+            # (1, 9, 10, 10) out of order: the same sides (14, 6, 5, 5)
+            ((10, 10, 9, 1), "wxyz must satisfy 0 < w <= x <= y <= z"),
         ],
-        ids=["identity", "z-bound"],
+        ids=["identity", "z-bound", "order"],
     )
     def test_check_messages(self, wxyz, message):
         with pytest.raises(ValueError) as exc:

@@ -15,13 +15,13 @@ from equilat.errors import Checked, InvalidQuadError
 from equilat.geometry import LatticeQuad
 
 SQUARE = LatticeQuad(((0, 0), (4, 0), (4, 4), (0, 4)))
-T345 = trapezoids.HeronianTriangle.from_sides(3, 4, 5)
+T345 = trapezoids.HeronianTriangle((3, 4, 5))
 
 
 # (record, a factory for one instance, a field to assign)
 RECORDS = [
     ("QuadClassification", lambda: geometry.classify(SQUARE), "convex"),
-    ("Diagonal", lambda: geometry.interior_diagonals(SQUARE).interior[0], "length"),
+    ("Diagonal", lambda: geometry.interior_diagonals(SQUARE).interior[0], "sq"),
     ("DiagonalReport", lambda: geometry.interior_diagonals(SQUARE), "interior"),
     ("LeqClass", lambda: next(iter(search.get_catalog(42).values())), "embeddings_seen"),
     ("AuditReport", lambda: search.audit_theorems(42), "kites_found"),
@@ -31,7 +31,7 @@ RECORDS = [
     ("KiteMember", lambda: kites.generate("K1", 1)[0], "A"),
     ("AuditOutcome", lambda: kites.audit_member(kites.generate("K1", 1)[0]), "failed_check"),
     ("CyclicSolution", lambda: cyclic.solutions()[0], "wxyz"),
-    ("HeronianTriangle", lambda: T345, "area"),
+    ("HeronianTriangle", lambda: T345, "sides"),
     ("TrapezoidSolution", lambda: trapezoids.trapezoid_from(T345, 3), "triangle"),
 ]
 
@@ -63,14 +63,17 @@ def test_sorts_by_field_order(unsorted, expected):
 
 
 TRAPEZOID = trapezoids.trapezoid_from(T345, 3)  # quad_sides (6, 4, 3, 5), h = 4
-T556 = trapezoids.HeronianTriangle.from_sides(5, 5, 6)
+T556 = trapezoids.HeronianTriangle((5, 5, 6))
 CYCLIC = cyclic.solutions()  # wxyz (1, 9, 10, 10) first, the square (4, 4, 4, 4) last
 
 # (id, record, changes that break a check)
 REPLACE_CHECKS = [
     ("PellSpec", pell.SPECS["K1"], {"rec": 2}),
     ("CyclicSolution", CYCLIC[3], {"wxyz": (4, 4, 4, 5)}),
-    ("HeronianTriangle", T345, {"area": 7}),
+    # the same solution as CYCLIC[0], out of order
+    ("CyclicSolution-unsorted", CYCLIC[0], {"wxyz": (10, 10, 9, 1)}),
+    # the area of (3, 4, 6) is sqrt(455) / 4
+    ("HeronianTriangle", T345, {"sides": (3, 4, 6)}),
     # side 5 of (5, 5, 6) gives the strip width 10/7
     ("TrapezoidSolution", TRAPEZOID, {"triangle": T556, "f": 5}),
     ("TrapezoidSolution-not-a-side", TRAPEZOID, {"f": 6}),

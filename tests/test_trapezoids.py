@@ -3,7 +3,8 @@ from math import isqrt
 
 import pytest
 
-from equilat import figures
+from equilat import figures, trapezoids
+from equilat.errors import InconsistencyError
 from equilat.figures import NAMED_QUADS
 from equilat.geometry import LatticeQuad, classify, dist_sq, is_equable, signature
 from equilat.pell import PellSolution
@@ -34,7 +35,7 @@ def _scan_perimeter_dominant(p_max: int) -> list[HeronianTriangle]:
                     continue
                 area = heron_area(x, y, z)
                 if area is not None and p > area:
-                    found.append(HeronianTriangle((x, y, z), area))
+                    found.append(HeronianTriangle((x, y, z)))
     found.sort(key=lambda t: (t.perimeter, t.sides))
     return found
 
@@ -45,9 +46,9 @@ def scan_400():
     return tuple(_scan_perimeter_dominant(400))
 
 
-T345 = HeronianTriangle.from_sides(3, 4, 5)
-T556 = HeronianTriangle.from_sides(5, 5, 6)
-T558 = HeronianTriangle.from_sides(5, 5, 8)
+T345 = HeronianTriangle((3, 4, 5))
+T556 = HeronianTriangle((5, 5, 6))
+T558 = HeronianTriangle((5, 5, 8))
 
 
 class TestHeronArea:
@@ -144,8 +145,16 @@ class TestFamilyMember:
             family_member(1, PellSolution(1, 1))
 
     def test_unknown_row_rejected(self):
-        with pytest.raises(ValueError):
-            family_member(5, PellSolution(1, 0))
+        for row in (0, 5):
+            with pytest.raises(ValueError, match=f"row must be 1..4, got {row}"):
+                family_member(row, PellSolution(1, 0))
+            with pytest.raises(ValueError, match=f"row must be 1..4, got {row}"):
+                family_members_within(row, 400)
+
+    def test_closed_form_area_is_checked(self, monkeypatch):
+        monkeypatch.setitem(trapezoids._ROWS[1], "area", lambda x, y: 6 * x * y + 1)
+        with pytest.raises(InconsistencyError, match="closed-form area"):
+            family_member(1, PellSolution(7, 5))
 
     def test_closed_forms_match_scan(self):
         family = {
@@ -171,7 +180,7 @@ class TestTrapezoidFrom:
         assert shorter_parallel_side(T558, 5) == Fraction(15, 7)
 
     def test_41315_f4(self):
-        t = HeronianTriangle.from_sides(4, 13, 15)
+        t = HeronianTriangle((4, 13, 15))
         assert shorter_parallel_side(t, 4) == Fraction(4, 5)
         assert trapezoid_from(t, 4) is None
 
@@ -275,10 +284,12 @@ class TestLatticeEmbedding:
 
 class TestValidation:
     def test_triangle_invariants(self):
+        with pytest.raises(TypeError):  # the area follows from the sides
+            HeronianTriangle((3, 4, 5), 6)
         with pytest.raises(ValueError):
-            HeronianTriangle((3, 4, 5), 7)
+            HeronianTriangle((3, 4, 6))
         with pytest.raises(ValueError):
-            HeronianTriangle((1, 2, 3), 1)
+            HeronianTriangle((1, 2, 3))
 
     def test_solution_invariants(self):
         with pytest.raises(ValueError):  # the strip width 15/7
@@ -287,20 +298,20 @@ class TestValidation:
             TrapezoidSolution(triangle=T345, f=0)
 
     @pytest.mark.parametrize(
-        "args, message",
+        "sides, message",
         [
-            (((1, 2, 3), 1), "(1, 2, 3) is not a valid (ordered) triangle"),
-            (((4, 3, 5), 6), "(4, 3, 5) is not a valid (ordered) triangle"),
-            # the perimeter 12 where the area 6 belongs
-            (((3, 4, 5), 12), "area does not satisfy Heron's formula"),
-            (((3, 4, 5), 7), "area does not satisfy Heron's formula"),
-            (((3, 4, 5), 0), "area does not satisfy Heron's formula"),
+            ((1, 2, 3), "(1, 2, 3) is not Heronian"),
+            ((4, 3, 5), "sides must be positive and ordered x <= y <= z"),
+            ((0, 3, 3), "sides must be positive and ordered x <= y <= z"),
+            # the area of (2, 3, 4) is sqrt(135) / 4
+            ((2, 3, 4), "(2, 3, 4) is not Heronian"),
+            ((3, 4), "not enough values to unpack (expected 3, got 2)"),
         ],
-        ids=["degenerate", "unordered", "perimeter", "area", "zero-area"],
+        ids=["degenerate", "unordered", "non-positive", "area", "pair"],
     )
-    def test_triangle_check_messages(self, args, message):
+    def test_triangle_check_messages(self, sides, message):
         with pytest.raises(ValueError) as exc:
-            HeronianTriangle(*args)
+            HeronianTriangle(sides)
         assert str(exc.value) == message
 
     @pytest.mark.parametrize(
@@ -308,12 +319,12 @@ class TestValidation:
         [
             # (5, 12, 13) has area = perimeter = 30, so every strip width is 0
             (
-                {"triangle": HeronianTriangle.from_sides(5, 12, 13), "f": 5},
+                {"triangle": HeronianTriangle((5, 12, 13)), "f": 5},
                 "strip width 0 is not a positive integer",
             ),
             # quad_sides would be (c + f, leg, c, leg) = (13, 10, -3, 10)
             (
-                {"triangle": HeronianTriangle.from_sides(10, 10, 16), "f": 16},
+                {"triangle": HeronianTriangle((10, 10, 16)), "f": 16},
                 "strip width -3 is not a positive integer",
             ),
             # the height 2 * area / f is undefined
