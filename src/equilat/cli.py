@@ -159,7 +159,7 @@ def _cmd_trapezoids(args: argparse.Namespace) -> dict:
         ],
         "csv": lambda: (header, [
             [*s.quad_sides, s.f, s.h.numerator, s.h.denominator,
-             "-".join(map(str, s.triangle.sides)), s.figure_tag or ""]
+             "-".join(map(str, s.triangle.sides)), s.figure_tag]
             for s in sols
         ]),
         "text": lambda: [

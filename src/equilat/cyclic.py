@@ -59,10 +59,9 @@ def solve_z(w: int, x: int, y: int) -> int | None:
     root = exact_sqrt(disc)
     if root is None:
         return None
-    num = wxy - 2 * s - root
-    if num % 2:
-        return None
-    z = num // 2
+    # root^2 = wxy^2 - 4*wxy*s, so root has the parity of wxy and the
+    # numerator wxy - 2s - root is even
+    z = (wxy - 2 * s - root) // 2
     if y <= z < s:
         return z
     return None
@@ -124,7 +123,7 @@ def realizable_orderings(
     `figures.place`, which answers None unless the lattice holds them and
     returns the named drawing when the shape has one.
     """
-    if not brahmagupta_check(*side_lengths):
+    if min(side_lengths) < 1 or not brahmagupta_check(*side_lengths):
         raise ValueError(f"{side_lengths} is not an equable cyclic side multiset")
     return [
         (order, place(tuple(s * s for s in order), _diagonals_sq(order)))

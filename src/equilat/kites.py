@@ -8,13 +8,14 @@ Every other constant follows from the Vieta pair (k, m) = (5, 1), (5, 2),
 (8, 1), (9, 2): the area of triangle OAB is K_A = k*m*n, and the squared
 cross-diagonal is q^2 = |AC|^2 = 16km^2 / (km^2 - 4) = 80, 20, 32, 18.
 
-The members come from the recurrence that extends the Pell streams,
-v_{j+1} = t*v_j - v_{j-1} + w, run over (n, i, A, B, C) from the row's first
-two members, with t = 3, 18, 6, 6 the `rec` of the family's equation.  B and
-the midpoint of AC are linear in (n, i), and the chord A - C is the same for
-every member, so w is 0 on n, i and B, w_A = (2 - t)(A_0 - C_0)/2 and
-w_C = -w_A.  `audit_member` checks the coordinates against the paper's closed
-forms in (n, i).
+Each member takes its (n, i) from the family's checked stream
+`pell.iter_solutions`, and its placement from the recurrence that extends that
+stream, v_{j+1} = t*v_j - v_{j-1} + w, run over (A, B, C) from the row's first
+two placements, with t = 3, 18, 6, 6 the `rec` of the family's equation.  B
+and the midpoint of AC are linear in (n, i), and the chord A - C is the same
+for every member, so w is 0 on B, w_A = (2 - t)(A_0 - C_0)/2 and w_C = -w_A.
+`audit_member` checks the coordinates against the paper's closed forms in
+(n, i).
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from equilat.geometry import (
     dist_sq,
     is_equable,
     is_simple,
-    side_swap,
     twice_area,
 )
 
@@ -54,8 +54,9 @@ class FamilyId(NamedTuple):
     side lengths OA and AB, and (k, m) are the Vieta constants with
     ab = k(m^2 + n^2) and a + b = k*m*n.  The rest is derived: the area of
     triangle OAB is K_A = k*m*n, and q_sq = |AC|^2 = 16km^2 / (km^2 - 4).
-    `seeds` are the first two members as (n, i, Ax, Ay, Bx, By, Cx, Cy);
-    the later ones follow by the module's recurrence, with t the `rec` of the
+    The first member's (n, i) is entry `first` of the family's Pell stream.
+    `seeds` are the first two placements as (Ax, Ay, Bx, By, Cx, Cy); the
+    later ones follow by the module's recurrence, with t the `rec` of the
     family's Pell equation and w_A = -w_C = (2 - t)(A_0 - C_0)/2.
     """
 
@@ -65,6 +66,7 @@ class FamilyId(NamedTuple):
     a_i: int
     ab_den: int
     gcd_ab: int
+    first: int
     seeds: tuple[tuple[int, ...], tuple[int, ...]]
 
     @property
@@ -74,16 +76,13 @@ class FamilyId(NamedTuple):
 
 
 FAMILIES: dict[str, FamilyId] = {
-    # k, m, a_n, a_i, ab_den, gcd_ab, then the seeds (n, i, Ax, Ay, Bx, By, Cx, Cy)
-    "K1": FamilyId(5, 1, 5, 5, 2, 5,
-                   ((2, 0, 4, -3, 4, 2, 0, 5), (3, 1, 10, 0, 6, 3, 6, 8))),
+    # k, m, a_n, a_i, ab_den, gcd_ab, first, then the seeds (Ax, Ay, Bx, By, Cx, Cy)
+    "K1": FamilyId(5, 1, 5, 5, 2, 5, 0, ((4, -3, 4, 2, 0, 5), (10, 0, 6, 3, 6, 8))),
     # K2 starts at (9, 4): its kite at n = 1 is K1's rhombus
-    "K2": FamilyId(5, 2, 5, 10, 1, 5,
-                   ((9, 4, 77, 36, 72, 36, 75, 40), (161, 72, 1365, 680, 1288, 644, 1363, 684))),
-    "K3": FamilyId(8, 1, 4, 4, 1, 4,
-                   ((1, 0, 4, 0, 4, 4, 0, 4), (3, 2, 16, 12, 12, 12, 12, 16))),
-    "K4": FamilyId(9, 2, 9, 6, 1, 3,
-                   ((1, 1, 12, 9, 12, 12, 9, 12), (5, 7, 63, 60, 60, 60, 60, 63))),
+    "K2": FamilyId(5, 2, 5, 10, 1, 5, 1,
+                   ((77, 36, 72, 36, 75, 40), (1365, 680, 1288, 644, 1363, 684))),
+    "K3": FamilyId(8, 1, 4, 4, 1, 4, 0, ((4, 0, 4, 4, 0, 4), (16, 12, 12, 12, 12, 16))),
+    "K4": FamilyId(9, 2, 9, 6, 1, 3, 0, ((12, 9, 12, 12, 9, 12), (63, 60, 60, 60, 60, 63))),
 }
 
 
@@ -108,18 +107,22 @@ class KiteMember(NamedTuple):
 
 
 def iter_members(tag: str) -> Iterator[KiteMember]:
-    """Members in increasing n, from the row's seeds by the recurrence."""
-    fam = FAMILIES[tag]
-    t = pell.SPECS[tag].rec
-    _, _, ax0, ay0, _, _, cx0, cy0 = fam.seeds[0]
-    wx, wy = (2 - t) * (ax0 - cx0) // 2, (2 - t) * (ay0 - cy0) // 2
-    steps = pell.recurrence(t, *fam.seeds, (0, 0, wx, wy, 0, 0, -wx, -wy))
-    for n, i, ax, ay, bx, by, cx, cy in steps:
+    """Members in increasing n: each (n, i) from the family's checked Pell
+    stream, its placement from the row's seeds by the recurrence."""
+    if tag not in FAMILIES:
+        raise ValueError(f"family must be one of {', '.join(FAMILIES)}, got {tag!r}")
+    fam, spec = FAMILIES[tag], pell.SPECS[tag]
+    ax0, ay0, _, _, cx0, cy0 = fam.seeds[0]
+    wx, wy = (2 - spec.rec) * (ax0 - cx0) // 2, (2 - spec.rec) * (ay0 - cy0) // 2
+    steps = pell.recurrence(spec.rec, *fam.seeds, (wx, wy, 0, 0, -wx, -wy))
+    sols = islice(pell.iter_solutions(spec), fam.first, None)
+    for sol, (ax, ay, bx, by, cx, cy) in zip(sols, steps):
+        n, i = sol
         a_len, rem_a = divmod(fam.a_n * n + fam.a_i * i, fam.ab_den)
         b_len, rem_b = divmod(fam.a_n * n - fam.a_i * i, fam.ab_den)
         if rem_a or rem_b:
             raise InconsistencyError(f"{tag}({n}, {i}): side lengths are not integers")
-        yield KiteMember(fam, pell.PellSolution(n, i), (ax, ay), (bx, by), (cx, cy),
+        yield KiteMember(fam, sol, (ax, ay), (bx, by), (cx, cy),
                          fam.k * fam.m * n, a_len, b_len)
 
 
@@ -149,20 +152,22 @@ def audit_member(km: KiteMember) -> AuditOutcome:
     against the coordinates the recurrence gave, and the kite itself.
 
     Failures are data, not exceptions: the outcome names the first check that
-    does not hold.
+    does not hold.  None asks that C be A's mirror in OB, as it could never
+    fail first: with a != b, kite forces |OC| = a and |BC| = b, so C is A (not
+    simple) or A's mirror.  Vieta allows a = b only at K1 n = 2, K3 n = 1 and
+    K2 n = 1, and there any other C on OB's perpendicular bisector at
+    |AC|^2 = q^2 is not simple or has an irrational |OC|, failing equable.
     """
     fam = km.family
     o = (0, 0)
-    v = (o, km.A, km.B, km.C)
 
-    simple = is_simple(v)
+    simple = is_simple((o, km.A, km.B, km.C))
     checks = [("simple", simple, "O,A,B,C is not a simple quadrilateral")]
     if simple:
         q = km.quad()
         checks.append(("equable", is_equable(q), "area differs from perimeter"))
         checks.append(("kite", classify(q).is_kite, "no two disjoint equal adjacent pairs"))
     k, m, n = fam.k, fam.m, km.sol.n
-    (bx, by), (cx, cy) = km.B, km.C
     checks += [
         ("K_A", twice_area((o, km.A, km.B)) == 2 * km.K_A, f"triangle area != {km.K_A}"),
         ("a", km.a > 0 and dist_sq(o, km.A) == km.a * km.a, f"|OA| != {km.a}"),
@@ -172,10 +177,6 @@ def audit_member(km: KiteMember) -> AuditOutcome:
         ("q_sq", dist_sq(km.A, km.C) == fam.q_sq, f"|AC|^2 != {fam.q_sq}"),
         ("vieta", km.a * km.b == k * (m * m + n * n) and km.a + km.b == k * m * n,
          "Vieta relations fail"),
-        # the paper's construction: swapping OAB on OB gives the parallelogram
-        # O, B - C, B, C exactly when C is A's mirror image in OB
-        ("reflection", side_swap(v, 0) == (o, (bx - cx, by - cy), km.B, km.C),
-         "C is not the reflection of A in OB"),
     ]
 
     for name, ok, detail in checks:

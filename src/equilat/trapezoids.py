@@ -207,8 +207,9 @@ class TrapezoidSolution(Checked, _TrapezoidSolution):
     """Equable trapezoid built by extending the side f of a Heronian triangle.
 
     quad_sides lists (long parallel side c + f, leg AB, short parallel side c,
-    leg CO) in cyclic vertex order O, A, B, C.  The legs are in the published
-    order of the named drawing when there is one, and ascending otherwise.
+    leg CO) in cyclic vertex order O, A, B, C, the legs read from the
+    solution's named drawing.  Only the five solutions have one, so any other
+    (triangle, f) is an InconsistencyError.
     """
 
     __slots__ = ()
@@ -217,25 +218,21 @@ class TrapezoidSolution(Checked, _TrapezoidSolution):
         c = shorter_parallel_side(self.triangle, self.f)
         if c.denominator != 1 or c < 1:
             raise ValueError(f"strip width {c} is not a positive integer")
+        if (self.triangle.sides, self.f) not in _FIGURE_TAGS:
+            raise InconsistencyError(f"{self.triangle.sides} with f={self.f} has no named drawing")
 
     @property
     def c(self) -> int:
         return int(shorter_parallel_side(self.triangle, self.f))
 
     @property
-    def figure_tag(self) -> str | None:
-        return _FIGURE_TAGS.get((self.triangle.sides, self.f))
+    def figure_tag(self) -> str:
+        return _FIGURE_TAGS[self.triangle.sides, self.f]
 
     @property
     def quad_sides(self) -> tuple[int, int, int, int]:
-        c, f, tag = self.c, self.f, self.figure_tag
-        if tag is None:
-            legs = list(self.triangle.sides)
-            legs.remove(f)
-        else:
-            vo, va, vb, vc = NAMED_QUADS[tag]
-            legs = isqrt(dist_sq(va, vb)), isqrt(dist_sq(vc, vo))
-        return (c + f, legs[0], c, legs[1])
+        vo, va, vb, vc = NAMED_QUADS[self.figure_tag]
+        return (self.c + self.f, isqrt(dist_sq(va, vb)), self.c, isqrt(dist_sq(vc, vo)))
 
     @property
     def perimeter(self) -> int:

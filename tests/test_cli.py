@@ -105,8 +105,8 @@ class TestStartup:
         ids=["search", "kites", "pell"],
     )
     def test_command_does_not_load_fractions(self, argv):
-        # geometry imports fractions inside side_swap, which only audit and
-        # render call; fractions and decimal cost about 3.8 ms (-X importtime)
+        # geometry imports fractions inside side_swap, which only render
+        # calls; fractions and decimal cost about 3.8 ms (-X importtime)
         done = _python("-c", _LOADED_PROBE, *argv)
         code, *loaded = done.stdout.split()
         assert (code, done.stderr) == ("0", "")
@@ -246,8 +246,9 @@ class TestExitCodes:
             (("search", "--p-max", "0"), "p_max"),
             (("audit", "--p-max", "0"), "p_max"),
             (("pell", "--count", "0"), "count"),
+            (("kites", "--count", "0"), "count"),
         ],
-        ids=["search", "audit", "pell"],
+        ids=["search", "audit", "pell", "kites"],
     )
     def test_explicit_zero_is_validated(self, capsys, argv, field):
         code, out, err = _run(capsys, *argv)

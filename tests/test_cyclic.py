@@ -145,6 +145,17 @@ class TestOrderings:
         with pytest.raises(ValueError):
             realizable_orderings((5, 5, 5, 5))
 
+    # each passes the Brahmagupta condition: (-4, -4, -4, -4) would place the
+    # 4-square, (0, 0, 0, 0) would divide by zero in the diagonals, and
+    # (0, 6, 8, 10) is the degenerate equable triangle
+    @pytest.mark.parametrize(
+        "sides_", [(-4, -4, -4, -4), (0, 0, 0, 0), (0, 6, 8, 10)],
+        ids=["negative", "zeros", "degenerate-triangle"],
+    )
+    def test_rejects_sides_that_are_not_positive(self, sides_):
+        with pytest.raises(ValueError, match="is not an equable cyclic side multiset"):
+            realizable_orderings(sides_)
+
     def test_realizer_matches_catalog_lookup(self, monkeypatch):
         # with the named drawings hidden, every answer comes from the realizer;
         # the search catalog, which the realizer replaced, is the oracle

@@ -14,6 +14,7 @@ from equilat.geometry import (
     canonical_signature,
     classify,
     dist_sq,
+    exact_sqrt,
     interior_diagonals,
     is_cyclic,
     is_equable,
@@ -50,6 +51,11 @@ TRAP_8_5_2_5 = LatticeQuad(((0, 0), (8, 0), (5, 4), (3, 4)))
 def lattice_quads(draw):
     rng = random.Random(draw(st.integers(0, 2**48)))
     return random_quad(rng)
+
+
+def test_exact_sqrt():
+    assert [exact_sqrt(n) for n in (0, 1, 2, 4, 99, 100)] == [0, 1, None, 2, None, 10]
+    assert exact_sqrt(-1) is None
 
 
 class TestTwiceArea:
@@ -122,6 +128,10 @@ class TestIsSimple:
 
     def test_collinear(self):
         assert not is_simple(((0, 0), (3, 0), (6, 0), (0, 4)))
+
+    def test_three_points_rejected(self):
+        with pytest.raises(ValueError, match="expected exactly four points"):
+            is_simple(((0, 0), (4, 0), (0, 4)))
 
     def test_duplicate_vertex(self):
         square = ((0, 0), (4, 0), (4, 4), (0, 4))

@@ -1,8 +1,10 @@
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
-from equilat.errors import InvalidQuadError
+from equilat import pell
+from equilat.errors import InconsistencyError, InvalidQuadError
 from equilat.figures import NAMED_QUADS
 from equilat.geometry import (
     LatticeQuad,
@@ -20,7 +22,7 @@ from equilat.kites import (
     iter_members,
     members_within_perimeter,
 )
-from equilat.pell import SPECS, PellSolution
+from equilat.pell import SPECS, PellSolution, iter_solutions
 from equilat.search import get_catalog
 from helpers import lattice_points, reflect_point
 
@@ -54,6 +56,28 @@ class TestMember:
         for tag in FAMILIES:
             for km in generate(tag, 20):
                 assert SPECS[tag].satisfies(*km.sol) and km.sol.n > 0 and km.sol.i >= 0
+
+    @pytest.mark.parametrize("tag", list(FAMILIES))
+    def test_sol_is_the_pell_stream(self, tag):
+        first = FAMILIES[tag].first
+        stream = list(islice(iter_solutions(SPECS[tag]), first, first + 30))
+        assert [km.sol for km in generate(tag, 30)] == stream
+
+    def test_wrong_recurrence_is_caught(self, monkeypatch):
+        # rec = 7 takes K3's stream from (3, 2) to (20, 14), off n^2 - 2i^2 = 1;
+        # the members' (n, i) come from the checked stream, so it raises
+        monkeypatch.setitem(pell.SPECS, "K3", pell.SPECS["K3"]._replace(rec=7))
+        with pytest.raises(InconsistencyError, match="fails the equation"):
+            generate("K3", 3)
+
+    @pytest.mark.parametrize("call", [
+        lambda: next(iter_members("K5")),
+        lambda: generate("K5", 1),
+        lambda: members_within_perimeter("K5", 42),
+    ], ids=["iter_members", "generate", "members_within_perimeter"])
+    def test_unknown_family(self, call):
+        with pytest.raises(ValueError, match="family must be one of K1, K2, K3, K4, got 'K5'"):
+            call()
 
 
 # the kite drawings, each a family member: (name, family, n, i)
@@ -128,6 +152,17 @@ class TestAudit:
         km = member("K1", PellSolution(3, 1))
         outcome = audit_member(km._replace(a=km.a + 5))
         assert not outcome.passed and outcome.failed_check == "a"
+
+    def test_coincident_vertices_fail_simple(self):
+        km = member("K1", PellSolution(3, 1))
+        assert audit_member(km._replace(C=km.A)).failed_check == "simple"
+
+    def test_rhombus_with_the_other_bisector_point_fails_equable(self):
+        # K1's rhombus has a = b, so kite also allows C on OB's perpendicular
+        # bisector beyond A; |AC|^2 = 80 holds there, but |OC|^2 = 185
+        km = member("K1", PellSolution(2, 0))
+        assert dist_sq(km.A, (8, -11)) == 80 and dist_sq((0, 0), (8, -11)) == 185
+        assert audit_member(km._replace(C=(8, -11))).failed_check == "equable"
 
     def test_rejects_negative_lengths(self):
         # the K1 closed forms at the signed solution (-3, 1): A and C of the

@@ -66,6 +66,10 @@ class TestSeedSearch:
     def test_insoluble_equation(self):
         assert seed_search(1, 5, 3, 50) == []
 
+    def test_rejects_zero_bound(self):
+        with pytest.raises(ValueError, match="bound must be positive"):
+            seed_search(1, 5, 4, 0)
+
 
 @pytest.mark.parametrize("spec", SPECS.values(), ids=lambda s: s.name)
 def test_stream_matches_scan_oracle(spec):

@@ -1,11 +1,12 @@
 import html
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from equilat.figures import NAMED_QUADS
 from equilat.geometry import dist_sq
-from equilat.render import FIGURE_PANELS, _escape
+from equilat.render import FIGURE_PANELS, _escape, figure_names, render_figure
 from equilat.trapezoids import all_equable_trapezoids
 
 
@@ -33,3 +34,9 @@ def test_trapezoid_panels_match_the_construction():
         assert sides_sq == [s * s for s in sol.triangle.sides]
         [cut] = panel["dashed"]
         assert set(cut) == {a1, c}
+
+
+def test_unknown_figure_lists_the_figures():
+    with pytest.raises(KeyError) as exc:
+        render_figure("nope")
+    assert exc.value.args == (f"unknown figure 'nope'; choose from {figure_names()}",)

@@ -57,6 +57,10 @@ class TestIntegerNormVectors:
     def test_count_at_five(self):
         assert len(integer_norm_vectors(5)) == 28
 
+    def test_rejects_zero(self):
+        with pytest.raises(ValueError, match="max_len must be positive"):
+            integer_norm_vectors(0)
+
     def test_sorted(self):
         vecs = integer_norm_vectors(10)
         keys = [(length, dx, dy) for dx, dy, length in vecs]

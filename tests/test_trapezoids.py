@@ -188,6 +188,12 @@ class TestTrapezoidFrom:
         with pytest.raises(ValueError):
             trapezoid_from(T345, 6)
 
+    def test_solution_without_drawing_raises(self, monkeypatch):
+        # the legs come from the named drawing, and only the five have one
+        monkeypatch.delitem(trapezoids._FIGURE_TAGS, ((3, 4, 5), 3))
+        with pytest.raises(InconsistencyError, match="no named drawing"):
+            trapezoid_from(HeronianTriangle((3, 4, 5)), 3)
+
     def test_degeneracy_guard(self):
         # no guard is needed against a side f >= area (height <= 2): the lemma
         # in shorter_parallel_side's docstring keeps its denominator positive.
