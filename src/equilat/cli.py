@@ -152,18 +152,18 @@ def _cmd_trapezoids(args: argparse.Namespace) -> dict:
             {
                 "sides": list(s.quad_sides), "f": s.f, "c": s.c,
                 "h": {"num": s.h.numerator, "den": s.h.denominator},
-                "triangle": list(s.triangle.sides), "figure": s.figure_tag,
+                "triangle": list(s.triangle), "figure": s.figure_tag,
                 "embedding": _quad_json(trapezoids.lattice_embedding(s)),
             }
             for s in sols
         ],
         "csv": lambda: (header, [
             [*s.quad_sides, s.f, s.h.numerator, s.h.denominator,
-             "-".join(map(str, s.triangle.sides)), s.figure_tag]
+             "-".join(map(str, s.triangle)), s.figure_tag]
             for s in sols
         ]),
         "text": lambda: [
-            f"{s.quad_sides} from triangle {s.triangle.sides} with f={s.f}: "
+            f"{s.quad_sides} from triangle {s.triangle} with f={s.f}: "
             f"c={s.c}, h={s.h} [{s.figure_tag}]"
             for s in sols
         ] + [f"{len(sols)} equable trapezoids (scan bound {args.p_max})"],
@@ -172,29 +172,32 @@ def _cmd_trapezoids(args: argparse.Namespace) -> dict:
 
 def _cmd_cyclic(args: argparse.Namespace) -> dict:
     candidates = cyclic.enumerate_candidates()
-    sols = cyclic.solutions()
+    sols = []
+    for wxyz in cyclic.solutions():
+        sides = cyclic.sides(wxyz)
+        sols.append((wxyz, sides, cyclic.realizable_orderings(sides)))
     return {
         "json": lambda: {
             "candidates": len(candidates),
             "solutions": [
                 {
-                    **dict(zip("wxyz", s.wxyz)),
-                    **dict(zip("abcd", s.sides)),
+                    **dict(zip("wxyz", wxyz)),
+                    **dict(zip("abcd", sides)),
                     "orderings": [
                         {"order": list(order), "realizable": emb is not None,
                          "embedding": _quad_json(emb)}
-                        for order, emb in s.orderings
+                        for order, emb in orderings
                     ],
                 }
-                for s in sols
+                for wxyz, sides, orderings in sols
             ],
         },
         "text": lambda: [f"{len(candidates)} candidates, {len(sols)} solutions"] + [
-            f"wxyz={s.wxyz} sides={s.sides}: " + "; ".join(
+            f"wxyz={wxyz} sides={sides}: " + "; ".join(
                 f"{order}" + ("" if emb is None else f" -> {list(emb)}")
-                for order, emb in s.orderings
+                for order, emb in orderings
             )
-            for s in sols
+            for wxyz, sides, orderings in sols
         ],
     }
 

@@ -5,22 +5,21 @@ Brahmagupta area condition turns, under the half-sum substitution
 2z = -a+b+c+d (and cyclically), into w*x*y*z = (w+x+y+z)^2 with
 0 < w <= x <= y <= z.  Exact integer bounds confine (w, x, y) to finitely
 many candidates; solving the quadratic for z and keeping integer roots with
-y <= z < w+x+y yields every solution.  Whether a given cyclic order of the
-sides is realizable on the lattice is decided by the exact realizer
-`geometry.realize` from its squared sides and diagonals.
+y <= z < w+x+y yields every solution.  A solution is its quadruple wxyz:
+`sides` recovers the side lengths, and `realizable_orderings` decides for
+each cyclic order of them whether it is realizable on the lattice, through
+the exact realizer `geometry.realize` from its squared sides and diagonals.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
 
-from equilat.errors import Checked, InconsistencyError
+from equilat.errors import InconsistencyError
 from equilat.figures import place
 from equilat.geometry import LatticeQuad, exact_sqrt
 
 __all__ = [
-    "CyclicSolution",
     "enumerate_candidates",
     "solve_z",
     "sides",
@@ -131,45 +130,12 @@ def realizable_orderings(
     ]
 
 
-class _CyclicSolution(NamedTuple):
-    wxyz: tuple[int, int, int, int]
-
-
-class CyclicSolution(Checked, _CyclicSolution):
-    """One solution quadruple; its sides, and the lattice embedding of each
-    cyclic order of them, follow from it."""
-
-    __slots__ = ()
-
-    def _check(self) -> None:
-        w, x, y, z = self.wxyz
-        if not 0 < w <= x <= y <= z:
-            raise ValueError("wxyz must satisfy 0 < w <= x <= y <= z")
-        if w * x * y * z != (w + x + y + z) ** 2:
-            raise ValueError("wxyz does not satisfy the product identity")
-        if z >= w + x + y:
-            raise ValueError("z must be smaller than w+x+y")
-
-    @property
-    def sides(self) -> tuple[int, int, int, int]:
-        """The side lengths, nonincreasing, as wxyz is nondecreasing."""
-        return sides(self.wxyz)
-
-    @property
-    def orderings(self) -> tuple[tuple[tuple[int, int, int, int], LatticeQuad | None], ...]:
-        """Each cyclic order of the sides with its lattice embedding, or None."""
-        return tuple(realizable_orderings(self.sides))
-
-    @property
-    def embeddings(self) -> tuple[LatticeQuad, ...]:
-        return tuple(q for _, q in self.orderings if q is not None)
-
-
-def solutions() -> list[CyclicSolution]:
-    """All equable cyclic quadrilateral solutions, smallest w first."""
+def solutions() -> list[tuple[int, int, int, int]]:
+    """Every solution quadruple wxyz, smallest w first.  `sides` gives its
+    side lengths, nonincreasing as wxyz is nondecreasing."""
     out = []
     for w, x, y in enumerate_candidates():
         z = solve_z(w, x, y)
         if z is not None:
-            out.append(CyclicSolution((w, x, y, z)))
+            out.append((w, x, y, z))
     return out

@@ -395,9 +395,10 @@ def audit_theorems(p_max: int) -> AuditReport:
         cyclic_found=_found(catalog, "is_cyclic"),
         cyclic_expected=frozenset(
             signature(emb)
-            for sol in cyclic.solutions()
-            if sum(sol.sides) <= p_max
-            for emb in sol.embeddings
+            for sides in map(cyclic.sides, cyclic.solutions())
+            if sum(sides) <= p_max
+            for _, emb in cyclic.realizable_orderings(sides)
+            if emb is not None
         ),
         diagonal_exceptions=tuple(
             (sig, diag.length)

@@ -6,7 +6,9 @@ such a triangle and a choice f of the side to extend, the strip width is
 
     c = f * (perimeter - area) / (2 * (area - f)),
 
-and the construction succeeds exactly when c is a positive integer.
+and the construction succeeds exactly when c is a positive integer.  A
+triangle is its sides (x, y, z) with x <= y <= z, and `heron_area` gives its
+area; `shorter_parallel_side` rejects sides that are not Heronian.
 
 The triangles come from their tangent lengths.  A Heronian perimeter is even,
 so with s the half-perimeter the sides are (u+v, u+w, v+w) for integers
@@ -42,7 +44,6 @@ from equilat.figures import NAMED_QUADS, place
 from equilat.geometry import LatticeQuad, dist_sq, exact_sqrt
 
 __all__ = [
-    "HeronianTriangle",
     "TrapezoidSolution",
     "TRAPEZOID_SCAN_BOUND",
     "heron_area",
@@ -75,34 +76,7 @@ def heron_area(x: int, y: int, z: int) -> int | None:
     return root // 4
 
 
-class _HeronianTriangle(NamedTuple):
-    sides: tuple[int, int, int]  # x <= y <= z
-
-
-class HeronianTriangle(Checked, _HeronianTriangle):
-    """Integer-sided triangle with integer area."""
-
-    __slots__ = ()
-
-    def _check(self) -> None:
-        x, y, z = self.sides
-        if heron_area(x, y, z) is None:
-            raise ValueError(f"{self.sides} is not Heronian")
-
-    @property
-    def area(self) -> int:
-        return heron_area(*self.sides)
-
-    @property
-    def perimeter(self) -> int:
-        return sum(self.sides)
-
-    @property
-    def delta(self) -> int:
-        return self.perimeter - self.area
-
-
-def enumerate_perimeter_dominant(p_max: int) -> list[HeronianTriangle]:
+def enumerate_perimeter_dominant(p_max: int) -> list[tuple[int, int, int]]:
     """Every Heronian triangle with perimeter <= p_max and perimeter > area,
     sorted by (perimeter, sides).
 
@@ -127,8 +101,8 @@ def enumerate_perimeter_dominant(p_max: int) -> list[HeronianTriangle]:
                 s = u + v + w
                 area = exact_sqrt(s * uv * w)
                 if area is not None and area < 2 * s:
-                    found.append(HeronianTriangle((u + v, u + w, v + w)))
-    found.sort(key=lambda t: (t.perimeter, t.sides))
+                    found.append((u + v, u + w, v + w))
+    found.sort(key=lambda t: (sum(t), t))
     return found
 
 
@@ -165,7 +139,7 @@ def _row(row: int) -> dict:
     return _ROWS[row]
 
 
-def family_member(row: int, sol: pell.PellSolution) -> HeronianTriangle:
+def family_member(row: int, sol: pell.PellSolution) -> tuple[int, int, int]:
     """Closed-form triangle of one family row at parameter (x, y) = (n, i).
 
     The parameter must satisfy the row's restriction equation and its lower
@@ -179,13 +153,13 @@ def family_member(row: int, sol: pell.PellSolution) -> HeronianTriangle:
         raise ValueError(f"({x},{y}) does not satisfy {spec.name}")
     if x < forms["x_min"]:
         raise ValueError(f"row {row} requires x >= {forms['x_min']}")
-    t = HeronianTriangle(forms["sides"](x))
-    if t.area != forms["area"](x, y):
+    t = forms["sides"](x)
+    if heron_area(*t) != forms["area"](x, y):
         raise InconsistencyError(f"row {row} at ({x},{y}): the closed-form area is not Heron's")
     return t
 
 
-def family_members_within(row: int, p_max: int) -> list[HeronianTriangle]:
+def family_members_within(row: int, p_max: int) -> list[tuple[int, int, int]]:
     """All members of one family row with perimeter <= p_max."""
     forms = _row(row)
     out = []
@@ -199,12 +173,13 @@ def family_members_within(row: int, p_max: int) -> list[HeronianTriangle]:
 
 
 class _TrapezoidSolution(NamedTuple):
-    triangle: HeronianTriangle
+    triangle: tuple[int, int, int]
     f: int
 
 
 class TrapezoidSolution(Checked, _TrapezoidSolution):
-    """Equable trapezoid built by extending the side f of a Heronian triangle.
+    """Equable trapezoid built by extending the side f of a Heronian triangle,
+    given by its sides x <= y <= z.
 
     quad_sides lists (long parallel side c + f, leg AB, short parallel side c,
     leg CO) in cyclic vertex order O, A, B, C, the legs read from the
@@ -218,8 +193,8 @@ class TrapezoidSolution(Checked, _TrapezoidSolution):
         c = shorter_parallel_side(self.triangle, self.f)
         if c.denominator != 1 or c < 1:
             raise ValueError(f"strip width {c} is not a positive integer")
-        if (self.triangle.sides, self.f) not in _FIGURE_TAGS:
-            raise InconsistencyError(f"{self.triangle.sides} with f={self.f} has no named drawing")
+        if (self.triangle, self.f) not in _FIGURE_TAGS:
+            raise InconsistencyError(f"{self.triangle} with f={self.f} has no named drawing")
 
     @property
     def c(self) -> int:
@@ -227,7 +202,7 @@ class TrapezoidSolution(Checked, _TrapezoidSolution):
 
     @property
     def figure_tag(self) -> str:
-        return _FIGURE_TAGS[self.triangle.sides, self.f]
+        return _FIGURE_TAGS[self.triangle, self.f]
 
     @property
     def quad_sides(self) -> tuple[int, int, int, int]:
@@ -241,7 +216,7 @@ class TrapezoidSolution(Checked, _TrapezoidSolution):
     @property
     def h(self) -> Fraction:
         """The height: the triangle's height on its side f."""
-        return Fraction(2 * self.triangle.area, self.f)
+        return Fraction(2 * heron_area(*self.triangle), self.f)
 
 
 # The named drawings of the five solutions, keyed by (sides, f).  Each drawing
@@ -255,20 +230,25 @@ _FIGURE_TAGS: dict[tuple[tuple[int, int, int], int], str] = {
 }
 
 
-def shorter_parallel_side(t: HeronianTriangle, f: int) -> Fraction:
-    """Exact value of the strip width c for side choice f.
+def shorter_parallel_side(t: tuple[int, int, int], f: int) -> Fraction:
+    """Exact value of the strip width c for side choice f of the Heronian
+    triangle with sides x <= y <= z; ValueError for any other sides.
 
     The denominator is positive, as a Heronian triangle's area exceeds each
     side: with tangent lengths u, v, w >= 1 and the side v + w,
     A^2 = uvw(u+v+w), so A <= v + w needs uvw < v + w <= vw + 1.  Then u = 1
     and v = 1 (or w = 1), and A^2 = w(w+2) lies strictly between two squares.
     """
-    if f not in t.sides:
-        raise ValueError(f"{f} is not a side of {t.sides}")
-    return Fraction(f * t.delta, 2 * (t.area - f))
+    x, y, z = t
+    area = heron_area(x, y, z)
+    if area is None:
+        raise ValueError(f"{t} is not Heronian")
+    if f not in t:
+        raise ValueError(f"{f} is not a side of {t}")
+    return Fraction(f * (x + y + z - area), 2 * (area - f))
 
 
-def trapezoid_from(t: HeronianTriangle, f: int) -> TrapezoidSolution | None:
+def trapezoid_from(t: tuple[int, int, int], f: int) -> TrapezoidSolution | None:
     """Equable trapezoid extending side f of the triangle, or None when the
     strip width is not a positive integer."""
     c = shorter_parallel_side(t, f)
@@ -283,7 +263,7 @@ def all_equable_trapezoids(p_max: int = TRAPEZOID_SCAN_BOUND) -> list[TrapezoidS
     (perimeter, sides) order and then by ascending f."""
     out = []
     for t in enumerate_perimeter_dominant(p_max):
-        for f in sorted(set(t.sides)):
+        for f in sorted(set(t)):
             sol = trapezoid_from(t, f)
             if sol is not None:
                 out.append(sol)

@@ -105,26 +105,24 @@ def test_criterion_4_trapezoids():
         assert {s.quad_sides for s in sols} == {
             (6, 4, 3, 5), (10, 3, 6, 5), (8, 5, 2, 5), (14, 5, 6, 5), (20, 4, 15, 3),
         }
-        t556 = trapezoids.HeronianTriangle((5, 5, 6))
-        t558 = trapezoids.HeronianTriangle((5, 5, 8))
-        assert trapezoids.shorter_parallel_side(t556, 5) == Fraction(10, 7)
-        assert trapezoids.shorter_parallel_side(t558, 5) == Fraction(15, 7)
+        assert trapezoids.shorter_parallel_side((5, 5, 6), 5) == Fraction(10, 7)
+        assert trapezoids.shorter_parallel_side((5, 5, 8), 5) == Fraction(15, 7)
         for row in (1, 2, 3, 4):
             for t in trapezoids.family_members_within(row, 10_000):
-                for f in set(t.sides):
+                for f in set(t):
                     assert trapezoids.shorter_parallel_side(t, f).denominator != 1
 
 
 def test_criterion_5_cyclic():
     with criterion(5, "cyclic candidates and solutions", 1.0):
         assert len(cyclic.enumerate_candidates()) == 63
-        sols = cyclic.solutions()
-        assert [s.sides for s in sols] == [
+        sides = [cyclic.sides(wxyz) for wxyz in cyclic.solutions()]
+        assert sides == [
             (14, 6, 5, 5), (8, 5, 5, 2), (6, 6, 3, 3), (4, 4, 4, 4),
         ]
         kite_entry = [
             emb
-            for order, emb in dict(sols[2].orderings).items()
+            for order, emb in cyclic.realizable_orderings(sides[2])
             if sorted(order) == [3, 3, 6, 6] and order in ((6, 6, 3, 3), (6, 3, 3, 6))
         ]
         assert kite_entry == [None]  # the kite ordering is not realizable
@@ -197,16 +195,16 @@ def test_criterion_8_property_suites():
         # perimeter-dominant triangles to 400: exactly the eight known ones,
         # matching the closed forms of the infinite families plus the specials
         scanned = trapezoids.enumerate_perimeter_dominant(400)
-        assert [t.sides for t in scanned] == [
+        assert scanned == [
             (3, 4, 5), (5, 5, 6), (5, 5, 8),
             (4, 13, 15), (3, 25, 26), (4, 51, 53), (3, 148, 149), (4, 193, 195),
         ]
         family = {
-            t.sides
+            t
             for row in (1, 2, 3, 4)
             for t in trapezoids.family_members_within(row, 400)
         }
-        assert family == {t.sides for t in scanned} - {(3, 4, 5), (5, 5, 6), (5, 5, 8)}
+        assert family == set(scanned) - {(3, 4, 5), (5, 5, 6), (5, 5, 8)}
 
         # signature invariance under 1000 random symmetry compositions
         rng = random.Random(0xE9)

@@ -4,7 +4,6 @@ import pytest
 
 from equilat import figures
 from equilat.cyclic import (
-    CyclicSolution,
     _diagonals_sq,
     brahmagupta_check,
     cyclic_orderings,
@@ -161,9 +160,9 @@ class TestOrderings:
         # the search catalog, which the realizer replaced, is the oracle
         monkeypatch.setattr(figures, "KNOWN_EMBEDDINGS", {})
         checked = 0
-        for s in solutions():
-            catalog = get_catalog(max(42, sum(s.sides)))
-            for order, emb in s.orderings:
+        for wxyz in solutions():
+            catalog = get_catalog(max(42, sum(sides(wxyz))))
+            for order, emb in realizable_orderings(sides(wxyz)):
                 p_sq, q_sq = _diagonals_sq(order)
                 if p_sq.denominator != 1 or q_sq.denominator != 1:
                     assert emb is None
@@ -175,24 +174,27 @@ class TestOrderings:
         assert checked == 4  # only the four realizable orders have integer diagonals
 
 
+def _embeddings(wxyz):
+    return [emb for _, emb in realizable_orderings(sides(wxyz)) if emb is not None]
+
+
 class TestSolutions:
     def test_end_to_end(self):
         sols = solutions()
-        assert [s.wxyz for s in sols] == [
+        assert sols == [
             (1, 9, 10, 10), (2, 5, 5, 8), (3, 3, 6, 6), (4, 4, 4, 4),
         ]
-        assert [s.sides for s in sols] == [
+        assert [sides(s) for s in sols] == [
             (14, 6, 5, 5), (8, 5, 5, 2), (6, 6, 3, 3), (4, 4, 4, 4),
         ]
 
     def test_d_positive(self):
-        for s in solutions():
-            w, x, y, z = s.wxyz
+        for w, x, y, z in solutions():
             assert w + x + y - z > 0
 
     def test_signatures_match_the_four_named_leqs(self):
         found = {
-            signature(e) for s in solutions() for e in s.embeddings
+            signature(e) for s in solutions() for e in _embeddings(s)
         }
         names = (
             "square-4",
@@ -204,23 +206,18 @@ class TestSolutions:
 
     def test_each_solution_has_exactly_one_embedding(self):
         for s in solutions():
-            assert len(s.embeddings) == 1
+            assert len(_embeddings(s)) == 1
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CyclicSolution(wxyz=(1, 9, 10, 11))
-
-    @pytest.mark.parametrize(
-        "wxyz, message",
-        [
-            ((1, 9, 10, 11), "wxyz does not satisfy the product identity"),
-            ((1, 5, 24, 30), "z must be smaller than w+x+y"),
-            # (1, 9, 10, 10) out of order: the same sides (14, 6, 5, 5)
-            ((10, 10, 9, 1), "wxyz must satisfy 0 < w <= x <= y <= z"),
-        ],
-        ids=["identity", "z-bound", "order"],
-    )
-    def test_check_messages(self, wxyz, message):
-        with pytest.raises(ValueError) as exc:
-            CyclicSolution(wxyz=wxyz)
-        assert str(exc.value) == message
+    def test_matches_brute_force_scan(self):
+        # independent of enumerate_candidates' bound and of solve_z: every
+        # 0 < w <= x <= y <= z <= 80 with z < w+x+y.  The box holds every
+        # quadruple the candidate bound y <= 25 admits, as z < w+x+y <= 3y
+        found = [
+            (w, x, y, z)
+            for w in range(1, 81)
+            for x in range(w, 81)
+            for y in range(x, 81)
+            for z in range(y, min(80, w + x + y - 1) + 1)
+            if w * x * y * z == (w + x + y + z) ** 2
+        ]
+        assert found == solutions()

@@ -59,7 +59,10 @@ def test_placements_run_through_the_requested_order(hide_drawings, monkeypatch):
         monkeypatch.setattr(figures, "KNOWN_EMBEDDINGS", {})
     cases = [(t.quad_sides, lattice_embedding(t)) for t in all_equable_trapezoids()]
     cases += [
-        (order, emb) for s in cyclic.solutions() for order, emb in s.orderings if emb is not None
+        (order, emb)
+        for wxyz in cyclic.solutions()
+        for order, emb in cyclic.realizable_orderings(cyclic.sides(wxyz))
+        if emb is not None
     ]
     assert len(cases) == 5 + 4  # one realizable order per cyclic solution
     for order, emb in cases:

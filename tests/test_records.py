@@ -10,12 +10,11 @@ import pkgutil
 import pytest
 
 import equilat
-from equilat import cyclic, geometry, kites, pell, search, trapezoids
+from equilat import geometry, kites, pell, search, trapezoids
 from equilat.errors import Checked, InvalidQuadError
 from equilat.geometry import LatticeQuad
 
 SQUARE = LatticeQuad(((0, 0), (4, 0), (4, 4), (0, 4)))
-T345 = trapezoids.HeronianTriangle((3, 4, 5))
 
 
 # (record, a factory for one instance, a field to assign)
@@ -30,9 +29,7 @@ RECORDS = [
     ("FamilyId", lambda: kites.FAMILIES["K1"], "k"),
     ("KiteMember", lambda: kites.generate("K1", 1)[0], "A"),
     ("AuditOutcome", lambda: kites.audit_member(kites.generate("K1", 1)[0]), "failed_check"),
-    ("CyclicSolution", lambda: cyclic.solutions()[0], "wxyz"),
-    ("HeronianTriangle", lambda: T345, "sides"),
-    ("TrapezoidSolution", lambda: trapezoids.trapezoid_from(T345, 3), "triangle"),
+    ("TrapezoidSolution", lambda: trapezoids.trapezoid_from((3, 4, 5), 3), "triangle"),
 ]
 
 
@@ -62,20 +59,13 @@ def test_sorts_by_field_order(unsorted, expected):
     assert sorted(unsorted) == expected
 
 
-TRAPEZOID = trapezoids.trapezoid_from(T345, 3)  # quad_sides (6, 4, 3, 5), h = 4
-T556 = trapezoids.HeronianTriangle((5, 5, 6))
-CYCLIC = cyclic.solutions()  # wxyz (1, 9, 10, 10) first, the square (4, 4, 4, 4) last
+TRAPEZOID = trapezoids.trapezoid_from((3, 4, 5), 3)  # quad_sides (6, 4, 3, 5), h = 4
 
 # (id, record, changes that break a check)
 REPLACE_CHECKS = [
     ("PellSpec", pell.SPECS["K1"], {"rec": 2}),
-    ("CyclicSolution", CYCLIC[3], {"wxyz": (4, 4, 4, 5)}),
-    # the same solution as CYCLIC[0], out of order
-    ("CyclicSolution-unsorted", CYCLIC[0], {"wxyz": (10, 10, 9, 1)}),
-    # the area of (3, 4, 6) is sqrt(455) / 4
-    ("HeronianTriangle", T345, {"sides": (3, 4, 6)}),
     # side 5 of (5, 5, 6) gives the strip width 10/7
-    ("TrapezoidSolution", TRAPEZOID, {"triangle": T556, "f": 5}),
+    ("TrapezoidSolution", TRAPEZOID, {"triangle": (5, 5, 6), "f": 5}),
     ("TrapezoidSolution-not-a-side", TRAPEZOID, {"f": 6}),
 ]
 

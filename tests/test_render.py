@@ -31,7 +31,7 @@ def test_trapezoid_panels_match_the_construction():
         assert label == "A'"
         assert dist_sq(o, a1) == sol.f**2
         sides_sq = sorted((dist_sq(o, a1), dist_sq(a1, c), dist_sq(c, o)))
-        assert sides_sq == [s * s for s in sol.triangle.sides]
+        assert sides_sq == [s * s for s in sol.triangle]
         [cut] = panel["dashed"]
         assert set(cut) == {a1, c}
 

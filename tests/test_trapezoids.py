@@ -10,7 +10,6 @@ from equilat.geometry import LatticeQuad, classify, dist_sq, is_equable, signatu
 from equilat.pell import PellSolution
 from equilat.search import get_catalog
 from equilat.trapezoids import (
-    HeronianTriangle,
     TrapezoidSolution,
     all_equable_trapezoids,
     enumerate_perimeter_dominant,
@@ -23,7 +22,7 @@ from equilat.trapezoids import (
 )
 
 
-def _scan_perimeter_dominant(p_max: int) -> list[HeronianTriangle]:
+def _scan_perimeter_dominant(p_max: int) -> list[tuple[int, int, int]]:
     """Reference oracle: the exhaustive O(p_max^3) scan over ordered side
     triples that the tangent-length enumeration replaced."""
     found = []
@@ -35,8 +34,8 @@ def _scan_perimeter_dominant(p_max: int) -> list[HeronianTriangle]:
                     continue
                 area = heron_area(x, y, z)
                 if area is not None and p > area:
-                    found.append(HeronianTriangle((x, y, z)))
-    found.sort(key=lambda t: (t.perimeter, t.sides))
+                    found.append((x, y, z))
+    found.sort(key=lambda t: (sum(t), t))
     return found
 
 
@@ -46,9 +45,15 @@ def scan_400():
     return tuple(_scan_perimeter_dominant(400))
 
 
-T345 = HeronianTriangle((3, 4, 5))
-T556 = HeronianTriangle((5, 5, 6))
-T558 = HeronianTriangle((5, 5, 8))
+T345 = (3, 4, 5)
+T556 = (5, 5, 6)
+T558 = (5, 5, 8)
+
+
+def _table(t):
+    """(perimeter, area, perimeter - area) of a Heronian triangle."""
+    area = heron_area(*t)
+    return sum(t), area, sum(t) - area
 
 
 class TestHeronArea:
@@ -84,17 +89,17 @@ class TestHeronArea:
 
 class TestPerimeterDominantScan:
     def test_up_to_20(self):
-        assert [t.sides for t in enumerate_perimeter_dominant(20)] == [
+        assert enumerate_perimeter_dominant(20) == [
             (3, 4, 5), (5, 5, 6), (5, 5, 8),
         ]
 
     def test_up_to_60(self):
-        assert [t.sides for t in enumerate_perimeter_dominant(60)] == [
+        assert enumerate_perimeter_dominant(60) == [
             (3, 4, 5), (5, 5, 6), (5, 5, 8), (4, 13, 15), (3, 25, 26),
         ]
 
     def test_up_to_400(self):
-        got = [t.sides for t in enumerate_perimeter_dominant(400)]
+        got = enumerate_perimeter_dominant(400)
         assert got == [
             (3, 4, 5), (5, 5, 6), (5, 5, 8),
             (4, 13, 15), (3, 25, 26), (4, 51, 53), (3, 148, 149), (4, 193, 195),
@@ -102,7 +107,7 @@ class TestPerimeterDominantScan:
 
     def test_matches_scan_oracle_at_every_bound(self, scan_400):
         for p_max in range(12, 401):
-            expected = [t for t in scan_400 if t.perimeter <= p_max]
+            expected = [t for t in scan_400 if sum(t) <= p_max]
             assert enumerate_perimeter_dominant(p_max) == expected, p_max
 
     @pytest.mark.parametrize("p_max", [12, 17, 18, 60])
@@ -115,26 +120,26 @@ class TestPerimeterDominantScan:
             enumerate_perimeter_dominant(p_max)
 
     def test_delta_positive(self):
-        assert all(t.delta > 0 for t in enumerate_perimeter_dominant(100))
+        assert all(_table(t)[2] > 0 for t in enumerate_perimeter_dominant(100))
 
     def test_table_values(self):
-        assert (T345.perimeter, T345.area, T345.delta) == (12, 6, 6)
-        assert (T556.perimeter, T556.area, T556.delta) == (16, 12, 4)
-        assert (T558.perimeter, T558.area, T558.delta) == (18, 12, 6)
+        assert _table(T345) == (12, 6, 6)
+        assert _table(T556) == (16, 12, 4)
+        assert _table(T558) == (18, 12, 6)
 
 
 class TestFamilyMember:
     def test_row1(self):
         t = family_member(1, PellSolution(7, 5))
-        assert (t.sides, t.perimeter, t.area) == ((3, 148, 149), 300, 210)
+        assert (t, sum(t), heron_area(*t)) == ((3, 148, 149), 300, 210)
 
     def test_row2(self):
         t = family_member(2, PellSolution(3, 2))
-        assert (t.sides, t.perimeter, t.area) == ((3, 25, 26), 54, 36)
+        assert (t, sum(t), heron_area(*t)) == ((3, 25, 26), 54, 36)
 
     def test_row4(self):
         t = family_member(4, PellSolution(2, 1))
-        assert (t.sides, t.perimeter, t.area) == ((4, 13, 15), 32, 24)
+        assert (t, sum(t), heron_area(*t)) == ((4, 13, 15), 32, 24)
 
     def test_restriction_violation(self):
         with pytest.raises(ValueError):
@@ -158,9 +163,9 @@ class TestFamilyMember:
 
     def test_closed_forms_match_scan(self):
         family = {
-            t.sides for row in (1, 2, 3, 4) for t in family_members_within(row, 400)
+            t for row in (1, 2, 3, 4) for t in family_members_within(row, 400)
         }
-        scanned = {t.sides for t in enumerate_perimeter_dominant(400)}
+        scanned = set(enumerate_perimeter_dominant(400))
         specials = {(3, 4, 5), (5, 5, 6), (5, 5, 8)}
         assert family == scanned - specials
 
@@ -180,7 +185,7 @@ class TestTrapezoidFrom:
         assert shorter_parallel_side(T558, 5) == Fraction(15, 7)
 
     def test_41315_f4(self):
-        t = HeronianTriangle((4, 13, 15))
+        t = (4, 13, 15)
         assert shorter_parallel_side(t, 4) == Fraction(4, 5)
         assert trapezoid_from(t, 4) is None
 
@@ -192,7 +197,7 @@ class TestTrapezoidFrom:
         # the legs come from the named drawing, and only the five have one
         monkeypatch.delitem(trapezoids._FIGURE_TAGS, ((3, 4, 5), 3))
         with pytest.raises(InconsistencyError, match="no named drawing"):
-            trapezoid_from(HeronianTriangle((3, 4, 5)), 3)
+            trapezoid_from((3, 4, 5), 3)
 
     def test_degeneracy_guard(self):
         # no guard is needed against a side f >= area (height <= 2): the lemma
@@ -247,9 +252,9 @@ class TestAllEquableTrapezoids:
         members = [t for row in (1, 2, 3, 4) for t in family_members_within(row, 10**60)]
         assert len(members) == 180
         for t in members:
-            for f in set(t.sides):
+            for f in set(t):
                 c = shorter_parallel_side(t, f)
-                assert c.denominator != 1, (t.sides, f)
+                assert c.denominator != 1, (t, f)
 
 
 class TestLatticeEmbedding:
@@ -290,12 +295,12 @@ class TestLatticeEmbedding:
 
 class TestValidation:
     def test_triangle_invariants(self):
-        with pytest.raises(TypeError):  # the area follows from the sides
-            HeronianTriangle((3, 4, 5), 6)
-        with pytest.raises(ValueError):
-            HeronianTriangle((3, 4, 6))
-        with pytest.raises(ValueError):
-            HeronianTriangle((1, 2, 3))
+        # a triangle is its sides, checked where a trapezoid is built from it:
+        # not Heronian, degenerate, unordered
+        for sides in [(3, 4, 6), (1, 2, 3), (5, 4, 3)]:
+            for build in (shorter_parallel_side, trapezoid_from, TrapezoidSolution):
+                with pytest.raises(ValueError):
+                    build(sides, 3)
 
     def test_solution_invariants(self):
         with pytest.raises(ValueError):  # the strip width 15/7
@@ -316,21 +321,22 @@ class TestValidation:
         ids=["degenerate", "unordered", "non-positive", "area", "pair"],
     )
     def test_triangle_check_messages(self, sides, message):
-        with pytest.raises(ValueError) as exc:
-            HeronianTriangle(sides)
-        assert str(exc.value) == message
+        for build in (shorter_parallel_side, trapezoid_from, TrapezoidSolution):
+            with pytest.raises(ValueError) as exc:
+                build(sides, sides[0])
+            assert str(exc.value) == message
 
     @pytest.mark.parametrize(
         "changes, message",
         [
             # (5, 12, 13) has area = perimeter = 30, so every strip width is 0
             (
-                {"triangle": HeronianTriangle((5, 12, 13)), "f": 5},
+                {"triangle": (5, 12, 13), "f": 5},
                 "strip width 0 is not a positive integer",
             ),
             # quad_sides would be (c + f, leg, c, leg) = (13, 10, -3, 10)
             (
-                {"triangle": HeronianTriangle((10, 10, 16)), "f": 16},
+                {"triangle": (10, 10, 16), "f": 16},
                 "strip width -3 is not a positive integer",
             ),
             # the height 2 * area / f is undefined
