@@ -22,9 +22,10 @@ import importlib.util
 import io
 import json
 import sys
+from math import isqrt
 
 import equilat
-from equilat.errors import EquilatError
+from equilat.errors import EquilatError, InconsistencyError
 
 __all__ = ["run", "main"]
 
@@ -45,8 +46,8 @@ def _lazy_submodule(name: str):
     return sys.modules[full]
 
 
-cyclic, geometry, kites, pell, render, search, trapezoids = map(_lazy_submodule, (
-    "cyclic", "geometry", "kites", "pell", "render", "search", "trapezoids"))
+cyclic, figures, geometry, kites, pell, render, search, trapezoids = map(_lazy_submodule, (
+    "cyclic", "figures", "geometry", "kites", "pell", "render", "search", "trapezoids"))
 
 DEFAULT_P_MAX = 42
 
@@ -58,6 +59,14 @@ def _check_workers(args: argparse.Namespace) -> None:
 
 def _quad_json(q: geometry.LatticeQuad | None) -> list[list[int]] | None:
     return None if q is None else [list(p) for p in q]
+
+
+def _drawing(q: geometry.LatticeQuad | None) -> tuple[str, geometry.LatticeQuad]:
+    """The name and drawing shown for the class of the realized quad q."""
+    shown = q and figures.CLASS_DRAWINGS.get(geometry.signature(q))
+    if shown is None:
+        raise InconsistencyError(f"no named drawing of {q}")
+    return shown
 
 
 def to_json(payload, pretty: bool) -> str:
@@ -145,27 +154,31 @@ def _cmd_kites(args: argparse.Namespace) -> dict:
 
 
 def _cmd_trapezoids(args: argparse.Namespace) -> dict:
-    sols = trapezoids.all_equable_trapezoids(args.p_max)
+    sols = []
+    # Each realized class is shown as its drawing O, A, B, C, whose sides in
+    # vertex order are c + f, the published leg AB, c and the leg CO.
+    for s in trapezoids.all_equable_trapezoids(args.p_max):
+        tag, drawing = _drawing(trapezoids.lattice_embedding(s))
+        edges = zip(drawing, drawing[1:] + drawing[:1])
+        sides = tuple(isqrt(geometry.dist_sq(p, q)) for p, q in edges)
+        sols.append((s, tag, drawing, sides))
     header = ["a", "b", "c", "d", "f", "h_num", "h_den", "source_triangle", "figure_tag"]
     return {
         "json": lambda: [
             {
-                "sides": list(s.quad_sides), "f": s.f, "c": s.c,
+                "sides": list(sides), "f": s.f, "c": s.c,
                 "h": {"num": s.h.numerator, "den": s.h.denominator},
-                "triangle": list(s.triangle), "figure": s.figure_tag,
-                "embedding": _quad_json(trapezoids.lattice_embedding(s)),
+                "triangle": list(s.triangle), "figure": tag, "embedding": _quad_json(drawing),
             }
-            for s in sols
+            for s, tag, drawing, sides in sols
         ],
         "csv": lambda: (header, [
-            [*s.quad_sides, s.f, s.h.numerator, s.h.denominator,
-             "-".join(map(str, s.triangle)), s.figure_tag]
-            for s in sols
+            [*sides, s.f, s.h.numerator, s.h.denominator, "-".join(map(str, s.triangle)), tag]
+            for s, tag, _, sides in sols
         ]),
         "text": lambda: [
-            f"{s.quad_sides} from triangle {s.triangle} with f={s.f}: "
-            f"c={s.c}, h={s.h} [{s.figure_tag}]"
-            for s in sols
+            f"{sides} from triangle {s.triangle} with f={s.f}: c={s.c}, h={s.h} [{tag}]"
+            for s, tag, _, sides in sols
         ] + [f"{len(sols)} equable trapezoids (scan bound {args.p_max})"],
     }
 
@@ -175,7 +188,10 @@ def _cmd_cyclic(args: argparse.Namespace) -> dict:
     sols = []
     for wxyz in cyclic.solutions():
         sides = cyclic.sides(wxyz)
-        sols.append((wxyz, sides, cyclic.realizable_orderings(sides)))
+        # each realized order is shown as its class's drawing
+        orderings = [(order, emb and _drawing(emb)[1])
+                     for order, emb in cyclic.realizable_orderings(sides)]
+        sols.append((wxyz, sides, orderings))
     return {
         "json": lambda: {
             "candidates": len(candidates),

@@ -7,8 +7,8 @@ Brahmagupta area condition turns, under the half-sum substitution
 many candidates; solving the quadratic for z and keeping integer roots with
 y <= z < w+x+y yields every solution.  A solution is its quadruple wxyz:
 `sides` recovers the side lengths, and `realizable_orderings` decides for
-each cyclic order of them whether it is realizable on the lattice, through
-the exact realizer `geometry.realize` from its squared sides and diagonals.
+each cyclic order of them whether it is realizable on the lattice: the exact
+realizer `geometry.realize` answers from its squared sides and diagonals.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from equilat.errors import InconsistencyError
-from equilat.figures import place
-from equilat.geometry import LatticeQuad, exact_sqrt
+from equilat.geometry import LatticeQuad, exact_sqrt, realize
 
 __all__ = [
     "enumerate_candidates",
@@ -119,13 +118,13 @@ def realizable_orderings(
     """Decide lattice realizability for every cyclic arrangement of the sides.
 
     Each order's squared sides and exact squared diagonals go to
-    `figures.place`, which answers None unless the lattice holds them and
-    returns the named drawing when the shape has one.
+    `geometry.realize`, which answers None unless the lattice holds them,
+    else a placement congruent to the order's shape.
     """
     if min(side_lengths) < 1 or not brahmagupta_check(*side_lengths):
         raise ValueError(f"{side_lengths} is not an equable cyclic side multiset")
     return [
-        (order, place(tuple(s * s for s in order), _diagonals_sq(order)))
+        (order, realize(tuple(s * s for s in order), _diagonals_sq(order)))
         for order in cyclic_orderings(side_lengths)
     ]
 

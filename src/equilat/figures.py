@@ -1,25 +1,17 @@
-"""Named lattice realizations of the classified equable quadrilaterals.
+"""Named lattice drawings of the classified equable quadrilaterals.
 
-These fixed vertex lists are the canonical drawings: congruence classes found
-elsewhere (search catalog, trapezoid construction, cyclic side orders) are
-mapped back to these coordinates for display and embedding answers, through
-`place`.
+The drawings are for display only: `render` draws them, and `CLASS_DRAWINGS`
+shows a class that `geometry.realize` found elsewhere (a trapezoid, a cyclic
+side order) as its drawing.  The one result still read from a drawing is
+the audit's class with a rational interior diagonal.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from equilat.errors import InconsistencyError
-from equilat.geometry import (
-    LatticeQuad,
-    canonical_signature,
-    is_equable,
-    realize,
-    signature,
-)
+from equilat.geometry import LatticeQuad, is_equable, signature
 
-__all__ = ["NAMED_QUADS", "KNOWN_EMBEDDINGS", "place"]
+__all__ = ["NAMED_QUADS", "CLASS_DRAWINGS"]
 
 
 NAMED_QUADS: dict[str, LatticeQuad] = {
@@ -49,24 +41,8 @@ def _check_equable(quads: dict[str, LatticeQuad]) -> None:
 
 _check_equable(NAMED_QUADS)
 
-# congruence signature -> preferred drawing (first name wins on duplicates)
-KNOWN_EMBEDDINGS: dict[tuple[int, ...], LatticeQuad] = {}
-for _q in NAMED_QUADS.values():
-    KNOWN_EMBEDDINGS.setdefault(signature(_q), _q)
-
-
-def place(sides_sq: tuple[int, ...], diag_sq: tuple[int | Fraction, ...]) -> LatticeQuad | None:
-    """A lattice placement of the shape with these squared sides, in cyclic
-    order, and exact squared diagonals: its named drawing when it has one,
-    else `geometry.realize`'s answer; None when the lattice has none, as when
-    a squared diagonal is not an integer.
-
-    The placement is congruent to the shape, and no more: its sides in vertex
-    order are the requested cyclic order or its reverse, read from some
-    vertex, since a drawing starts where it likes and LatticeQuad turns a
-    clockwise find round."""
-    if any(d.denominator != 1 for d in diag_sq):
-        return None
-    diag_sq = tuple(map(int, diag_sq))
-    named = KNOWN_EMBEDDINGS.get(canonical_signature(sides_sq, diag_sq))
-    return named or realize(sides_sq, diag_sq)
+# congruence signature -> (name, drawing) shown for the class; the first name
+# wins on duplicates
+CLASS_DRAWINGS: dict[tuple[int, ...], tuple[str, LatticeQuad]] = {}
+for _name, _q in NAMED_QUADS.items():
+    CLASS_DRAWINGS.setdefault(signature(_q), (_name, _q))

@@ -274,10 +274,11 @@ def _circle_points(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def realize(sides_sq: Sequence[int], diag_sq: Sequence[int]) -> LatticeQuad | None:
+def realize(sides_sq: Sequence[int], diag_sq: Sequence) -> LatticeQuad | None:
     """A simple lattice quadrilateral with these squared sides, in cyclic
-    order from P0, and squared diagonals (|P0P2|^2, |P1P3|^2); None when the
-    lattice has none.  realize(sig[:4], sig[4:]) realizes a signature.
+    order from P0, and exact squared diagonals (|P0P2|^2, |P1P3|^2), ints or
+    Fractions; None when the lattice has none, as when a squared diagonal is
+    not an integer.  realize(sig[:4], sig[4:]) realizes a signature.
 
     The answer is congruent to the requested shape, but LatticeQuad turns a
     clockwise find round, so its sides in vertex order are the requested
@@ -287,8 +288,10 @@ def realize(sides_sq: Sequence[int], diag_sq: Sequence[int]) -> LatticeQuad | No
     circles |P0P1|^2 = s0, |P0P2|^2 = d0 and |P0P3|^2 = s3.  The six lengths
     fix the shape up to congruence, so the first simple match is the answer.
     """
+    if any(d.denominator != 1 for d in diag_sq):
+        return None
     s0, s1, s2, s3 = sides_sq
-    d0, d1 = diag_sq
+    d0, d1 = map(int, diag_sq)
     on_s0, on_s3 = _circle_points(s0), _circle_points(s3)
     for b in _circle_points(d0):
         for a in on_s0:

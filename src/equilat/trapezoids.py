@@ -35,13 +35,11 @@ families never produce an integer c.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
 from typing import NamedTuple
 
 from equilat import pell
 from equilat.errors import Checked, InconsistencyError
-from equilat.figures import NAMED_QUADS, place
-from equilat.geometry import LatticeQuad, dist_sq, exact_sqrt
+from equilat.geometry import LatticeQuad, exact_sqrt, realize
 
 __all__ = [
     "TrapezoidSolution",
@@ -179,55 +177,37 @@ class _TrapezoidSolution(NamedTuple):
 
 class TrapezoidSolution(Checked, _TrapezoidSolution):
     """Equable trapezoid built by extending the side f of a Heronian triangle,
-    given by its sides x <= y <= z.
+    given by its sides x <= y <= z; sides given as a list are stored as a
+    tuple.
 
-    quad_sides lists (long parallel side c + f, leg AB, short parallel side c,
-    leg CO) in cyclic vertex order O, A, B, C, the legs read from the
-    solution's named drawing.  Only the five solutions have one, so any other
-    (triangle, f) is an InconsistencyError.
+    Its parallel sides are c + f and c, and its legs are the triangle's two
+    sides other than f, since the strip is a translate of one leg.  Either
+    order of the legs gives the same trapezoid up to congruence, so a
+    solution fixes no order; `lattice_embedding` places it.
     """
 
     __slots__ = ()
+
+    def __new__(cls, triangle, f):
+        return super().__new__(cls, tuple(triangle), f)
 
     def _check(self) -> None:
         c = shorter_parallel_side(self.triangle, self.f)
         if c.denominator != 1 or c < 1:
             raise ValueError(f"strip width {c} is not a positive integer")
-        if (self.triangle, self.f) not in _FIGURE_TAGS:
-            raise InconsistencyError(f"{self.triangle} with f={self.f} has no named drawing")
 
     @property
     def c(self) -> int:
         return int(shorter_parallel_side(self.triangle, self.f))
 
     @property
-    def figure_tag(self) -> str:
-        return _FIGURE_TAGS[self.triangle, self.f]
-
-    @property
-    def quad_sides(self) -> tuple[int, int, int, int]:
-        vo, va, vb, vc = NAMED_QUADS[self.figure_tag]
-        return (self.c + self.f, isqrt(dist_sq(va, vb)), self.c, isqrt(dist_sq(vc, vo)))
-
-    @property
     def perimeter(self) -> int:
-        return sum(self.quad_sides)
+        return sum(self.triangle) + 2 * self.c
 
     @property
     def h(self) -> Fraction:
         """The height: the triangle's height on its side f."""
         return Fraction(2 * heron_area(*self.triangle), self.f)
-
-
-# The named drawings of the five solutions, keyed by (sides, f).  Each drawing
-# O, A, B, C has the legs AB and CO in their published order.
-_FIGURE_TAGS: dict[tuple[tuple[int, int, int], int], str] = {
-    ((3, 4, 5), 3): "right-trapezoid-6-4-3-5",
-    ((3, 4, 5), 4): "right-trapezoid-10-3-6-5",
-    ((3, 4, 5), 5): "trapezoid-20-4-15-3",
-    ((5, 5, 6), 6): "isosceles-trapezoid-8-5-2-5",
-    ((5, 5, 8), 8): "isosceles-trapezoid-14-5-6-5",
-}
 
 
 def shorter_parallel_side(t: tuple[int, int, int], f: int) -> Fraction:
@@ -271,13 +251,16 @@ def all_equable_trapezoids(p_max: int = TRAPEZOID_SCAN_BOUND) -> list[TrapezoidS
 
 
 def lattice_embedding(ts: TrapezoidSolution) -> LatticeQuad | None:
-    """A lattice realization of the trapezoid: its named drawing when it has
-    one, else the exact realizer's answer; None when the lattice has none."""
-    a, leg_ab, c, leg_co = ts.quad_sides
-    f = ts.f
+    """A lattice placement congruent to the trapezoid, from
+    `geometry.realize`; None when the lattice has none."""
+    f, c = ts.f, ts.c
+    legs = list(ts.triangle)  # the sides other than f
+    legs.remove(f)
+    leg_ab, leg_co = legs
+    a = c + f
     # plant the triangle O, A'(f, 0), C with C above; exact rationals
     xc = Fraction(f * f + leg_co**2 - leg_ab**2, 2 * f)
     h_sq = leg_co**2 - xc * xc
     diag_ob = (xc + c) ** 2 + h_sq  # O -> B
     diag_ac = (xc - a) ** 2 + h_sq  # A -> C
-    return place((a * a, leg_ab**2, c * c, leg_co**2), (diag_ob, diag_ac))
+    return realize((a * a, leg_ab**2, c * c, leg_co**2), (diag_ob, diag_ac))

@@ -102,8 +102,12 @@ def test_criterion_4_trapezoids():
     with criterion(4, "the five equable trapezoids", 10.0):
         sols = trapezoids.all_equable_trapezoids()
         assert len(sols) == 5
-        assert {s.quad_sides for s in sols} == {
-            (6, 4, 3, 5), (10, 3, 6, 5), (8, 5, 2, 5), (14, 5, 6, 5), (20, 4, 15, 3),
+        # each is the class of its drawing, whose sides name it
+        names = ("right-trapezoid-6-4-3-5", "right-trapezoid-10-3-6-5",
+                 "isosceles-trapezoid-8-5-2-5", "isosceles-trapezoid-14-5-6-5",
+                 "trapezoid-20-4-15-3")
+        assert {signature(trapezoids.lattice_embedding(s)) for s in sols} == {
+            signature(NAMED_QUADS[n]) for n in names
         }
         assert trapezoids.shorter_parallel_side((5, 5, 6), 5) == Fraction(10, 7)
         assert trapezoids.shorter_parallel_side((5, 5, 8), 5) == Fraction(15, 7)

@@ -3,13 +3,16 @@ import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from math import isqrt
 from pathlib import Path
 
 import pytest
 
 import equilat
-from equilat import cli, kites, render, search
+from equilat import cli, kites, render, search, trapezoids
 from equilat.cli import run, to_json
+from equilat.figures import NAMED_QUADS
+from equilat.geometry import dist_sq, signature
 from helpers import all_real_parser
 
 SRC = str(Path(equilat.__file__).resolve().parents[1])
@@ -118,6 +121,13 @@ class TestStartup:
             "cli", "search", "geometry", "trapezoids", "cyclic", "kites", "pell", "render"
         )]
         assert _loaded_after_cli_import(traced) == set(traced)
+
+    def test_closed_form_modules_do_not_load_figures(self):
+        # the trapezoid and cyclic results decide through geometry.realize;
+        # the named drawings are only for display
+        probe = "import sys, equilat.trapezoids, equilat.cyclic; print('equilat.figures' in sys.modules)"
+        done = _python("-c", probe)
+        assert (done.stdout, done.stderr) == ("False\n", "")
 
     def test_search_import_executes_no_closed_form_module(self):
         # audit_theorems imports cyclic, kites, trapezoids and figures itself
@@ -333,6 +343,35 @@ class TestTrapezoids:
         assert code == 0
         assert len(out.strip().splitlines()) == 6  # header + five solutions
 
+    def test_json_shows_each_realized_class_as_its_drawing(self, capsys):
+        # the tag, the embedding and the published leg order all come from
+        # the drawing of the class that the realizer places
+        code, out, _ = _run(capsys, "trapezoids", "--format", "json")
+        assert code == 0
+        rows = json.loads(out)
+        assert [r["figure"] for r in rows] == [
+            "right-trapezoid-6-4-3-5", "right-trapezoid-10-3-6-5", "trapezoid-20-4-15-3",
+            "isosceles-trapezoid-8-5-2-5", "isosceles-trapezoid-14-5-6-5",
+        ]
+        for r in rows:
+            drawing = NAMED_QUADS[r["figure"]]
+            sol = trapezoids.trapezoid_from(r["triangle"], r["f"])
+            assert signature(trapezoids.lattice_embedding(sol)) == signature(drawing)
+            assert r["embedding"] == [list(p) for p in drawing]
+            edges = zip(drawing, drawing[1:] + drawing[:1])
+            assert r["sides"] == [isqrt(dist_sq(p, q)) for p, q in edges]
+            assert r["sides"][0::2] == [sol.c + sol.f, sol.c]
+
+    def test_unrealized_solution_is_an_error(self, capsys, monkeypatch):
+        real = trapezoids.lattice_embedding
+        monkeypatch.setattr(
+            trapezoids, "lattice_embedding", lambda sol: None if sol.f == 5 else real(sol)
+        )
+        code, out, err = _run(capsys, "trapezoids")
+        assert (code, out, err) == (1, "", "equilat trapezoids: no named drawing of None\n")
+        code, _, err = _run(capsys, "audit", "--p-max", "42")
+        assert (code, err) == (1, "equilat audit: failed cross-checks: trapezoids\n")
+
 
 class TestCyclic:
     def test_text_summary(self, capsys):
@@ -346,6 +385,19 @@ class TestCyclic:
         assert payload["candidates"] == 63
         quads = [(r["w"], r["x"], r["y"], r["z"]) for r in payload["solutions"]]
         assert quads == [(1, 9, 10, 10), (2, 5, 5, 8), (3, 3, 6, 6), (4, 4, 4, 4)]
+
+    def test_json_shows_each_realized_order_as_its_drawing(self, capsys):
+        code, out, _ = _run(capsys, "cyclic", "--format", "json")
+        assert code == 0
+        shown = [
+            o["embedding"]
+            for r in json.loads(out)["solutions"]
+            for o in r["orderings"]
+            if o["realizable"]
+        ]
+        names = ("isosceles-trapezoid-14-5-6-5", "isosceles-trapezoid-8-5-2-5",
+                 "rectangle-3-6", "square-4")
+        assert shown == [[list(p) for p in NAMED_QUADS[n]] for n in names]
 
 
 class TestSearchAndAudit:

@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from equilat import cyclic, figures
+from equilat import cyclic
 from equilat.errors import InconsistencyError
-from equilat.figures import NAMED_QUADS, _check_equable, place
-from equilat.geometry import LatticeQuad, signature
+from equilat.figures import CLASS_DRAWINGS, NAMED_QUADS, _check_equable
+from equilat.geometry import LatticeQuad, realize, signature
 from equilat.trapezoids import all_equable_trapezoids, lattice_embedding
 
 # the right trapezoid 6, 4, 3, 5: squared sides from v0 and squared diagonals
@@ -24,22 +24,44 @@ def test_non_equable_drawing_is_an_error():
 
 
 class TestPlace:
+    """`geometry.realize` places shapes whose squared diagonals are exact
+    rationals, as the cyclic and trapezoid constructions give them."""
+
     @pytest.mark.parametrize("diag_sq", [(Fraction(25, 2), 52), (52, Fraction(25, 2))])
     def test_non_integral_diagonal_is_not_placed(self, diag_sq):
-        assert place(TRAPEZOID_SIDES_SQ, diag_sq) is None
+        assert realize(TRAPEZOID_SIDES_SQ, diag_sq) is None
 
     def test_integral_fractions_place_like_ints(self):
         diag = tuple(map(Fraction, TRAPEZOID_DIAG_SQ))
-        assert place(TRAPEZOID_SIDES_SQ, diag) == place(TRAPEZOID_SIDES_SQ, TRAPEZOID_DIAG_SQ)
-        assert place(TRAPEZOID_SIDES_SQ, diag) == NAMED_QUADS["right-trapezoid-6-4-3-5"]
+        placed = realize(TRAPEZOID_SIDES_SQ, diag)
+        assert placed == realize(TRAPEZOID_SIDES_SQ, TRAPEZOID_DIAG_SQ)
+        assert signature(placed) == signature(NAMED_QUADS["right-trapezoid-6-4-3-5"])
 
-    def test_integral_fractions_realize_like_ints(self, monkeypatch):
-        # with the named drawings hidden, the answer comes from the realizer
-        monkeypatch.setattr(figures, "KNOWN_EMBEDDINGS", {})
+    def test_integral_fractions_realize_like_ints(self):
         sig = signature(NAMED_QUADS["concave-60"])
-        placed = place(sig[:4], tuple(map(Fraction, sig[4:])))
-        assert placed == place(sig[:4], sig[4:])
+        placed = realize(sig[:4], tuple(map(Fraction, sig[4:])))
+        assert placed == realize(sig[:4], sig[4:])
         assert signature(placed) == sig
+
+
+@pytest.mark.parametrize("name", NAMED_QUADS)
+def test_realize_rebuilds_each_named_class(name):
+    # every decision goes through the realizer, so it must find each class
+    # that has a drawing from the class's signature alone
+    sig = signature(NAMED_QUADS[name])
+    placed = realize(sig[:4], sig[4:])
+    assert placed is not None and signature(placed) == sig
+
+
+def test_class_drawings_show_the_first_name():
+    assert len(NAMED_QUADS) == 14 and len(CLASS_DRAWINGS) == 13
+    for name, drawing in NAMED_QUADS.items():
+        shown_name, shown = CLASS_DRAWINGS[signature(drawing)]
+        assert signature(shown) == signature(drawing)
+        assert list(NAMED_QUADS).index(shown_name) <= list(NAMED_QUADS).index(name)
+        assert shown == NAMED_QUADS[shown_name]
+    # the two rhombi are one class, shown as the one named first
+    assert CLASS_DRAWINGS[signature(NAMED_QUADS["rhombus-5-alt"])][0] == "rhombus-5"
 
 
 def _runs_through(q: LatticeQuad, order: tuple[int, ...]) -> bool:
@@ -51,13 +73,16 @@ def _runs_through(q: LatticeQuad, order: tuple[int, ...]) -> bool:
     return sides_sq in turns
 
 
-@pytest.mark.parametrize("hide_drawings", [False, True], ids=["named", "realized"])
-def test_placements_run_through_the_requested_order(hide_drawings, monkeypatch):
-    # place promises congruence only: a drawing starts at any vertex, and the
-    # realizer turns a clockwise find round, so the order may run backwards
-    if hide_drawings:
-        monkeypatch.setattr(figures, "KNOWN_EMBEDDINGS", {})
-    cases = [(t.quad_sides, lattice_embedding(t)) for t in all_equable_trapezoids()]
+def test_placements_run_through_the_requested_order():
+    # realize promises congruence only: it turns a clockwise find round, so
+    # the order may run backwards, from any vertex.  A trapezoid's order is
+    # its long parallel side, a leg, its short parallel side and the other
+    # leg, its legs being the triangle's sides other than f.
+    cases = []
+    for t in all_equable_trapezoids():
+        legs = list(t.triangle)
+        legs.remove(t.f)
+        cases.append(((t.c + t.f, legs[0], t.c, legs[1]), lattice_embedding(t)))
     cases += [
         (order, emb)
         for wxyz in cyclic.solutions()

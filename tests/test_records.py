@@ -59,7 +59,7 @@ def test_sorts_by_field_order(unsorted, expected):
     assert sorted(unsorted) == expected
 
 
-TRAPEZOID = trapezoids.trapezoid_from((3, 4, 5), 3)  # quad_sides (6, 4, 3, 5), h = 4
+TRAPEZOID = trapezoids.trapezoid_from((3, 4, 5), 3)  # sides 6, 4, 3, 5 and h = 4
 
 # (id, record, changes that break a check)
 REPLACE_CHECKS = [

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from equilat.figures import NAMED_QUADS
-from equilat.geometry import dist_sq
+from equilat.figures import CLASS_DRAWINGS
+from equilat.geometry import dist_sq, signature
 from equilat.render import FIGURE_PANELS, _escape, figure_names, render_figure
-from equilat.trapezoids import all_equable_trapezoids
+from equilat.trapezoids import all_equable_trapezoids, lattice_embedding
 
 
 @given(st.text(alphabet=st.sampled_from("&<>\"'ax;#")))
@@ -24,7 +24,7 @@ def test_trapezoid_panels_match_the_construction():
     sols = all_equable_trapezoids()
     assert len(sols) == 5
     for sol in sols:
-        drawing = NAMED_QUADS[sol.figure_tag]
+        _, drawing = CLASS_DRAWINGS[signature(lattice_embedding(sol))]
         [panel] = [panel for panel in panels if panel["polygons"] == [drawing]]
         [(a1, label)] = panel["marks"]
         o, _, _, c = drawing

@@ -2,6 +2,7 @@ from math import isqrt
 
 import pytest
 
+from equilat import trapezoids
 from equilat.figures import NAMED_QUADS
 from equilat.geometry import (
     POINT_SYMMETRIES,
@@ -447,6 +448,17 @@ class TestAudit:
         exception = ((signature(NAMED_QUADS["right-trapezoid-6-4-3-5"]), 5),)
         assert audit_theorems(17).diagonal_exceptions_expected == ()
         assert audit_theorems(18).diagonal_exceptions_expected == exception
+
+    def test_unrealized_trapezoid_fails_its_check(self, monkeypatch):
+        # a solution the realizer cannot place stays in the expected set, as
+        # None, so the check fails instead of losing it
+        real = trapezoids.lattice_embedding
+        monkeypatch.setattr(
+            trapezoids, "lattice_embedding", lambda sol: None if sol.f == 5 else real(sol)
+        )
+        report = audit_theorems(42)
+        assert None in report.trapezoids_expected and len(report.trapezoids_expected) == 5
+        assert report.failed == ["trapezoids"]
 
     @pytest.mark.parametrize(
         "field, corrupt",

@@ -3,10 +3,10 @@ from math import isqrt
 
 import pytest
 
-from equilat import figures, trapezoids
+from equilat import trapezoids
 from equilat.errors import InconsistencyError
-from equilat.figures import NAMED_QUADS
-from equilat.geometry import LatticeQuad, classify, dist_sq, is_equable, signature
+from equilat.figures import CLASS_DRAWINGS, NAMED_QUADS
+from equilat.geometry import classify, dist_sq, is_equable, perimeter, signature
 from equilat.pell import PellSolution
 from equilat.search import get_catalog
 from equilat.trapezoids import (
@@ -48,6 +48,15 @@ def scan_400():
 T345 = (3, 4, 5)
 T556 = (5, 5, 6)
 T558 = (5, 5, 8)
+
+# (triangle, f) of the five solutions -> the name of the class's drawing
+FIVE = {
+    (T345, 3): "right-trapezoid-6-4-3-5",
+    (T345, 4): "right-trapezoid-10-3-6-5",
+    (T345, 5): "trapezoid-20-4-15-3",
+    (T556, 6): "isosceles-trapezoid-8-5-2-5",
+    (T558, 8): "isosceles-trapezoid-14-5-6-5",
+}
 
 
 def _table(t):
@@ -174,7 +183,7 @@ class TestTrapezoidFrom:
     def test_345_f3(self):
         sol = trapezoid_from(T345, 3)
         assert sol is not None
-        assert (sol.c, sol.quad_sides) == (3, (6, 4, 3, 5))
+        assert (sol.c, sol.perimeter) == (3, 6 + 4 + 3 + 5)
         assert sol.h == 4
 
     def test_556_f5_rational(self):
@@ -193,11 +202,15 @@ class TestTrapezoidFrom:
         with pytest.raises(ValueError):
             trapezoid_from(T345, 6)
 
-    def test_solution_without_drawing_raises(self, monkeypatch):
-        # the legs come from the named drawing, and only the five have one
-        monkeypatch.delitem(trapezoids._FIGURE_TAGS, ((3, 4, 5), 3))
-        with pytest.raises(InconsistencyError, match="no named drawing"):
-            trapezoid_from((3, 4, 5), 3)
+    def test_triangle_given_as_a_list(self):
+        # as JSON decodes it: the tuple's answer, an equal and hashable solution
+        for build in (trapezoid_from, TrapezoidSolution):
+            sol = build([3, 4, 5], 3)
+            assert sol == trapezoid_from(T345, 3) and sol.triangle == T345
+            assert hash(sol) == hash(trapezoid_from(T345, 3))
+        assert trapezoid_from([5, 5, 6], 5) is None
+        with pytest.raises(ValueError, match="strip width 10/7"):
+            TrapezoidSolution([5, 5, 6], 5)
 
     def test_degeneracy_guard(self):
         # no guard is needed against a side f >= area (height <= 2): the lemma
@@ -217,36 +230,36 @@ class TestTrapezoidFrom:
         for t, f in [(T345, 3), (T345, 4), (T345, 5), (T556, 6), (T558, 8)]:
             sol = trapezoid_from(t, f)
             assert sol is not None
-            a, b, c, d = sol.quad_sides
-            assert sol.h * (a + c) / 2 == a + b + c + d
+            assert sol.h * (2 * sol.c + f) / 2 == sol.perimeter == sum(t) + 2 * sol.c
 
 
 class TestAllEquableTrapezoids:
     def test_exactly_five(self):
         sols = all_equable_trapezoids()
         assert len(sols) == 5
-        assert {s.quad_sides for s in sols} == {
-            (6, 4, 3, 5), (10, 3, 6, 5), (8, 5, 2, 5), (14, 5, 6, 5), (20, 4, 15, 3),
-        }
+        assert {(s.triangle, s.f) for s in sols} == set(FIVE)
+        # the parallel sides c + f and c
+        assert {(s.c + s.f, s.c) for s in sols} == {(6, 3), (10, 6), (8, 2), (14, 6), (20, 15)}
 
     def test_five_at_large_bound(self):
         sols = all_equable_trapezoids(100_000)
         assert len(sols) == 5
-        assert {s.quad_sides for s in sols} == {
-            (6, 4, 3, 5), (10, 3, 6, 5), (8, 5, 2, 5), (14, 5, 6, 5), (20, 4, 15, 3),
-        }
+        assert {(s.triangle, s.f) for s in sols} == set(FIVE)
 
     def test_figure_tags(self):
-        tags = {s.quad_sides: s.figure_tag for s in all_equable_trapezoids()}
-        assert tags[(20, 4, 15, 3)] == "trapezoid-20-4-15-3"
-        assert tags[(8, 5, 2, 5)] == "isosceles-trapezoid-8-5-2-5"
+        # the CLI shows each realized class as its drawing, named by its tag
+        tags = {
+            (s.triangle, s.f): CLASS_DRAWINGS[signature(lattice_embedding(s))][0]
+            for s in all_equable_trapezoids()
+        }
+        assert tags == FIVE
 
     def test_provenance(self):
-        by_sides = {s.quad_sides: s for s in all_equable_trapezoids()}
-        assert by_sides[(20, 4, 15, 3)].triangle == T345
-        assert by_sides[(20, 4, 15, 3)].f == 5
-        assert by_sides[(8, 5, 2, 5)].triangle == T556
-        assert by_sides[(8, 5, 2, 5)].f == 6
+        by_parallel_sides = {(s.c + s.f, s.c): s for s in all_equable_trapezoids()}
+        assert by_parallel_sides[(20, 15)].triangle == T345
+        assert by_parallel_sides[(20, 15)].f == 5
+        assert by_parallel_sides[(8, 2)].triangle == T556
+        assert by_parallel_sides[(8, 2)].f == 6
 
     def test_no_family_member_below_1e60_produces_integer_c(self):
         members = [t for row in (1, 2, 3, 4) for t in family_members_within(row, 10**60)]
@@ -260,37 +273,45 @@ class TestAllEquableTrapezoids:
 class TestLatticeEmbedding:
     def test_right_trapezoid(self):
         sol = trapezoid_from(T345, 3)
-        assert lattice_embedding(sol) == LatticeQuad(((0, 0), (6, 0), (6, 4), (3, 4)))
+        assert signature(lattice_embedding(sol)) == signature(
+            NAMED_QUADS["right-trapezoid-6-4-3-5"]
+        )
 
     def test_isosceles_14_5_6_5(self):
         sol = trapezoid_from(T558, 8)
-        assert lattice_embedding(sol) == LatticeQuad(((0, 0), (14, 0), (10, 3), (4, 3)))
+        assert signature(lattice_embedding(sol)) == signature(
+            NAMED_QUADS["isosceles-trapezoid-14-5-6-5"]
+        )
 
     def test_slanted_20_4_15_3(self):
         sol = trapezoid_from(T345, 5)
-        assert lattice_embedding(sol) == LatticeQuad(((0, 0), (16, 12), (12, 12), (0, 3)))
+        assert signature(lattice_embedding(sol)) == signature(NAMED_QUADS["trapezoid-20-4-15-3"])
 
     def test_all_five_embed(self):
-        # the embeddings check what the record derives: its sides, the order
-        # of its legs and its drawing
+        # the embeddings check what the record derives: its parallel sides
+        # c + f and c, its legs (the triangle's sides other than f) and its
+        # perimeter
         sols = all_equable_trapezoids()
         assert len(sols) == 5
         for sol in sols:
             emb = lattice_embedding(sol)
             assert is_equable(emb) and classify(emb).is_trapezoid
-            sides_sq = [dist_sq(p, q) for p, q in zip(emb, emb[1:] + emb[:1])]
-            assert sides_sq == [s * s for s in sol.quad_sides]
-            assert emb == NAMED_QUADS[sol.figure_tag]
+            assert perimeter(emb) == sol.perimeter
+            sides_sq = sorted(dist_sq(p, q) for p, q in zip(emb, emb[1:] + emb[:1]))
+            legs = list(sol.triangle)
+            legs.remove(sol.f)
+            assert sides_sq == sorted(s * s for s in (sol.c + sol.f, sol.c, *legs))
+            assert signature(emb) == signature(NAMED_QUADS[FIVE[sol.triangle, sol.f]])
 
-    def test_realizer_matches_catalog_lookup(self, monkeypatch):
-        # with the named drawings hidden, every answer comes from the realizer;
-        # the search catalog, which the realizer replaced, is the oracle
-        named = [(sol, lattice_embedding(sol)) for sol in all_equable_trapezoids()]
-        monkeypatch.setattr(figures, "KNOWN_EMBEDDINGS", {})
-        for sol, drawing in named:
-            emb = lattice_embedding(sol)
-            assert emb is not None and signature(emb) == signature(drawing)
-            assert signature(emb) in get_catalog(max(42, sol.perimeter))
+    def test_realizer_matches_catalog_lookup(self):
+        # the search catalog, which the realizer replaced, is the oracle: its
+        # trapezoid classes up to 42 are the five, the longest having
+        # perimeter 42
+        sols = all_equable_trapezoids()
+        assert max(sol.perimeter for sol in sols) == 42
+        catalog = get_catalog(42)
+        found = {sig for sig, cls in catalog.items() if cls.classification.is_trapezoid}
+        assert {signature(lattice_embedding(sol)) for sol in sols} == found
 
 
 class TestValidation:
@@ -334,7 +355,7 @@ class TestValidation:
                 {"triangle": (5, 12, 13), "f": 5},
                 "strip width 0 is not a positive integer",
             ),
-            # quad_sides would be (c + f, leg, c, leg) = (13, 10, -3, 10)
+            # the sides would be (c + f, leg, c, leg) = (13, 10, -3, 10)
             (
                 {"triangle": (10, 10, 16), "f": 16},
                 "strip width -3 is not a positive integer",
