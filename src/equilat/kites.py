@@ -5,8 +5,9 @@ OB with C the reflection of A, for one Pell solution (n, i).
 Families K1/K2/K3/K4 pair with the equations n^2-5i^2=4, n^2-5i^2=1,
 n^2-2i^2=1 and 2n^2-i^2=1; their members have gcd(a, b) = 5, 5, 4, 3.
 Every other constant follows from the Vieta pair (k, m) = (5, 1), (5, 2),
-(8, 1), (9, 2): the area of triangle OAB is K_A = k*m*n, and the squared
-cross-diagonal is q^2 = |AC|^2 = 16km^2 / (km^2 - 4) = 80, 20, 32, 18.
+(8, 1), (9, 2): the area of triangle OAB is K_A = k*m*n, the sides
+a = |OA| >= b = |AB| are the roots of X^2 - K_A*X + k(m^2 + n^2), and the
+squared cross-diagonal is q^2 = |AC|^2 = 16km^2 / (km^2 - 4) = 80, 20, 32, 18.
 
 Each member takes its (n, i) from the family's checked stream
 `pell.iter_solutions`, and its placement from the recurrence that extends that
@@ -30,6 +31,7 @@ from equilat.geometry import (
     LatticeQuad,
     classify,
     dist_sq,
+    exact_sqrt,
     is_equable,
     is_simple,
     twice_area,
@@ -48,23 +50,13 @@ __all__ = [
 
 
 class FamilyId(NamedTuple):
-    """Constants of one family row.
-
-    a = (a_n*n + a_i*i) / ab_den and b = (a_n*n - a_i*i) / ab_den are the
-    side lengths OA and AB, and (k, m) are the Vieta constants with
-    ab = k(m^2 + n^2) and a + b = k*m*n.  The rest is derived: the area of
-    triangle OAB is K_A = k*m*n, and q_sq = |AC|^2 = 16km^2 / (km^2 - 4).
-    The first member's (n, i) is entry `first` of the family's Pell stream.
-    `seeds` are the first two placements as (Ax, Ay, Bx, By, Cx, Cy); the
-    later ones follow by the module's recurrence, with t the `rec` of the
-    family's Pell equation and w_A = -w_C = (2 - t)(A_0 - C_0)/2.
-    """
+    """Constants of one family row: the Vieta pair (k, m) of the module
+    docstring, gcd(a, b), the index `first` of the first member's (n, i) in
+    the family's Pell stream, and `seeds`, the first two placements as
+    (Ax, Ay, Bx, By, Cx, Cy), which the module's recurrence extends."""
 
     k: int
     m: int
-    a_n: int
-    a_i: int
-    ab_den: int
     gcd_ab: int
     first: int
     seeds: tuple[tuple[int, ...], tuple[int, ...]]
@@ -76,13 +68,12 @@ class FamilyId(NamedTuple):
 
 
 FAMILIES: dict[str, FamilyId] = {
-    # k, m, a_n, a_i, ab_den, gcd_ab, first, then the seeds (Ax, Ay, Bx, By, Cx, Cy)
-    "K1": FamilyId(5, 1, 5, 5, 2, 5, 0, ((4, -3, 4, 2, 0, 5), (10, 0, 6, 3, 6, 8))),
+    # k, m, gcd_ab, first, then the seeds (Ax, Ay, Bx, By, Cx, Cy)
+    "K1": FamilyId(5, 1, 5, 0, ((4, -3, 4, 2, 0, 5), (10, 0, 6, 3, 6, 8))),
     # K2 starts at (9, 4): its kite at n = 1 is K1's rhombus
-    "K2": FamilyId(5, 2, 5, 10, 1, 5, 1,
-                   ((77, 36, 72, 36, 75, 40), (1365, 680, 1288, 644, 1363, 684))),
-    "K3": FamilyId(8, 1, 4, 4, 1, 4, 0, ((4, 0, 4, 4, 0, 4), (16, 12, 12, 12, 12, 16))),
-    "K4": FamilyId(9, 2, 9, 6, 1, 3, 0, ((12, 9, 12, 12, 9, 12), (63, 60, 60, 60, 60, 63))),
+    "K2": FamilyId(5, 2, 5, 1, ((77, 36, 72, 36, 75, 40), (1365, 680, 1288, 644, 1363, 684))),
+    "K3": FamilyId(8, 1, 4, 0, ((4, 0, 4, 4, 0, 4), (16, 12, 12, 12, 12, 16))),
+    "K4": FamilyId(9, 2, 3, 0, ((12, 9, 12, 12, 9, 12), (63, 60, 60, 60, 60, 63))),
 }
 
 
@@ -107,8 +98,8 @@ class KiteMember(NamedTuple):
 
 
 def iter_members(tag: str) -> Iterator[KiteMember]:
-    """Members in increasing n: each (n, i) from the family's checked Pell
-    stream, its placement from the row's seeds by the recurrence."""
+    """Members in increasing n: (n, i) from the family's checked Pell stream,
+    the placement from the row's seeds by the recurrence, a >= b by Vieta."""
     if tag not in FAMILIES:
         raise ValueError(f"family must be one of {', '.join(FAMILIES)}, got {tag!r}")
     fam, spec = FAMILIES[tag], pell.SPECS[tag]
@@ -117,13 +108,12 @@ def iter_members(tag: str) -> Iterator[KiteMember]:
     steps = pell.recurrence(spec.rec, *fam.seeds, (wx, wy, 0, 0, -wx, -wy))
     sols = islice(pell.iter_solutions(spec), fam.first, None)
     for sol, (ax, ay, bx, by, cx, cy) in zip(sols, steps):
-        n, i = sol
-        a_len, rem_a = divmod(fam.a_n * n + fam.a_i * i, fam.ab_den)
-        b_len, rem_b = divmod(fam.a_n * n - fam.a_i * i, fam.ab_den)
-        if rem_a or rem_b:
-            raise InconsistencyError(f"{tag}({n}, {i}): side lengths are not integers")
+        k_a = fam.k * fam.m * sol.n
+        root = exact_sqrt(k_a * k_a - 4 * fam.k * (fam.m**2 + sol.n**2))
+        if root is None or (k_a - root) % 2:
+            raise InconsistencyError(f"{tag}{tuple(sol)}: side lengths are not integers")
         yield KiteMember(fam, sol, (ax, ay), (bx, by), (cx, cy),
-                         fam.k * fam.m * n, a_len, b_len)
+                         k_a, (k_a + root) // 2, (k_a - root) // 2)
 
 
 def generate(tag: str, count: int) -> list[KiteMember]:

@@ -43,9 +43,16 @@ class _PellSpec(NamedTuple):
 
 
 class PellSpec(Checked, _PellSpec):
-    """One equation alpha*n^2 - beta*i^2 = gamma with seeds and recurrence."""
+    """One equation alpha*n^2 - beta*i^2 = gamma with (n, i) seeds and recurrence."""
 
     __slots__ = ()
+
+    def __new__(cls, name, alpha, beta, gamma, seeds, rec):
+        try:
+            seeds = tuple(PellSolution(*s) for s in seeds)
+        except TypeError:
+            raise ValueError(f"seeds {seeds!r} are not (n, i) pairs") from None
+        return super().__new__(cls, name, alpha, beta, gamma, seeds, rec)
 
     def _check(self) -> None:
         if self.alpha < 1 or self.beta < 1:
@@ -67,16 +74,17 @@ class PellSpec(Checked, _PellSpec):
 
 
 # The four kite-family equations and the four triangle-family restrictions, by
-# name, in the order `equilat pell` prints them.
+# name, in the order `equilat pell` prints them.  Besides that command, only
+# the tests' oracle of the trapezoid family rows reads the restrictions.
 SPECS: dict[str, PellSpec] = {spec.name: spec for spec in (
-    PellSpec("K1", 1, 5, 4, (PellSolution(2, 0), PellSolution(3, 1)), 3),
-    PellSpec("K2", 1, 5, 1, (PellSolution(1, 0), PellSolution(9, 4)), 18),
-    PellSpec("K3", 1, 2, 1, (PellSolution(1, 0), PellSolution(3, 2)), 6),
-    PellSpec("K4", 2, 1, 1, (PellSolution(1, 1), PellSolution(5, 7)), 6),
-    PellSpec("x^2+1=2y^2", 1, 2, -1, (PellSolution(1, 1), PellSolution(7, 5)), 6),
-    PellSpec("x^2-1=2y^2", 1, 2, 1, (PellSolution(1, 0), PellSolution(3, 2)), 6),
-    PellSpec("x^2+2=3y^2", 1, 3, -2, (PellSolution(1, 1), PellSolution(5, 3)), 4),
-    PellSpec("x^2-1=3y^2", 1, 3, 1, (PellSolution(1, 0), PellSolution(2, 1)), 4),
+    PellSpec("K1", 1, 5, 4, ((2, 0), (3, 1)), 3),
+    PellSpec("K2", 1, 5, 1, ((1, 0), (9, 4)), 18),
+    PellSpec("K3", 1, 2, 1, ((1, 0), (3, 2)), 6),
+    PellSpec("K4", 2, 1, 1, ((1, 1), (5, 7)), 6),
+    PellSpec("x^2+1=2y^2", 1, 2, -1, ((1, 1), (7, 5)), 6),
+    PellSpec("x^2-1=2y^2", 1, 2, 1, ((1, 0), (3, 2)), 6),
+    PellSpec("x^2+2=3y^2", 1, 3, -2, ((1, 1), (5, 3)), 4),
+    PellSpec("x^2-1=3y^2", 1, 3, 1, ((1, 0), (2, 1)), 4),
 )}
 
 

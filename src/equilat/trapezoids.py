@@ -24,12 +24,21 @@ The branches (u, v) fall into three kinds:
   squares are at least 1 and multiply to (u+v)^2, so their sum
   2(2w+u+v) is at most 1 + (u+v)^2, that is w <= (u+v-1)^2 / 4.  The only
   hit is (1, 4), giving (5, 5, 8).
-- (1, 2) and (1, 3): infinite.  (1, 2) holds the family rows 1 and 2 (with
-  (3, 4, 5) as row 1 at x = 1), and (1, 3) holds rows 3 and 4.
+- (1, 2) and (1, 3): infinite.  There A^2 = 2w(w+3) forces 3 | w, and
+  A^2 = 3w(w+4) forces 4 | w or w = 2x^2; splitting the coprime factors
+  that remain gives four family rows.  Each is a triangle with area A for
+  every solution (x, y) of its restriction equation from its least x on,
+  and below that gives (3, 4, 5) or no triangle:
+
+      row  sides                     A      restriction     least x
+      1    (3, 3x^2 + 1, 3x^2 + 2)   6xy    x^2 + 1 = 2y^2  7
+      2    (3, 3x^2 - 2, 3x^2 - 1)   6xy    x^2 - 1 = 2y^2  3
+      3    (4, 2x^2 + 1, 2x^2 + 3)   6xy    x^2 + 2 = 3y^2  5
+      4    (4, 4x^2 - 3, 4x^2 - 1)   12xy   x^2 - 1 = 3y^2  2
 
 Running every triangle through every choice of f yields the five classical
-solutions, all from (3, 4, 5), (5, 5, 6) and (5, 5, 8); the four infinite
-families never produce an integer c.
+solutions, all from (3, 4, 5), (5, 5, 6) and (5, 5, 8).  The four rows give
+no integer c up to perimeter 10^60 (see `TRAPEZOID_SCAN_BOUND`).
 """
 
 from __future__ import annotations
@@ -37,8 +46,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from equilat import pell
-from equilat.errors import Checked, InconsistencyError
+from equilat.errors import Checked
 from equilat.geometry import LatticeQuad, exact_sqrt, realize
 
 __all__ = [
@@ -46,8 +54,6 @@ __all__ = [
     "TRAPEZOID_SCAN_BOUND",
     "heron_area",
     "enumerate_perimeter_dominant",
-    "family_member",
-    "family_members_within",
     "shorter_parallel_side",
     "trapezoid_from",
     "all_equable_trapezoids",
@@ -57,14 +63,17 @@ __all__ = [
 TRAPEZOID_SCAN_BOUND = 400
 """Default perimeter bound for listing triangles and trapezoids.  It is not
 a completeness bound: the branch analysis in the module docstring leaves only
-the four family rows unbounded, and they give no trapezoid, so the five
-solutions are found at any bound of at least 18.  At 400 the list shows the
-three sporadic triangles and the smallest members of every family row."""
+the four family rows unbounded, so the five solutions are found at any bound
+of at least 18 if the rows give no trapezoid.  That claim is not proved here;
+the tests check it for every member to perimeter 10^60.  At 400 the list
+shows the three sporadic triangles and the smallest members of every row."""
 
 
 def heron_area(x: int, y: int, z: int) -> int | None:
     """Integer area of the triangle with sides x <= y <= z, or None when the
     triangle is degenerate or the area is not an integer."""
+    if not all(isinstance(s, int) for s in (x, y, z)):
+        raise ValueError("sides must be integers")
     if not (0 < x <= y <= z):
         raise ValueError("sides must be positive and ordered x <= y <= z")
     prod = (x + y + z) * (-x + y + z) * (x - y + z) * (x + y - z)
@@ -78,11 +87,9 @@ def enumerate_perimeter_dominant(p_max: int) -> list[tuple[int, int, int]]:
     """Every Heronian triangle with perimeter <= p_max and perimeter > area,
     sorted by (perimeter, sides).
 
-    Walks the tangent lengths u <= v <= w with u*v < 12 (see the module
-    docstring): w stops at the perimeter bound, and earlier at the bound
-    that perimeter dominance puts on it when u*v > 4, or at (u+v-1)^2 // 4
-    when u*v is a square.  Only (1, 2) and (1, 3) reach the perimeter
-    bound, so the work is O(p_max).
+    Walks the tangent lengths of the module docstring's branches, with their
+    bounds on w.  Only (1, 2) and (1, 3) reach the perimeter bound, so the
+    work is O(p_max).
     """
     if p_max < 12:
         raise ValueError("p_max must be at least 12 (the smallest Heronian perimeter)")
@@ -102,72 +109,6 @@ def enumerate_perimeter_dominant(p_max: int) -> list[tuple[int, int, int]]:
                     found.append((u + v, u + w, v + w))
     found.sort(key=lambda t: (sum(t), t))
     return found
-
-
-# Infinite families of perimeter-dominant Heronian triangles: closed forms for
-# the sides and area, the governing restriction equation, and the smallest
-# admissible x.
-_ROWS: dict[int, dict] = {
-    1: {
-        "pell": "x^2+1=2y^2", "x_min": 7,
-        "sides": lambda x: (3, 3 * x * x + 1, 3 * x * x + 2),
-        "area": lambda x, y: 6 * x * y,
-    },
-    2: {
-        "pell": "x^2-1=2y^2", "x_min": 3,
-        "sides": lambda x: (3, 3 * x * x - 2, 3 * x * x - 1),
-        "area": lambda x, y: 6 * x * y,
-    },
-    3: {
-        "pell": "x^2+2=3y^2", "x_min": 5,
-        "sides": lambda x: (4, 2 * x * x + 1, 2 * x * x + 3),
-        "area": lambda x, y: 6 * x * y,
-    },
-    4: {
-        "pell": "x^2-1=3y^2", "x_min": 2,
-        "sides": lambda x: (4, 4 * x * x - 3, 4 * x * x - 1),
-        "area": lambda x, y: 12 * x * y,
-    },
-}
-
-
-def _row(row: int) -> dict:
-    if row not in _ROWS:
-        raise ValueError(f"row must be 1..4, got {row}")
-    return _ROWS[row]
-
-
-def family_member(row: int, sol: pell.PellSolution) -> tuple[int, int, int]:
-    """Closed-form triangle of one family row at parameter (x, y) = (n, i).
-
-    The parameter must satisfy the row's restriction equation and its lower
-    bound on x.  The row's closed-form area is checked against the area that
-    Heron's formula gives the sides.
-    """
-    forms = _row(row)
-    spec = pell.SPECS[forms["pell"]]
-    x, y = sol.n, sol.i
-    if not spec.satisfies(x, y):
-        raise ValueError(f"({x},{y}) does not satisfy {spec.name}")
-    if x < forms["x_min"]:
-        raise ValueError(f"row {row} requires x >= {forms['x_min']}")
-    t = forms["sides"](x)
-    if heron_area(*t) != forms["area"](x, y):
-        raise InconsistencyError(f"row {row} at ({x},{y}): the closed-form area is not Heron's")
-    return t
-
-
-def family_members_within(row: int, p_max: int) -> list[tuple[int, int, int]]:
-    """All members of one family row with perimeter <= p_max."""
-    forms = _row(row)
-    out = []
-    for sol in pell.iter_solutions(pell.SPECS[forms["pell"]]):
-        if sol.n < forms["x_min"]:
-            continue
-        if sum(forms["sides"](sol.n)) > p_max:
-            break
-        out.append(family_member(row, sol))
-    return out
 
 
 class _TrapezoidSolution(NamedTuple):
@@ -212,7 +153,8 @@ class TrapezoidSolution(Checked, _TrapezoidSolution):
 
 def shorter_parallel_side(t: tuple[int, int, int], f: int) -> Fraction:
     """Exact value of the strip width c for side choice f of the Heronian
-    triangle with sides x <= y <= z; ValueError for any other sides.
+    triangle with sides x <= y <= z; ValueError for any other sides or an f
+    that is not one of them.
 
     The denominator is positive, as a Heronian triangle's area exceeds each
     side: with tangent lengths u, v, w >= 1 and the side v + w,
@@ -223,7 +165,7 @@ def shorter_parallel_side(t: tuple[int, int, int], f: int) -> Fraction:
     area = heron_area(x, y, z)
     if area is None:
         raise ValueError(f"{t} is not Heronian")
-    if f not in t:
+    if not isinstance(f, int) or f not in t:
         raise ValueError(f"{f} is not a side of {t}")
     return Fraction(f * (x + y + z - area), 2 * (area - f))
 

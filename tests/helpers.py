@@ -8,6 +8,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
+from equilat import pell
 from equilat.cli import _COMMANDS
 from equilat.geometry import (
     POINT_SYMMETRIES,
@@ -16,6 +17,7 @@ from equilat.geometry import (
     signature,
 )
 from equilat.search import _anchored_chains, _equable_quads
+from equilat.trapezoids import heron_area
 
 _CYCLIC_ORDERS = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2))
 
@@ -189,6 +191,32 @@ def catalog_placements(p_max: int) -> dict[tuple, list[LatticeQuad]]:
         sig: [LatticeQuad(tuple(zip(f[::2], f[1::2]))) for f in sorted(flats)]
         for sig, flats in chains.items()
     }
+
+
+# The four trapezoid family rows of the `trapezoids` module docstring: the
+# restriction equation's name in `pell.SPECS`, the least x, and the closed
+# forms of the sides at x and of the area at (x, y).
+FAMILY_ROWS = {
+    1: ("x^2+1=2y^2", 7, lambda x: (3, 3 * x * x + 1, 3 * x * x + 2), lambda x, y: 6 * x * y),
+    2: ("x^2-1=2y^2", 3, lambda x: (3, 3 * x * x - 2, 3 * x * x - 1), lambda x, y: 6 * x * y),
+    3: ("x^2+2=3y^2", 5, lambda x: (4, 2 * x * x + 1, 2 * x * x + 3), lambda x, y: 6 * x * y),
+    4: ("x^2-1=3y^2", 2, lambda x: (4, 4 * x * x - 3, 4 * x * x - 1), lambda x, y: 12 * x * y),
+}
+
+
+def family_members(row: int, p_max: int) -> list[tuple[int, int, int]]:
+    """The members of one family row with perimeter <= p_max, in increasing
+    x over the row's Pell stream.  Each member's closed-form area must be the
+    area Heron's formula gives its sides."""
+    name, x_min, sides, area = FAMILY_ROWS[row]
+    out = []
+    for x, y in pell.iter_solutions(pell.SPECS[name]):
+        t = sides(x)
+        if sum(t) > p_max:
+            return out
+        if x >= x_min:
+            assert heron_area(*t) == area(x, y), f"row {row} at ({x},{y}): area is not Heron's"
+            out.append(t)
 
 
 def all_real_parser(command: str | None) -> argparse.ArgumentParser:

@@ -12,8 +12,6 @@ from contextlib import contextmanager
 from fractions import Fraction
 from math import isqrt
 
-import pytest
-
 from equilat import cyclic, kites, pell, search, trapezoids
 from equilat.figures import NAMED_QUADS
 from equilat.geometry import (
@@ -26,7 +24,7 @@ from equilat.geometry import (
     signature,
     twice_area,
 )
-from helpers import random_congruent_copy, random_quad
+from helpers import family_members, random_congruent_copy, random_quad
 
 
 @contextmanager
@@ -112,7 +110,7 @@ def test_criterion_4_trapezoids():
         assert trapezoids.shorter_parallel_side((5, 5, 6), 5) == Fraction(10, 7)
         assert trapezoids.shorter_parallel_side((5, 5, 8), 5) == Fraction(15, 7)
         for row in (1, 2, 3, 4):
-            for t in trapezoids.family_members_within(row, 10_000):
+            for t in family_members(row, 10_000):
                 for f in set(t):
                     assert trapezoids.shorter_parallel_side(t, f).denominator != 1
 
@@ -203,11 +201,7 @@ def test_criterion_8_property_suites():
             (3, 4, 5), (5, 5, 6), (5, 5, 8),
             (4, 13, 15), (3, 25, 26), (4, 51, 53), (3, 148, 149), (4, 193, 195),
         ]
-        family = {
-            t
-            for row in (1, 2, 3, 4)
-            for t in trapezoids.family_members_within(row, 400)
-        }
+        family = {t for row in (1, 2, 3, 4) for t in family_members(row, 400)}
         assert family == set(scanned) - {(3, 4, 5), (5, 5, 6), (5, 5, 8)}
 
         # signature invariance under 1000 random symmetry compositions

@@ -129,6 +129,13 @@ class TestStartup:
         done = _python("-c", probe)
         assert (done.stdout, done.stderr) == ("False\n", "")
 
+    def test_trapezoids_import_does_not_load_pell(self):
+        # the Pell restrictions of the trapezoid family rows are read only by
+        # the tests' oracle of those rows
+        probe = "import sys, equilat.trapezoids; print('equilat.pell' in sys.modules)"
+        done = _python("-c", probe)
+        assert (done.stdout, done.stderr) == ("False\n", "")
+
     def test_search_import_executes_no_closed_form_module(self):
         # audit_theorems imports cyclic, kites, trapezoids and figures itself
         probe = "import sys, equilat.search; print(*(m for m in sys.modules if 'equilat' in m))"

@@ -70,6 +70,13 @@ class TestMember:
         with pytest.raises(InconsistencyError, match="fails the equation"):
             generate("K3", 3)
 
+    def test_wrong_vieta_pair_is_caught(self, monkeypatch):
+        # a and b are the roots of X^2 - kmn*X + k(m^2 + n^2); with K3's m = 2
+        # the discriminant at n = 1 is 16^2 - 4*8*5 = 96, not a square
+        monkeypatch.setitem(FAMILIES, "K3", FAMILIES["K3"]._replace(m=2))
+        with pytest.raises(InconsistencyError, match=r"K3\(1, 0\): side lengths are not integers"):
+            generate("K3", 1)
+
     @pytest.mark.parametrize("call", [
         lambda: next(iter_members("K5")),
         lambda: generate("K5", 1),

@@ -121,13 +121,24 @@ def test_one_seed_is_rejected_when_built():
          "seed PellSolution(n=-2, i=0) is not nonnegative"),
         (("bad", 1, 5, 4, (PellSolution(2, 1),), 3),
          "seed PellSolution(n=2, i=1) does not satisfy bad"),
+        (("bad", 1, 5, 4, [[2, 1]], 3), "seed PellSolution(n=2, i=1) does not satisfy bad"),
+        (("bad", 1, 5, 4, [(2, 0, 0)], 3), "seeds [(2, 0, 0)] are not (n, i) pairs"),
+        (("bad", 1, 5, 4, (2, 0), 3), "seeds (2, 0) are not (n, i) pairs"),
     ],
-    ids=["alpha", "beta", "gamma", "rec", "negative-seed", "wrong-seed"],
+    ids=["alpha", "beta", "gamma", "rec", "negative-seed", "wrong-seed", "wrong-list-seed",
+         "triple-seed", "unpaired-seeds"],
 )
 def test_spec_check_messages(args, message):
     with pytest.raises(ValueError) as exc:
         PellSpec(*args)
     assert str(exc.value) == message
+
+
+def test_plain_seed_pairs_are_stored_as_solutions():
+    spec = PellSpec("x", 1, 2, 1, [[1, 0], [3, 2]], 6)
+    assert spec == PellSpec("x", 1, 2, 1, (PellSolution(1, 0), PellSolution(3, 2)), 6)
+    assert all(type(s) is PellSolution for s in spec.seeds)
+    assert solutions(spec, 4) == solutions(SPECS["K3"], 4)
 
 
 def test_recurrence_inconsistency_detected():

@@ -3,23 +3,19 @@ from math import isqrt
 
 import pytest
 
-from equilat import trapezoids
-from equilat.errors import InconsistencyError
 from equilat.figures import CLASS_DRAWINGS, NAMED_QUADS
 from equilat.geometry import classify, dist_sq, is_equable, perimeter, signature
-from equilat.pell import PellSolution
 from equilat.search import get_catalog
 from equilat.trapezoids import (
     TrapezoidSolution,
     all_equable_trapezoids,
     enumerate_perimeter_dominant,
-    family_member,
-    family_members_within,
     heron_area,
     lattice_embedding,
     shorter_parallel_side,
     trapezoid_from,
 )
+from helpers import FAMILY_ROWS, family_members
 
 
 def _scan_perimeter_dominant(p_max: int) -> list[tuple[int, int, int]]:
@@ -82,6 +78,10 @@ class TestHeronArea:
         with pytest.raises(ValueError):
             heron_area(5, 4, 3)
 
+    def test_rejects_sides_that_are_not_ints(self):
+        with pytest.raises(ValueError, match="sides must be integers"):
+            heron_area(3.0, 4, 5)
+
     def test_square_heron_product_gives_integer_area(self):
         # perfect-square Heron product forces an integer area (P <= 200)
         for p in range(3, 201):
@@ -138,42 +138,27 @@ class TestPerimeterDominantScan:
 
 
 class TestFamilyMember:
+    # the family rows are a test oracle, `helpers.family_members`
     def test_row1(self):
-        t = family_member(1, PellSolution(7, 5))
+        [t] = family_members(1, 300)
         assert (t, sum(t), heron_area(*t)) == ((3, 148, 149), 300, 210)
 
     def test_row2(self):
-        t = family_member(2, PellSolution(3, 2))
+        [t] = family_members(2, 54)
         assert (t, sum(t), heron_area(*t)) == ((3, 25, 26), 54, 36)
 
     def test_row4(self):
-        t = family_member(4, PellSolution(2, 1))
+        [t] = family_members(4, 32)
         assert (t, sum(t), heron_area(*t)) == ((4, 13, 15), 32, 24)
 
-    def test_restriction_violation(self):
-        with pytest.raises(ValueError):
-            family_member(1, PellSolution(7, 4))
-
-    def test_lower_bound_enforced(self):
-        with pytest.raises(ValueError):
-            family_member(1, PellSolution(1, 1))
-
-    def test_unknown_row_rejected(self):
-        for row in (0, 5):
-            with pytest.raises(ValueError, match=f"row must be 1..4, got {row}"):
-                family_member(row, PellSolution(1, 0))
-            with pytest.raises(ValueError, match=f"row must be 1..4, got {row}"):
-                family_members_within(row, 400)
-
     def test_closed_form_area_is_checked(self, monkeypatch):
-        monkeypatch.setitem(trapezoids._ROWS[1], "area", lambda x, y: 6 * x * y + 1)
-        with pytest.raises(InconsistencyError, match="closed-form area"):
-            family_member(1, PellSolution(7, 5))
+        name, x_min, sides, _ = FAMILY_ROWS[1]
+        monkeypatch.setitem(FAMILY_ROWS, 1, (name, x_min, sides, lambda x, y: 6 * x * y + 1))
+        with pytest.raises(AssertionError, match=r"row 1 at \(7,5\): area is not Heron's"):
+            family_members(1, 300)
 
     def test_closed_forms_match_scan(self):
-        family = {
-            t for row in (1, 2, 3, 4) for t in family_members_within(row, 400)
-        }
+        family = {t for row in (1, 2, 3, 4) for t in family_members(row, 400)}
         scanned = set(enumerate_perimeter_dominant(400))
         specials = {(3, 4, 5), (5, 5, 6), (5, 5, 8)}
         assert family == scanned - specials
@@ -262,7 +247,7 @@ class TestAllEquableTrapezoids:
         assert by_parallel_sides[(8, 2)].f == 6
 
     def test_no_family_member_below_1e60_produces_integer_c(self):
-        members = [t for row in (1, 2, 3, 4) for t in family_members_within(row, 10**60)]
+        members = [t for row in (1, 2, 3, 4) for t in family_members(row, 10**60)]
         assert len(members) == 180
         for t in members:
             for f in set(t):
@@ -322,6 +307,10 @@ class TestValidation:
             for build in (shorter_parallel_side, trapezoid_from, TrapezoidSolution):
                 with pytest.raises(ValueError):
                     build(sides, 3)
+        # f equals the side 3 but is not an int
+        for build in (shorter_parallel_side, trapezoid_from, TrapezoidSolution):
+            with pytest.raises(ValueError, match=r"3.0 is not a side of \(3, 4, 5\)"):
+                build(T345, 3.0)
 
     def test_solution_invariants(self):
         with pytest.raises(ValueError):  # the strip width 15/7
@@ -338,8 +327,9 @@ class TestValidation:
             # the area of (2, 3, 4) is sqrt(135) / 4
             ((2, 3, 4), "(2, 3, 4) is not Heronian"),
             ((3, 4), "not enough values to unpack (expected 3, got 2)"),
+            ((3.0, 4, 5), "sides must be integers"),
         ],
-        ids=["degenerate", "unordered", "non-positive", "area", "pair"],
+        ids=["degenerate", "unordered", "non-positive", "area", "pair", "float"],
     )
     def test_triangle_check_messages(self, sides, message):
         for build in (shorter_parallel_side, trapezoid_from, TrapezoidSolution):
