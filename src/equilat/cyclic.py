@@ -121,7 +121,8 @@ def realizable_orderings(
     `geometry.realize`, which answers None unless the lattice holds them,
     else a placement congruent to the order's shape.
     """
-    if min(side_lengths) < 1 or not brahmagupta_check(*side_lengths):
+    if (len(side_lengths) != 4 or not all(isinstance(s, int) and s > 0 for s in side_lengths)
+            or not brahmagupta_check(*side_lengths)):
         raise ValueError(f"{side_lengths} is not an equable cyclic side multiset")
     return [
         (order, realize(tuple(s * s for s in order), _diagonals_sq(order)))

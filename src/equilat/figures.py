@@ -2,8 +2,7 @@
 
 The drawings are for display only: `render` draws them, and `CLASS_DRAWINGS`
 shows a class that `geometry.realize` found elsewhere (a trapezoid, a cyclic
-side order) as its drawing.  The one result still read from a drawing is
-the audit's class with a rational interior diagonal.
+side order) as its drawing.
 """
 
 from __future__ import annotations

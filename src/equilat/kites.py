@@ -40,7 +40,6 @@ from equilat.geometry import (
 __all__ = [
     "FamilyId",
     "KiteMember",
-    "AuditOutcome",
     "FAMILIES",
     "iter_members",
     "generate",
@@ -128,22 +127,13 @@ def members_within_perimeter(tag: str, p_max: int) -> list[KiteMember]:
     return list(takewhile(lambda km: km.perimeter <= p_max, iter_members(tag)))
 
 
-class AuditOutcome(NamedTuple):
-    failed_check: str | None = None
-    detail: str | None = None
-
-    @property
-    def passed(self) -> bool:
-        return self.failed_check is None
-
-
-def audit_member(km: KiteMember) -> AuditOutcome:
+def audit_member(km: KiteMember) -> str | None:
     """Check the closed forms in (n, i), K_A, a, b, q^2, Vieta and gcd,
     against the coordinates the recurrence gave, and the kite itself.
 
-    Failures are data, not exceptions: the outcome names the first check that
-    does not hold.  None asks that C be A's mirror in OB, as it could never
-    fail first: with a != b, kite forces |OC| = a and |BC| = b, so C is A (not
+    Failures are data: the name of the first check that does not hold, or
+    None.  No check asks that C be A's mirror in OB, as it could never fail
+    first: with a != b, kite forces |OC| = a and |BC| = b, so C is A (not
     simple) or A's mirror.  Vieta allows a = b only at K1 n = 2, K3 n = 1 and
     K2 n = 1, and there any other C on OB's perpendicular bisector at
     |AC|^2 = q^2 is not simple or has an irrational |OC|, failing equable.
@@ -152,25 +142,18 @@ def audit_member(km: KiteMember) -> AuditOutcome:
     o = (0, 0)
 
     simple = is_simple((o, km.A, km.B, km.C))
-    checks = [("simple", simple, "O,A,B,C is not a simple quadrilateral")]
+    checks = [("simple", simple)]
     if simple:
         q = km.quad()
-        checks.append(("equable", is_equable(q), "area differs from perimeter"))
-        checks.append(("kite", classify(q).is_kite, "no two disjoint equal adjacent pairs"))
+        checks += [("equable", is_equable(q)), ("kite", classify(q).is_kite)]
     k, m, n = fam.k, fam.m, km.sol.n
     checks += [
-        ("K_A", twice_area((o, km.A, km.B)) == 2 * km.K_A, f"triangle area != {km.K_A}"),
-        ("a", km.a > 0 and dist_sq(o, km.A) == km.a * km.a, f"|OA| != {km.a}"),
-        ("b", km.b > 0 and dist_sq(km.A, km.B) == km.b * km.b, f"|AB| != {km.b}"),
-        ("K_A=a+b", km.K_A == km.a + km.b, "half-quad equability fails"),
-        ("gcd", gcd(km.a, km.b) == fam.gcd_ab, f"gcd(a,b) != {fam.gcd_ab}"),
-        ("q_sq", dist_sq(km.A, km.C) == fam.q_sq, f"|AC|^2 != {fam.q_sq}"),
-        ("vieta", km.a * km.b == k * (m * m + n * n) and km.a + km.b == k * m * n,
-         "Vieta relations fail"),
+        ("K_A", twice_area((o, km.A, km.B)) == 2 * km.K_A),
+        ("a", km.a > 0 and dist_sq(o, km.A) == km.a * km.a),
+        ("b", km.b > 0 and dist_sq(km.A, km.B) == km.b * km.b),
+        ("K_A=a+b", km.K_A == km.a + km.b),
+        ("gcd", gcd(km.a, km.b) == fam.gcd_ab),
+        ("q_sq", dist_sq(km.A, km.C) == fam.q_sq),
+        ("vieta", km.a * km.b == k * (m * m + n * n) and km.a + km.b == k * m * n),
     ]
-
-    for name, ok, detail in checks:
-        if not ok:
-            return AuditOutcome(name, detail)
-    return AuditOutcome()
-
+    return next((name for name, ok in checks if not ok), None)

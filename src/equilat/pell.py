@@ -55,6 +55,9 @@ class PellSpec(Checked, _PellSpec):
         return super().__new__(cls, name, alpha, beta, gamma, seeds, rec)
 
     def _check(self) -> None:
+        fields = (self.alpha, self.beta, self.gamma, self.rec, *(v for s in self.seeds for v in s))
+        if not all(isinstance(v, int) for v in fields):
+            raise ValueError("alpha, beta, gamma, rec and the seeds must be integers")
         if self.alpha < 1 or self.beta < 1:
             raise ValueError("alpha and beta must be positive")
         if self.gamma == 0:

@@ -44,20 +44,23 @@ no integer c up to perimeter 10^60 (see `TRAPEZOID_SCAN_BOUND`).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import permutations
 from typing import NamedTuple
 
 from equilat.errors import Checked
-from equilat.geometry import LatticeQuad, exact_sqrt, realize
+from equilat.geometry import LatticeQuad, exact_sqrt, realize, signature
 
 __all__ = [
     "TrapezoidSolution",
     "TRAPEZOID_SCAN_BOUND",
+    "FIRST_TRIANGLE_BOUND",
     "heron_area",
     "enumerate_perimeter_dominant",
     "shorter_parallel_side",
     "trapezoid_from",
     "all_equable_trapezoids",
     "lattice_embedding",
+    "interior_rational",
 ]
 
 TRAPEZOID_SCAN_BOUND = 400
@@ -206,3 +209,58 @@ def lattice_embedding(ts: TrapezoidSolution) -> LatticeQuad | None:
     diag_ob = (xc + c) ** 2 + h_sq  # O -> B
     diag_ac = (xc - a) ** 2 + h_sq  # A -> C
     return realize((a * a, leg_ab**2, c * c, leg_co**2), (diag_ob, diag_ac))
+
+
+FIRST_TRIANGLE_BOUND = 20  # derived in the docstring of interior_rational
+
+
+def interior_rational() -> list[tuple[tuple[int, ...], int]]:
+    """Every LEQ class with a rational interior diagonal, at any perimeter,
+    as sorted (signature, length) pairs.
+
+    Such a diagonal e is an integer and cuts the quad into triangles
+    (a, b, e) and (c, d, e) on opposite sides of it, both Heronian, so their
+    tangent lengths are integers.  Their areas sum to a + b + c + d, so one,
+    say the first, has A1 <= a + b and is perimeter-dominant.
+
+    The second, with tangent lengths u at its apex and y', z' at the ends of
+    e, has area c + d + K = 2u + e + K with K = a + b - A1 >= 0, so Heron's
+    formula reads (y'z' - 4)u^2 + (y'z'e - 4(e + K))u - (e + K)^2 = 0.  For
+    y'z' <= 4 no term is positive and the last is negative, so y'z' > 4 and
+    e = y' + z' >= 5.  Then the roots' product is negative: one u per split.
+
+    The first, with tangent lengths x at its apex and y <= z at the ends of
+    e, has A1^2 = xyz(x + e) <= (2x + e)^2, or (yz - 4)x(x + e) <= e^2, and
+    perimeter 2(x + e):
+    - yz <= 4: e >= 5 leaves (y, z) = (1, 4), and 4x(x + 5) = (2x + 5)^2 - 25
+      is a square only at x = 4; x + e = 9.
+    - y = 1, z >= 5: x = 1 gives A1^2 = z(z + 2), never a square.  x >= 2
+      gives 2(z - 4)(z + 3) <= (z + 1)^2, so z <= 7, and x + e <= 10.
+    - y >= 2, yz > 4: yz - 4 < e, that is (y - 1)(z - 1) <= 4, so e <= 7,
+      and each such (y, z) allows x = 1 only; x + e <= 8.
+    So the first triangle has perimeter at most FIRST_TRIANGLE_BOUND.  Each
+    gluing has the other diagonal D^2 = (((a^2 - b^2) - (d^2 - c^2))^2 / 4
+    + 4(A1 + A2)^2) / e^2, and `geometry.realize` decides which are lattice
+    quads: only the right trapezoid with sides 6, 4, 3, 5, cut at e = 5.
+    """
+    found = set()
+    for t in enumerate_perimeter_dominant(FIRST_TRIANGLE_BOUND):
+        area = heron_area(*t)
+        for a, b, e in set(permutations(t)):
+            k = a + b - area
+            if e < 5 or k < 0:
+                continue
+            for y in range(1, e):
+                yz, ek = y * (e - y), e + k
+                lin = yz * e - 4 * ek  # (yz - 4)u^2 + lin*u - ek^2 = 0, y = y'
+                root = exact_sqrt(lin * lin + 4 * (yz - 4) * ek * ek)
+                if yz <= 4 or root is None or (root - lin) % (2 * yz - 8):
+                    continue
+                u = (root - lin) // (2 * yz - 8)
+                c, d = u + y, u + e - y
+                s = area + c + d + k  # A1 + A2
+                diag = Fraction(((a * a - b * b) - (d * d - c * c)) ** 2 + 16 * s * s, 4 * e * e)
+                quad = realize((a * a, b * b, c * c, d * d), (e * e, diag))
+                if quad is not None:
+                    found.add((signature(quad), e))
+    return sorted(found)

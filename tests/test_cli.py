@@ -123,9 +123,12 @@ class TestStartup:
         assert _loaded_after_cli_import(traced) == set(traced)
 
     def test_closed_form_modules_do_not_load_figures(self):
-        # the trapezoid and cyclic results decide through geometry.realize;
-        # the named drawings are only for display
-        probe = "import sys, equilat.trapezoids, equilat.cyclic; print('equilat.figures' in sys.modules)"
+        # the trapezoid, cyclic and rational-diagonal results decide through
+        # geometry.realize; the named drawings are only for display
+        probe = (
+            "import sys, equilat.trapezoids, equilat.cyclic, equilat.search; "
+            "equilat.search.audit_theorems(18); print('equilat.figures' in sys.modules)"
+        )
         done = _python("-c", probe)
         assert (done.stdout, done.stderr) == ("False\n", "")
 
@@ -137,7 +140,7 @@ class TestStartup:
         assert (done.stdout, done.stderr) == ("False\n", "")
 
     def test_search_import_executes_no_closed_form_module(self):
-        # audit_theorems imports cyclic, kites, trapezoids and figures itself
+        # audit_theorems imports cyclic, kites and trapezoids itself
         probe = "import sys, equilat.search; print(*(m for m in sys.modules if 'equilat' in m))"
         done = _python("-c", probe)
         done.check_returncode()
@@ -154,8 +157,7 @@ class TestStartup:
             (("trapezoids",), {"trapezoids", "figures", "geometry"}),
             (("cyclic",), {"cyclic", "figures", "geometry"}),
             (("render", "--figure", "k1-nested"), {"render", "figures", "geometry"}),
-            (("audit",), {"search", "geometry", "figures", "kites", "pell", "trapezoids",
-                          "cyclic"}),
+            (("audit",), {"search", "geometry", "kites", "pell", "trapezoids", "cyclic"}),
         ],
         ids=["pell", "kites", "search", "trapezoids", "cyclic", "render", "audit"],
     )
@@ -455,9 +457,7 @@ class TestSearchAndAudit:
     @pytest.mark.parametrize(
         "check, corrupt",
         [
-            ("kite_audits", lambda r: {
-                "kite_audits": r.kite_audits + (kites.AuditOutcome("equable"),)
-            }),
+            ("kite_audits", lambda r: {"kite_audits": r.kite_audits + ("equable",)}),
             ("trapezoids", lambda r: {"trapezoids_expected": r.trapezoids_expected - {
                 min(r.trapezoids_expected)
             }}),

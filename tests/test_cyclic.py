@@ -156,6 +156,14 @@ class TestOrderings:
         with pytest.raises(ValueError, match="is not an equable cyclic side multiset"):
             realizable_orderings(sides_)
 
+    # (6, 3, 6, 3), the rectangle's multiset, but for one side's type or presence
+    @pytest.mark.parametrize(
+        "sides_", [(6.0, 3, 6, 3), (6, 3, 6, "3"), (6, 3, 6)], ids=["float", "str", "three"]
+    )
+    def test_rejects_sides_that_are_not_four_ints(self, sides_):
+        with pytest.raises(ValueError, match="is not an equable cyclic side multiset"):
+            realizable_orderings(sides_)
+
     def test_realizer_matches_catalog_lookup(self):
         # the search catalog, which the realizer replaced, is the oracle
         checked = 0

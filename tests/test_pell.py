@@ -110,6 +110,9 @@ def test_one_seed_is_rejected_when_built():
         PellSpec("one-seed", 1, 5, 4, (PellSolution(2, 0),), 3)
 
 
+NOT_INTS = "alpha, beta, gamma, rec and the seeds must be integers"
+
+
 @pytest.mark.parametrize(
     "args, message",
     [
@@ -124,9 +127,13 @@ def test_one_seed_is_rejected_when_built():
         (("bad", 1, 5, 4, [[2, 1]], 3), "seed PellSolution(n=2, i=1) does not satisfy bad"),
         (("bad", 1, 5, 4, [(2, 0, 0)], 3), "seeds [(2, 0, 0)] are not (n, i) pairs"),
         (("bad", 1, 5, 4, (2, 0), 3), "seeds (2, 0) are not (n, i) pairs"),
+        # the seed 1.0 satisfies x^2 - 2y^2 = 1, so only its type is wrong
+        (("x", 1, 2, 1, [(1.0, 0), (3, 2)], 6), NOT_INTS),
+        (("x", 1, 2, 1, [("1", 0), (3, 2)], 6), NOT_INTS),
+        (("x", 1.5, 2, 1, [(1, 0), (3, 2)], 6), NOT_INTS),
     ],
     ids=["alpha", "beta", "gamma", "rec", "negative-seed", "wrong-seed", "wrong-list-seed",
-         "triple-seed", "unpaired-seeds"],
+         "triple-seed", "unpaired-seeds", "float-seed", "str-seed", "float-alpha"],
 )
 def test_spec_check_messages(args, message):
     with pytest.raises(ValueError) as exc:

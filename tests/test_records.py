@@ -28,7 +28,6 @@ RECORDS = [
     ("PellSpec", lambda: pell.SPECS["K1"], "seeds"),
     ("FamilyId", lambda: kites.FAMILIES["K1"], "k"),
     ("KiteMember", lambda: kites.generate("K1", 1)[0], "A"),
-    ("AuditOutcome", lambda: kites.audit_member(kites.generate("K1", 1)[0]), "failed_check"),
     ("TrapezoidSolution", lambda: trapezoids.trapezoid_from((3, 4, 5), 3), "triangle"),
 ]
 

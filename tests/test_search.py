@@ -12,7 +12,6 @@ from equilat.geometry import (
     signature,
     twice_area,
 )
-from equilat.kites import AuditOutcome
 from equilat.search import (
     P_MAX_MAX,
     P_MAX_MIN,
@@ -438,7 +437,7 @@ class TestAudit:
 
     def test_every_closed_form_kite_is_audited(self, report):
         assert len(report.kite_audits) == 4  # K1-K4 each have one member up to 42
-        assert all(outcome.passed for outcome in report.kite_audits)
+        assert report.kite_audits == (None,) * 4
 
     def test_no_check_fails_at_any_small_bound(self):
         failed = {p: audit_theorems(p).failed for p in range(P_MAX_MIN, 61)}
@@ -464,7 +463,7 @@ class TestAudit:
         "field, corrupt",
         [
             ("kites_expected", lambda r: r.kites_expected | {(1, 1, 1, 1, 2, 2)}),
-            ("kite_audits", lambda r: r.kite_audits + (AuditOutcome("equable"),)),
+            ("kite_audits", lambda r: r.kite_audits + ("equable",)),
             ("trapezoids_expected", lambda r: r.trapezoids_expected - r.trapezoids_found),
             ("cyclic_expected", lambda r: r.cyclic_found | {(1, 1, 1, 1, 2, 2)}),
             ("diagonal_exceptions_expected", lambda r: ()),

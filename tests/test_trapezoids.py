@@ -1,16 +1,19 @@
 from fractions import Fraction
+from itertools import permutations
 from math import isqrt
 
 import pytest
 
 from equilat.figures import CLASS_DRAWINGS, NAMED_QUADS
-from equilat.geometry import classify, dist_sq, is_equable, perimeter, signature
+from equilat.geometry import classify, dist_sq, is_equable, perimeter, realize, signature
 from equilat.search import get_catalog
 from equilat.trapezoids import (
+    FIRST_TRIANGLE_BOUND,
     TrapezoidSolution,
     all_equable_trapezoids,
     enumerate_perimeter_dominant,
     heron_area,
+    interior_rational,
     lattice_embedding,
     shorter_parallel_side,
     trapezoid_from,
@@ -297,6 +300,86 @@ class TestLatticeEmbedding:
         catalog = get_catalog(42)
         found = {sig for sig, cls in catalog.items() if cls.classification.is_trapezoid}
         assert {signature(lattice_embedding(sol)) for sol in sols} == found
+
+
+def _heronian_by_sides(p_max: int) -> list[tuple[int, int, int, int]]:
+    """Reference oracle: (x, y, z, area) of every Heronian triangle with
+    x <= y <= z and perimeter <= p_max, by a scan over the sides."""
+    found = []
+    for x in range(1, p_max // 3 + 1):
+        for y in range(x, (p_max - x) // 2 + 1):
+            for z in range(y, min(x + y, p_max - x - y + 1)):
+                prod = (x + y + z) * (-x + y + z) * (x - y + z) * (x + y - z)
+                root = isqrt(prod)
+                if root * root == prod and root % 4 == 0:
+                    found.append((x, y, z, root // 4))
+    return found
+
+
+def _interior_rational_by_gluing(p_max: int) -> list[tuple[tuple[int, ...], int]]:
+    """Reference oracle for `interior_rational`: glue every pair of Heronian
+    triangles of perimeter <= p_max on a shared side e, one on each side of
+    it, whenever their areas sum to the quad's perimeter, and realize the
+    quad from its coordinates over e."""
+    by_side: dict[int, set[tuple[int, int, int]]] = {}
+    for x, y, z, area in _heronian_by_sides(p_max):
+        for a, b, e in permutations((x, y, z)):
+            by_side.setdefault(e, set()).add((a, b, area))
+    found = set()
+    for e, halves in by_side.items():
+        for a, b, area1 in halves:
+            for c, d, area2 in halves:
+                if area1 + area2 != a + b + c + d:
+                    continue
+                # P0 = (0, 0), P2 = (e, 0), P1 = (x1, -h1) and P3 = (x3, h3)
+                x1 = Fraction(a * a - b * b + e * e, 2 * e)
+                x3 = Fraction(d * d - c * c + e * e, 2 * e)
+                h1, h3 = Fraction(2 * area1, e), Fraction(2 * area2, e)
+                diag_sq = (x1 - x3) ** 2 + (h1 + h3) ** 2  # |P1P3|^2
+                quad = realize((a * a, b * b, c * c, d * d), (e * e, diag_sq))
+                if quad is not None:
+                    found.add((signature(quad), e))
+    return sorted(found)
+
+
+class TestInteriorRational:
+    def test_the_one_class(self):
+        # the right trapezoid 6, 4, 3, 5: its diagonal of length 5 cuts off a
+        # 3-4-5 triangle
+        assert interior_rational() == [
+            (signature(NAMED_QUADS["right-trapezoid-6-4-3-5"]), 5)
+        ] == [((9, 16, 36, 25, 25, 52), 5)]
+
+    def test_first_triangles_lie_within_the_bound(self):
+        # every triangle with tangent lengths x at the apex and y <= z at the
+        # ends of e = y + z, perimeter up to 200, integer area A, e >= 5 and
+        # A <= a + b
+        firsts = set()
+        for x in range(1, 100):
+            for y in range(1, 100 - x):
+                for z in range(y, 101 - x - y):
+                    s, e = x + y + z, y + z
+                    area_sq = s * x * y * z
+                    area = isqrt(area_sq)
+                    if area * area == area_sq and e >= 5 and area <= 2 * x + e:
+                        assert 2 * s <= FIRST_TRIANGLE_BOUND, (x, y, z)
+                        firsts.add((tuple(sorted((x + y, x + z, e))), e))
+        assert firsts == {((3, 4, 5), 5), ((5, 5, 8), 5)}
+
+    def test_matches_gluing_oracle(self):
+        assert interior_rational() == _interior_rational_by_gluing(200)
+
+    @pytest.mark.parametrize("p_max", [200, pytest.param(1000, marks=pytest.mark.slow)])
+    def test_matches_catalog_at_every_perimeter(self, p_max):
+        catalog = get_catalog(p_max)
+        computed = [(sig, sum(map(isqrt, sig[:4])), length) for sig, length in interior_rational()]
+        for p in range(16, p_max + 1):
+            found = [
+                (sig, d.length)
+                for sig, cls in catalog.items() if cls.perimeter <= p
+                for d in cls.diagonals.interior if d.rational
+            ]
+            assert found == [(sig, length) for sig, per, length in computed if per <= p], p
 
 
 class TestValidation:
