@@ -300,6 +300,8 @@ class LeqClass(NamedTuple):
 def enumerate_leqs(p_max: int) -> dict[tuple, LeqClass]:
     """Complete catalog of LEQ classes with perimeter <= p_max, keyed by
     signature in increasing signature order."""
+    if not isinstance(p_max, int):
+        raise ValueError("p_max must be an integer")
     if not P_MAX_MIN <= p_max <= P_MAX_MAX:
         raise ValueError(f"p_max must lie in [{P_MAX_MIN}, {P_MAX_MAX}]")
     chains: dict[tuple, set[tuple[int, ...]]] = {}

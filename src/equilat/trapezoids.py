@@ -36,9 +36,26 @@ The branches (u, v) fall into three kinds:
       3    (4, 2x^2 + 1, 2x^2 + 3)   6xy    x^2 + 2 = 3y^2  5
       4    (4, 4x^2 - 3, 4x^2 - 1)   12xy   x^2 - 1 = 3y^2  2
 
-Running every triangle through every choice of f yields the five classical
-solutions, all from (3, 4, 5), (5, 5, 6) and (5, 5, 8).  The four rows give
-no integer c up to perimeter 10^60 (see `TRAPEZOID_SCAN_BOUND`).
+The rows give no trapezoid.  For a member (x, y) and a side f, with P and A
+its perimeter and area, 2c = f(P - A)/(A - f), and A - f > 0 (see
+`shorter_parallel_side`).  For x >= 6, j < 2c - M < j + 1 with the integer
+polynomial M and the integer j below, so neither 2c nor c is an integer:
+
+    f        rows 1, 2     row 3             row 4              2c - M tends to
+    3 or 4   -3, 4         -4, 4             -4, 4              3 sqrt2; 8/sqrt3
+    middle   6xy + 2, 2    3xy - x^2 + 1, 2  6xy - 2x^2 + 3, 2  2 sqrt2; 3 sqrt3/2
+    longest  6xy + 4, 5    3xy - x^2 + 1, 4  6xy - 2x^2 + 3, 4  4 sqrt2; 5 sqrt3/2
+
+Times A - f, with y^2 taken from the restriction, each bound reads
+u(x) + v(x)*y > 0 for integer polynomials u and v.  On x >= 6 the lower
+bounds have u > 0 > v and the upper ones v > 0 > u, so squaring leaves an
+inequality p(x) > 0 in x alone.  Each of these polynomials, and each u and
+v up to sign, has p(6) > 0 and p(6 + t) with no negative coefficient; the
+tests carry this certificate.  Below x = 6 the rows have only (4, 13, 15),
+(3, 25, 26) and (4, 51, 53), and none gives an integer c.  So running every
+triangle through every choice of f yields the five classical solutions, all
+from (3, 4, 5), (5, 5, 6) and (5, 5, 8), of perimeter at most
+TRAPEZOID_TRIANGLE_BOUND.
 """
 
 from __future__ import annotations
@@ -53,6 +70,7 @@ from equilat.geometry import LatticeQuad, exact_sqrt, realize, signature
 __all__ = [
     "TrapezoidSolution",
     "TRAPEZOID_SCAN_BOUND",
+    "TRAPEZOID_TRIANGLE_BOUND",
     "FIRST_TRIANGLE_BOUND",
     "heron_area",
     "enumerate_perimeter_dominant",
@@ -64,12 +82,11 @@ __all__ = [
 ]
 
 TRAPEZOID_SCAN_BOUND = 400
-"""Default perimeter bound for listing triangles and trapezoids.  It is not
-a completeness bound: the branch analysis in the module docstring leaves only
-the four family rows unbounded, so the five solutions are found at any bound
-of at least 18 if the rows give no trapezoid.  That claim is not proved here;
-the tests check it for every member to perimeter 10^60.  At 400 the list
-shows the three sporadic triangles and the smallest members of every row."""
+"""The `trapezoids` command's default triangle perimeter bound, for display
+only: any bound of at least TRAPEZOID_TRIANGLE_BOUND lists all five."""
+
+TRAPEZOID_TRIANGLE_BOUND = 18  # derived in the module docstring
+FIRST_TRIANGLE_BOUND = 20  # derived in the docstring of interior_rational
 
 
 def heron_area(x: int, y: int, z: int) -> int | None:
@@ -94,6 +111,8 @@ def enumerate_perimeter_dominant(p_max: int) -> list[tuple[int, int, int]]:
     bounds on w.  Only (1, 2) and (1, 3) reach the perimeter bound, so the
     work is O(p_max).
     """
+    if not isinstance(p_max, int):
+        raise ValueError("p_max must be an integer")
     if p_max < 12:
         raise ValueError("p_max must be at least 12 (the smallest Heronian perimeter)")
     found = []
@@ -185,9 +204,12 @@ def trapezoid_from(t: tuple[int, int, int], f: int) -> TrapezoidSolution | None:
 def all_equable_trapezoids(p_max: int = TRAPEZOID_SCAN_BOUND) -> list[TrapezoidSolution]:
     """Every equable trapezoid with integer sides and area built from a
     perimeter-dominant triangle of perimeter <= p_max, in the triangles'
-    (perimeter, sides) order and then by ascending f."""
+    (perimeter, sides) order and then by ascending f.  No triangle past
+    TRAPEZOID_TRIANGLE_BOUND gives one, so the scan stops there."""
+    if not isinstance(p_max, int):
+        raise ValueError("p_max must be an integer")
     out = []
-    for t in enumerate_perimeter_dominant(p_max):
+    for t in enumerate_perimeter_dominant(min(p_max, TRAPEZOID_TRIANGLE_BOUND)):
         for f in sorted(set(t)):
             sol = trapezoid_from(t, f)
             if sol is not None:
@@ -196,22 +218,17 @@ def all_equable_trapezoids(p_max: int = TRAPEZOID_SCAN_BOUND) -> list[TrapezoidS
 
 
 def lattice_embedding(ts: TrapezoidSolution) -> LatticeQuad | None:
-    """A lattice placement congruent to the trapezoid, from
-    `geometry.realize`; None when the lattice has none."""
+    """A lattice placement O, A, B, C congruent to the trapezoid, from
+    `geometry.realize`; None when the lattice has none.  Its sides are
+    OA = a, AB = b, BC = c and CO = d, and a - c = f gives its diagonals."""
     f, c = ts.f, ts.c
     legs = list(ts.triangle)  # the sides other than f
     legs.remove(f)
-    leg_ab, leg_co = legs
+    b, d = legs
     a = c + f
-    # plant the triangle O, A'(f, 0), C with C above; exact rationals
-    xc = Fraction(f * f + leg_co**2 - leg_ab**2, 2 * f)
-    h_sq = leg_co**2 - xc * xc
-    diag_ob = (xc + c) ** 2 + h_sq  # O -> B
-    diag_ac = (xc - a) ** 2 + h_sq  # A -> C
-    return realize((a * a, leg_ab**2, c * c, leg_co**2), (diag_ob, diag_ac))
-
-
-FIRST_TRIANGLE_BOUND = 20  # derived in the docstring of interior_rational
+    diag_ob = a * c + Fraction(a * d * d - c * b * b, f)  # O -> B
+    diag_ac = a * c + Fraction(a * b * b - c * d * d, f)  # A -> C
+    return realize((a * a, b * b, c * c, d * d), (diag_ob, diag_ac))
 
 
 def interior_rational() -> list[tuple[tuple[int, ...], int]]:

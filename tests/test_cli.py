@@ -352,6 +352,12 @@ class TestTrapezoids:
         assert code == 0
         assert len(out.strip().splitlines()) == 6  # header + five solutions
 
+    def test_csv_at_a_trillion(self, capsys):
+        # the scan stops at the triangle bound, so any p_max costs the same
+        code, out, _ = _run(capsys, "trapezoids", "--p-max", "1000000000000", "--format", "csv")
+        assert code == 0
+        assert len(out.strip().splitlines()) == 6  # header + five solutions
+
     def test_json_shows_each_realized_class_as_its_drawing(self, capsys):
         # the tag, the embedding and the published leg order all come from
         # the drawing of the class that the realizer places

@@ -392,9 +392,11 @@ class TestEnumerateLeqs:
             assert all(signature(e) == sig for e in placements[sig])
 
     def test_config_validation(self):
-        for p_max in (0, 8, 11, 1001, 5000):
+        for p_max in (0, 8, 11, 1001, 5000, 200.0, "200"):
             with pytest.raises(ValueError, match="p_max"):
                 enumerate_leqs(p_max)
+        with pytest.raises(ValueError, match="p_max"):
+            audit_theorems(42.0)
 
 
 @pytest.fixture()

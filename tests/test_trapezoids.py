@@ -1,14 +1,17 @@
 from fractions import Fraction
-from itertools import permutations
+from itertools import islice, permutations
 from math import isqrt
+from types import SimpleNamespace
 
 import pytest
 
+from equilat import pell, trapezoids
 from equilat.figures import CLASS_DRAWINGS, NAMED_QUADS
 from equilat.geometry import classify, dist_sq, is_equable, perimeter, realize, signature
 from equilat.search import get_catalog
 from equilat.trapezoids import (
     FIRST_TRIANGLE_BOUND,
+    TRAPEZOID_TRIANGLE_BOUND,
     TrapezoidSolution,
     all_equable_trapezoids,
     enumerate_perimeter_dominant,
@@ -126,10 +129,12 @@ class TestPerimeterDominantScan:
     def test_matches_direct_scan(self, p_max):
         assert enumerate_perimeter_dominant(p_max) == _scan_perimeter_dominant(p_max)
 
-    @pytest.mark.parametrize("p_max", [11, 0, -5])
+    @pytest.mark.parametrize("p_max", [11, 0, -5, 12.0, 400.0])
     def test_bound_below_12_rejected(self, p_max):
         with pytest.raises(ValueError):
             enumerate_perimeter_dominant(p_max)
+        with pytest.raises(ValueError):
+            all_equable_trapezoids(p_max)
 
     def test_delta_positive(self):
         assert all(_table(t)[2] > 0 for t in enumerate_perimeter_dominant(100))
@@ -258,6 +263,146 @@ class TestAllEquableTrapezoids:
                 assert c.denominator != 1, (t, f)
 
 
+    def test_scan_stops_at_the_triangle_bound(self, monkeypatch):
+        real = trapezoids.enumerate_perimeter_dominant
+
+        def capped(p_max):
+            if p_max > TRAPEZOID_TRIANGLE_BOUND:
+                raise AssertionError(f"asked to scan triangles to {p_max}")
+            return real(p_max)
+
+        expected = all_equable_trapezoids(400)
+        monkeypatch.setattr(trapezoids, "enumerate_perimeter_dominant", capped)
+        assert all_equable_trapezoids(10**12) == expected
+
+
+# The certificate of the trapezoids module docstring.  A polynomial in x is
+# its list of int coefficients, lowest first; u + v*y is the pair (u, v).
+X0 = 6
+# row -> (d, k, a, sides): the restriction d*y^2 = x^2 + k, the area a*x*y
+# and the sides in increasing order, each a polynomial in x
+ROW_POLYS = {
+    1: (2, 1, 6, ([3], [1, 0, 3], [2, 0, 3])),
+    2: (2, -1, 6, ([3], [-2, 0, 3], [-1, 0, 3])),
+    3: (3, 2, 6, ([4], [1, 0, 2], [3, 0, 2])),
+    4: (3, -1, 12, ([4], [-3, 0, 4], [-1, 0, 4])),
+}
+# (row, index of f in the sides) -> (M, j) of the module docstring's table
+_M12 = {0: (([-3], []), 4), 1: (([2], [0, 6]), 2), 2: (([4], [0, 6]), 5)}
+_M3 = ([1, 0, -1], [0, 3])
+_M4 = ([3, 0, -2], [0, 6])
+STRIP_BOUNDS = {
+    **{(row, i): mj for row in (1, 2) for i, mj in _M12.items()},
+    (3, 0): (([-4], []), 4), (3, 1): (_M3, 2), (3, 2): (_M3, 4),
+    (4, 0): (([-4], []), 4), (4, 1): (_M4, 2), (4, 2): (_M4, 4),
+}
+
+
+def _add(p, q):
+    n = max(len(p), len(q))
+    return [(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)]
+
+
+def _neg(p):
+    return [-a for a in p]
+
+
+def _mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for k, b in enumerate(q):
+            out[i + k] += a * b
+    return out
+
+
+def _positive_from(p, x0):
+    """p(x) > 0 for every real x >= x0: p(x0) > 0 and p(x0 + t) has no
+    negative coefficient."""
+    shifted = [0]
+    for a in reversed(p):  # Horner's rule in t = x - x0
+        shifted = _add(_mul(shifted, [x0, 1]), [a])
+    return shifted[0] > 0 and min(shifted) >= 0
+
+
+def _times(p, q, row):
+    """d * p * q as u + v*y, with d*y^2 = x^2 + k the row's restriction."""
+    d, k = ROW_POLYS[row][:2]
+    (u1, v1), (u2, v2) = p, q
+    return (_add(_mul([d], _mul(u1, u2)), _mul(_mul(v1, v2), [k, 0, 1])),
+            _mul([d], _add(_mul(u1, v2), _mul(u2, v1))))
+
+
+def _minus(p, q):
+    return _add(p[0], _neg(q[0])), _add(p[1], _neg(q[1]))
+
+
+def _holds_from(bound, row, x0):
+    """u + v*y > 0 for every real x >= x0, with y >= 0 on the row's
+    restriction: one of u and v is positive there and the other negative,
+    and the positive term's square exceeds the other's."""
+    (u, v), (d, k) = bound, ROW_POLYS[row][:2]
+    u_sq, vy_sq = _mul([d], _mul(u, u)), _mul(_mul(v, v), [k, 0, 1])  # d*u^2, d*(vy)^2
+    if _positive_from(u, x0) and _positive_from(_neg(v), x0):
+        return _positive_from(_add(u_sq, _neg(vy_sq)), x0)
+    if _positive_from(v, x0) and _positive_from(_neg(u), x0):
+        return _positive_from(_add(vy_sq, _neg(u_sq)), x0)
+    return False
+
+
+def _at(p, x, y):
+    u, v = p
+    return sum(a * x**i for i, a in enumerate(u)) + y * sum(a * x**i for i, a in enumerate(v))
+
+
+class TestFamilyRowsGiveNoTrapezoid:
+    @pytest.mark.parametrize("row, i", sorted(STRIP_BOUNDS))
+    def test_strip_width_bounds_hold_for_every_real_x(self, row, i):
+        # j < 2c - M < j + 1, times A - f > 0, with 2c = f(P - A)/(A - f)
+        _, _, a, sides = ROW_POLYS[row]
+        (m_u, m_v), j = STRIP_BOUNDS[row, i]
+        f, area = (sides[i], []), ([], [0, a])
+        per = (_add(_add(sides[0], sides[1]), sides[2]), [])
+        strip = _times(f, _minus(per, area), row)  # d * f(P - A)
+        lower = _minus(strip, _times((_add(m_u, [j]), m_v), _minus(area, f), row))
+        upper = _minus(_times((_add(m_u, [j + 1]), m_v), _minus(area, f), row), strip)
+        assert _holds_from(lower, row, X0)
+        assert _holds_from(upper, row, X0)
+
+    @pytest.mark.parametrize("row", [1, 2, 3, 4])
+    def test_strip_width_bounds_on_the_first_30_members(self, row):
+        name, x_min, sides_at, _ = FAMILY_ROWS[row]
+        d, k, a, sides = ROW_POLYS[row]
+        members = (xy for xy in pell.iter_solutions(pell.SPECS[name]) if xy[0] >= X0)
+        for x, y in islice(members, 30):
+            assert x >= x_min and d * y * y == x * x + k
+            t = sides_at(x)
+            assert t == tuple(_at((s, []), x, y) for s in sides)
+            assert heron_area(*t) == a * x * y
+            for i, f in enumerate(t):
+                m, j = STRIP_BOUNDS[row, i]
+                assert j < 2 * shorter_parallel_side(t, f) - _at(m, x, y) < j + 1, (t, f)
+
+    def test_members_below_x0_give_no_integer_c(self):
+        below = []
+        for name, x_min, sides_at, _ in FAMILY_ROWS.values():
+            for x, _ in pell.iter_solutions(pell.SPECS[name]):
+                if x >= X0:
+                    break
+                if x >= x_min:
+                    below.append(sides_at(x))
+        assert sorted(below) == [(3, 25, 26), (4, 13, 15), (4, 51, 53)]
+        for t in below:
+            assert all(shorter_parallel_side(t, f).denominator != 1 for f in t), t
+
+    def test_integer_strip_widths_lie_within_the_triangle_bound(self):
+        hits = [
+            (t, f) for t in enumerate_perimeter_dominant(400) for f in set(t)
+            if shorter_parallel_side(t, f).denominator == 1
+        ]
+        assert len(hits) == 5
+        assert max(sum(t) for t, _ in hits) <= TRAPEZOID_TRIANGLE_BOUND
+
+
 class TestLatticeEmbedding:
     def test_right_trapezoid(self):
         sol = trapezoid_from(T345, 3)
@@ -290,6 +435,27 @@ class TestLatticeEmbedding:
             legs.remove(sol.f)
             assert sides_sq == sorted(s * s for s in (sol.c + sol.f, sol.c, *legs))
             assert signature(emb) == signature(NAMED_QUADS[FIVE[sol.triangle, sol.f]])
+
+    def test_diagonals_match_the_planted_triangle(self, monkeypatch):
+        # the oracle plants the triangle O, A'(f, 0), C with C above, as
+        # the placement did before the trapezoid diagonal formula; c may be
+        # any positive rational, so the records are stand-ins
+        calls = []
+        monkeypatch.setattr(trapezoids, "realize", lambda sides, diags: calls.append(diags))
+        cases = 0
+        for t in enumerate_perimeter_dominant(400):
+            for f in set(t):
+                c = shorter_parallel_side(t, f)
+                assert c > 0
+                legs = list(t)
+                legs.remove(f)
+                for b, d in (legs, legs[::-1]):
+                    lattice_embedding(SimpleNamespace(triangle=(f, b, d), f=f, c=c))
+                    xc = Fraction(f * f + d * d - b * b, 2 * f)
+                    h_sq = d * d - xc * xc
+                    assert calls.pop() == ((xc + c) ** 2 + h_sq, (xc - c - f) ** 2 + h_sq)
+                    cases += 1
+        assert cases == 44  # 22 (triangle, f), two leg orders each
 
     def test_realizer_matches_catalog_lookup(self):
         # the search catalog, which the realizer replaced, is the oracle: its
