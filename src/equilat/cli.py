@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import io
-import json
 import sys
 from math import isqrt
 
@@ -70,6 +69,8 @@ def _drawing(q: geometry.LatticeQuad | None) -> tuple[str, geometry.LatticeQuad]
 
 
 def to_json(payload, pretty: bool) -> str:
+    import json  # only --format json needs it, so it stays out of startup
+
     layout = {"indent": 2} if pretty else {"separators": (",", ":")}
     return json.dumps(payload, sort_keys=True, **layout) + "\n"
 

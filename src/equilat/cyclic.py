@@ -7,13 +7,14 @@ Brahmagupta area condition turns, under the half-sum substitution
 many candidates; solving the quadratic for z and keeping integer roots with
 y <= z < w+x+y yields every solution.  A solution is its quadruple wxyz:
 `sides` recovers the side lengths, and `realizable_orderings` decides for
-each cyclic order of them whether it is realizable on the lattice: the exact
-realizer `geometry.realize` answers from its squared sides and diagonals.
+each cyclic order of them whether it is realizable on the lattice.  A
+lattice quad has integer squared diagonals, and an integer divmod of the
+cyclic diagonal formulas decides whether an order's are; the exact realizer
+`geometry.realize` answers for the orders whose squared diagonals are
+integers, from those and the squared sides.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from equilat.errors import InconsistencyError
 from equilat.geometry import LatticeQuad, exact_sqrt, realize
@@ -99,17 +100,17 @@ def cyclic_orderings(side_lengths: tuple[int, int, int, int]) -> list[tuple[int,
     return sorted(reps, reverse=True)
 
 
-def _diagonals_sq(order: tuple[int, int, int, int]) -> tuple[Fraction, Fraction]:
-    """Squared diagonals of the cyclic quadrilateral with sides in this order:
-    p^2 = (ac+bd)(ad+bc)/(ab+cd) and q^2 = (ac+bd)(ab+cd)/(ad+bc)."""
+def _diagonals_sq(order: tuple[int, int, int, int]) -> tuple[int, int] | None:
+    """Squared diagonals of the cyclic quadrilateral with sides in this order,
+    p^2 = (ac+bd)(ad+bc)/(ab+cd) and q^2 = (ac+bd)(ab+cd)/(ad+bc), or None
+    when either is not an integer."""
     a, b, c, d = order
     ac_bd = a * c + b * d
     ad_bc = a * d + b * c
     ab_cd = a * b + c * d
-    return (
-        Fraction(ac_bd * ad_bc, ab_cd),
-        Fraction(ac_bd * ab_cd, ad_bc),
-    )
+    p_sq, p_rem = divmod(ac_bd * ad_bc, ab_cd)
+    q_sq, q_rem = divmod(ac_bd * ab_cd, ad_bc)
+    return None if p_rem or q_rem else (p_sq, q_sq)
 
 
 def realizable_orderings(
@@ -117,17 +118,19 @@ def realizable_orderings(
 ) -> list[tuple[tuple[int, int, int, int], LatticeQuad | None]]:
     """Decide lattice realizability for every cyclic arrangement of the sides.
 
-    Each order's squared sides and exact squared diagonals go to
+    An order whose squared diagonals are not integers has no lattice
+    placement.  For the others, the squared sides and diagonals go to
     `geometry.realize`, which answers None unless the lattice holds them,
     else a placement congruent to the order's shape.
     """
     if (len(side_lengths) != 4 or not all(isinstance(s, int) and s > 0 for s in side_lengths)
             or not brahmagupta_check(*side_lengths)):
         raise ValueError(f"{side_lengths} is not an equable cyclic side multiset")
-    return [
-        (order, realize(tuple(s * s for s in order), _diagonals_sq(order)))
-        for order in cyclic_orderings(side_lengths)
-    ]
+    out = []
+    for order in cyclic_orderings(side_lengths):
+        diags = _diagonals_sq(order)
+        out.append((order, diags and realize(tuple(s * s for s in order), diags)))
+    return out
 
 
 def solutions() -> list[tuple[int, int, int, int]]:

@@ -276,9 +276,12 @@ def _circle_points(n: int) -> list[tuple[int, int]]:
 
 def realize(sides_sq: Sequence[int], diag_sq: Sequence) -> LatticeQuad | None:
     """A simple lattice quadrilateral with these squared sides, in cyclic
-    order from P0, and exact squared diagonals (|P0P2|^2, |P1P3|^2), ints or
-    Fractions; None when the lattice has none, as when a squared diagonal is
-    not an integer.  realize(sig[:4], sig[4:]) realizes a signature.
+    order from P0, and squared diagonals (|P0P2|^2, |P1P3|^2); None when the
+    lattice has none.  realize(sig[:4], sig[4:]) realizes a signature.
+
+    The package's callers decide in integers that the squared diagonals are
+    integers, so only ints reach it.  An exact rational is accepted too, and
+    one that is not an integer gets None.
 
     The answer is congruent to the requested shape, but LatticeQuad turns a
     clockwise find round, so its sides in vertex order are the requested

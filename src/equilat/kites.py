@@ -117,6 +117,8 @@ def iter_members(tag: str) -> Iterator[KiteMember]:
 
 def generate(tag: str, count: int) -> list[KiteMember]:
     """First `count` admissible members in increasing n."""
+    if not isinstance(count, int):
+        raise ValueError("count must be an integer")
     if count < 1:
         raise ValueError("count must be positive")
     return list(islice(iter_members(tag), count))
@@ -124,6 +126,8 @@ def generate(tag: str, count: int) -> list[KiteMember]:
 
 def members_within_perimeter(tag: str, p_max: int) -> list[KiteMember]:
     """All members with perimeter (= area = 2*K_A) at most p_max."""
+    if not isinstance(p_max, int):
+        raise ValueError("p_max must be an integer")
     return list(takewhile(lambda km: km.perimeter <= p_max, iter_members(tag)))
 
 

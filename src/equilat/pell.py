@@ -124,6 +124,8 @@ def iter_solutions(spec: PellSpec) -> Iterator[PellSolution]:
 
 def solutions(spec: PellSpec, count: int) -> list[PellSolution]:
     """First `count` solutions of the spec, ordered by increasing n."""
+    if not isinstance(count, int):
+        raise ValueError("count must be an integer")
     if count < 1:
         raise ValueError("count must be positive")
     return list(islice(iter_solutions(spec), count))
@@ -134,6 +136,8 @@ def seed_search(alpha: int, beta: int, gamma: int, bound: int) -> list[PellSolut
 
     Independent of the recurrence machinery; used as the completeness oracle.
     """
+    if not isinstance(bound, int):
+        raise ValueError("bound must be an integer")
     if bound < 1:
         raise ValueError("bound must be positive")
     found = []

@@ -3,11 +3,14 @@ quadrilaterals, labeled vertices.  One lattice unit is a fixed 24 px."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import ceil, floor
+from typing import TYPE_CHECKING, Callable
 
 from equilat.figures import NAMED_QUADS
 from equilat.geometry import side_swap
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = ["UNIT", "FIGURE_PANELS", "figure_names", "render_figure"]
 
@@ -21,10 +24,6 @@ _GRID = "#b0b0b0"
 _LABELS = ["O", "A", "B", "C"]
 _KITE = NAMED_QUADS["kite-3-15"]
 
-# parallelogram-failure: swapped on OB, the rectangle's C' moves to C, no lattice point
-_RECT = NAMED_QUADS["rectangle-3-6"]
-_C = side_swap(_RECT, 2)[3]
-
 
 def _trapezoid(name: str) -> dict:
     """Panel of the trapezoid drawing O, A, B, C with legs AB and CO.  It marks
@@ -36,34 +35,45 @@ def _trapezoid(name: str) -> dict:
     return {"polygons": [q], "labels": _LABELS, "dashed": [cut], "marks": [(a1, "A'")]}
 
 
-# Figure compositions.  Each panel: polygons drawn with vertex labels,
-# optional dashed segments, optional marked (possibly non-lattice) points.
-FIGURE_PANELS: dict[str, list[dict]] = {
-    "rhombus-pair": [
+def _parallelogram_failure() -> list[dict]:
+    """Panels of the rectangle and of its swap on OB, which moves C' to a C
+    that is no lattice point.  C is a pair of Fractions, so only this figure
+    loads fractions."""
+    rect = NAMED_QUADS["rectangle-3-6"]
+    c = side_swap(rect, 2)[3]
+    return [
+        {"polygons": [rect], "labels": ["O", "A", "B", "C'"], "dashed": [rect[::2]]},
+        {"polygons": [(*rect[:3], c)], "labels": _LABELS, "dashed": [rect[::2]],
+         "marks": [(c, f"({c[0]}, {c[1]})")]},
+    ]
+
+
+# Figure compositions: each name gives a function that builds its panels, so
+# a figure is computed only when it is drawn.  Each panel: polygons drawn with
+# vertex labels, optional dashed segments, optional marked (possibly
+# non-lattice) points.
+FIGURE_PANELS: dict[str, Callable[[], list[dict]]] = {
+    "rhombus-pair": lambda: [
         {"polygons": [NAMED_QUADS["rhombus-5"]], "labels": _LABELS},
         {"polygons": [NAMED_QUADS["rhombus-5-alt"]], "labels": _LABELS},
     ],
-    "kite-3-15": [{"polygons": [_KITE], "labels": _LABELS, "dashed": [_KITE[::2]]}],
-    "trapezoid-20-4-15-3": [_trapezoid("trapezoid-20-4-15-3")],
-    "right-trapezoids": [
+    "kite-3-15": lambda: [{"polygons": [_KITE], "labels": _LABELS, "dashed": [_KITE[::2]]}],
+    "trapezoid-20-4-15-3": lambda: [_trapezoid("trapezoid-20-4-15-3")],
+    "right-trapezoids": lambda: [
         _trapezoid("right-trapezoid-6-4-3-5"),
         _trapezoid("right-trapezoid-10-3-6-5"),
     ],
-    "isosceles-trapezoids": [
+    "isosceles-trapezoids": lambda: [
         _trapezoid("isosceles-trapezoid-8-5-2-5"),
         _trapezoid("isosceles-trapezoid-14-5-6-5"),
     ],
-    "k1-nested": [
+    "k1-nested": lambda: [
         {
             "polygons": [NAMED_QUADS[n] for n in ("kite-k1-n18", "kite-k1-n7", "dart-10-5")],
             "labels": None,
         },
     ],
-    "parallelogram-failure": [
-        {"polygons": [_RECT], "labels": ["O", "A", "B", "C'"], "dashed": [_RECT[::2]]},
-        {"polygons": [(*_RECT[:3], _C)], "labels": _LABELS, "dashed": [_RECT[::2]],
-         "marks": [(_C, f"({_C[0]}, {_C[1]})")]},
-    ],
+    "parallelogram-failure": _parallelogram_failure,
 }
 
 
@@ -160,7 +170,7 @@ def render_figure(name: str, command: str = "") -> str:
     side by side.  The generating command is embedded as a comment."""
     if name not in FIGURE_PANELS:
         raise KeyError(f"unknown figure {name!r}; choose from {figure_names()}")
-    panels = [_Panel(spec) for spec in FIGURE_PANELS[name]]
+    panels = [_Panel(spec) for spec in FIGURE_PANELS[name]()]
     width = sum(p.width for p in panels) + PANEL_GAP * (len(panels) - 1)
     height = max(p.height for p in panels)
 

@@ -110,6 +110,8 @@ P_MAX_MAX = 1000
 def integer_norm_vectors(max_len: int) -> list[tuple[int, int, int]]:
     """All nonzero lattice vectors (dx, dy, length) with integer norm
     length <= max_len, every quadrant included, sorted by (length, dx, dy)."""
+    if not isinstance(max_len, int):
+        raise ValueError("max_len must be an integer")
     if max_len < 1:
         raise ValueError("max_len must be positive")
     out = []

@@ -6,9 +6,13 @@ such a triangle and a choice f of the side to extend, the strip width is
 
     c = f * (perimeter - area) / (2 * (area - f)),
 
-and the construction succeeds exactly when c is a positive integer.  A
-triangle is its sides (x, y, z) with x <= y <= z, and `heron_area` gives its
-area; `shorter_parallel_side` rejects sides that are not Heronian.
+and the construction succeeds exactly when c is a positive integer.  An
+integer divmod of that numerator by that denominator decides it, as divmod
+decides the squared diagonals in `lattice_embedding` and
+`interior_rational`, so only integers reach `geometry.realize`.  A triangle
+is its sides (x, y, z) with x <= y <= z, and `heron_area` gives its area;
+`shorter_parallel_side` gives c as a Fraction, for display, and rejects
+sides that are not Heronian.
 
 The triangles come from their tangent lengths.  A Heronian perimeter is even,
 so with s the half-perimeter the sides are (u+v, u+w, v+w) for integers
@@ -38,7 +42,7 @@ The branches (u, v) fall into three kinds:
 
 The rows give no trapezoid.  For a member (x, y) and a side f, with P and A
 its perimeter and area, 2c = f(P - A)/(A - f), and A - f > 0 (see
-`shorter_parallel_side`).  For x >= 6, j < 2c - M < j + 1 with the integer
+`_strip_width`).  For x >= 6, j < 2c - M < j + 1 with the integer
 polynomial M and the integer j below, so neither 2c nor c is an integer:
 
     f        rows 1, 2     row 3             row 4              2c - M tends to
@@ -60,12 +64,14 @@ TRAPEZOID_TRIANGLE_BOUND.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import permutations
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from equilat.errors import Checked
 from equilat.geometry import LatticeQuad, exact_sqrt, realize, signature
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "TrapezoidSolution",
@@ -155,13 +161,13 @@ class TrapezoidSolution(Checked, _TrapezoidSolution):
         return super().__new__(cls, tuple(triangle), f)
 
     def _check(self) -> None:
-        c = shorter_parallel_side(self.triangle, self.f)
-        if c.denominator != 1 or c < 1:
+        if _whole_strip_width(self.triangle, self.f) is None:
+            c = shorter_parallel_side(self.triangle, self.f)
             raise ValueError(f"strip width {c} is not a positive integer")
 
     @property
     def c(self) -> int:
-        return int(shorter_parallel_side(self.triangle, self.f))
+        return _whole_strip_width(self.triangle, self.f)
 
     @property
     def perimeter(self) -> int:
@@ -169,14 +175,17 @@ class TrapezoidSolution(Checked, _TrapezoidSolution):
 
     @property
     def h(self) -> Fraction:
-        """The height: the triangle's height on its side f."""
+        """The height: the triangle's height on its side f, which the
+        `trapezoids` command prints as a rational."""
+        from fractions import Fraction  # only the trapezoids command shows h
+
         return Fraction(2 * heron_area(*self.triangle), self.f)
 
 
-def shorter_parallel_side(t: tuple[int, int, int], f: int) -> Fraction:
-    """Exact value of the strip width c for side choice f of the Heronian
-    triangle with sides x <= y <= z; ValueError for any other sides or an f
-    that is not one of them.
+def _strip_width(t: tuple[int, int, int], f: int) -> tuple[int, int]:
+    """The strip width c for side choice f of the Heronian triangle with sides
+    x <= y <= z, as its numerator and positive denominator; ValueError for any
+    other sides or an f that is not one of them.
 
     The denominator is positive, as a Heronian triangle's area exceeds each
     side: with tangent lengths u, v, w >= 1 and the side v + w,
@@ -189,14 +198,27 @@ def shorter_parallel_side(t: tuple[int, int, int], f: int) -> Fraction:
         raise ValueError(f"{t} is not Heronian")
     if not isinstance(f, int) or f not in t:
         raise ValueError(f"{f} is not a side of {t}")
-    return Fraction(f * (x + y + z - area), 2 * (area - f))
+    return f * (x + y + z - area), 2 * (area - f)
+
+
+def _whole_strip_width(t: tuple[int, int, int], f: int) -> int | None:
+    """The strip width c when it is a positive integer, else None."""
+    c, rem = divmod(*_strip_width(t, f))
+    return c if rem == 0 and c >= 1 else None
+
+
+def shorter_parallel_side(t: tuple[int, int, int], f: int) -> Fraction:
+    """Exact value of the strip width c for side choice f of the triangle;
+    see `_strip_width`, which decides integrality without it."""
+    from fractions import Fraction  # c is a Fraction only where it is shown
+
+    return Fraction(*_strip_width(t, f))
 
 
 def trapezoid_from(t: tuple[int, int, int], f: int) -> TrapezoidSolution | None:
     """Equable trapezoid extending side f of the triangle, or None when the
     strip width is not a positive integer."""
-    c = shorter_parallel_side(t, f)
-    if c.denominator != 1 or c < 1:
+    if _whole_strip_width(t, f) is None:
         return None
     return TrapezoidSolution(t, f)
 
@@ -220,15 +242,19 @@ def all_equable_trapezoids(p_max: int = TRAPEZOID_SCAN_BOUND) -> list[TrapezoidS
 def lattice_embedding(ts: TrapezoidSolution) -> LatticeQuad | None:
     """A lattice placement O, A, B, C congruent to the trapezoid, from
     `geometry.realize`; None when the lattice has none.  Its sides are
-    OA = a, AB = b, BC = c and CO = d, and a - c = f gives its diagonals."""
+    OA = a, AB = b, BC = c and CO = d, and a - c = f gives its squared
+    diagonals a*c + (a*d^2 - c*b^2)/f and a*c + (a*b^2 - c*d^2)/f.  The two
+    numerators sum to (a - c)(b^2 + d^2) = f(b^2 + d^2), so both diagonals
+    are integers when f divides the first, and otherwise there is none."""
     f, c = ts.f, ts.c
     legs = list(ts.triangle)  # the sides other than f
     legs.remove(f)
     b, d = legs
     a = c + f
-    diag_ob = a * c + Fraction(a * d * d - c * b * b, f)  # O -> B
-    diag_ac = a * c + Fraction(a * b * b - c * d * d, f)  # A -> C
-    return realize((a * a, b * b, c * c, d * d), (diag_ob, diag_ac))
+    ob, rem = divmod(a * d * d - c * b * b, f)  # O -> B, less a*c
+    if rem:
+        return None
+    return realize((a * a, b * b, c * c, d * d), (a * c + ob, a * c + b * b + d * d - ob))
 
 
 def interior_rational() -> list[tuple[tuple[int, ...], int]]:
@@ -257,7 +283,8 @@ def interior_rational() -> list[tuple[tuple[int, ...], int]]:
       and each such (y, z) allows x = 1 only; x + e <= 8.
     So the first triangle has perimeter at most FIRST_TRIANGLE_BOUND.  Each
     gluing has the other diagonal D^2 = (((a^2 - b^2) - (d^2 - c^2))^2 / 4
-    + 4(A1 + A2)^2) / e^2, and `geometry.realize` decides which are lattice
+    + 4(A1 + A2)^2) / e^2.  A lattice quad needs D^2 to be an integer, and of
+    the gluings where it is, `geometry.realize` decides which are lattice
     quads: only the right trapezoid with sides 6, 4, 3, 5, cut at e = 5.
     """
     found = set()
@@ -276,8 +303,8 @@ def interior_rational() -> list[tuple[tuple[int, ...], int]]:
                 u = (root - lin) // (2 * yz - 8)
                 c, d = u + y, u + e - y
                 s = area + c + d + k  # A1 + A2
-                diag = Fraction(((a * a - b * b) - (d * d - c * c)) ** 2 + 16 * s * s, 4 * e * e)
-                quad = realize((a * a, b * b, c * c, d * d), (e * e, diag))
+                diag, rem = divmod(((a * a - b * b) - (d * d - c * c)) ** 2 + 16 * s * s, 4 * e * e)
+                quad = None if rem else realize((a * a, b * b, c * c, d * d), (e * e, diag))
                 if quad is not None:
                     found.add((signature(quad), e))
     return sorted(found)

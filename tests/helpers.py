@@ -219,6 +219,43 @@ def family_members(row: int, p_max: int) -> list[tuple[int, int, int]]:
             out.append(t)
 
 
+# The rational formulas that `trapezoids` and `cyclic` decide in integers,
+# kept here in Fractions as the oracle of those integer decisions.
+
+def strip_width_by_fractions(t: tuple[int, int, int], f: int) -> Fraction:
+    """The strip width c = f(P - A) / (2(A - f)) of the Heronian triangle t
+    with perimeter P and area A, extended on its side f."""
+    area = heron_area(*t)
+    return Fraction(f * (sum(t) - area), 2 * (area - f))
+
+
+def trapezoid_diagonals_by_planting(f: int, b: int, d: int, c) -> tuple[Fraction, Fraction]:
+    """Squared diagonals |OB|^2 and |AC|^2 of the trapezoid O, A, B, C with
+    sides c + f, b, c, d in that order, for any positive c: plant the source
+    triangle O, A'(f, 0), C with |A'C| = b, |CO| = d and C above OA', then
+    B = C + (c, 0) and A = (c + f, 0)."""
+    xc = Fraction(f * f + d * d - b * b, 2 * f)
+    h_sq = d * d - xc * xc
+    return (xc + c) ** 2 + h_sq, (xc - c - f) ** 2 + h_sq
+
+
+def cyclic_diagonals_by_fractions(order: tuple[int, int, int, int]) -> tuple[Fraction, Fraction]:
+    """Squared diagonals of the cyclic quadrilateral with sides in this order,
+    p^2 = (ac+bd)(ad+bc)/(ab+cd) and q^2 = (ac+bd)(ab+cd)/(ad+bc)."""
+    a, b, c, d = order
+    return (
+        Fraction((a * c + b * d) * (a * d + b * c), a * b + c * d),
+        Fraction((a * c + b * d) * (a * b + c * d), a * d + b * c),
+    )
+
+
+def whole(values) -> tuple[int, ...] | None:
+    """The rationals as ints when every one is an integer, else None."""
+    if any(Fraction(v).denominator != 1 for v in values):
+        return None
+    return tuple(int(v) for v in values)
+
+
 def all_real_parser(command: str | None) -> argparse.ArgumentParser:
     """Reference oracle for `cli._build_parser`: the same parser built with a
     real `ArgumentParser` for every command, options only on that of

@@ -102,18 +102,53 @@ class TestStartup:
         # only --format csv writes CSV, so cli imports csv inside _csv_text
         assert _loaded_by_any_command(["csv", "_csv"]) == set()
 
+    def test_import_does_not_load_fractions(self):
+        # every module decides integrality in integers and imports fractions
+        # only inside the functions that return or show a rational
+        assert _loaded_by_any_command(["fractions", "decimal", "numbers"]) == set()
+
+    def test_import_does_not_load_json(self):
+        # only --format json writes JSON, so cli imports json inside to_json;
+        # json costs about 2.5 ms of startup on a 2-vCPU Xeon
+        assert _loaded_by_any_command(["json"]) == set()
+
     @pytest.mark.parametrize(
         "argv",
-        [("search", "--p-max", "16"), ("kites", "--count", "2"), ("pell", "--count", "2")],
-        ids=["search", "kites", "pell"],
+        [
+            ("search", "--p-max", "16"), ("kites", "--count", "2"), ("pell", "--count", "2"),
+            ("audit",), ("audit", "--p-max", "200"), ("cyclic",),
+            *(("render", "--figure", name) for name in render.figure_names()
+              if name != "parallelogram-failure"),
+        ],
+        ids=["search", "kites", "pell", "audit", "audit-200", "cyclic",
+             *("render-" + name for name in render.figure_names()
+               if name != "parallelogram-failure")],
     )
     def test_command_does_not_load_fractions(self, argv):
-        # geometry imports fractions inside side_swap, which only render
-        # calls; fractions and decimal cost about 3.8 ms (-X importtime)
+        # fractions and decimal cost about 3.8 ms (-X importtime).  Only the
+        # h that trapezoids prints and the swapped corner that the
+        # parallelogram-failure figure marks are rationals.
         done = _python("-c", _LOADED_PROBE, *argv)
         code, *loaded = done.stdout.split()
         assert (code, done.stderr) == ("0", "")
         assert {"fractions", "decimal"}.isdisjoint(loaded)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            (name, "--format", fmt, *extra)
+            for name, (_, _, formats, _) in cli._COMMANDS.items()
+            for fmt in formats if fmt != "json"
+            for extra in [{"search": ("--p-max", "16"), "render": ("--figure", "k1-nested")}
+                          .get(name, ())]
+        ],
+        ids=lambda argv: "-".join(argv[:3:2]),
+    )
+    def test_command_without_json_output_does_not_load_json(self, argv):
+        done = _python("-c", _LOADED_PROBE, *argv)
+        code, *loaded = done.stdout.split()
+        assert (code, done.stderr) == ("0", "")
+        assert "json" not in loaded
 
     def test_import_loads_every_traced_module(self):
         # perfbench/trace_shim.py finds the modules it wraps in sys.modules

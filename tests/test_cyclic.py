@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -16,7 +16,7 @@ from equilat.errors import InconsistencyError
 from equilat.figures import NAMED_QUADS
 from equilat.geometry import canonical_signature, exact_sqrt, signature
 from equilat.search import get_catalog
-from helpers import cyclic_orderings_by_permutations
+from helpers import cyclic_diagonals_by_fractions, cyclic_orderings_by_permutations, whole
 
 
 def _dihedral_class(order):
@@ -164,17 +164,28 @@ class TestOrderings:
         with pytest.raises(ValueError, match="is not an equable cyclic side multiset"):
             realizable_orderings(sides_)
 
+    def test_diagonals_match_the_fraction_formula(self):
+        # the squared diagonals are decided by an integer divmod; the Fraction
+        # formula is the oracle, on every order of each solution's sides
+        orders = {order for wxyz in solutions() for order in permutations(sides(wxyz))}
+        for order in orders:
+            diags = _diagonals_sq(order)
+            assert diags == whole(cyclic_diagonals_by_fractions(order)), order
+            assert diags is None or all(type(x) is int for x in diags)
+        assert len(orders) == 31
+        assert sum(_diagonals_sq(order) is not None for order in orders) == 11
+
     def test_realizer_matches_catalog_lookup(self):
         # the search catalog, which the realizer replaced, is the oracle
         checked = 0
         for wxyz in solutions():
             catalog = get_catalog(max(42, sum(sides(wxyz))))
             for order, emb in realizable_orderings(sides(wxyz)):
-                p_sq, q_sq = _diagonals_sq(order)
-                if p_sq.denominator != 1 or q_sq.denominator != 1:
+                diags = _diagonals_sq(order)
+                if diags is None:
                     assert emb is None
                     continue
-                sig = canonical_signature(tuple(x * x for x in order), (int(p_sq), int(q_sq)))
+                sig = canonical_signature(tuple(x * x for x in order), diags)
                 assert (emb is not None) == (sig in catalog), order
                 assert emb is None or signature(emb) == sig
                 checked += 1

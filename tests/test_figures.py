@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from equilat import cyclic
+from equilat import cyclic, geometry, trapezoids
 from equilat.errors import InconsistencyError
 from equilat.figures import CLASS_DRAWINGS, NAMED_QUADS, _check_equable
 from equilat.geometry import LatticeQuad, realize, signature
@@ -24,8 +24,28 @@ def test_non_equable_drawing_is_an_error():
 
 
 class TestPlace:
-    """`geometry.realize` places shapes whose squared diagonals are exact
-    rationals, as the cyclic and trapezoid constructions give them."""
+    """`geometry.realize` places shapes from their squared sides and
+    diagonals.  The package decides in integers that the diagonals are
+    integers before it asks, but an exact rational is accepted too."""
+
+    def test_only_ints_reach_the_realizer(self, monkeypatch):
+        asked = []
+
+        def recording(sides_sq, diag_sq):
+            asked.append((*sides_sq, *diag_sq))
+            return geometry.realize(sides_sq, diag_sq)
+
+        monkeypatch.setattr(trapezoids, "realize", recording)
+        monkeypatch.setattr(cyclic, "realize", recording)
+        for sol in trapezoids.all_equable_trapezoids():
+            trapezoids.lattice_embedding(sol)
+        trapezoids.interior_rational()
+        for wxyz in cyclic.solutions():
+            cyclic.realizable_orderings(cyclic.sides(wxyz))
+        # the five trapezoids, the gluings of interior_rational whose D^2 is
+        # an integer, and the cyclic orders whose diagonals are
+        assert len(asked) == 5 + 4 + 4
+        assert all(type(x) is int for call in asked for x in call)
 
     @pytest.mark.parametrize("diag_sq", [(Fraction(25, 2), 52), (52, Fraction(25, 2))])
     def test_non_integral_diagonal_is_not_placed(self, diag_sq):

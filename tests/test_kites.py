@@ -123,6 +123,11 @@ class TestGenerate:
     def test_k2_skips_n1(self):
         assert generate("K2", 1)[0].sol == PellSolution(9, 4)
 
+    @pytest.mark.parametrize("count", [3.0, "3"], ids=["float", "str"])
+    def test_rejects_a_count_that_is_not_an_int(self, count):
+        with pytest.raises(ValueError, match="^count must be an integer$"):
+            generate("K1", count)
+
     def test_section3_tables(self):
         expect = {
             "K1": [(2, 0, (4, -3), (4, 2)), (3, 1, (10, 0), (6, 3)),
@@ -243,6 +248,12 @@ class TestMembersWithinPerimeter:
             for km in members_within_perimeter(tag, 42)
         }
         assert found == {("K1", 2), ("K1", 3), ("K3", 1), ("K4", 1)}
+
+    @pytest.mark.parametrize("p_max", [100.0, 42.5, "42"], ids=["float", "half", "str"])
+    def test_rejects_a_bound_that_is_not_an_int(self, p_max):
+        # as the search and trapezoid bounds do
+        with pytest.raises(ValueError, match="^p_max must be an integer$"):
+            members_within_perimeter("K1", p_max)
 
 
 class TestKiteFromParallelogram:

@@ -70,6 +70,10 @@ class TestSeedSearch:
         with pytest.raises(ValueError, match="bound must be positive"):
             seed_search(1, 5, 4, 0)
 
+    def test_rejects_a_bound_that_is_not_an_int(self):
+        with pytest.raises(ValueError, match="^bound must be an integer$"):
+            seed_search(1, 5, 4, 30.0)
+
 
 @pytest.mark.parametrize("spec", SPECS.values(), ids=lambda s: s.name)
 def test_stream_matches_scan_oracle(spec):
@@ -159,6 +163,12 @@ def test_recurrence_inconsistency_detected():
 def test_count_must_be_positive():
     with pytest.raises(ValueError):
         solutions(SPECS["K1"], 0)
+
+
+@pytest.mark.parametrize("count", [3.0, "3"], ids=["float", "str"])
+def test_count_must_be_an_integer(count):
+    with pytest.raises(ValueError, match="^count must be an integer$"):
+        solutions(SPECS["K1"], count)
 
 
 def test_unknown_name_is_a_key_error():

@@ -20,7 +20,7 @@ def test_escape_matches_html_escape(text):
 def test_trapezoid_panels_match_the_construction():
     # each trapezoid panel marks A' at distance f from O, so that OA'C is the
     # source triangle, and dashes the cut A'C
-    panels = [panel for spec in FIGURE_PANELS.values() for panel in spec]
+    panels = [panel for build in FIGURE_PANELS.values() for panel in build()]
     sols = all_equable_trapezoids()
     assert len(sols) == 5
     for sol in sols:

@@ -61,6 +61,11 @@ class TestIntegerNormVectors:
         with pytest.raises(ValueError, match="max_len must be positive"):
             integer_norm_vectors(0)
 
+    @pytest.mark.parametrize("max_len", [5.0, "5"], ids=["float", "str"])
+    def test_rejects_a_length_that_is_not_an_int(self, max_len):
+        with pytest.raises(ValueError, match="^max_len must be an integer$"):
+            integer_norm_vectors(max_len)
+
     def test_sorted(self):
         vecs = integer_norm_vectors(10)
         keys = [(length, dx, dy) for dx, dy, length in vecs]

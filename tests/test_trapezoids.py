@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import islice, permutations
+from itertools import islice, permutations, product
 from math import isqrt
 from types import SimpleNamespace
 
@@ -21,7 +21,13 @@ from equilat.trapezoids import (
     shorter_parallel_side,
     trapezoid_from,
 )
-from helpers import FAMILY_ROWS, family_members
+from helpers import (
+    FAMILY_ROWS,
+    family_members,
+    strip_width_by_fractions,
+    trapezoid_diagonals_by_planting,
+    whole,
+)
 
 
 def _scan_perimeter_dominant(p_max: int) -> list[tuple[int, int, int]]:
@@ -207,7 +213,7 @@ class TestTrapezoidFrom:
 
     def test_degeneracy_guard(self):
         # no guard is needed against a side f >= area (height <= 2): the lemma
-        # in shorter_parallel_side's docstring keeps its denominator positive.
+        # in _strip_width's docstring keeps its denominator positive.
         # Scan it over every Heronian triangle of perimeter <= 600.
         found = []
         for x in range(1, 201):
@@ -218,6 +224,26 @@ class TestTrapezoidFrom:
                         found.append((Fraction(area, z), (x, y, z)))
         assert len(found) == 1723
         assert min(found) == (Fraction(6, 5), (3, 4, 5))
+
+    def test_integer_decisions_match_the_fraction_formula(self):
+        # the strip width is decided by an integer divmod; the Fraction formula
+        # is the oracle, on every perimeter-dominant triangle to 400 and every
+        # Heronian one to 200, where c may also be 0 or negative
+        heronian = [(x, y, z) for x, y, z, _ in _heronian_by_sides(200)]
+        cases = [(t, f) for t in {*enumerate_perimeter_dominant(400), *heronian} for f in set(t)]
+        whole_widths = 0
+        for t, f in cases:
+            c = strip_width_by_fractions(t, f)
+            assert shorter_parallel_side(t, f) == c
+            sol = trapezoid_from(t, f)
+            if c.denominator == 1 and c >= 1:
+                assert type(sol.c) is int and sol.c == c, (t, f)
+                whole_widths += 1
+            else:
+                assert sol is None, (t, f)
+                with pytest.raises(ValueError, match=f"^strip width {c} is not a positive integer$"):
+                    TrapezoidSolution(t, f)
+        assert (len(cases), whole_widths) == (741, 5)
 
     def test_solution_is_equable_in_rationals(self):
         for t, f in [(T345, 3), (T345, 4), (T345, 5), (T556, 6), (T558, 8)]:
@@ -437,25 +463,28 @@ class TestLatticeEmbedding:
             assert signature(emb) == signature(NAMED_QUADS[FIVE[sol.triangle, sol.f]])
 
     def test_diagonals_match_the_planted_triangle(self, monkeypatch):
-        # the oracle plants the triangle O, A'(f, 0), C with C above, as
-        # the placement did before the trapezoid diagonal formula; c may be
-        # any positive rational, so the records are stand-ins
+        # the oracle plants the triangle O, A'(f, 0), C with C above, as the
+        # placement did before the trapezoid diagonal formula.  The formula
+        # holds for any strip width, so the records are stand-ins with every
+        # integer c up to 40; the realizer must get the planted diagonals as
+        # ints when both are integers, and must not be asked otherwise.
         calls = []
         monkeypatch.setattr(trapezoids, "realize", lambda sides, diags: calls.append(diags))
-        cases = 0
+        cases = placed = 0
         for t in enumerate_perimeter_dominant(400):
             for f in set(t):
-                c = shorter_parallel_side(t, f)
-                assert c > 0
                 legs = list(t)
                 legs.remove(f)
-                for b, d in (legs, legs[::-1]):
+                for (b, d), c in product((legs, legs[::-1]), range(1, 41)):
                     lattice_embedding(SimpleNamespace(triangle=(f, b, d), f=f, c=c))
-                    xc = Fraction(f * f + d * d - b * b, 2 * f)
-                    h_sq = d * d - xc * xc
-                    assert calls.pop() == ((xc + c) ** 2 + h_sq, (xc - c - f) ** 2 + h_sq)
+                    diags = whole(trapezoid_diagonals_by_planting(f, b, d, c))
+                    if diags is None:
+                        assert calls == [], (t, f, b, c)
+                    else:
+                        assert calls.pop() == diags and all(type(x) is int for x in diags)
+                        placed += 1
                     cases += 1
-        assert cases == 44  # 22 (triangle, f), two leg orders each
+        assert (cases, placed) == (1760, 804)
 
     def test_realizer_matches_catalog_lookup(self):
         # the search catalog, which the realizer replaced, is the oracle: its
