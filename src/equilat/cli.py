@@ -4,15 +4,18 @@
             [--family K1..K4] [--count N] [--p-max N] [--workers N]
             [--format json|csv|svg|text] [--out PATH] [--figure NAME] [--pretty]
 
-Each command builds its data once and returns {format: builder}, where a
-builder gives the JSON payload, the CSV header and rows, the text lines or the
-SVG document, and audit adds "failed", the cross-checks that do not hold.
-`run` serializes the requested format to stdout or --out.  JSON output is
-canonical: sorted keys, no floating point, rationals as {"num": ..., "den": ...};
---pretty indents it and needs --format json.  Errors go to stderr.  Exit codes:
-0 success, 1 domain error, unwritable --out or failed audit cross-check (named
-on one stderr line), 2 usage error, 130 interrupted (Ctrl-C).  A command
-executes only the equilat modules it uses: see `_lazy_submodule`.
+Each command's module in `equilat.commands` has a `build(args)` that builds
+its data once and returns {format: builder}, where a builder gives the JSON
+payload, the CSV header and rows, the text lines or the SVG document, and
+audit adds "failed", the cross-checks that do not hold.  `run` imports only
+the module of the command it parsed and serializes the requested format to
+stdout or --out.  JSON output is canonical: sorted keys, no floating point,
+rationals as {"num": ..., "den": ...}; --pretty indents it and needs --format
+json.  Errors go to stderr.  Exit codes: 0 success, 1 domain error,
+unwritable --out or failed audit cross-check (named on one stderr line), 2
+usage error, 130 interrupted (Ctrl-C).  A command compiles only its own
+command module and executes only the equilat modules it uses: see
+`_lazy_submodule`.  `--help` and usage errors import no command module.
 """
 
 from __future__ import annotations
@@ -21,10 +24,9 @@ import argparse
 import importlib.util
 import io
 import sys
-from math import isqrt
 
 import equilat
-from equilat.errors import EquilatError, InconsistencyError
+from equilat.errors import EquilatError
 
 __all__ = ["run", "main"]
 
@@ -33,7 +35,9 @@ def _lazy_submodule(name: str):
     """equilat.<name>, registered in sys.modules and on the package but executed
     on its first attribute read, so each command runs only the modules it uses.
     perfbench/trace_shim.py finds the modules it wraps in sys.modules, which is
-    why they are not imported inside the functions that use them."""
+    why they are not imported inside the functions that use them.  The
+    command modules read them as attributes of the package, which keeps them
+    lazy."""
     full = f"equilat.{name}"
     if full not in sys.modules:  # one already imported is used as it is
         spec = importlib.util.find_spec(full)
@@ -49,23 +53,6 @@ cyclic, figures, geometry, kites, pell, render, search, trapezoids = map(_lazy_s
     "cyclic", "figures", "geometry", "kites", "pell", "render", "search", "trapezoids"))
 
 DEFAULT_P_MAX = 42
-
-
-def _check_workers(args: argparse.Namespace) -> None:
-    if args.workers < 1:
-        raise EquilatError("workers must be positive")
-
-
-def _quad_json(q: geometry.LatticeQuad | None) -> list[list[int]] | None:
-    return None if q is None else [list(p) for p in q]
-
-
-def _drawing(q: geometry.LatticeQuad | None) -> tuple[str, geometry.LatticeQuad]:
-    """The name and drawing shown for the class of the realized quad q."""
-    shown = q and figures.CLASS_DRAWINGS.get(geometry.signature(q))
-    if shown is None:
-        raise InconsistencyError(f"no named drawing of {q}")
-    return shown
 
 
 def to_json(payload, pretty: bool) -> str:
@@ -100,203 +87,6 @@ def _emit(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _cmd_pell(args: argparse.Namespace) -> dict:
-    keys = ("name", "alpha", "beta", "gamma", "rec")
-    rows = [
-        {
-            **{key: getattr(spec, key) for key in keys},
-            "solutions": [[s.n, s.i] for s in pell.solutions(spec, args.count)],
-        }
-        for spec in pell.SPECS.values()
-    ]
-    return {
-        "json": lambda: rows,
-        "csv": lambda: ([*keys, "index", "n", "i"], [
-            [*(r[key] for key in keys), j, *s]
-            for r in rows
-            for j, s in enumerate(r["solutions"])
-        ]),
-        "text": lambda: [
-            f"{r['name']}: {r['alpha']}n^2-{r['beta']}i^2={r['gamma']} rec={r['rec']}: "
-            + " ".join(f"({n},{i})" for n, i in r["solutions"])
-            for r in rows
-        ],
-    }
-
-
-def _cmd_kites(args: argparse.Namespace) -> dict:
-    tags = [args.family] if args.family else list(kites.FAMILIES)
-    rows = [
-        {
-            "family": tag, "n": km.sol.n, "i": km.sol.i,
-            "A": list(km.A), "B": list(km.B), "C": list(km.C),
-            "K_A": km.K_A, "a": km.a, "b": km.b, "q_sq": km.family.q_sq,
-            "convexity": "dart" if geometry.classify(km.quad()).is_dart else "convex",
-        }
-        for tag in tags
-        for km in kites.generate(tag, args.count)
-    ]
-    header = ["family", "n", "i", "Ax", "Ay", "Bx", "By", "Cx", "Cy",
-              "K_A", "a", "b", "q_sq", "convexity"]
-    return {
-        "json": lambda: rows,
-        "csv": lambda: (header, [
-            [r["family"], r["n"], r["i"], *r["A"], *r["B"], *r["C"],
-             r["K_A"], r["a"], r["b"], r["q_sq"], r["convexity"]]
-            for r in rows
-        ]),
-        "text": lambda: [
-            f"{r['family']} n={r['n']} i={r['i']} A={tuple(r['A'])} B={tuple(r['B'])} "
-            f"C={tuple(r['C'])} K_A={r['K_A']} a={r['a']} b={r['b']} q^2={r['q_sq']} "
-            f"{r['convexity']}"
-            for r in rows
-        ],
-    }
-
-
-def _cmd_trapezoids(args: argparse.Namespace) -> dict:
-    sols = []
-    # Each realized class is shown as its drawing O, A, B, C, whose sides in
-    # vertex order are c + f, the published leg AB, c and the leg CO.
-    for s in trapezoids.all_equable_trapezoids(args.p_max):
-        tag, drawing = _drawing(trapezoids.lattice_embedding(s))
-        edges = zip(drawing, drawing[1:] + drawing[:1])
-        sides = tuple(isqrt(geometry.dist_sq(p, q)) for p, q in edges)
-        sols.append((s, tag, drawing, sides))
-    header = ["a", "b", "c", "d", "f", "h_num", "h_den", "source_triangle", "figure_tag"]
-    return {
-        "json": lambda: [
-            {
-                "sides": list(sides), "f": s.f, "c": s.c,
-                "h": {"num": s.h.numerator, "den": s.h.denominator},
-                "triangle": list(s.triangle), "figure": tag, "embedding": _quad_json(drawing),
-            }
-            for s, tag, drawing, sides in sols
-        ],
-        "csv": lambda: (header, [
-            [*sides, s.f, s.h.numerator, s.h.denominator, "-".join(map(str, s.triangle)), tag]
-            for s, tag, _, sides in sols
-        ]),
-        "text": lambda: [
-            f"{sides} from triangle {s.triangle} with f={s.f}: c={s.c}, h={s.h} [{tag}]"
-            for s, tag, _, sides in sols
-        ] + [f"{len(sols)} equable trapezoids (scan bound {args.p_max})"],
-    }
-
-
-def _cmd_cyclic(args: argparse.Namespace) -> dict:
-    candidates = cyclic.enumerate_candidates()
-    sols = []
-    for wxyz in cyclic.solutions():
-        sides = cyclic.sides(wxyz)
-        # each realized order is shown as its class's drawing
-        orderings = [(order, emb and _drawing(emb)[1])
-                     for order, emb in cyclic.realizable_orderings(sides)]
-        sols.append((wxyz, sides, orderings))
-    return {
-        "json": lambda: {
-            "candidates": len(candidates),
-            "solutions": [
-                {
-                    **dict(zip("wxyz", wxyz)),
-                    **dict(zip("abcd", sides)),
-                    "orderings": [
-                        {"order": list(order), "realizable": emb is not None,
-                         "embedding": _quad_json(emb)}
-                        for order, emb in orderings
-                    ],
-                }
-                for wxyz, sides, orderings in sols
-            ],
-        },
-        "text": lambda: [f"{len(candidates)} candidates, {len(sols)} solutions"] + [
-            f"wxyz={wxyz} sides={sides}: " + "; ".join(
-                f"{order}" + ("" if emb is None else f" -> {list(emb)}")
-                for order, emb in orderings
-            )
-            for wxyz, sides, orderings in sols
-        ],
-    }
-
-
-# The classification flags of a search class, as its JSON row and CSV name them.
-_FLAGS = ("convex", "kite", "dart", "parallelogram", "trapezoid",
-          "isosceles_trapezoid", "right_trapezoid", "cyclic")
-
-
-def _cmd_search(args: argparse.Namespace) -> dict:
-    _check_workers(args)
-    rows = [
-        {
-            "signature": list(cls.signature),
-            "vertices": _quad_json(cls.representative),
-            "perimeter": cls.perimeter,
-            "convex": cls.classification.convex,
-            "reflex_index": cls.classification.reflex_index,
-            **{flag: getattr(cls.classification, "is_" + flag) for flag in _FLAGS[1:]},
-            "diagonals": {
-                side: [
-                    {"ends": list(d.ends), "sq": d.sq, "rational": d.rational, "length": d.length}
-                    for d in getattr(cls.diagonals, side)
-                ]
-                for side in ("interior", "exterior")
-            },
-            "embeddings_seen": cls.embeddings_seen,
-        }
-        for cls in search.enumerate_leqs(args.p_max).values()
-    ]
-    return {
-        "json": lambda: {"p_max": args.p_max, "classes": rows},
-        "csv": lambda: (["signature", "perimeter", *_FLAGS], [
-            [" ".join(map(str, r["signature"])), r["perimeter"], *(r[flag] for flag in _FLAGS)]
-            for r in rows
-        ]),
-        "text": lambda: [f"{len(rows)} classes with perimeter <= {args.p_max}"] + [
-            f"P={r['perimeter']:>3} sig={tuple(r['signature'])} "
-            f"rep={[tuple(v) for v in r['vertices']]}"
-            for r in rows
-        ],
-    }
-
-
-def _cmd_audit(args: argparse.Namespace) -> dict:
-    _check_workers(args)
-    report = search.audit_theorems(args.p_max)
-    kites_match = report.kites_found == report.kites_expected
-    payload = {
-        "p_max": report.p_max,
-        **{
-            key: sorted(map(list, getattr(report, key)))
-            for key in ("kites_found", "kites_expected", "trapezoids_found", "cyclic_found")
-        },
-        "kites_match": kites_match,
-        "diagonal_exceptions": [
-            {"signature": list(sig), "length": length}
-            for sig, length in report.diagonal_exceptions
-        ],
-    }
-    return {
-        "json": lambda: payload,
-        "text": lambda: [
-            f"audit at p_max={report.p_max}:",
-            f"  kite classes found:      {len(report.kites_found)}"
-            f" (closed-form match: {kites_match})",
-            f"  trapezoid classes found: {len(report.trapezoids_found)}",
-            f"  cyclic classes found:    {len(report.cyclic_found)}",
-            f"  rational interior diagonals: {len(report.diagonal_exceptions)}",
-        ] + [
-            f"    {sig} has an interior diagonal of length {length}"
-            for sig, length in report.diagonal_exceptions
-        ],
-        "failed": report.failed,
-    }
-
-
-def _cmd_render(args: argparse.Namespace) -> dict:
-    svg = render.render_figure(args.figure, "equilat render --figure " + args.figure)
-    return {"svg": lambda: svg}
-
-
 _N = {"type": int, "metavar": "N"}
 _CATALOG_OPTIONS = {
     "--p-max": {**_N, "default": DEFAULT_P_MAX},
@@ -305,28 +95,29 @@ _CATALOG_OPTIONS = {
     },
 }
 
-# name: (handler, help, formats with the default first, options).  options gives
-# {flag: argparse settings}; it is called only for the command being run, since
-# some settings read a module that only that command loads.
+# name: (help, formats with the default first, options); equilat.commands.<name>
+# builds the output.  options gives {flag: argparse settings}; it is called only
+# for the command being run, since some settings read a module that only that
+# command loads.
 _COMMANDS = {
-    "pell": (_cmd_pell, "print the built-in Pell equation solution streams",
+    "pell": ("print the built-in Pell equation solution streams",
              ("text", "json", "csv"), lambda: {"--count": {**_N, "default": 6}}),
-    "kites": (_cmd_kites, "list kite family members with audit columns",
+    "kites": ("list kite family members with audit columns",
               ("text", "json", "csv"), lambda: {
                   "--count": {**_N, "default": 4},
                   "--family": {"choices": list(kites.FAMILIES)},
               }),
-    "trapezoids": (_cmd_trapezoids, "list the equable trapezoids with integer sides",
+    "trapezoids": ("list the equable trapezoids with integer sides",
                    ("text", "json", "csv"), lambda: {"--p-max": {
                        **_N, "default": trapezoids.TRAPEZOID_SCAN_BOUND,
                        "help": "source triangle perimeter bound, not the trapezoid's",
                    }}),
-    "cyclic": (_cmd_cyclic, "enumerate cyclic candidates and solutions", ("text", "json"), dict),
-    "search": (_cmd_search, "exhaustive catalog of LEQ classes up to a perimeter bound",
+    "cyclic": ("enumerate cyclic candidates and solutions", ("text", "json"), dict),
+    "search": ("exhaustive catalog of LEQ classes up to a perimeter bound",
                ("text", "json", "csv"), lambda: _CATALOG_OPTIONS),
-    "audit": (_cmd_audit, "cross-check the catalog against the classification results",
+    "audit": ("cross-check the catalog against the classification results",
               ("text", "json"), lambda: _CATALOG_OPTIONS),
-    "render": (_cmd_render, "draw a named figure as SVG", ("svg",),
+    "render": ("draw a named figure as SVG", ("svg",),
                lambda: {"--figure": {"choices": render.figure_names(), "required": True}}),
 }
 
@@ -343,7 +134,7 @@ def _build_parser(command: str | None) -> argparse.ArgumentParser:
         dest="command", required=True,
         parser_class=lambda real, **kwargs: argparse.ArgumentParser(**kwargs) if real else None,
     )
-    for name, (_, help_text, formats, options) in _COMMANDS.items():
+    for name, (help_text, formats, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text, real=name == command)
         if p is None:
             continue
@@ -378,7 +169,7 @@ def run(argv: list[str] | None = None) -> int:
     try:
         if limit is not None:
             sys.set_int_max_str_digits(0)
-        out = _COMMANDS[args.command][0](args)
+        out = importlib.import_module(f"equilat.commands.{args.command}").build(args)
         data = out[args.format]()
         _emit(_SERIALIZERS[args.format](data, getattr(args, "pretty", False)), args.out)
     except (EquilatError, ValueError, KeyError, OSError) as exc:

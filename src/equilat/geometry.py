@@ -280,8 +280,9 @@ def realize(sides_sq: Sequence[int], diag_sq: Sequence) -> LatticeQuad | None:
     lattice has none.  realize(sig[:4], sig[4:]) realizes a signature.
 
     The package's callers decide in integers that the squared diagonals are
-    integers, so only ints reach it.  An exact rational is accepted too, and
-    one that is not an integer gets None.
+    integers, so only ints reach it.  An exact rational diagonal is accepted
+    too, and one that is not an integer gets None.  A side that is not an int,
+    or a diagonal that is not an exact rational, is a ValueError.
 
     The answer is congruent to the requested shape, but LatticeQuad turns a
     clockwise find round, so its sides in vertex order are the requested
@@ -291,10 +292,14 @@ def realize(sides_sq: Sequence[int], diag_sq: Sequence) -> LatticeQuad | None:
     circles |P0P1|^2 = s0, |P0P2|^2 = d0 and |P0P3|^2 = s3.  The six lengths
     fix the shape up to congruence, so the first simple match is the answer.
     """
-    if any(d.denominator != 1 for d in diag_sq):
+    try:
+        s0, s1, s2, s3 = map(index, sides_sq)
+        (d0, den0), (d1, den1) = ((d.numerator, d.denominator) for d in diag_sq)
+    except (TypeError, AttributeError):
+        raise ValueError(f"sides {sides_sq} must be ints and diagonals {diag_sq} "
+                         "exact rationals") from None
+    if den0 != 1 or den1 != 1:
         return None
-    s0, s1, s2, s3 = sides_sq
-    d0, d1 = map(int, diag_sq)
     on_s0, on_s3 = _circle_points(s0), _circle_points(s3)
     for b in _circle_points(d0):
         for a in on_s0:

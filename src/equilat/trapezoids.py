@@ -65,6 +65,7 @@ TRAPEZOID_TRIANGLE_BOUND.
 from __future__ import annotations
 
 from itertools import permutations
+from math import gcd
 from typing import TYPE_CHECKING, NamedTuple
 
 from equilat.errors import Checked
@@ -174,12 +175,19 @@ class TrapezoidSolution(Checked, _TrapezoidSolution):
         return sum(self.triangle) + 2 * self.c
 
     @property
-    def h(self) -> Fraction:
-        """The height: the triangle's height on its side f, which the
-        `trapezoids` command prints as a rational."""
-        from fractions import Fraction  # only the trapezoids command shows h
+    def h_terms(self) -> tuple[int, int]:
+        """The height h as its numerator and denominator in lowest terms,
+        which the `trapezoids` command prints."""
+        num, den = 2 * heron_area(*self.triangle), self.f
+        g = gcd(num, den)
+        return num // g, den // g
 
-        return Fraction(2 * heron_area(*self.triangle), self.f)
+    @property
+    def h(self) -> Fraction:
+        """The height: the triangle's height on its side f."""
+        from fractions import Fraction  # h is a Fraction only where one is asked for
+
+        return Fraction(*self.h_terms)
 
 
 def _strip_width(t: tuple[int, int, int], f: int) -> tuple[int, int]:

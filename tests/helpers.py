@@ -265,7 +265,7 @@ def all_real_parser(command: str | None) -> argparse.ArgumentParser:
         description="Exact classification toolkit for lattice equable quadrilaterals.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, formats, options) in _COMMANDS.items():
+    for name, (help_text, formats, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         if name != command:
             continue

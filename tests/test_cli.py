@@ -42,11 +42,13 @@ def _loaded_after_cli_import(names) -> set[str]:
     return set(done.stdout.split())
 
 
-# Executes every equilat module cli registers (vars() is an attribute read), so
-# that the top-level imports of all of them are on sys.modules, as at startup
-# of whichever command uses them.
+# Imports every command module and executes every equilat module cli registers
+# (vars() is an attribute read), so that the top-level imports of all of them
+# are on sys.modules, as at startup of whichever command uses them.
 _ALL_EXECUTED_PROBE = """\
-import sys, equilat.cli
+import importlib, sys, equilat.cli
+for command in equilat.cli._COMMANDS:
+    importlib.import_module("equilat.commands." + command)
 for name in [name for name in sys.modules if name.startswith("equilat.")]:
     vars(sys.modules[name])
 print(*set(sys.argv[1:]) & set(sys.modules))
@@ -119,15 +121,17 @@ class TestStartup:
             ("audit",), ("audit", "--p-max", "200"), ("cyclic",),
             *(("render", "--figure", name) for name in render.figure_names()
               if name != "parallelogram-failure"),
+            *(("trapezoids", "--format", fmt) for fmt in ("text", "json", "csv")),
         ],
         ids=["search", "kites", "pell", "audit", "audit-200", "cyclic",
              *("render-" + name for name in render.figure_names()
-               if name != "parallelogram-failure")],
+               if name != "parallelogram-failure"),
+             "trapezoids-text", "trapezoids-json", "trapezoids-csv"],
     )
     def test_command_does_not_load_fractions(self, argv):
-        # fractions and decimal cost about 3.8 ms (-X importtime).  Only the
-        # h that trapezoids prints and the swapped corner that the
-        # parallelogram-failure figure marks are rationals.
+        # fractions and decimal cost about 3.8 ms (-X importtime).  trapezoids
+        # prints h from its integer terms, so only the swapped corner that the
+        # parallelogram-failure figure marks is a rational.
         done = _python("-c", _LOADED_PROBE, *argv)
         code, *loaded = done.stdout.split()
         assert (code, done.stderr) == ("0", "")
@@ -137,7 +141,7 @@ class TestStartup:
         "argv",
         [
             (name, "--format", fmt, *extra)
-            for name, (_, _, formats, _) in cli._COMMANDS.items()
+            for name, (_, formats, _) in cli._COMMANDS.items()
             for fmt in formats if fmt != "json"
             for extra in [{"search": ("--p-max", "16"), "render": ("--figure", "k1-nested")}
                           .get(name, ())]
@@ -197,10 +201,33 @@ class TestStartup:
         ids=["pell", "kites", "search", "trapezoids", "cyclic", "render", "audit"],
     )
     def test_command_executes_only_the_modules_it_uses(self, argv, modules):
+        # and only its own command module, so it compiles no other builder
         done = _python("-c", _EXECUTED_PROBE, *argv)
         code, *executed = done.stdout.split()
         assert (code, done.stderr) == ("0", "")
-        assert set(executed) == {f"equilat.{m}" for m in {"cli", "errors", *modules}}
+        assert set(executed) == {f"equilat.{m}" for m in {
+            "cli", "errors", "commands", f"commands.{argv[0]}", *modules}}
+
+    def test_import_loads_no_command_module(self):
+        # perfbench/trace_shim.py maps the equilat modules in sys.modules by
+        # their last dotted name, so equilat.commands.search there could
+        # shadow equilat.search
+        probe = "import sys, equilat.cli; print(*(m for m in sys.modules if 'commands' in m))"
+        done = _python("-c", probe)
+        assert (done.stdout, done.stderr) == ("\n", "")
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(("--help",), "0"), (("search", "--help"), "0"), (("render", "--help"), "0"),
+         (("frobnicate",), "2"), (("search", "--p-max", "x"), "2"),
+         (("search", "--format", "text", "--pretty"), "2")],
+        ids=["help", "search-help", "render-help", "unknown-command", "bad-value", "pretty"],
+    )
+    def test_help_and_usage_errors_load_no_command_module(self, argv, code):
+        done = _python("-c", _LOADED_PROBE, *argv)
+        returned, *loaded = done.stdout.split()
+        assert returned == code
+        assert [m for m in loaded if m.startswith("equilat.commands")] == []
 
 
 class TestTraceShim:

@@ -25,7 +25,7 @@ DIGESTS = Path(__file__).parent / "data" / "cli_stdout_sha256.json"
 
 # Every format each command accepts, as its parser offers them; render's
 # runs are its figures, pinned separately below.
-FORMATS = {name: spec[2] for name, spec in cli._COMMANDS.items() if name != "render"}
+FORMATS = {name: spec[1] for name, spec in cli._COMMANDS.items() if name != "render"}
 
 
 def _commands() -> list[tuple[str, ...]]:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equilat import cli, kites
+from equilat import commands, kites
 from equilat.errors import InvalidQuadError
 from equilat.figures import NAMED_QUADS
 from equilat.geometry import (
@@ -181,7 +181,7 @@ class TestIsSimple:
         q, named = LatticeQuad(vertices), NAMED_QUADS["square-4"]
         assert all(type(p) is tuple for p in q) and q == named
         for f in (signature, perimeter, is_equable, classify, interior_diagonals,
-                  cli._quad_json):
+                  commands.quad_json):
             assert f(q) == f(named), f.__name__
 
     @pytest.mark.parametrize("x", [Fraction(4), 4.0, 4.5], ids=["fraction", "float", "half"])
@@ -399,6 +399,24 @@ class TestRealize:
         # sides 5 and d1^2 + d2^2 = 4 * 25 make a real rhombus, but its area
         # sqrt(40 * 60) / 2 is irrational, so no lattice placement exists
         assert realize((25, 25, 25, 25), (40, 60)) is None
+
+    def test_whole_and_broken_rational_diagonals(self):
+        # the right trapezoid 6, 4, 3, 5 has squared diagonals 52 and 25
+        assert signature(realize((36, 16, 9, 25), (Fraction(52), 25))) == signature(
+            realize((36, 16, 9, 25), (52, 25)))
+        assert realize((36, 16, 9, 25), (Fraction(105, 2), 25)) is None
+
+    @pytest.mark.parametrize(
+        "sides_sq, diag_sq",
+        [
+            ((36, 16, 9, 25), (52.0, 25)), ((36, 16, 9, 25), ("52", 25)),
+            ((36.0, 16, 9, 25), (52, 25)), ((36, 16, 9, "25"), (52, 25)),
+        ],
+        ids=["float-diagonal", "str-diagonal", "float-side", "str-side"],
+    )
+    def test_rejects_sides_and_diagonals_that_are_not_exact(self, sides_sq, diag_sq):
+        with pytest.raises(ValueError, match="must be ints"):
+            realize(sides_sq, diag_sq)
 
 
 class TestInteriorDiagonals:

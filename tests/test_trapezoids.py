@@ -251,6 +251,12 @@ class TestTrapezoidFrom:
             assert sol is not None
             assert sol.h * (2 * sol.c + f) / 2 == sol.perimeter == sum(t) + 2 * sol.c
 
+    def test_height_terms_are_h_in_lowest_terms(self):
+        # the trapezoids command prints h from these without loading fractions
+        cases = [(T345, 3), (T345, 4), (T345, 5), (T556, 6), (T558, 8)]
+        terms = [trapezoid_from(t, f).h_terms for t, f in cases]
+        assert terms == [(4, 1), (3, 1), (12, 5), (4, 1), (3, 1)]
+
 
 class TestAllEquableTrapezoids:
     def test_exactly_five(self):
