@@ -274,15 +274,15 @@ def _circle_points(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def realize(sides_sq: Sequence[int], diag_sq: Sequence) -> LatticeQuad | None:
+def realize(sides_sq: Sequence[int], diag_sq: Sequence[int]) -> LatticeQuad | None:
     """A simple lattice quadrilateral with these squared sides, in cyclic
     order from P0, and squared diagonals (|P0P2|^2, |P1P3|^2); None when the
     lattice has none.  realize(sig[:4], sig[4:]) realizes a signature.
 
-    The package's callers decide in integers that the squared diagonals are
-    integers, so only ints reach it.  An exact rational diagonal is accepted
-    too, and one that is not an integer gets None.  A side that is not an int,
-    or a diagonal that is not an exact rational, is a ValueError.
+    Every entry must be a nonnegative int, four sides and two diagonals; the
+    package's callers decide in integers that the squared diagonals are
+    integers before they ask.  Anything else, a Fraction included, is a
+    ValueError.
 
     The answer is congruent to the requested shape, but LatticeQuad turns a
     clockwise find round, so its sides in vertex order are the requested
@@ -294,12 +294,12 @@ def realize(sides_sq: Sequence[int], diag_sq: Sequence) -> LatticeQuad | None:
     """
     try:
         s0, s1, s2, s3 = map(index, sides_sq)
-        (d0, den0), (d1, den1) = ((d.numerator, d.denominator) for d in diag_sq)
-    except (TypeError, AttributeError):
-        raise ValueError(f"sides {sides_sq} must be ints and diagonals {diag_sq} "
-                         "exact rationals") from None
-    if den0 != 1 or den1 != 1:
-        return None
+        d0, d1 = map(index, diag_sq)
+        if min(s0, s1, s2, s3, d0, d1) < 0:
+            raise ValueError
+    except (TypeError, ValueError):
+        raise ValueError(f"sides {sides_sq} and diagonals {diag_sq} must be four and two "
+                         "nonnegative ints") from None
     on_s0, on_s3 = _circle_points(s0), _circle_points(s3)
     for b in _circle_points(d0):
         for a in on_s0:

@@ -21,6 +21,7 @@ for every member, so w is 0 on B, w_A = (2 - t)(A_0 - C_0)/2 and w_C = -w_A.
 
 from __future__ import annotations
 
+import sys
 from itertools import islice, takewhile
 from math import gcd
 from typing import Iterator, NamedTuple
@@ -119,8 +120,8 @@ def generate(tag: str, count: int) -> list[KiteMember]:
     """First `count` admissible members in increasing n."""
     if not isinstance(count, int):
         raise ValueError("count must be an integer")
-    if count < 1:
-        raise ValueError("count must be positive")
+    if not 1 <= count <= sys.maxsize:  # islice takes at most sys.maxsize
+        raise ValueError(f"count must lie in [1, {sys.maxsize}]")
     return list(islice(iter_members(tag), count))
 
 

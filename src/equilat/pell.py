@@ -6,16 +6,18 @@ recurrence (n_j, i_j) = rec * (n_{j-1}, i_{j-1}) - (n_{j-2}, i_{j-2}).  Every
 emitted pair is re-checked against the equation, and completeness of the
 stream is asserted separately against the brute-force scan in `seed_search`
 (never proved here).  The kite families run the same recurrence, with a
-constant term, on their vertex coordinates.
+constant term, on their vertex coordinates.  A spec is a plain record, which
+`iter_solutions` checks as each stream starts.
 """
 
 from __future__ import annotations
 
+import sys
 from itertools import islice
 from math import isqrt
 from typing import Iterator, NamedTuple
 
-from equilat.errors import Checked, InconsistencyError
+from equilat.errors import InconsistencyError
 
 __all__ = [
     "PellSolution",
@@ -33,44 +35,15 @@ class PellSolution(NamedTuple):
     i: int
 
 
-class _PellSpec(NamedTuple):
+class PellSpec(NamedTuple):
+    """One equation alpha*n^2 - beta*i^2 = gamma with (n, i) seeds and recurrence."""
+
     name: str
     alpha: int
     beta: int
     gamma: int
     seeds: tuple[PellSolution, ...]
     rec: int
-
-
-class PellSpec(Checked, _PellSpec):
-    """One equation alpha*n^2 - beta*i^2 = gamma with (n, i) seeds and recurrence."""
-
-    __slots__ = ()
-
-    def __new__(cls, name, alpha, beta, gamma, seeds, rec):
-        try:
-            seeds = tuple(PellSolution(*s) for s in seeds)
-        except TypeError:
-            raise ValueError(f"seeds {seeds!r} are not (n, i) pairs") from None
-        return super().__new__(cls, name, alpha, beta, gamma, seeds, rec)
-
-    def _check(self) -> None:
-        fields = (self.alpha, self.beta, self.gamma, self.rec, *(v for s in self.seeds for v in s))
-        if not all(isinstance(v, int) for v in fields):
-            raise ValueError("alpha, beta, gamma, rec and the seeds must be integers")
-        if self.alpha < 1 or self.beta < 1:
-            raise ValueError("alpha and beta must be positive")
-        if self.gamma == 0:
-            raise ValueError("gamma must be nonzero")
-        if self.rec < 3:
-            raise ValueError("recurrence multiplier must be at least 3")
-        for s in self.seeds:
-            if s.n < 0 or s.i < 0:
-                raise ValueError(f"seed {s} is not nonnegative")
-            if not self.satisfies(s.n, s.i):
-                raise ValueError(f"seed {s} does not satisfy {self.name}")
-        if len(self.seeds) < 2:
-            raise ValueError(f"{self.name}: need at least two seeds to run the recurrence")
 
     def satisfies(self, n: int, i: int) -> bool:
         return self.alpha * n * n - self.beta * i * i == self.gamma
@@ -80,15 +53,48 @@ class PellSpec(Checked, _PellSpec):
 # name, in the order `equilat pell` prints them.  Besides that command, only
 # the tests' oracle of the trapezoid family rows reads the restrictions.
 SPECS: dict[str, PellSpec] = {spec.name: spec for spec in (
-    PellSpec("K1", 1, 5, 4, ((2, 0), (3, 1)), 3),
-    PellSpec("K2", 1, 5, 1, ((1, 0), (9, 4)), 18),
-    PellSpec("K3", 1, 2, 1, ((1, 0), (3, 2)), 6),
-    PellSpec("K4", 2, 1, 1, ((1, 1), (5, 7)), 6),
-    PellSpec("x^2+1=2y^2", 1, 2, -1, ((1, 1), (7, 5)), 6),
-    PellSpec("x^2-1=2y^2", 1, 2, 1, ((1, 0), (3, 2)), 6),
-    PellSpec("x^2+2=3y^2", 1, 3, -2, ((1, 1), (5, 3)), 4),
-    PellSpec("x^2-1=3y^2", 1, 3, 1, ((1, 0), (2, 1)), 4),
+    PellSpec("K1", 1, 5, 4, (PellSolution(2, 0), PellSolution(3, 1)), 3),
+    PellSpec("K2", 1, 5, 1, (PellSolution(1, 0), PellSolution(9, 4)), 18),
+    PellSpec("K3", 1, 2, 1, (PellSolution(1, 0), PellSolution(3, 2)), 6),
+    PellSpec("K4", 2, 1, 1, (PellSolution(1, 1), PellSolution(5, 7)), 6),
+    PellSpec("x^2+1=2y^2", 1, 2, -1, (PellSolution(1, 1), PellSolution(7, 5)), 6),
+    PellSpec("x^2-1=2y^2", 1, 2, 1, (PellSolution(1, 0), PellSolution(3, 2)), 6),
+    PellSpec("x^2+2=3y^2", 1, 3, -2, (PellSolution(1, 1), PellSolution(5, 3)), 4),
+    PellSpec("x^2-1=3y^2", 1, 3, 1, (PellSolution(1, 0), PellSolution(2, 1)), 4),
 )}
+
+
+def _check_equation(alpha: int, beta: int, gamma: int) -> None:
+    """ValueError unless alpha, beta and gamma are ints with alpha and beta
+    positive and gamma nonzero, as the streams and the scan need."""
+    if not all(isinstance(v, int) for v in (alpha, beta, gamma)):
+        raise ValueError("alpha, beta and gamma must be integers")
+    if alpha < 1 or beta < 1:
+        raise ValueError("alpha and beta must be positive")
+    if gamma == 0:
+        raise ValueError("gamma must be nonzero")
+
+
+def _checked_seeds(spec: PellSpec) -> tuple[PellSolution, ...]:
+    """The spec's seeds as PellSolutions; ValueError for a spec that cannot stream."""
+    try:
+        seeds = tuple(PellSolution(*s) for s in spec.seeds)
+    except TypeError:
+        raise ValueError(f"seeds {spec.seeds!r} are not (n, i) pairs") from None
+    fields = (spec.alpha, spec.beta, spec.gamma, spec.rec, *(v for s in seeds for v in s))
+    if not all(isinstance(v, int) for v in fields):
+        raise ValueError("alpha, beta, gamma, rec and the seeds must be integers")
+    _check_equation(spec.alpha, spec.beta, spec.gamma)
+    if spec.rec < 3:
+        raise ValueError("recurrence multiplier must be at least 3")
+    for s in seeds:
+        if s.n < 0 or s.i < 0:
+            raise ValueError(f"seed {s} is not nonnegative")
+        if not spec.satisfies(s.n, s.i):
+            raise ValueError(f"seed {s} does not satisfy {spec.name}")
+    if len(seeds) < 2:
+        raise ValueError(f"{spec.name}: need at least two seeds to run the recurrence")
+    return seeds
 
 
 def recurrence(
@@ -105,12 +111,14 @@ def iter_solutions(spec: PellSpec) -> Iterator[PellSolution]:
     """Lazy stream of solutions in increasing n.
 
     The seeds are the first entries of the stream; the recurrence extends it
-    indefinitely.  Raises InconsistencyError if an extended pair fails the
-    equation (a wrong spec, not bad input).
+    indefinitely.  A spec that cannot stream is a ValueError when the stream
+    starts, and InconsistencyError means an extended pair fails the equation
+    (a wrong spec, not bad input).
     """
-    yield from spec.seeds
-    last = spec.seeds[-1]
-    steps = islice(recurrence(spec.rec, *spec.seeds[-2:], (0, 0)), 2, None)
+    seeds = _checked_seeds(spec)
+    yield from seeds
+    last = seeds[-1]
+    steps = islice(recurrence(spec.rec, *seeds[-2:], (0, 0)), 2, None)
     for nxt in map(PellSolution._make, steps):
         if not spec.satisfies(nxt.n, nxt.i):
             raise InconsistencyError(
@@ -126,8 +134,8 @@ def solutions(spec: PellSpec, count: int) -> list[PellSolution]:
     """First `count` solutions of the spec, ordered by increasing n."""
     if not isinstance(count, int):
         raise ValueError("count must be an integer")
-    if count < 1:
-        raise ValueError("count must be positive")
+    if not 1 <= count <= sys.maxsize:  # islice takes at most sys.maxsize
+        raise ValueError(f"count must lie in [1, {sys.maxsize}]")
     return list(islice(iter_solutions(spec), count))
 
 
@@ -135,7 +143,9 @@ def seed_search(alpha: int, beta: int, gamma: int, bound: int) -> list[PellSolut
     """All nonnegative solutions with n <= bound, by exhaustive scan.
 
     Independent of the recurrence machinery; used as the completeness oracle.
+    The coefficients are checked as a spec's are.
     """
+    _check_equation(alpha, beta, gamma)
     if not isinstance(bound, int):
         raise ValueError("bound must be an integer")
     if bound < 1:

@@ -378,9 +378,9 @@ def audit_theorems(p_max: int) -> AuditReport:
     # A trapezoid's perimeter exceeds its triangle's by twice its shorter
     # parallel side, so triangles up to p_max give every trapezoid up to it.
     trapezoid_embeddings = [
-        trapezoids.lattice_embedding(sol)
-        for sol in trapezoids.all_equable_trapezoids(p_max)
-        if sol.perimeter <= p_max
+        trapezoids.lattice_embedding(t, f)
+        for t, f in trapezoids.all_equable_trapezoids(p_max)
+        if sum(t) + 2 * trapezoids.strip_width(t, f) <= p_max
     ]
     return AuditReport(
         p_max=p_max,

@@ -10,9 +10,10 @@ and the construction succeeds exactly when c is a positive integer.  An
 integer divmod of that numerator by that denominator decides it, as divmod
 decides the squared diagonals in `lattice_embedding` and
 `interior_rational`, so only integers reach `geometry.realize`.  A triangle
-is its sides (x, y, z) with x <= y <= z, and `heron_area` gives its area;
-`shorter_parallel_side` gives c as a Fraction, for display, and rejects
-sides that are not Heronian.
+is its sides (x, y, z) with x <= y <= z, and `heron_area` gives its area.  A
+trapezoid is its pair (triangle, f): `strip_width` gives c, and
+`height_terms` the height in lowest terms; both reject sides that are not
+Heronian and an f that is not one of them.
 
 The triangles come from their tangent lengths.  A Heronian perimeter is even,
 so with s the half-perimeter the sides are (u+v, u+w, v+w) for integers
@@ -66,23 +67,17 @@ from __future__ import annotations
 
 from itertools import permutations
 from math import gcd
-from typing import TYPE_CHECKING, NamedTuple
 
-from equilat.errors import Checked
 from equilat.geometry import LatticeQuad, exact_sqrt, realize, signature
 
-if TYPE_CHECKING:
-    from fractions import Fraction
-
 __all__ = [
-    "TrapezoidSolution",
     "TRAPEZOID_SCAN_BOUND",
     "TRAPEZOID_TRIANGLE_BOUND",
     "FIRST_TRIANGLE_BOUND",
     "heron_area",
     "enumerate_perimeter_dominant",
-    "shorter_parallel_side",
-    "trapezoid_from",
+    "strip_width",
+    "height_terms",
     "all_equable_trapezoids",
     "lattice_embedding",
     "interior_rational",
@@ -140,56 +135,6 @@ def enumerate_perimeter_dominant(p_max: int) -> list[tuple[int, int, int]]:
     return found
 
 
-class _TrapezoidSolution(NamedTuple):
-    triangle: tuple[int, int, int]
-    f: int
-
-
-class TrapezoidSolution(Checked, _TrapezoidSolution):
-    """Equable trapezoid built by extending the side f of a Heronian triangle,
-    given by its sides x <= y <= z; sides given as a list are stored as a
-    tuple.
-
-    Its parallel sides are c + f and c, and its legs are the triangle's two
-    sides other than f, since the strip is a translate of one leg.  Either
-    order of the legs gives the same trapezoid up to congruence, so a
-    solution fixes no order; `lattice_embedding` places it.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, triangle, f):
-        return super().__new__(cls, tuple(triangle), f)
-
-    def _check(self) -> None:
-        if _whole_strip_width(self.triangle, self.f) is None:
-            c = shorter_parallel_side(self.triangle, self.f)
-            raise ValueError(f"strip width {c} is not a positive integer")
-
-    @property
-    def c(self) -> int:
-        return _whole_strip_width(self.triangle, self.f)
-
-    @property
-    def perimeter(self) -> int:
-        return sum(self.triangle) + 2 * self.c
-
-    @property
-    def h_terms(self) -> tuple[int, int]:
-        """The height h as its numerator and denominator in lowest terms,
-        which the `trapezoids` command prints."""
-        num, den = 2 * heron_area(*self.triangle), self.f
-        g = gcd(num, den)
-        return num // g, den // g
-
-    @property
-    def h(self) -> Fraction:
-        """The height: the triangle's height on its side f."""
-        from fractions import Fraction  # h is a Fraction only where one is asked for
-
-        return Fraction(*self.h_terms)
-
-
 def _strip_width(t: tuple[int, int, int], f: int) -> tuple[int, int]:
     """The strip width c for side choice f of the Heronian triangle with sides
     x <= y <= z, as its numerator and positive denominator; ValueError for any
@@ -209,53 +154,59 @@ def _strip_width(t: tuple[int, int, int], f: int) -> tuple[int, int]:
     return f * (x + y + z - area), 2 * (area - f)
 
 
-def _whole_strip_width(t: tuple[int, int, int], f: int) -> int | None:
-    """The strip width c when it is a positive integer, else None."""
+def strip_width(t: tuple[int, int, int], f: int) -> int | None:
+    """The strip width c of the trapezoid that extends side f of the
+    triangle, or None when c is not a positive integer and the pair gives
+    no trapezoid; see `_strip_width`."""
     c, rem = divmod(*_strip_width(t, f))
     return c if rem == 0 and c >= 1 else None
 
 
-def shorter_parallel_side(t: tuple[int, int, int], f: int) -> Fraction:
-    """Exact value of the strip width c for side choice f of the triangle;
-    see `_strip_width`, which decides integrality without it."""
-    from fractions import Fraction  # c is a Fraction only where it is shown
-
-    return Fraction(*_strip_width(t, f))
-
-
-def trapezoid_from(t: tuple[int, int, int], f: int) -> TrapezoidSolution | None:
-    """Equable trapezoid extending side f of the triangle, or None when the
-    strip width is not a positive integer."""
-    if _whole_strip_width(t, f) is None:
-        return None
-    return TrapezoidSolution(t, f)
+def height_terms(t: tuple[int, int, int], f: int) -> tuple[int, int]:
+    """The triangle's height on its side f, which is the height of the
+    trapezoid extending f, as its numerator and denominator in lowest terms;
+    the `trapezoids` command prints them.  ValueError as for `strip_width`."""
+    _, den = _strip_width(t, f)
+    twice_area = den + 2 * f  # den = 2 * (area - f)
+    g = gcd(twice_area, f)
+    return twice_area // g, f // g
 
 
-def all_equable_trapezoids(p_max: int = TRAPEZOID_SCAN_BOUND) -> list[TrapezoidSolution]:
+def all_equable_trapezoids(
+    p_max: int = TRAPEZOID_SCAN_BOUND,
+) -> list[tuple[tuple[int, int, int], int]]:
     """Every equable trapezoid with integer sides and area built from a
-    perimeter-dominant triangle of perimeter <= p_max, in the triangles'
-    (perimeter, sides) order and then by ascending f.  No triangle past
-    TRAPEZOID_TRIANGLE_BOUND gives one, so the scan stops there."""
+    perimeter-dominant triangle of perimeter <= p_max, as its (triangle, f)
+    pair, by the triangles' (perimeter, sides) and then ascending f.  No
+    triangle past TRAPEZOID_TRIANGLE_BOUND gives one, so the scan stops there."""
     if not isinstance(p_max, int):
         raise ValueError("p_max must be an integer")
-    out = []
-    for t in enumerate_perimeter_dominant(min(p_max, TRAPEZOID_TRIANGLE_BOUND)):
-        for f in sorted(set(t)):
-            sol = trapezoid_from(t, f)
-            if sol is not None:
-                out.append(sol)
-    return out
+    return [
+        (t, f)
+        for t in enumerate_perimeter_dominant(min(p_max, TRAPEZOID_TRIANGLE_BOUND))
+        for f in sorted(set(t))
+        if strip_width(t, f) is not None
+    ]
 
 
-def lattice_embedding(ts: TrapezoidSolution) -> LatticeQuad | None:
-    """A lattice placement O, A, B, C congruent to the trapezoid, from
-    `geometry.realize`; None when the lattice has none.  Its sides are
-    OA = a, AB = b, BC = c and CO = d, and a - c = f gives its squared
-    diagonals a*c + (a*d^2 - c*b^2)/f and a*c + (a*b^2 - c*d^2)/f.  The two
-    numerators sum to (a - c)(b^2 + d^2) = f(b^2 + d^2), so both diagonals
-    are integers when f divides the first, and otherwise there is none."""
-    f, c = ts.f, ts.c
-    legs = list(ts.triangle)  # the sides other than f
+def lattice_embedding(t: tuple[int, int, int], f: int) -> LatticeQuad | None:
+    """A lattice placement O, A, B, C congruent to the trapezoid that extends
+    side f of the triangle, from `geometry.realize`; None when the lattice
+    has none, and ValueError when the pair gives no trapezoid.
+
+    Its sides are OA = a = c + f, AB = b, BC = c and CO = d, its legs b and d
+    being the triangle's sides other than f in either order (the strip is a
+    translate of one leg).  a - c = f gives its squared diagonals
+    a*c + (a*d^2 - c*b^2)/f and a*c + (a*b^2 - c*d^2)/f.  The numerators sum
+    to f(b^2 + d^2), so both diagonals are integers when f divides the
+    first, and otherwise there is none."""
+    c = strip_width(t, f)
+    if c is None:
+        num, den = _strip_width(t, f)
+        g = gcd(num, den)
+        shown = f"{num // g}" if den == g else f"{num // g}/{den // g}"
+        raise ValueError(f"strip width {shown} is not a positive integer")
+    legs = list(t)  # the sides other than f
     legs.remove(f)
     b, d = legs
     a = c + f

@@ -24,7 +24,7 @@ from equilat.geometry import (
     signature,
     twice_area,
 )
-from helpers import family_members, random_congruent_copy, random_quad
+from helpers import family_members, random_congruent_copy, random_quad, strip_width_by_fractions
 
 
 @contextmanager
@@ -104,15 +104,17 @@ def test_criterion_4_trapezoids():
         names = ("right-trapezoid-6-4-3-5", "right-trapezoid-10-3-6-5",
                  "isosceles-trapezoid-8-5-2-5", "isosceles-trapezoid-14-5-6-5",
                  "trapezoid-20-4-15-3")
-        assert {signature(trapezoids.lattice_embedding(s)) for s in sols} == {
+        assert {signature(trapezoids.lattice_embedding(*s)) for s in sols} == {
             signature(NAMED_QUADS[n]) for n in names
         }
-        assert trapezoids.shorter_parallel_side((5, 5, 6), 5) == Fraction(10, 7)
-        assert trapezoids.shorter_parallel_side((5, 5, 8), 5) == Fraction(15, 7)
+        # the strip widths 10/7 and 15/7 give no trapezoid
+        assert strip_width_by_fractions((5, 5, 6), 5) == Fraction(10, 7)
+        assert strip_width_by_fractions((5, 5, 8), 5) == Fraction(15, 7)
+        assert trapezoids.strip_width((5, 5, 6), 5) is trapezoids.strip_width((5, 5, 8), 5) is None
         for row in (1, 2, 3, 4):
             for t in family_members(row, 10_000):
                 for f in set(t):
-                    assert trapezoids.shorter_parallel_side(t, f).denominator != 1
+                    assert trapezoids.strip_width(t, f) is None
 
 
 def test_criterion_5_cyclic():

@@ -337,6 +337,13 @@ class TestExitCodes:
         assert err.startswith(f"equilat {argv[0]}: ") and field in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("command", ["pell", "kites"])
+    def test_count_above_sys_maxsize_is_validated(self, capsys, command):
+        # islice takes at most sys.maxsize, and its own message named islice
+        code, out, err = _run(capsys, command, "--count", "99999999999999999999")
+        assert (code, out) == (1, "")
+        assert err == f"equilat {command}: count must lie in [1, {sys.maxsize}]\n"
+
     def test_interrupt_is_130(self, capsys, monkeypatch):
         def interrupted(p_max):
             raise KeyboardInterrupt
@@ -432,17 +439,18 @@ class TestTrapezoids:
         ]
         for r in rows:
             drawing = NAMED_QUADS[r["figure"]]
-            sol = trapezoids.trapezoid_from(r["triangle"], r["f"])
-            assert signature(trapezoids.lattice_embedding(sol)) == signature(drawing)
+            t, f = r["triangle"], r["f"]
+            assert signature(trapezoids.lattice_embedding(t, f)) == signature(drawing)
             assert r["embedding"] == [list(p) for p in drawing]
             edges = zip(drawing, drawing[1:] + drawing[:1])
             assert r["sides"] == [isqrt(dist_sq(p, q)) for p, q in edges]
-            assert r["sides"][0::2] == [sol.c + sol.f, sol.c]
+            c = trapezoids.strip_width(t, f)
+            assert r["sides"][0::2] == [c + f, c] and r["c"] == c
 
     def test_unrealized_solution_is_an_error(self, capsys, monkeypatch):
         real = trapezoids.lattice_embedding
         monkeypatch.setattr(
-            trapezoids, "lattice_embedding", lambda sol: None if sol.f == 5 else real(sol)
+            trapezoids, "lattice_embedding", lambda t, f: None if f == 5 else real(t, f)
         )
         code, out, err = _run(capsys, "trapezoids")
         assert (code, out, err) == (1, "", "equilat trapezoids: no named drawing of None\n")

@@ -6,7 +6,7 @@ from equilat import cyclic, geometry, trapezoids
 from equilat.errors import InconsistencyError
 from equilat.figures import CLASS_DRAWINGS, NAMED_QUADS, _check_equable
 from equilat.geometry import LatticeQuad, realize, signature
-from equilat.trapezoids import all_equable_trapezoids, lattice_embedding
+from equilat.trapezoids import all_equable_trapezoids, lattice_embedding, strip_width
 
 # the right trapezoid 6, 4, 3, 5: squared sides from v0 and squared diagonals
 TRAPEZOID_SIDES_SQ, TRAPEZOID_DIAG_SQ = (36, 16, 9, 25), (52, 25)
@@ -25,8 +25,8 @@ def test_non_equable_drawing_is_an_error():
 
 class TestPlace:
     """`geometry.realize` places shapes from their squared sides and
-    diagonals.  The package decides in integers that the diagonals are
-    integers before it asks, but an exact rational is accepted too."""
+    diagonals.  It takes ints only, so the package decides in integers that
+    the diagonals are integers before it asks."""
 
     def test_only_ints_reach_the_realizer(self, monkeypatch):
         asked = []
@@ -37,8 +37,8 @@ class TestPlace:
 
         monkeypatch.setattr(trapezoids, "realize", recording)
         monkeypatch.setattr(cyclic, "realize", recording)
-        for sol in trapezoids.all_equable_trapezoids():
-            trapezoids.lattice_embedding(sol)
+        for t, f in trapezoids.all_equable_trapezoids():
+            trapezoids.lattice_embedding(t, f)
         trapezoids.interior_rational()
         for wxyz in cyclic.solutions():
             cyclic.realizable_orderings(cyclic.sides(wxyz))
@@ -49,19 +49,8 @@ class TestPlace:
 
     @pytest.mark.parametrize("diag_sq", [(Fraction(25, 2), 52), (52, Fraction(25, 2))])
     def test_non_integral_diagonal_is_not_placed(self, diag_sq):
-        assert realize(TRAPEZOID_SIDES_SQ, diag_sq) is None
-
-    def test_integral_fractions_place_like_ints(self):
-        diag = tuple(map(Fraction, TRAPEZOID_DIAG_SQ))
-        placed = realize(TRAPEZOID_SIDES_SQ, diag)
-        assert placed == realize(TRAPEZOID_SIDES_SQ, TRAPEZOID_DIAG_SQ)
-        assert signature(placed) == signature(NAMED_QUADS["right-trapezoid-6-4-3-5"])
-
-    def test_integral_fractions_realize_like_ints(self):
-        sig = signature(NAMED_QUADS["concave-60"])
-        placed = realize(sig[:4], tuple(map(Fraction, sig[4:])))
-        assert placed == realize(sig[:4], sig[4:])
-        assert signature(placed) == sig
+        with pytest.raises(ValueError, match="must be four and two nonnegative ints"):
+            realize(TRAPEZOID_SIDES_SQ, diag_sq)
 
 
 @pytest.mark.parametrize("name", NAMED_QUADS)
@@ -102,10 +91,11 @@ def test_placements_run_through_the_requested_order(shown):
     # the drawing the CLI shows for the realized class, "realized" the
     # realizer's own placement.
     cases = []
-    for t in all_equable_trapezoids():
-        legs = list(t.triangle)
-        legs.remove(t.f)
-        cases.append(((t.c + t.f, legs[0], t.c, legs[1]), lattice_embedding(t)))
+    for t, f in all_equable_trapezoids():
+        legs = list(t)
+        legs.remove(f)
+        c = strip_width(t, f)
+        cases.append(((c + f, legs[0], c, legs[1]), lattice_embedding(t, f)))
     cases += [
         (order, emb)
         for wxyz in cyclic.solutions()

@@ -401,10 +401,12 @@ class TestRealize:
         assert realize((25, 25, 25, 25), (40, 60)) is None
 
     def test_whole_and_broken_rational_diagonals(self):
-        # the right trapezoid 6, 4, 3, 5 has squared diagonals 52 and 25
-        assert signature(realize((36, 16, 9, 25), (Fraction(52), 25))) == signature(
-            realize((36, 16, 9, 25), (52, 25)))
-        assert realize((36, 16, 9, 25), (Fraction(105, 2), 25)) is None
+        # the right trapezoid 6, 4, 3, 5 has squared diagonals 52 and 25;
+        # realize takes ints only, so a Fraction is rejected, whole or not
+        assert realize((36, 16, 9, 25), (52, 25)) is not None
+        for diag in (Fraction(52), Fraction(105, 2)):
+            with pytest.raises(ValueError, match="must be four and two nonnegative ints"):
+                realize((36, 16, 9, 25), (diag, 25))
 
     @pytest.mark.parametrize(
         "sides_sq, diag_sq",
@@ -415,7 +417,29 @@ class TestRealize:
         ids=["float-diagonal", "str-diagonal", "float-side", "str-side"],
     )
     def test_rejects_sides_and_diagonals_that_are_not_exact(self, sides_sq, diag_sq):
-        with pytest.raises(ValueError, match="must be ints"):
+        with pytest.raises(ValueError, match="must be four and two nonnegative ints"):
+            realize(sides_sq, diag_sq)
+
+    @pytest.mark.parametrize("slot", range(6), ids=["s0", "s1", "s2", "s3", "d0", "d1"])
+    def test_rejects_a_negative_entry_in_every_slot(self, slot):
+        # s0, s3 and d0 once reached isqrt's own error, and s1, s2 and d1
+        # answered None
+        entries = [36, 16, 9, 25, 52, 25]
+        entries[slot] = -entries[slot]
+        with pytest.raises(ValueError) as exc:
+            realize(entries[:4], entries[4:])
+        assert str(exc.value) == (
+            f"sides {entries[:4]} and diagonals {entries[4:]} must be four and two nonnegative ints"
+        )
+
+    @pytest.mark.parametrize(
+        "sides_sq, diag_sq",
+        [((36, 16, 9), (52, 25)), ((36, 16, 9, 25, 1), (52, 25)),
+         ((36, 16, 9, 25), (52,)), ((36, 16, 9, 25), (52, 25, 1))],
+        ids=["three-sides", "five-sides", "one-diagonal", "three-diagonals"],
+    )
+    def test_rejects_a_wrong_number_of_entries(self, sides_sq, diag_sq):
+        with pytest.raises(ValueError, match="must be four and two nonnegative ints"):
             realize(sides_sq, diag_sq)
 
 

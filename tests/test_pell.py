@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from equilat.errors import InconsistencyError
@@ -74,6 +76,23 @@ class TestSeedSearch:
         with pytest.raises(ValueError, match="^bound must be an integer$"):
             seed_search(1, 5, 4, 30.0)
 
+    @pytest.mark.parametrize(
+        "coefficients, message",
+        [
+            ((0, 5, 4), "alpha and beta must be positive"),
+            ((1, 0, 4), "alpha and beta must be positive"),
+            ((1, -5, 4), "alpha and beta must be positive"),
+            ((1, 5, 0), "gamma must be nonzero"),
+            ((1.0, 5, 4), "alpha, beta and gamma must be integers"),
+            ((1, "5", 4), "alpha, beta and gamma must be integers"),
+        ],
+        ids=["zero-alpha", "zero-beta", "negative-beta", "zero-gamma", "float-alpha", "str-beta"],
+    )
+    def test_rejects_coefficients_as_a_spec_does(self, coefficients, message):
+        with pytest.raises(ValueError) as exc:
+            seed_search(*coefficients, 10)
+        assert str(exc.value) == message
+
 
 @pytest.mark.parametrize("spec", SPECS.values(), ids=lambda s: s.name)
 def test_stream_matches_scan_oracle(spec):
@@ -105,13 +124,14 @@ def test_k4_odd_i_fact():
 
 def test_seed_validation():
     with pytest.raises(ValueError):
-        PellSpec("bad", 1, 5, 4, (PellSolution(2, 1),), 3)
+        solutions(PellSpec("bad", 1, 5, 4, (PellSolution(2, 1),), 3), 1)
 
 
 def test_one_seed_is_rejected_when_built():
-    # the recurrence needs two seeds, so a spec with one could never stream
+    # the recurrence needs two seeds, so a spec with one could never stream,
+    # and building its stream says so before the first solution
     with pytest.raises(ValueError, match="need at least two seeds"):
-        PellSpec("one-seed", 1, 5, 4, (PellSolution(2, 0),), 3)
+        next(iter_solutions(PellSpec("one-seed", 1, 5, 4, (PellSolution(2, 0),), 3)))
 
 
 NOT_INTS = "alpha, beta, gamma, rec and the seeds must be integers"
@@ -140,16 +160,19 @@ NOT_INTS = "alpha, beta, gamma, rec and the seeds must be integers"
          "triple-seed", "unpaired-seeds", "float-seed", "str-seed", "float-alpha"],
 )
 def test_spec_check_messages(args, message):
+    # a spec is a plain record, checked where it is used: each stream checks
+    # it once, before its first solution
+    spec = PellSpec(*args)
     with pytest.raises(ValueError) as exc:
-        PellSpec(*args)
+        solutions(spec, 1)
     assert str(exc.value) == message
 
 
-def test_plain_seed_pairs_are_stored_as_solutions():
+def test_plain_seed_pairs_stream_as_solutions():
     spec = PellSpec("x", 1, 2, 1, [[1, 0], [3, 2]], 6)
-    assert spec == PellSpec("x", 1, 2, 1, (PellSolution(1, 0), PellSolution(3, 2)), 6)
-    assert all(type(s) is PellSolution for s in spec.seeds)
-    assert solutions(spec, 4) == solutions(SPECS["K3"], 4)
+    sols = solutions(spec, 4)
+    assert all(type(s) is PellSolution for s in sols)
+    assert sols == solutions(SPECS["K3"], 4)
 
 
 def test_recurrence_inconsistency_detected():
@@ -163,6 +186,12 @@ def test_recurrence_inconsistency_detected():
 def test_count_must_be_positive():
     with pytest.raises(ValueError):
         solutions(SPECS["K1"], 0)
+
+
+def test_count_above_sys_maxsize_is_rejected():
+    # islice, which takes the count, stops at sys.maxsize
+    with pytest.raises(ValueError, match=rf"^count must lie in \[1, {sys.maxsize}\]$"):
+        solutions(SPECS["K1"], sys.maxsize + 1)
 
 
 @pytest.mark.parametrize("count", [3.0, "3"], ids=["float", "str"])

@@ -23,15 +23,15 @@ def test_trapezoid_panels_match_the_construction():
     panels = [panel for build in FIGURE_PANELS.values() for panel in build()]
     sols = all_equable_trapezoids()
     assert len(sols) == 5
-    for sol in sols:
-        _, drawing = CLASS_DRAWINGS[signature(lattice_embedding(sol))]
+    for t, f in sols:
+        _, drawing = CLASS_DRAWINGS[signature(lattice_embedding(t, f))]
         [panel] = [panel for panel in panels if panel["polygons"] == [drawing]]
         [(a1, label)] = panel["marks"]
         o, _, _, c = drawing
         assert label == "A'"
-        assert dist_sq(o, a1) == sol.f**2
+        assert dist_sq(o, a1) == f**2
         sides_sq = sorted((dist_sq(o, a1), dist_sq(a1, c), dist_sq(c, o)))
-        assert sides_sq == [s * s for s in sol.triangle]
+        assert sides_sq == [s * s for s in t]
         [cut] = panel["dashed"]
         assert set(cut) == {a1, c}
 

@@ -460,7 +460,7 @@ class TestAudit:
         # None, so the check fails instead of losing it
         real = trapezoids.lattice_embedding
         monkeypatch.setattr(
-            trapezoids, "lattice_embedding", lambda sol: None if sol.f == 5 else real(sol)
+            trapezoids, "lattice_embedding", lambda t, f: None if f == 5 else real(t, f)
         )
         report = audit_theorems(42)
         assert None in report.trapezoids_expected and len(report.trapezoids_expected) == 5

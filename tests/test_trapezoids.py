@@ -1,7 +1,6 @@
 from fractions import Fraction
 from itertools import islice, permutations, product
 from math import isqrt
-from types import SimpleNamespace
 
 import pytest
 
@@ -12,14 +11,13 @@ from equilat.search import get_catalog
 from equilat.trapezoids import (
     FIRST_TRIANGLE_BOUND,
     TRAPEZOID_TRIANGLE_BOUND,
-    TrapezoidSolution,
     all_equable_trapezoids,
     enumerate_perimeter_dominant,
     heron_area,
+    height_terms,
     interior_rational,
     lattice_embedding,
-    shorter_parallel_side,
-    trapezoid_from,
+    strip_width,
 )
 from helpers import (
     FAMILY_ROWS,
@@ -65,6 +63,10 @@ FIVE = {
     (T556, 6): "isosceles-trapezoid-8-5-2-5",
     (T558, 8): "isosceles-trapezoid-14-5-6-5",
 }
+
+
+# the public functions that take a (triangle, f) pair, and so check it
+PAIR_FUNCTIONS = (strip_width, height_terms, lattice_embedding)
 
 
 def _table(t):
@@ -179,37 +181,41 @@ class TestFamilyMember:
 
 
 class TestTrapezoidFrom:
+    """A trapezoid from a triangle and its side f: the pair itself."""
+
     def test_345_f3(self):
-        sol = trapezoid_from(T345, 3)
-        assert sol is not None
-        assert (sol.c, sol.perimeter) == (3, 6 + 4 + 3 + 5)
-        assert sol.h == 4
+        c = strip_width(T345, 3)
+        assert (c, sum(T345) + 2 * c) == (3, 6 + 4 + 3 + 5)
+        assert height_terms(T345, 3) == (4, 1)
 
     def test_556_f5_rational(self):
-        assert shorter_parallel_side(T556, 5) == Fraction(10, 7)
-        assert trapezoid_from(T556, 5) is None
+        assert strip_width_by_fractions(T556, 5) == Fraction(10, 7)
+        assert strip_width(T556, 5) is None
+        with pytest.raises(ValueError, match="^strip width 10/7 is not a positive integer$"):
+            lattice_embedding(T556, 5)
 
     def test_558_f5_rational(self):
-        assert shorter_parallel_side(T558, 5) == Fraction(15, 7)
+        assert strip_width_by_fractions(T558, 5) == Fraction(15, 7)
+        with pytest.raises(ValueError, match="^strip width 15/7 is not a positive integer$"):
+            lattice_embedding(T558, 5)
 
     def test_41315_f4(self):
         t = (4, 13, 15)
-        assert shorter_parallel_side(t, 4) == Fraction(4, 5)
-        assert trapezoid_from(t, 4) is None
+        assert strip_width_by_fractions(t, 4) == Fraction(4, 5)
+        assert strip_width(t, 4) is None
 
     def test_f_not_a_side(self):
         with pytest.raises(ValueError):
-            trapezoid_from(T345, 6)
+            strip_width(T345, 6)
 
     def test_triangle_given_as_a_list(self):
-        # as JSON decodes it: the tuple's answer, an equal and hashable solution
-        for build in (trapezoid_from, TrapezoidSolution):
-            sol = build([3, 4, 5], 3)
-            assert sol == trapezoid_from(T345, 3) and sol.triangle == T345
-            assert hash(sol) == hash(trapezoid_from(T345, 3))
-        assert trapezoid_from([5, 5, 6], 5) is None
+        # as JSON decodes it: the tuple's answers
+        for f in (3, 4, 5):
+            for build in PAIR_FUNCTIONS:
+                assert build([3, 4, 5], f) == build(T345, f), (build.__name__, f)
+        assert strip_width([5, 5, 6], 5) is None
         with pytest.raises(ValueError, match="strip width 10/7"):
-            TrapezoidSolution([5, 5, 6], 5)
+            lattice_embedding([5, 5, 6], 5)
 
     def test_degeneracy_guard(self):
         # no guard is needed against a side f >= area (height <= 2): the lemma
@@ -234,27 +240,25 @@ class TestTrapezoidFrom:
         whole_widths = 0
         for t, f in cases:
             c = strip_width_by_fractions(t, f)
-            assert shorter_parallel_side(t, f) == c
-            sol = trapezoid_from(t, f)
+            width = strip_width(t, f)
             if c.denominator == 1 and c >= 1:
-                assert type(sol.c) is int and sol.c == c, (t, f)
+                assert type(width) is int and width == c, (t, f)
                 whole_widths += 1
             else:
-                assert sol is None, (t, f)
+                assert width is None, (t, f)
                 with pytest.raises(ValueError, match=f"^strip width {c} is not a positive integer$"):
-                    TrapezoidSolution(t, f)
+                    lattice_embedding(t, f)
         assert (len(cases), whole_widths) == (741, 5)
 
     def test_solution_is_equable_in_rationals(self):
-        for t, f in [(T345, 3), (T345, 4), (T345, 5), (T556, 6), (T558, 8)]:
-            sol = trapezoid_from(t, f)
-            assert sol is not None
-            assert sol.h * (2 * sol.c + f) / 2 == sol.perimeter == sum(t) + 2 * sol.c
+        for t, f in FIVE:
+            c, h = strip_width(t, f), Fraction(*height_terms(t, f))
+            assert h * (2 * c + f) / 2 == sum(t) + 2 * c
 
     def test_height_terms_are_h_in_lowest_terms(self):
         # the trapezoids command prints h from these without loading fractions
         cases = [(T345, 3), (T345, 4), (T345, 5), (T556, 6), (T558, 8)]
-        terms = [trapezoid_from(t, f).h_terms for t, f in cases]
+        terms = [height_terms(t, f) for t, f in cases]
         assert terms == [(4, 1), (3, 1), (12, 5), (4, 1), (3, 1)]
 
 
@@ -262,37 +266,38 @@ class TestAllEquableTrapezoids:
     def test_exactly_five(self):
         sols = all_equable_trapezoids()
         assert len(sols) == 5
-        assert {(s.triangle, s.f) for s in sols} == set(FIVE)
+        assert set(sols) == set(FIVE)
         # the parallel sides c + f and c
-        assert {(s.c + s.f, s.c) for s in sols} == {(6, 3), (10, 6), (8, 2), (14, 6), (20, 15)}
+        widths = [(strip_width(t, f), f) for t, f in sols]
+        assert {(c + f, c) for c, f in widths} == {(6, 3), (10, 6), (8, 2), (14, 6), (20, 15)}
 
     def test_five_at_large_bound(self):
         sols = all_equable_trapezoids(100_000)
         assert len(sols) == 5
-        assert {(s.triangle, s.f) for s in sols} == set(FIVE)
+        assert set(sols) == set(FIVE)
 
     def test_figure_tags(self):
         # the CLI shows each realized class as its drawing, named by its tag
         tags = {
-            (s.triangle, s.f): CLASS_DRAWINGS[signature(lattice_embedding(s))][0]
-            for s in all_equable_trapezoids()
+            (t, f): CLASS_DRAWINGS[signature(lattice_embedding(t, f))][0]
+            for t, f in all_equable_trapezoids()
         }
         assert tags == FIVE
 
     def test_provenance(self):
-        by_parallel_sides = {(s.c + s.f, s.c): s for s in all_equable_trapezoids()}
-        assert by_parallel_sides[(20, 15)].triangle == T345
-        assert by_parallel_sides[(20, 15)].f == 5
-        assert by_parallel_sides[(8, 2)].triangle == T556
-        assert by_parallel_sides[(8, 2)].f == 6
+        by_parallel_sides = {
+            (strip_width(t, f) + f, strip_width(t, f)): (t, f) for t, f in all_equable_trapezoids()
+        }
+        assert by_parallel_sides[(20, 15)] == (T345, 5)
+        assert by_parallel_sides[(8, 2)] == (T556, 6)
 
     def test_no_family_member_below_1e60_produces_integer_c(self):
         members = [t for row in (1, 2, 3, 4) for t in family_members(row, 10**60)]
         assert len(members) == 180
         for t in members:
             for f in set(t):
-                c = shorter_parallel_side(t, f)
-                assert c.denominator != 1, (t, f)
+                assert strip_width_by_fractions(t, f).denominator != 1, (t, f)
+                assert strip_width(t, f) is None, (t, f)
 
 
     def test_scan_stops_at_the_triangle_bound(self, monkeypatch):
@@ -412,7 +417,7 @@ class TestFamilyRowsGiveNoTrapezoid:
             assert heron_area(*t) == a * x * y
             for i, f in enumerate(t):
                 m, j = STRIP_BOUNDS[row, i]
-                assert j < 2 * shorter_parallel_side(t, f) - _at(m, x, y) < j + 1, (t, f)
+                assert j < 2 * strip_width_by_fractions(t, f) - _at(m, x, y) < j + 1, (t, f)
 
     def test_members_below_x0_give_no_integer_c(self):
         below = []
@@ -424,12 +429,12 @@ class TestFamilyRowsGiveNoTrapezoid:
                     below.append(sides_at(x))
         assert sorted(below) == [(3, 25, 26), (4, 13, 15), (4, 51, 53)]
         for t in below:
-            assert all(shorter_parallel_side(t, f).denominator != 1 for f in t), t
+            assert all(strip_width_by_fractions(t, f).denominator != 1 for f in t), t
 
     def test_integer_strip_widths_lie_within_the_triangle_bound(self):
         hits = [
             (t, f) for t in enumerate_perimeter_dominant(400) for f in set(t)
-            if shorter_parallel_side(t, f).denominator == 1
+            if strip_width_by_fractions(t, f).denominator == 1
         ]
         assert len(hits) == 5
         assert max(sum(t) for t, _ in hits) <= TRAPEZOID_TRIANGLE_BOUND
@@ -437,52 +442,51 @@ class TestFamilyRowsGiveNoTrapezoid:
 
 class TestLatticeEmbedding:
     def test_right_trapezoid(self):
-        sol = trapezoid_from(T345, 3)
-        assert signature(lattice_embedding(sol)) == signature(
+        assert signature(lattice_embedding(T345, 3)) == signature(
             NAMED_QUADS["right-trapezoid-6-4-3-5"]
         )
 
     def test_isosceles_14_5_6_5(self):
-        sol = trapezoid_from(T558, 8)
-        assert signature(lattice_embedding(sol)) == signature(
+        assert signature(lattice_embedding(T558, 8)) == signature(
             NAMED_QUADS["isosceles-trapezoid-14-5-6-5"]
         )
 
     def test_slanted_20_4_15_3(self):
-        sol = trapezoid_from(T345, 5)
-        assert signature(lattice_embedding(sol)) == signature(NAMED_QUADS["trapezoid-20-4-15-3"])
+        assert signature(lattice_embedding(T345, 5)) == signature(NAMED_QUADS["trapezoid-20-4-15-3"])
 
     def test_all_five_embed(self):
-        # the embeddings check what the record derives: its parallel sides
+        # the embeddings check what the pair derives: its parallel sides
         # c + f and c, its legs (the triangle's sides other than f) and its
         # perimeter
         sols = all_equable_trapezoids()
         assert len(sols) == 5
-        for sol in sols:
-            emb = lattice_embedding(sol)
+        for t, f in sols:
+            emb, c = lattice_embedding(t, f), strip_width(t, f)
             assert is_equable(emb) and classify(emb).is_trapezoid
-            assert perimeter(emb) == sol.perimeter
+            assert perimeter(emb) == sum(t) + 2 * c
             sides_sq = sorted(dist_sq(p, q) for p, q in zip(emb, emb[1:] + emb[:1]))
-            legs = list(sol.triangle)
-            legs.remove(sol.f)
-            assert sides_sq == sorted(s * s for s in (sol.c + sol.f, sol.c, *legs))
-            assert signature(emb) == signature(NAMED_QUADS[FIVE[sol.triangle, sol.f]])
+            legs = list(t)
+            legs.remove(f)
+            assert sides_sq == sorted(s * s for s in (c + f, c, *legs))
+            assert signature(emb) == signature(NAMED_QUADS[FIVE[t, f]])
 
     def test_diagonals_match_the_planted_triangle(self, monkeypatch):
         # the oracle plants the triangle O, A'(f, 0), C with C above, as the
         # placement did before the trapezoid diagonal formula.  The formula
-        # holds for any strip width, so the records are stand-ins with every
-        # integer c up to 40; the realizer must get the planted diagonals as
-        # ints when both are integers, and must not be asked otherwise.
+        # holds for any strip width, so a stand-in gives every integer c up to
+        # 40, and the legs come in both orders; the realizer must get the
+        # planted diagonals as ints when both are integers, and must not be
+        # asked otherwise.
         calls = []
         monkeypatch.setattr(trapezoids, "realize", lambda sides, diags: calls.append(diags))
+        monkeypatch.setattr(trapezoids, "_strip_width", lambda t, f: (c, 1))
         cases = placed = 0
         for t in enumerate_perimeter_dominant(400):
             for f in set(t):
                 legs = list(t)
                 legs.remove(f)
                 for (b, d), c in product((legs, legs[::-1]), range(1, 41)):
-                    lattice_embedding(SimpleNamespace(triangle=(f, b, d), f=f, c=c))
+                    lattice_embedding((f, b, d), f)
                     diags = whole(trapezoid_diagonals_by_planting(f, b, d, c))
                     if diags is None:
                         assert calls == [], (t, f, b, c)
@@ -497,10 +501,10 @@ class TestLatticeEmbedding:
         # trapezoid classes up to 42 are the five, the longest having
         # perimeter 42
         sols = all_equable_trapezoids()
-        assert max(sol.perimeter for sol in sols) == 42
+        assert max(sum(t) + 2 * strip_width(t, f) for t, f in sols) == 42
         catalog = get_catalog(42)
         found = {sig for sig, cls in catalog.items() if cls.classification.is_trapezoid}
-        assert {signature(lattice_embedding(sol)) for sol in sols} == found
+        assert {signature(lattice_embedding(t, f)) for t, f in sols} == found
 
 
 def _heronian_by_sides(p_max: int) -> list[tuple[int, int, int, int]]:
@@ -537,7 +541,9 @@ def _interior_rational_by_gluing(p_max: int) -> list[tuple[tuple[int, ...], int]
                 x3 = Fraction(d * d - c * c + e * e, 2 * e)
                 h1, h3 = Fraction(2 * area1, e), Fraction(2 * area2, e)
                 diag_sq = (x1 - x3) ** 2 + (h1 + h3) ** 2  # |P1P3|^2
-                quad = realize((a * a, b * b, c * c, d * d), (e * e, diag_sq))
+                # realize takes ints; a lattice quad has an integer diag_sq
+                diags = whole((e * e, diag_sq))
+                quad = diags and realize((a * a, b * b, c * c, d * d), diags)
                 if quad is not None:
                     found.add((signature(quad), e))
     return sorted(found)
@@ -585,22 +591,23 @@ class TestInteriorRational:
 
 class TestValidation:
     def test_triangle_invariants(self):
-        # a triangle is its sides, checked where a trapezoid is built from it:
+        # a triangle is its sides, checked by each function that takes it:
         # not Heronian, degenerate, unordered
         for sides in [(3, 4, 6), (1, 2, 3), (5, 4, 3)]:
-            for build in (shorter_parallel_side, trapezoid_from, TrapezoidSolution):
+            for build in PAIR_FUNCTIONS:
                 with pytest.raises(ValueError):
                     build(sides, 3)
         # f equals the side 3 but is not an int
-        for build in (shorter_parallel_side, trapezoid_from, TrapezoidSolution):
+        for build in PAIR_FUNCTIONS:
             with pytest.raises(ValueError, match=r"3.0 is not a side of \(3, 4, 5\)"):
                 build(T345, 3.0)
 
     def test_solution_invariants(self):
         with pytest.raises(ValueError):  # the strip width 15/7
-            TrapezoidSolution(triangle=T558, f=5)
-        with pytest.raises(ValueError):  # f = 0 leaves the height 2 * area / f undefined
-            TrapezoidSolution(triangle=T345, f=0)
+            lattice_embedding(T558, 5)
+        for build in PAIR_FUNCTIONS:
+            with pytest.raises(ValueError):  # f = 0 leaves the height 2 * area / f undefined
+                build(T345, 0)
 
     @pytest.mark.parametrize(
         "sides, message",
@@ -616,7 +623,7 @@ class TestValidation:
         ids=["degenerate", "unordered", "non-positive", "area", "pair", "float"],
     )
     def test_triangle_check_messages(self, sides, message):
-        for build in (shorter_parallel_side, trapezoid_from, TrapezoidSolution):
+        for build in PAIR_FUNCTIONS:
             with pytest.raises(ValueError) as exc:
                 build(sides, sides[0])
             assert str(exc.value) == message
@@ -626,28 +633,29 @@ class TestValidation:
         [
             # (5, 12, 13) has area = perimeter = 30, so every strip width is 0
             (
-                {"triangle": (5, 12, 13), "f": 5},
+                {"t": (5, 12, 13), "f": 5},
                 "strip width 0 is not a positive integer",
             ),
             # the sides would be (c + f, leg, c, leg) = (13, 10, -3, 10)
             (
-                {"triangle": (10, 10, 16), "f": 16},
+                {"t": (10, 10, 16), "f": 16},
                 "strip width -3 is not a positive integer",
             ),
             # the height 2 * area / f is undefined
             ({"f": 0}, "0 is not a side of (3, 4, 5)"),
             # equable only in the rationals
-            ({"triangle": T556, "f": 5}, "strip width 10/7 is not a positive integer"),
+            ({"t": T556, "f": 5}, "strip width 10/7 is not a positive integer"),
             # the legs are the two sides other than f
             ({"f": 6}, "6 is not a side of (3, 4, 5)"),
             # (5, 5, 8) is drawn extending f = 8, and f = 5 gives no trapezoid
-            ({"triangle": T558, "f": 5}, "strip width 15/7 is not a positive integer"),
+            ({"t": T558, "f": 5}, "strip width 15/7 is not a positive integer"),
         ],
         ids=["c", "sides", "h", "equability", "legs", "drawing"],
     )
     def test_solution_check_messages(self, changes, message):
-        fields = dict(triangle=T345, f=3)
-        TrapezoidSolution(**fields)  # the unchanged fields are valid
+        # a pair that gives no trapezoid has no placement
+        fields = dict(t=T345, f=3)
+        assert lattice_embedding(**fields) is not None  # the unchanged pair is valid
         with pytest.raises(ValueError) as exc:
-            TrapezoidSolution(**{**fields, **changes})
+            lattice_embedding(**{**fields, **changes})
         assert str(exc.value) == message
