@@ -16,14 +16,18 @@ unwritable --out or failed audit cross-check (named on one stderr line), 2
 usage error, 130 interrupted (Ctrl-C).  A command compiles only its own
 command module and executes only the equilat modules it uses: see
 `_lazy_submodule`.  `--help` and usage errors import no command module.
+`_parse_plain` reads a plain command line, a command name and its exact flags
+with their values, from the same option table as the argparse parser, so such
+a command never imports argparse; help, usage errors, abbreviated flags and
+--flag=value are argparse's to parse and to word.
 """
 
 from __future__ import annotations
 
-import argparse
 import importlib.util
 import io
 import sys
+from types import SimpleNamespace
 
 import equilat
 from equilat.errors import EquilatError
@@ -122,10 +126,25 @@ _COMMANDS = {
 }
 
 
+def _flags(command: str) -> dict[str, dict]:
+    """{flag: argparse settings} of `command`, in the order its help lists them.
+    Both parsers read it: `_build_parser` and `_parse_plain`."""
+    _, formats, options = _COMMANDS[command]
+    flags = {"--format": {"choices": formats, "default": formats[0]},
+             "--out": {"metavar": "PATH", "default": None}}
+    if "json" in formats:
+        flags["--pretty"] = {"action": "store_true", "default": False,
+                             "help": "indent JSON output (needs --format json)"}
+    return {**flags, **options()}
+
+
 def _build_parser(command: str | None) -> argparse.ArgumentParser:
     """The parser, with a real subparser for `command` only.  argparse parses
     with no other, and its help, usage and invalid-choice messages read only
-    their name and help line, so the others are None."""
+    their name and help line, so the others are None.  argparse is imported
+    here, since a plain command line never needs it (see `_parse_plain`)."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="equilat",
         description="Exact classification toolkit for lattice equable quadrilaterals.",
@@ -134,31 +153,66 @@ def _build_parser(command: str | None) -> argparse.ArgumentParser:
         dest="command", required=True,
         parser_class=lambda real, **kwargs: argparse.ArgumentParser(**kwargs) if real else None,
     )
-    for name, (help_text, formats, options) in _COMMANDS.items():
+    for name, (help_text, _, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text, real=name == command)
         if p is None:
             continue
-        p.add_argument("--format", choices=formats, default=formats[0])
-        p.add_argument("--out", metavar="PATH", default=None)
-        if "json" in formats:
-            p.add_argument("--pretty", action="store_true",
-                           help="indent JSON output (needs --format json)")
-        for flag, settings in options().items():
+        for flag, settings in _flags(name).items():
             p.add_argument(flag, **settings)
     return parser
+
+
+def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace `_build_parser` parses a plain argv into, or None when argv
+    is not plain.  Plain is a command name, then only that command's exact
+    flags: --pretty bare, every other flag followed by a value that does not
+    start with "-" and passes the flag's type and choices, and every required
+    flag given.  argparse never reads a word that does not start with "-" as a
+    flag, and it keeps the last of repeated flags, as this does.  Everything
+    else, help, usage errors, abbreviated flags, --flag=value, "--" and negative
+    values among them, is left to argparse, which owns its messages."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    flags = _flags(argv[0])
+    given = {}
+    words = iter(argv[1:])
+    for flag in words:
+        settings = flags.get(flag)
+        if settings is None:
+            return None
+        if settings.get("action") == "store_true":
+            given[flag] = True
+            continue
+        word = next(words, None)
+        if word is None or word.startswith("-"):
+            return None
+        try:
+            value = settings.get("type", str)(word)
+        except ValueError:
+            return None
+        if "choices" in settings and value not in settings["choices"]:
+            return None
+        given[flag] = value
+    if any(settings.get("required") and flag not in given for flag, settings in flags.items()):
+        return None
+    return SimpleNamespace(command=argv[0], **{
+        flag[2:].replace("-", "_"): given.get(flag, settings.get("default"))
+        for flag, settings in flags.items()})
 
 
 def run(argv: list[str] | None = None) -> int:
     """Parse argv and dispatch; returns the process exit code."""
     if argv is None:
         argv = sys.argv[1:]
-    # The top-level parser takes no option with a value, so the first command
-    # name in argv is the subcommand argparse will parse it with.
-    parser = _build_parser(next((arg for arg in argv if arg in _COMMANDS), None))
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    args = _parse_plain(argv)
+    if args is None:
+        # The top-level parser takes no option with a value, so the first command
+        # name in argv is the subcommand argparse will parse it with.
+        parser = _build_parser(next((arg for arg in argv if arg in _COMMANDS), None))
+        try:
+            args = parser.parse_args(argv, namespace=SimpleNamespace())
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
     if getattr(args, "pretty", False) and args.format != "json":
         print(f"equilat {args.command}: --pretty needs --format json", file=sys.stderr)
         return 2

@@ -7,13 +7,13 @@ the domain modules, since `trapezoids` and `cyclic` must not import `figures`.
 
 from __future__ import annotations
 
-import argparse
+from types import SimpleNamespace
 
 from equilat import figures, geometry
 from equilat.errors import EquilatError, InconsistencyError
 
 
-def check_workers(args: argparse.Namespace) -> None:
+def check_workers(args: SimpleNamespace) -> None:
     if args.workers < 1:
         raise EquilatError("workers must be positive")
 

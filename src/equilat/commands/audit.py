@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import argparse
+from types import SimpleNamespace
 
 from equilat import search
 from equilat.commands import check_workers
 
 
-def build(args: argparse.Namespace) -> dict:
+def build(args: SimpleNamespace) -> dict:
     check_workers(args)
     report = search.audit_theorems(args.p_max)
     kites_match = report.kites_found == report.kites_expected

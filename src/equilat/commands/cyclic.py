@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import argparse
+from types import SimpleNamespace
 
 from equilat import cyclic
 from equilat.commands import drawing, quad_json
 
 
-def build(args: argparse.Namespace) -> dict:
+def build(args: SimpleNamespace) -> dict:
     candidates = cyclic.enumerate_candidates()
     sols = []
     for wxyz in cyclic.solutions():

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import argparse
+from types import SimpleNamespace
 
 from equilat import geometry, kites
 
 
-def build(args: argparse.Namespace) -> dict:
+def build(args: SimpleNamespace) -> dict:
     tags = [args.family] if args.family else list(kites.FAMILIES)
     rows = [
         {

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import argparse
+from types import SimpleNamespace
 
 from equilat import pell
 
 
-def build(args: argparse.Namespace) -> dict:
+def build(args: SimpleNamespace) -> dict:
     keys = ("name", "alpha", "beta", "gamma", "rec")
     rows = [
         {

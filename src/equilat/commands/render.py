@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import argparse
+from types import SimpleNamespace
 
 from equilat import render
 
 
-def build(args: argparse.Namespace) -> dict:
+def build(args: SimpleNamespace) -> dict:
     svg = render.render_figure(args.figure, "equilat render --figure " + args.figure)
     return {"svg": lambda: svg}

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import argparse
+from types import SimpleNamespace
 
 from equilat import search
 from equilat.commands import check_workers, quad_json
@@ -12,7 +12,7 @@ _FLAGS = ("convex", "kite", "dart", "parallelogram", "trapezoid",
           "isosceles_trapezoid", "right_trapezoid", "cyclic")
 
 
-def build(args: argparse.Namespace) -> dict:
+def build(args: SimpleNamespace) -> dict:
     check_workers(args)
     rows = [
         {

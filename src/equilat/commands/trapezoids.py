@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-import argparse
 from math import isqrt
+from types import SimpleNamespace
 
 from equilat import geometry, trapezoids
 from equilat.commands import drawing, quad_json
 
 
-def build(args: argparse.Namespace) -> dict:
+def build(args: SimpleNamespace) -> dict:
     sols = []
     # Each realized class is shown as its drawing O, A, B, C, whose sides in
     # vertex order are c + f, the published leg AB, c and the leg CO.

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,8 +7,11 @@ import sys
 import xml.etree.ElementTree as ET
 from math import isqrt
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import equilat
 from equilat import cli, kites, render, search, trapezoids
@@ -31,6 +36,21 @@ def _python(*args):
         [sys.executable, *args], env={**os.environ, "PYTHONPATH": SRC},
         capture_output=True, text=True,
     )
+
+
+# The argv of the benchmark's three workloads, copied from
+# perfbench/run.py::workloads (two pool workers for search_fanout).
+BENCHMARK_ARGV = [
+    ("search", "--p-max", "200", "--format", "json"),
+    ("audit", "--p-max", "200", "--workers", "2", "--format", "json"),
+    ("pell", "--count", "40", "--format", "json"),
+    ("kites", "--count", "12", "--format", "json"),
+    ("trapezoids", "--format", "json"),
+    ("cyclic", "--format", "json"),
+    ("search", "--format", "json"),
+    ("audit", "--format", "json"),
+    ("render", "--figure", "k1-nested"),
+]
 
 
 def _loaded_after_cli_import(names) -> set[str]:
@@ -113,6 +133,20 @@ class TestStartup:
         # only --format json writes JSON, so cli imports json inside to_json;
         # json costs about 2.5 ms of startup on a 2-vCPU Xeon
         assert _loaded_by_any_command(["json"]) == set()
+
+    def test_import_does_not_load_argparse(self):
+        # only _build_parser imports argparse, and argparse loads gettext, which
+        # loads locale on argparse's first message lookup
+        assert _loaded_by_any_command(["argparse", "gettext", "locale"]) == set()
+
+    @pytest.mark.parametrize("argv", BENCHMARK_ARGV, ids=" ".join)
+    def test_plain_command_does_not_load_argparse(self, argv):
+        # cli._parse_plain reads a plain command line itself; importing argparse
+        # and building its parser cost 3.7-5.5 ms of every command (2-vCPU Xeon)
+        done = _python("-c", _LOADED_PROBE, *argv)
+        code, *loaded = done.stdout.split()
+        assert (code, done.stderr) == ("0", "")
+        assert {"argparse", "gettext", "locale"}.isdisjoint(loaded)
 
     @pytest.mark.parametrize(
         "argv",
@@ -297,6 +331,9 @@ class TestHelpAndChoices:
             *((command, "--help") for command in
               ("pell", "kites", "trapezoids", "cyclic", "search", "audit", "render")),
             ("kites", "--family", "K9"), ("render", "--figure", "nope"),
+            # valid command lines that only argparse reads
+            ("search", "--p-m", "60"), ("search", "--p-max=60", "--format", "csv"),
+            ("kites", "--count", "-1"),
         ],
         ids=lambda argv: " ".join(argv) or "no-arguments",
     )
@@ -307,6 +344,86 @@ class TestHelpAndChoices:
         expected = _run(capsys, *argv)
         monkeypatch.undo()
         assert _run(capsys, *argv) == expected
+
+
+# The command lines of CI's "Installed console script" step
+# (.github/workflows/tests.yml) that cli._parse_plain reads itself ...
+CONSOLE_SCRIPT_PLAIN_ARGV = [
+    ("audit",), ("pell", "--count", "3"), ("pell", "--count", "3500", "--format", "csv"),
+    ("render", "--figure", "k1-nested"), ("render", "--figure", "right-trapezoids"),
+    ("render", "--figure", "parallelogram-failure"),
+    ("trapezoids",), ("trapezoids", "--format", "json"), ("trapezoids", "--format", "csv"),
+    ("trapezoids", "--p-max", "1000000000000", "--format", "csv"),
+    ("search",), ("search", "--format", "json"),
+    ("kites", "--count", "3"), ("kites", "--family", "K2", "--count", "3"),
+    ("kites", "--format", "json"), ("kites", "--format", "csv"),
+    ("cyclic",), ("cyclic", "--format", "json"),
+]
+# ... and those it leaves to argparse.
+CONSOLE_SCRIPT_ARGPARSE_ARGV = [("--help",), ("frobnicate",), ("search", "--p-m=60")]
+
+# Words for command lines that are plain, nearly plain, or not plain at all:
+# every command's flags, abbreviations, --flag=value, "--" and help ...
+_FLAGS = ["--format", "--out", "--pretty", "--count", "--family", "--p-max", "--workers",
+          "--figure", "--p", "--form", "--p-m", "--format=json", "--p-max=60", "--", "-h",
+          "--help"]
+# ... and values: ones int() reads ("\u0663" is the Arabic-Indic digit 3),
+# ones that start with "-", which argparse may read as a flag, and ones that
+# no flag's choices hold.
+_VALUES = ["-1", "-", "", " 7", "+5", "1_0", "\u0663", "-5e3", "3", "60", "0",
+           "text", "json", "csv", "svg", "xml", "K1", "K9", "k1-nested", "nope", "out.txt"]
+_ANY_WORD = st.sampled_from(_FLAGS + _VALUES + list(cli._COMMANDS))
+
+
+def _command_lines(command: str):
+    """argv that start with `command`, then mostly its own flags, each with a
+    value, but also any flag or stray word anywhere."""
+    own = st.sampled_from(list(cli._flags(command)))
+    return st.lists(st.one_of(
+        st.tuples(own, st.sampled_from(_VALUES)),
+        st.tuples(own, _ANY_WORD),
+        st.tuples(_ANY_WORD),
+    ), max_size=4).map(lambda items: [command, *(word for item in items for word in item)])
+
+
+def _argparse_vars(build_parser, argv) -> dict | None:
+    """vars() of the namespace build_parser's parser gives argv, as cli.run
+    builds it, or None when that parser exits."""
+    parser = build_parser(next((arg for arg in argv if arg in cli._COMMANDS), None))
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return vars(parser.parse_args(argv, namespace=SimpleNamespace()))
+    except SystemExit:
+        return None
+
+
+class TestPlainParse:
+    """cli._parse_plain reads plain command lines without argparse, and must
+    read each exactly as argparse does; the rest it leaves to argparse."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(list(cli._COMMANDS)).flatmap(_command_lines))
+    @example(["search", "--p-max", "60", "--pretty", "--format", "json", "--p-max", "50"])
+    @example(["search", "--out", "--"])  # argparse reads no value starting with "-" ...
+    @example(["search", "--out", "-5e3"])
+    @example(["kites", "--family", "K9"])  # ... nor one outside the flag's choices
+    @example(["search", "--format", "svg"])
+    def test_matches_argparse(self, argv):
+        plain = cli._parse_plain(argv)
+        if plain is not None:
+            for build_parser in (all_real_parser, cli._build_parser):
+                assert vars(plain) == _argparse_vars(build_parser, argv), build_parser
+
+    @pytest.mark.parametrize(
+        "argv", list(dict.fromkeys(BENCHMARK_ARGV + CONSOLE_SCRIPT_PLAIN_ARGV)), ids=" ".join)
+    def test_traffic_is_plain(self, argv):
+        plain = cli._parse_plain(list(argv))
+        assert plain is not None
+        assert vars(plain) == _argparse_vars(all_real_parser, list(argv))
+
+    @pytest.mark.parametrize("argv", CONSOLE_SCRIPT_ARGPARSE_ARGV, ids=" ".join)
+    def test_help_usage_errors_and_abbreviations_are_not_plain(self, argv):
+        assert cli._parse_plain(list(argv)) is None
 
 
 class TestExitCodes:
