@@ -20,12 +20,21 @@ command module and executes only the equilat modules it uses: see
 with their values, from the same option table as the argparse parser, so such
 a command never imports argparse; help, usage errors, abbreviated flags and
 --flag=value are argparse's to parse and to word.
+
+`main`, the console script, runs `run`, flushes stdout and stderr and ends the
+process with `os._exit`, skipping the interpreter's teardown (the exit-time
+garbage collection and the freeing of every module), which no command needs:
+there are no threads or pools and `--out` is closed by its `with` block.  So
+no `atexit` handler runs after `main`, and coverage.py measures the CLI only
+with `[run] patch = _exit`.  Library callers and tools call `run`, which
+returns the exit code and never exits.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import io
+import os
 import sys
 from types import SimpleNamespace
 
@@ -86,6 +95,7 @@ _SERIALIZERS = {
 def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
+        sys.stdout.flush()  # inside run, so a failed write is its one-line error
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -243,7 +253,24 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    """Run the command line, flush what is left of its output and end the
+    process with its exit code, with no interpreter teardown.  What is left is
+    only what argparse printed, since `_emit` flushes the data.  If that flush
+    fails, or Ctrl-C arrives in it, a successful run exits 1 (130) with one
+    stderr line; a failed one has reported its error and keeps its code."""
+    code = run()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, KeyboardInterrupt) as exc:
+        if code == 0:
+            code = 130 if isinstance(exc, KeyboardInterrupt) else 1
+            message = "interrupted" if code == 130 else exc
+            try:
+                print(f"equilat: {message}", file=sys.stderr, flush=True)
+            except (OSError, KeyboardInterrupt):
+                pass  # stderr is gone too: the exit code is all that is left
+    os._exit(code)
 
 
 if __name__ == "__main__":

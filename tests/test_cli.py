@@ -1,4 +1,6 @@
 import contextlib
+import errno
+import hashlib
 import io
 import json
 import os
@@ -470,6 +472,17 @@ class TestExitCodes:
         assert code == 130 and out == ""
         assert err == "equilat search: interrupted\n"
 
+    def test_failed_stdout_flush_is_1(self, capsys, monkeypatch):
+        # a closed pipe or a full disk: _emit flushes inside run's try
+        class BrokenPipe(io.StringIO):
+            def flush(self):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", BrokenPipe())
+        code, _, err = _run(capsys, "pell", "--count", "2")
+        assert code == 1
+        assert err == "equilat pell: [Errno 32] Broken pipe\n"
+
     def test_pretty_needs_json(self, capsys):
         code, out, err = _run(capsys, "search", "--p-max", "16", "--format", "text", "--pretty")
         assert code == 2 and out == ""
@@ -727,3 +740,151 @@ class TestOutFile:
         assert code == 1 and out == ""
         assert err.startswith("equilat search: ") and len(err.splitlines()) == 1
         assert not target.exists()
+
+
+# perfbench/run.py's LAUNCH: the benchmark runs each command as `python -c`
+# with this code, and the console script calls the same cli.main.
+LAUNCH = "from equilat.cli import main\nmain()"
+DIGESTS = Path(__file__).parent / "data" / "cli_stdout_sha256.json"
+
+
+def _equilat(*args, launch=LAUNCH, **kwargs):
+    """Run `python -c launch args...` (or `python args...` with launch None)
+    in a fresh interpreter, capturing its output as bytes unless kwargs say
+    where it goes.  PYTHONUNBUFFERED is dropped, so whatever is still
+    buffered when run returns is main's to flush."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    env.pop("PYTHONUNBUFFERED", None)
+    argv = [sys.executable, *args] if launch is None else [sys.executable, "-c", launch, *args]
+    return subprocess.run(argv, env=env, **(kwargs or {"capture_output": True}))
+
+
+def _recorded_digest(argv) -> str:
+    """The digest tests/data/cli_stdout_sha256.json records for argv's stdout:
+    --workers does not change the output, and search and audit default to
+    --p-max 42."""
+    argv = list(argv)
+    if "--workers" in argv:
+        at = argv.index("--workers")
+        del argv[at:at + 2]
+    if argv[0] in ("search", "audit") and "--p-max" not in argv:
+        argv[1:1] = ["--p-max", "42"]
+    return json.loads(DIGESTS.read_text(encoding="utf-8"))[" ".join(argv)]
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _closed_pipe():
+    """The write end of a pipe whose read end is closed."""
+    read, write = os.pipe()
+    os.close(read)
+    return write
+
+
+class TestMain:
+    """cli.main as a process: it flushes stdout and stderr and ends in
+    os._exit(code), with no interpreter teardown."""
+
+    @pytest.mark.parametrize("argv", BENCHMARK_ARGV, ids=" ".join)
+    def test_benchmark_command(self, argv):
+        done = _equilat(*argv)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert _sha256(done.stdout) == _recorded_digest(argv)
+
+    def test_out_file(self, tmp_path):
+        target = tmp_path / "catalog.json"
+        done = _equilat("search", "--p-max", "200", "--format", "json", "--out", str(target))
+        assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
+        recorded = _recorded_digest(("search", "--p-max", "200", "--format", "json"))
+        assert _sha256(target.read_bytes()) == recorded
+
+    @pytest.mark.parametrize("argv, code, lines", [
+        (("frobnicate",), 2, 2),  # argparse's usage line and its error
+        (("search", "--p-max", "1001"), 1, 1),
+        (("search", "--pretty", "--format", "csv"), 2, 1),
+    ], ids=["usage", "domain", "pretty"])
+    def test_error_exit_codes(self, argv, code, lines):
+        done = _equilat(*argv)
+        assert (done.returncode, done.stdout) == (code, b"")
+        assert len(done.stderr.splitlines()) == lines and b"Traceback" not in done.stderr
+
+    def test_run_as_module(self):
+        argv = ("pell", "--count", "40", "--format", "json")
+        done = _equilat("-m", "equilat.cli", *argv, launch=None)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert _sha256(done.stdout) == _recorded_digest(argv)
+
+    def test_no_atexit_handler_runs_after_main(self):
+        register = "import atexit\natexit.register(print, 'atexit ran')\n"
+        done = _equilat("pell", "--count", "2", launch=register + LAUNCH)
+        assert done.returncode == 0 and b"atexit ran" not in done.stdout
+        # the probe itself works: after run and a normal exit the handler runs
+        done = _equilat("pell", "--count", "2",
+                        launch=register + "import sys\nfrom equilat.cli import run\nsys.exit(run())")
+        assert done.returncode == 0 and done.stdout.endswith(b"atexit ran\n")
+
+    @pytest.mark.parametrize("argv, code", [
+        (("pell", "--count", "2"), 0), (("--help",), 0), (("frobnicate",), 2),
+        (("search", "--p-max", "7"), 1),
+    ], ids=["success", "help", "usage", "domain"])
+    def test_run_returns_and_never_exits(self, capsys, monkeypatch, argv, code):
+        def exit_(status):
+            raise AssertionError(f"run ended the process with {status}")
+
+        monkeypatch.setattr(os, "_exit", exit_)
+        try:
+            assert run(list(argv)) == code
+        except SystemExit as exc:
+            pytest.fail(f"run raised SystemExit({exc.code})")
+
+    def test_help_to_a_closed_pipe_is_1(self):
+        # argparse's help waits in the buffer until main flushes it
+        pipe = _closed_pipe()
+        try:
+            done = _equilat("--help", stdout=pipe, stderr=subprocess.PIPE)
+        finally:
+            os.close(pipe)
+        assert (done.returncode, done.stderr) == (1, b"equilat: [Errno 32] Broken pipe\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_help_to_a_closed_pipe_with_stderr_full_is_1(self):
+        # the line main cannot print does not turn into a traceback or exit 120
+        pipe = _closed_pipe()
+        try:
+            with open("/dev/full", "wb") as full:
+                done = _equilat("--help", stdout=pipe, stderr=full)
+        finally:
+            os.close(pipe)
+        assert done.returncode == 1
+
+    def test_data_to_a_closed_pipe_is_one_error(self):
+        # run reports the failed write; main's flush fails again, silently
+        pipe = _closed_pipe()
+        try:
+            done = _equilat("pell", "--count", "2", stdout=pipe, stderr=subprocess.PIPE)
+        finally:
+            os.close(pipe)
+        assert (done.returncode, done.stderr) == (1, b"equilat pell: [Errno 32] Broken pipe\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_disk_is_1(self):
+        with open("/dev/full", "wb") as full:
+            done = _equilat("pell", "--count", "2", "--format", "json", stdout=full,
+                            stderr=subprocess.PIPE)
+        assert done.returncode == 1
+        assert done.stderr == b"equilat pell: [Errno 28] No space left on device\n"
+
+    def test_interrupt_in_main_flush_is_130(self):
+        interrupted = (
+            "import sys\n"
+            "class Interrupted:\n"
+            "    def write(self, text):\n"
+            "        return len(text)\n"
+            "    def flush(self):\n"
+            "        raise KeyboardInterrupt\n"
+            "sys.stdout = Interrupted()\n"
+        )
+        done = _equilat("--help", launch=interrupted + LAUNCH)
+        assert (done.returncode, done.stderr) == (130, b"equilat: interrupted\n")
