@@ -11,9 +11,11 @@ audit adds "failed", the cross-checks that do not hold.  `run` imports only
 the module of the command it parsed and serializes the requested format to
 stdout or --out.  JSON output is canonical: sorted keys, no floating point,
 rationals as {"num": ..., "den": ...}; --pretty indents it and needs --format
-json.  Errors go to stderr.  Exit codes: 0 success, 1 domain error,
-unwritable --out or failed audit cross-check (named on one stderr line), 2
-usage error, 130 interrupted (Ctrl-C).  A command compiles only its own
+json.  `to_json` writes compact JSON with CPython's C encoder, `_json`, so only
+--pretty, or an interpreter without `_json`, imports the json package.  Errors
+go to stderr.  Exit codes: 0 success, 1 domain error, unwritable --out or
+failed audit cross-check (named on one stderr line), 2 usage error, 130
+interrupted (Ctrl-C).  A command compiles only its own
 command module and executes only the equilat modules it uses: see
 `_lazy_submodule`.  `--help` and usage errors import no command module.
 `_parse_plain` reads a plain command line, a command name and its exact flags
@@ -68,8 +70,31 @@ cyclic, figures, geometry, kites, pell, render, search, trapezoids = map(_lazy_s
 DEFAULT_P_MAX = 42
 
 
+def _not_serializable(value):
+    """json.JSONEncoder.default: what the encoder calls on a value it cannot write."""
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
 def to_json(payload, pretty: bool) -> str:
-    import json  # only --format json needs it, so it stays out of startup
+    """`payload` as canonical JSON and a newline: sorted keys, ASCII only, and
+    compact unless `pretty`, which indents by 2.  Compact output comes from
+    `_json.make_encoder`, the C encoder that `json.dumps` itself calls, given
+    what `json.dumps(payload, sort_keys=True, separators=(",", ":"))` gives it,
+    so the bytes are the same without importing the json package and its
+    decoder.  --pretty, which the C encoder indents only from CPython 3.13 on,
+    and an interpreter without `_json` use json.dumps."""
+    if not pretty:
+        try:
+            import _json
+        except ImportError:
+            pass
+        else:
+            encode = _json.make_encoder(
+                {}, _not_serializable, _json.encode_basestring_ascii, None, ":", ",",
+                True, False, True)  # sort_keys, skipkeys, allow_nan
+            # a list of chunks before 3.12, a tuple of one string from 3.12 on
+            return "".join(encode(payload, 0)) + "\n"
+    import json  # only --pretty, or no _json, needs it, so it stays out of startup
 
     layout = {"indent": 2} if pretty else {"separators": (",", ":")}
     return json.dumps(payload, sort_keys=True, **layout) + "\n"

@@ -132,8 +132,8 @@ class TestStartup:
         assert _loaded_by_any_command(["fractions", "decimal", "numbers"]) == set()
 
     def test_import_does_not_load_json(self):
-        # only --format json writes JSON, so cli imports json inside to_json;
-        # json costs about 2.5 ms of startup on a 2-vCPU Xeon
+        # to_json writes compact JSON with the C encoder _json and imports json
+        # only for --pretty; json costs about 1.5 ms of startup on a 2-vCPU Xeon
         assert _loaded_by_any_command(["json"]) == set()
 
     def test_import_does_not_load_argparse(self):
@@ -189,6 +189,22 @@ class TestStartup:
         code, *loaded = done.stdout.split()
         assert (code, done.stderr) == ("0", "")
         assert "json" not in loaded
+
+    @pytest.mark.parametrize("argv", [a for a in BENCHMARK_ARGV if "json" in a], ids=" ".join)
+    def test_json_command_does_not_load_json(self, argv):
+        # import json, with the re that typing loads for every command, took a
+        # median 1.5 ms in fresh CPython 3.11 interpreters on a 2-vCPU Xeon,
+        # and _json 0.22 ms
+        done = _python("-c", _LOADED_PROBE, *argv)
+        code, *loaded = done.stdout.split()
+        assert (code, done.stderr) == ("0", "")
+        assert {"json", "json.decoder", "json.encoder", "json.scanner"}.isdisjoint(loaded)
+
+    def test_pretty_command_loads_json(self):
+        done = _python("-c", _LOADED_PROBE, "pell", "--count", "2", "--format", "json", "--pretty")
+        code, *loaded = done.stdout.split()
+        assert (code, done.stderr) == ("0", "")
+        assert "json" in loaded
 
     def test_import_loads_every_traced_module(self):
         # perfbench/trace_shim.py finds the modules it wraps in sys.modules
@@ -615,6 +631,93 @@ class TestCyclic:
         assert shown == [[list(p) for p in NAMED_QUADS[n]] for n in names]
 
 
+def _dumps(payload) -> str:
+    """What to_json(payload, False) must equal, byte for byte."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+@contextlib.contextmanager
+def _json_accelerator(hidden: bool):
+    """With hidden, `import _json` raises ImportError, as on an interpreter
+    without the C accelerator."""
+    with pytest.MonkeyPatch.context() as mp:
+        if hidden:
+            mp.setitem(sys.modules, "_json", None)
+        yield
+
+
+def _raised(encode, payload):
+    with pytest.raises((TypeError, ValueError)) as info:
+        encode(payload)
+    return type(info.value), str(info.value), getattr(info.value, "__notes__", None)
+
+
+_JSON_TEXT = st.text(st.one_of(
+    st.characters(), st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\u2028",
+                                      "\xe9", "\U0001f600"])))
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-10**400, 10**400) | st.floats()
+    | _JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+_HIDDEN = pytest.mark.parametrize("hidden", [False, True], ids=["c-encoder", "no-_json"])
+# Each command's JSON at its defaults and at the benchmark's arguments
+_JSON_ARGV = list(dict.fromkeys([
+    *((name, "--format", "json") for name, (_, formats, _) in cli._COMMANDS.items()
+      if "json" in formats),
+    *(argv for argv in BENCHMARK_ARGV if "json" in argv),
+]))
+
+
+class TestToJson:
+    """to_json's compact output, from the C encoder _json or, without _json,
+    from json.dumps, against json.dumps."""
+
+    @pytest.mark.parametrize("argv, hidden", [
+        *((argv, hidden) for argv in _JSON_ARGV for hidden in (False, True)),
+        # integers past 4300 digits, 72 MB of JSON; without _json, to_json is json.dumps
+        (("pell", "--count", "3500", "--format", "json"), False),
+    ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else ["c-encoder", "no-_json"][v])
+    def test_command_payload(self, monkeypatch, argv, hidden):
+        # both serializations run inside run's window without the int-to-str limit
+        seen = []
+        monkeypatch.setitem(cli._SERIALIZERS, "json", lambda payload, pretty: seen.append(
+            (to_json(payload, pretty), _dumps(payload))) or "")
+        with _json_accelerator(hidden):
+            assert run(list(argv)) == 0
+        [(ours, reference)] = seen
+        assert ours == reference
+
+    @_HIDDEN
+    @settings(max_examples=200, deadline=None)
+    @given(_JSON_VALUES)
+    @example([float("nan"), -float("inf"), {"\U0001f600": "\x00\"\\"}, -10**400])
+    def test_values(self, hidden, payload):
+        with _json_accelerator(hidden):
+            assert to_json(payload, False) == _dumps(payload)
+
+    @_HIDDEN
+    @pytest.mark.parametrize("payload", [
+        object(), {"a": [1, {2, 3}]}, [b"bytes"], {"k": {"n": 1.5j}}, {(1, 2): 0},
+    ], ids=["object", "set", "bytes", "complex", "tuple-key"])
+    def test_unserializable_value(self, hidden, payload):
+        with _json_accelerator(hidden):
+            assert _raised(lambda p: to_json(p, False), payload) == _raised(_dumps, payload)
+
+    @_HIDDEN
+    def test_circular_payload(self, hidden):
+        looped_list, looped_dict = [1], {"a": 1}
+        looped_list.append(looped_list)
+        looped_dict["b"] = [looped_dict]
+        with _json_accelerator(hidden):
+            for payload in (looped_list, looped_dict):
+                assert _raised(lambda p: to_json(p, False), payload) == _raised(_dumps, payload)
+                assert _raised(_dumps, payload)[:2] == (ValueError, "Circular reference detected")
+
+
 class TestSearchAndAudit:
     def test_search_json_roundtrip(self, capsys):
         code, out, _ = _run(capsys, "search", "--p-max", "20", "--format", "json")
@@ -809,6 +912,14 @@ class TestMain:
         done = _equilat(*argv)
         assert (done.returncode, done.stdout) == (code, b"")
         assert len(done.stderr.splitlines()) == lines and b"Traceback" not in done.stderr
+
+    def test_without_c_json_accelerator(self):
+        # json.encoder falls back to its pure-Python encoder, and so does to_json
+        launch = "import sys\nsys.modules['_json'] = None\n" + LAUNCH
+        argv = ("search", "--p-max", "200", "--format", "json")
+        done = _equilat(*argv, launch=launch)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert _sha256(done.stdout) == _recorded_digest(argv)
 
     def test_run_as_module(self):
         argv = ("pell", "--count", "40", "--format", "json")
