@@ -1,4 +1,8 @@
-"""`equilat audit`: the catalog cross-checked against the classification results."""
+"""`equilat audit`: the catalog cross-checked against the classification results.
+
+Everything comes from the rows of `search.audit_theorems`: per row, the JSON
+keys {name}_found and {name}_expected, each a sorted list, and {name}_match,
+one text line, and its name in "failed" when it does not hold."""
 
 from __future__ import annotations
 
@@ -10,32 +14,23 @@ from equilat.commands import check_workers
 
 def build(args: SimpleNamespace) -> dict:
     check_workers(args)
-    report = search.audit_theorems(args.p_max)
-    kites_match = report.kites_found == report.kites_expected
-    payload = {
-        "p_max": report.p_max,
-        **{
-            key: sorted(map(list, getattr(report, key)))
-            for key in ("kites_found", "kites_expected", "trapezoids_found", "cyclic_found")
-        },
-        "kites_match": kites_match,
-        "diagonal_exceptions": [
-            {"signature": list(sig), "length": length}
-            for sig, length in report.diagonal_exceptions
-        ],
-    }
+    rows = search.audit_theorems(args.p_max)
+    payload = {"p_max": args.p_max}
+    for row in rows:
+        for part in ("found", "expected"):
+            # None, an unrealized trapezoid, sorts first
+            entries = getattr(row, part)
+            payload[f"{row.name}_{part}"] = sorted(entries, key=lambda e: (e is not None, e))
+        payload[f"{row.name}_match"] = row.holds
+    # the form of diagonal_exceptions_found that the benchmark's checker reads
+    payload["diagonal_exceptions"] = [{"signature": sig, "length": length}
+                                      for sig, length in payload["diagonal_exceptions_found"]]
     return {
         "json": lambda: payload,
-        "text": lambda: [
-            f"audit at p_max={report.p_max}:",
-            f"  kite classes found:      {len(report.kites_found)}"
-            f" (closed-form match: {kites_match})",
-            f"  trapezoid classes found: {len(report.trapezoids_found)}",
-            f"  cyclic classes found:    {len(report.cyclic_found)}",
-            f"  rational interior diagonals: {len(report.diagonal_exceptions)}",
-        ] + [
-            f"    {sig} has an interior diagonal of length {length}"
-            for sig, length in report.diagonal_exceptions
+        "text": lambda: [f"audit at p_max={args.p_max}:"] + [
+            f"  {row.name}: {len(row.found)} found, {len(row.expected)} expected,"
+            f" {'match' if row.holds else 'MISMATCH'}"
+            for row in rows
         ],
-        "failed": report.failed,
+        "failed": [row.name for row in rows if not row.holds],
     }

@@ -131,7 +131,8 @@ def perimeter(q: LatticeQuad) -> int | None:
 
 
 def is_equable(q: LatticeQuad) -> bool:
-    """True iff area equals perimeter, compared exactly (2K == 2P)."""
+    """True iff area equals perimeter, compared exactly (2K == 2P).  A side of
+    irrational length rules it out, by the lemma in the search docstring."""
     p = perimeter(q)
     return p is not None and twice_area(q) == 2 * p
 

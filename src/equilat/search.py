@@ -18,6 +18,14 @@ half-chain with itself being a parallelogram.
 Every side and diagonal is shorter than half the perimeter, which bounds both
 the edge table and the diagonals.
 
+Integer-norm edges are all the search needs: every side of an LEQ is an
+integer.  Write side i as sqrt(n_i) = m_i sqrt(s_i), s_i squarefree.  Twice
+the area is an integer, so sum m_i sqrt(s_i) = A lies in Z/2.  Square roots
+of distinct squarefree integers are linearly independent over Q (Besicovitch
+1940; for four terms, repeated squaring proves it), so in
+sum m_i sqrt(s_i) - A sqrt(1) = 0, grouped by s, the coefficient of each
+sqrt(s) with s != 1 vanishes.  It is a sum of positive m_i, so no s_i != 1.
+
 Each half-chain is stored as three ints: its key dy*K + k, the key
 dy*K - k of its partners, with K = 4 p_max > 2|k|, and its first edge.  Per
 column dx a set intersection in C finds the keys that some half-chain wants,
@@ -96,7 +104,7 @@ from equilat.geometry import (
 
 __all__ = [
     "LeqClass",
-    "AuditReport",
+    "AuditCheck",
     "integer_norm_vectors",
     "enumerate_leqs",
     "get_catalog",
@@ -336,45 +344,32 @@ def get_catalog(p_max: int) -> dict[tuple, LeqClass]:
     return enumerate_leqs(p_max)
 
 
-class AuditReport(NamedTuple):
-    """Catalog classes cross-checked against the classification results.
+class AuditCheck(NamedTuple):
+    """One row of the audit: a set that the search, or the closed-form members'
+    own coordinates, gave, against the set that a closed-form result expects
+    at the same bound.  The check holds when the two are equal."""
 
-    Each check pairs what the search found with what a closed-form result
-    expects at the same bound, and `failed` names the checks that differ."""
-
-    p_max: int
-    kites_found: frozenset[tuple]
-    kites_expected: frozenset[tuple]
-    kite_audits: tuple[str | None, ...]  # per closed-form member, its first failed check
-    trapezoids_found: frozenset[tuple]
-    trapezoids_expected: frozenset[tuple | None]  # None for a solution that does not realize
-    cyclic_found: frozenset[tuple]
-    cyclic_expected: frozenset[tuple]
-    diagonal_exceptions: tuple[tuple[tuple, int], ...]  # (signature, rational length)
-    diagonal_exceptions_expected: tuple[tuple[tuple, int], ...]
+    name: str
+    found: frozenset
+    expected: frozenset
 
     @property
-    def failed(self) -> list[str]:
-        """Names of the checks that do not hold, in the order of the fields."""
-        checks = (
-            ("kites", self.kites_found == self.kites_expected),
-            ("kite_audits", not any(self.kite_audits)),
-            ("trapezoids", self.trapezoids_found == self.trapezoids_expected),
-            ("cyclic", self.cyclic_found == self.cyclic_expected),
-            ("diagonal_exceptions", self.diagonal_exceptions == self.diagonal_exceptions_expected),
-        )
-        return [name for name, ok in checks if not ok]
+    def holds(self) -> bool:
+        return self.found == self.expected
 
 
-def audit_theorems(p_max: int) -> AuditReport:
-    """Compare the catalog at p_max against the closed-form kite families,
-    the equable trapezoids, the cyclic solutions and the rational interior
-    diagonals, and audit every closed-form kite from its coordinates."""
+def audit_theorems(p_max: int) -> tuple[AuditCheck, ...]:
+    """The catalog at p_max cross-checked, one row per check, against the
+    closed-form kite families, the audit of every closed-form kite from its
+    coordinates, the equable trapezoids, the cyclic solutions and the rational
+    interior diagonals."""
     # imported here so that search alone never runs the closed-form modules
     from equilat import cyclic, kites, trapezoids
 
-    catalog = enumerate_leqs(p_max)
-    members = [km for tag in kites.FAMILIES for km in kites.members_within_perimeter(tag, p_max)]
+    catalog = enumerate_leqs(p_max).items()
+    kinds = [(sig, cls.classification) for sig, cls in catalog]
+    members = [(tag, km) for tag in kites.FAMILIES
+               for km in kites.members_within_perimeter(tag, p_max)]
     # A trapezoid's perimeter exceeds its triangle's by twice its shorter
     # parallel side, so triangles up to p_max give every trapezoid up to it.
     trapezoid_embeddings = [
@@ -382,36 +377,24 @@ def audit_theorems(p_max: int) -> AuditReport:
         for t, f in trapezoids.all_equable_trapezoids(p_max)
         if sum(t) + 2 * trapezoids.strip_width(t, f) <= p_max
     ]
-    return AuditReport(
-        p_max=p_max,
-        kites_found=_found(catalog, "is_kite"),
-        kites_expected=frozenset(signature(km.quad()) for km in members),
-        kite_audits=tuple(map(kites.audit_member, members)),
-        trapezoids_found=_found(catalog, "is_trapezoid"),
+    rows = (
+        ("kites", (sig for sig, c in kinds if c.is_kite),
+         (signature(km.quad()) for _, km in members)),
+        # (family, n, its first failed check) of each member whose audit fails
+        ("kite_audits", ((tag, km.sol.n, failed) for tag, km in members
+                         if (failed := kites.audit_member(km))), ()),
         # a solution that does not realize is expected as None, which no
         # catalog class matches, so the check fails
-        trapezoids_expected=frozenset(emb and signature(emb) for emb in trapezoid_embeddings),
-        cyclic_found=_found(catalog, "is_cyclic"),
-        cyclic_expected=frozenset(
-            signature(emb)
-            for sides in map(cyclic.sides, cyclic.solutions())
-            if sum(sides) <= p_max
-            for _, emb in cyclic.realizable_orderings(sides)
-            if emb is not None
-        ),
-        diagonal_exceptions=tuple(
-            (sig, diag.length)
-            for sig, cls in catalog.items()
-            for diag in cls.diagonals.interior
-            if diag.rational
-        ),
-        diagonal_exceptions_expected=tuple(
-            (sig, length) for sig, length in trapezoids.interior_rational()
-            if sum(map(isqrt, sig[:4])) <= p_max
-        ),
+        ("trapezoids", (sig for sig, c in kinds if c.is_trapezoid),
+         (emb and signature(emb) for emb in trapezoid_embeddings)),
+        ("cyclic", (sig for sig, c in kinds if c.is_cyclic), (
+            signature(emb) for sides in map(cyclic.sides, cyclic.solutions()) if sum(sides) <= p_max
+            for _, emb in cyclic.realizable_orderings(sides) if emb is not None)),
+        # (signature, length) of each rational interior diagonal
+        ("diagonal_exceptions",
+         ((sig, d.length) for sig, cls in catalog for d in cls.diagonals.interior if d.rational),
+         ((sig, length) for sig, length in trapezoids.interior_rational()
+          if sum(map(isqrt, sig[:4])) <= p_max)),
     )
-
-
-def _found(catalog: dict[tuple, LeqClass], flag: str) -> frozenset[tuple]:
-    """Signatures of the catalog classes whose classification sets `flag`."""
-    return frozenset(sig for sig, cls in catalog.items() if getattr(cls.classification, flag))
+    return tuple(AuditCheck(name, frozenset(found), frozenset(expected))
+                 for name, found, expected in rows)

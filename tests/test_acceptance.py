@@ -146,23 +146,22 @@ def test_criterion_6_search_audit_42():
         assert perimeter(NAMED_QUADS["kite-3-15"]) == 36
         assert perimeter(NAMED_QUADS["dart-10-5"]) == 30
 
-        report = search.audit_theorems(42)
-        assert report.failed == []
-        assert report.kites_found == report.kites_expected
-        assert report.cyclic_found == {
+        report = {row.name: row for row in search.audit_theorems(42)}
+        assert all(row.holds for row in report.values())
+        assert report["cyclic"].found == {
             signature(NAMED_QUADS[n])
             for n in ("square-4", "rectangle-3-6",
                       "isosceles-trapezoid-8-5-2-5", "isosceles-trapezoid-14-5-6-5")
         }
-        assert report.trapezoids_found == {
+        assert report["trapezoids"].found == {
             signature(NAMED_QUADS[n])
             for n in ("right-trapezoid-6-4-3-5", "right-trapezoid-10-3-6-5",
                       "isosceles-trapezoid-8-5-2-5", "isosceles-trapezoid-14-5-6-5",
                       "trapezoid-20-4-15-3")
         }
-        assert report.diagonal_exceptions == (
+        assert report["diagonal_exceptions"].found == {
             (signature(NAMED_QUADS["right-trapezoid-6-4-3-5"]), 5),
-        )
+        }
 
 
 def test_criterion_7_concave_example_quantities():

@@ -1,6 +1,7 @@
 import contextlib
 import errno
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -9,7 +10,7 @@ import sys
 import xml.etree.ElementTree as ET
 from math import isqrt
 from pathlib import Path
-from types import SimpleNamespace
+from types import ModuleType, SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,10 +21,11 @@ from equilat import cli, kites, render, search, trapezoids
 from equilat.cli import run, to_json
 from equilat.figures import NAMED_QUADS
 from equilat.geometry import dist_sq, signature
-from helpers import all_real_parser
+from helpers import AUDIT_ROWS, all_real_parser, corrupt_audit_row
 
 SRC = str(Path(equilat.__file__).resolve().parents[1])
-TRACE_SHIM = Path(__file__).resolve().parents[1] / "perfbench" / "trace_shim.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACE_SHIM = PERFBENCH / "trace_shim.py"
 
 
 def _run(capsys, *argv):
@@ -679,7 +681,8 @@ class TestToJson:
     @pytest.mark.parametrize("argv, hidden", [
         *((argv, hidden) for argv in _JSON_ARGV for hidden in (False, True)),
         # integers past 4300 digits, 72 MB of JSON; without _json, to_json is json.dumps
-        (("pell", "--count", "3500", "--format", "json"), False),
+        pytest.param(("pell", "--count", "3500", "--format", "json"), False,
+                     marks=pytest.mark.slow),
     ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else ["c-encoder", "no-_json"][v])
     def test_command_payload(self, monkeypatch, argv, hidden):
         # both serializations run inside run's window without the int-to-str limit
@@ -690,6 +693,20 @@ class TestToJson:
             assert run(list(argv)) == 0
         [(ours, reference)] = seen
         assert ours == reference
+
+    @_HIDDEN
+    def test_integer_past_the_digit_limit(self, monkeypatch, capsys, hidden):
+        # run writes its output without CPython's limit on int-to-str
+        # conversion (4300 digits, 3.11 on), which pell --count 3500 passes,
+        # and puts the limit back afterwards
+        payload = [{"n": -10**5000 - 1}, 7]
+        monkeypatch.setattr(importlib.import_module("equilat.commands.pell"), "build",
+                            lambda args: {"json": lambda: payload})
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        with _json_accelerator(hidden):
+            assert run(["pell", "--format", "json"]) == 0
+        assert capsys.readouterr().out == '[{"n":-1' + "0" * 4999 + '1},7]\n'
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
     @_HIDDEN
     @settings(max_examples=200, deadline=None)
@@ -732,9 +749,35 @@ class TestSearchAndAudit:
     def test_audit_single_exception(self, capsys):
         code, out, _ = _run(capsys, "audit", "--p-max", "42", "--format", "json")
         payload = json.loads(out)
-        assert payload["kites_match"] is True
-        assert len(payload["diagonal_exceptions"]) == 1
-        assert payload["diagonal_exceptions"][0]["length"] == 5
+        assert code == 0 and payload["kites_match"] is True
+        assert payload["diagonal_exceptions_found"] == [[[9, 16, 36, 25, 25, 52], 5]]
+        # the alias of diagonal_exceptions_found that perfbench/checks.py reads
+        assert payload["diagonal_exceptions"] == [
+            {"signature": [9, 16, 36, 25, 25, 52], "length": 5}]
+
+    def test_json_and_text_come_from_the_rows(self, capsys):
+        rows = search.audit_theorems(42)
+        _, out, _ = _run(capsys, "audit", "--p-max", "42", "--format", "json")
+        payload = json.loads(out)
+        assert set(payload) == {"p_max", "diagonal_exceptions"} | {
+            f"{row.name}_{part}" for row in rows for part in ("found", "expected", "match")}
+        _, out, _ = _run(capsys, "audit", "--p-max", "42", "--format", "text")
+        assert out.splitlines() == ["audit at p_max=42:"] + [
+            f"  {row.name}: {len(row.found)} found, {len(row.expected)} expected, match"
+            for row in rows]
+
+    @pytest.mark.parametrize("p_max, kites_found", [(42, 4), (200, 9)])
+    def test_benchmark_checker_accepts_the_json(self, capsys, p_max, kites_found):
+        # The benchmark checks audit's JSON with checks.audit_report, which
+        # reads some keys by name, so a renamed row fails here first.  The
+        # module is compiled from its source, so nothing is written there.
+        path = PERFBENCH / "checks.py"
+        checks = ModuleType("perfbench_checks")
+        checks.__file__ = str(path)
+        exec(compile(path.read_bytes(), path, "exec"), vars(checks))
+        code, out, _ = _run(capsys, "audit", "--p-max", str(p_max), "--format", "json")
+        assert code == 0
+        checks.audit_report(p_max, kites=kites_found)(out.encode())
 
     @pytest.mark.parametrize("command", ["search", "audit"])
     def test_workers_flag_does_not_change_output(self, capsys, command):
@@ -745,51 +788,43 @@ class TestSearchAndAudit:
         assert out1 == out2
 
     def test_audit_mismatch_exits_1(self, capsys, monkeypatch):
-        _, expected_out, _ = _run(capsys, "audit", "--p-max", "42", "--format", "json")
+        # two failed rows are named in row order on one stderr line
+        argv = ("audit", "--p-max", "42", "--format", "json")
+        _, clean, _ = _run(capsys, *argv)
         real = search.audit_theorems
-
-        def missing_kite(p_max):
-            report = real(p_max)
-            return report._replace(
-                kites_expected=report.kites_expected | {(1, 1, 1, 1, 2, 2)}
-            )
-
-        monkeypatch.setattr(search, "audit_theorems", missing_kite)
-        code, out, err = _run(capsys, "audit", "--p-max", "42", "--format", "json")
-        assert code == 1
-        expected = json.loads(expected_out)
-        expected["kites_expected"] = sorted(expected["kites_expected"] + [[1, 1, 1, 1, 2, 2]])
-        expected["kites_match"] = False
-        assert json.loads(out) == expected
-        assert err == "equilat audit: failed cross-checks: kites\n"
-
-    @pytest.mark.parametrize(
-        "check, corrupt",
-        [
-            ("kite_audits", lambda r: {"kite_audits": r.kite_audits + ("equable",)}),
-            ("trapezoids", lambda r: {"trapezoids_expected": r.trapezoids_expected - {
-                min(r.trapezoids_expected)
-            }}),
-            ("cyclic", lambda r: {"cyclic_expected": r.cyclic_expected | {(1, 1, 1, 1, 2, 2)}}),
-            ("diagonal_exceptions", lambda r: {"diagonal_exceptions_expected": ()}),
-        ],
-        ids=["kite_audits", "trapezoids", "cyclic", "diagonal_exceptions"],
-    )
-    @pytest.mark.parametrize("fmt", ["json", "text"])
-    def test_failed_cross_check_exits_1(self, capsys, monkeypatch, check, corrupt, fmt):
-        # these expectations are not part of the output, so stdout stays as it is
-        argv = ("audit", "--p-max", "42", "--format", fmt)
-        _, expected_out, _ = _run(capsys, *argv)
-        real = search.audit_theorems
-
-        def corrupted(p_max):
-            report = real(p_max)
-            return report._replace(**corrupt(report))
-
-        monkeypatch.setattr(search, "audit_theorems", corrupted)
+        monkeypatch.setattr(search, "audit_theorems", lambda p_max: corrupt_audit_row(
+            corrupt_audit_row(real(p_max), "cyclic"), "kites"))
         code, out, err = _run(capsys, *argv)
-        assert code == 1 and out == expected_out
+        assert (code, err) == (1, "equilat audit: failed cross-checks: kites, cyclic\n")
+        expected = json.loads(clean)
+        for check in ("kites", "cyclic"):
+            expected[f"{check}_expected"].insert(0, None)
+            expected[f"{check}_match"] = False
+        assert json.loads(out) == expected
+
+    @pytest.mark.parametrize("check", AUDIT_ROWS)
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_failed_cross_check_exits_1(self, capsys, monkeypatch, check, fmt):
+        # the corrupted expectation shows in stdout, and nothing else changes
+        argv = ("audit", "--p-max", "42", "--format", fmt)
+        _, clean, _ = _run(capsys, *argv)
+        real = search.audit_theorems
+        row = next(row for row in real(42) if row.name == check)
+        monkeypatch.setattr(search, "audit_theorems",
+                            lambda p_max: corrupt_audit_row(real(p_max), check))
+        code, out, err = _run(capsys, *argv)
+        assert code == 1
         assert err == f"equilat audit: failed cross-checks: {check}\n"
+        if fmt == "json":
+            expected = json.loads(clean)
+            expected[f"{check}_expected"].insert(0, None)  # None sorts first
+            expected[f"{check}_match"] = False
+            assert json.loads(out) == expected
+        else:
+            found, expected = len(row.found), len(row.expected)
+            [changed] = [(a, b) for a, b in zip(clean.splitlines(), out.splitlines()) if a != b]
+            assert changed == (f"  {check}: {found} found, {expected} expected, match",
+                               f"  {check}: {found} found, {expected + 1} expected, MISMATCH")
 
     def test_p_max_defaults_to_42(self, capsys):
         code, out, _ = _run(capsys, "search", "--format", "json")

@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from equilat import commands, kites
@@ -48,9 +49,9 @@ TRAP_8_5_2_5 = LatticeQuad(((0, 0), (8, 0), (5, 4), (3, 4)))
 
 
 @st.composite
-def lattice_quads(draw):
+def lattice_quads(draw, spans=st.just(30)):
     rng = random.Random(draw(st.integers(0, 2**48)))
-    return random_quad(rng)
+    return random_quad(rng, draw(spans))
 
 
 def test_exact_sqrt():
@@ -113,10 +114,52 @@ class TestIsEquable:
     def test_rectangle_3x5(self):
         assert not is_equable(LatticeQuad(((0, 0), (5, 0), (5, 3), (0, 3))))
 
-    @given(lattice_quads())
+    # is_equable answers False for a side of irrational length without a
+    # check, by the lemma in the search docstring; equable_by_bounds decides
+    # those quads and must agree
+    @given(lattice_quads(st.integers(4, 30)))
+    @example(NAMED_QUADS["square-4"])
+    @example(NAMED_QUADS["kite-3-15"])
+    @example(CONCAVE_60)
+    @example(LatticeQuad(((0, 0), (1, 0), (2, 1), (0, 1))))
     def test_equable_implies_integer_sides(self, q):
-        if is_equable(q):
-            assert perimeter(q) is not None
+        assert equable_by_bounds(q) == is_equable(q)
+
+    @pytest.mark.slow
+    def test_equable_implies_integer_sides_in_a_box(self):
+        # every simple quad with its vertices in [0, 6]^2
+        box = [(x, y) for x in range(7) for y in range(7)]
+        equable = 0
+        for four in combinations(box, 4):
+            for order in ((0, 1, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2)):
+                v = tuple(four[k] for k in order)
+                if is_simple(v):
+                    decided = equable_by_bounds(v)
+                    assert decided == is_equable(LatticeQuad(v)), v
+                    equable += decided
+        assert equable == 41
+
+
+def equable_by_bounds(v) -> bool:
+    """Whether the simple quad v has area equal to perimeter, decided without
+    assuming integer sides.  With sides sqrt(n_i) it asks whether the sum of
+    sqrt(4 n_i) equals T, twice the area.  At precision 2^b, isqrt(4 n_i 4^b)
+    equals sqrt(4 n_i) 2^b when 4 n_i is a square and lies less than 1 below
+    it otherwise, so the scaled sum lies in the open interval (low, low + k),
+    k the number of irrational sides.  T 2^b outside it decides False, and
+    otherwise b doubles.  Only equality with an irrational side would never be
+    decided, so past 2^4096 it raises."""
+    squares = [4 * dist_sq(v[i - 1], v[i]) for i in range(4)]
+    target = abs(twice_area(v))
+    for bits in (1 << i for i in range(13)):
+        roots = [isqrt(n << 2 * bits) for n in squares]
+        irrational = sum(r * r != n << 2 * bits for r, n in zip(roots, squares))
+        low, scaled = sum(roots), target << bits
+        if not irrational:
+            return low == scaled
+        if not low < scaled < low + irrational:
+            return False
+    raise AssertionError(f"{v}: undecided at precision 2^-4096")
 
 
 class TestIsSimple:

@@ -23,7 +23,7 @@ RECORDS = [
     ("Diagonal", lambda: geometry.interior_diagonals(SQUARE).interior[0], "sq"),
     ("DiagonalReport", lambda: geometry.interior_diagonals(SQUARE), "interior"),
     ("LeqClass", lambda: next(iter(search.get_catalog(42).values())), "embeddings_seen"),
-    ("AuditReport", lambda: search.audit_theorems(42), "kites_found"),
+    ("AuditCheck", lambda: search.audit_theorems(42)[0], "found"),
     ("PellSolution", lambda: pell.PellSolution(2, 0), "n"),
     ("PellSpec", lambda: pell.SPECS["K1"], "seeds"),
     ("FamilyId", lambda: kites.FAMILIES["K1"], "k"),

@@ -2,7 +2,7 @@ from math import isqrt
 
 import pytest
 
-from equilat import trapezoids
+from equilat import kites, trapezoids
 from equilat.figures import NAMED_QUADS
 from equilat.geometry import (
     POINT_SYMMETRIES,
@@ -15,7 +15,7 @@ from equilat.geometry import (
 from equilat.search import (
     P_MAX_MAX,
     P_MAX_MIN,
-    AuditReport,
+    AuditCheck,
     _anchored_chains,
     _equable_quads,
     _half_chains,
@@ -24,7 +24,7 @@ from equilat.search import (
     get_catalog,
     integer_norm_vectors,
 )
-from helpers import catalog_placements, longest_side_sq
+from helpers import AUDIT_ROWS, catalog_placements, corrupt_audit_row, longest_side_sq
 
 
 def _full_square_scan(max_len: int) -> list[tuple[int, int, int]]:
@@ -404,17 +404,25 @@ class TestEnumerateLeqs:
             audit_theorems(42.0)
 
 
+def _failed(rows: tuple[AuditCheck, ...]) -> list[str]:
+    return [row.name for row in rows if not row.holds]
+
+
 @pytest.fixture()
-def report() -> AuditReport:
-    return audit_theorems(42)
+def report() -> dict[str, AuditCheck]:
+    return {row.name: row for row in audit_theorems(42)}
 
 
 class TestAudit:
 
+    def test_rows(self, report):
+        assert tuple(report) == AUDIT_ROWS
+        assert all(type(row.found) is type(row.expected) is frozenset for row in report.values())
+
     def test_kites_found_equal_expected(self, report):
-        assert report.kites_found == report.kites_expected
+        assert report["kites"].holds
         expected_names = ("rhombus-5", "square-4", "dart-10-5", "kite-3-15")
-        assert report.kites_found == {
+        assert report["kites"].found == {
             signature(NAMED_QUADS[n]) for n in expected_names
         }
 
@@ -426,7 +434,7 @@ class TestAudit:
             "isosceles-trapezoid-14-5-6-5",
             "trapezoid-20-4-15-3",
         )
-        assert report.trapezoids_found == {signature(NAMED_QUADS[n]) for n in names}
+        assert report["trapezoids"].found == {signature(NAMED_QUADS[n]) for n in names}
 
     def test_cyclic_are_the_four(self, report):
         names = (
@@ -435,25 +443,31 @@ class TestAudit:
             "isosceles-trapezoid-8-5-2-5",
             "isosceles-trapezoid-14-5-6-5",
         )
-        assert report.cyclic_found == {signature(NAMED_QUADS[n]) for n in names}
+        assert report["cyclic"].found == {signature(NAMED_QUADS[n]) for n in names}
 
     def test_single_diagonal_exception(self, report):
-        assert report.diagonal_exceptions == (
+        assert report["diagonal_exceptions"].found == {
             (signature(NAMED_QUADS["right-trapezoid-6-4-3-5"]), 5),
-        )
+        }
 
-    def test_every_closed_form_kite_is_audited(self, report):
-        assert len(report.kite_audits) == 4  # K1-K4 each have one member up to 42
-        assert report.kite_audits == (None,) * 4
+    def test_every_closed_form_kite_is_audited(self, report, monkeypatch):
+        assert report["kite_audits"] == ("kite_audits", frozenset(), frozenset())
+        # the four members up to 42, K1 n = 2 and 3, K3 n = 1 and K4 n = 1,
+        # each listed with the check it fails
+        monkeypatch.setattr(kites, "audit_member", lambda km: "equable")
+        row = audit_theorems(42)[AUDIT_ROWS.index("kite_audits")]
+        assert row.found == {("K1", 2, "equable"), ("K1", 3, "equable"),
+                             ("K3", 1, "equable"), ("K4", 1, "equable")}
+        assert not row.holds
 
     def test_no_check_fails_at_any_small_bound(self):
-        failed = {p: audit_theorems(p).failed for p in range(P_MAX_MIN, 61)}
+        failed = {p: _failed(audit_theorems(p)) for p in range(P_MAX_MIN, 61)}
         assert failed == {p: [] for p in range(P_MAX_MIN, 61)}
 
     def test_rational_diagonal_expected_from_its_perimeter(self):
-        exception = ((signature(NAMED_QUADS["right-trapezoid-6-4-3-5"]), 5),)
-        assert audit_theorems(17).diagonal_exceptions_expected == ()
-        assert audit_theorems(18).diagonal_exceptions_expected == exception
+        exception = {(signature(NAMED_QUADS["right-trapezoid-6-4-3-5"]), 5)}
+        assert audit_theorems(17)[-1].expected == set()
+        assert audit_theorems(18)[-1].expected == exception
 
     def test_unrealized_trapezoid_fails_its_check(self, monkeypatch):
         # a solution the realizer cannot place stays in the expected set, as
@@ -462,35 +476,26 @@ class TestAudit:
         monkeypatch.setattr(
             trapezoids, "lattice_embedding", lambda t, f: None if f == 5 else real(t, f)
         )
-        report = audit_theorems(42)
-        assert None in report.trapezoids_expected and len(report.trapezoids_expected) == 5
-        assert report.failed == ["trapezoids"]
+        rows = audit_theorems(42)
+        expected = rows[AUDIT_ROWS.index("trapezoids")].expected
+        assert None in expected and len(expected) == 5
+        assert _failed(rows) == ["trapezoids"]
 
-    @pytest.mark.parametrize(
-        "field, corrupt",
-        [
-            ("kites_expected", lambda r: r.kites_expected | {(1, 1, 1, 1, 2, 2)}),
-            ("kite_audits", lambda r: r.kite_audits + ("equable",)),
-            ("trapezoids_expected", lambda r: r.trapezoids_expected - r.trapezoids_found),
-            ("cyclic_expected", lambda r: r.cyclic_found | {(1, 1, 1, 1, 2, 2)}),
-            ("diagonal_exceptions_expected", lambda r: ()),
-        ],
-    )
-    def test_each_corrupted_expectation_fails_its_check(self, report, field, corrupt):
-        check = field.removesuffix("_expected")
-        assert report._replace(**{field: corrupt(report)}).failed == [check]
+    @pytest.mark.parametrize("name", AUDIT_ROWS)
+    def test_each_corrupted_expectation_fails_its_check(self, name):
+        rows = audit_theorems(42)
+        assert _failed(rows) == [] and _failed(corrupt_audit_row(rows, name)) == [name]
 
 
 @pytest.mark.slow
 def test_audit_at_the_cap():
-    report = audit_theorems(P_MAX_MAX)
+    report = {row.name: row for row in audit_theorems(P_MAX_MAX)}
     assert len(get_catalog(P_MAX_MAX)) == 405
-    assert report.failed == []
-    assert report.kites_found == report.kites_expected
-    assert len(report.kites_found) == 11
-    assert len(report.trapezoids_found) == 5
-    assert len(report.cyclic_found) == 4
-    assert report.diagonal_exceptions == (((9, 16, 36, 25, 25, 52), 5),)
+    assert all(row.holds for row in report.values())
+    assert len(report["kites"].found) == 11
+    assert len(report["trapezoids"].found) == 5
+    assert len(report["cyclic"].found) == 4
+    assert report["diagonal_exceptions"].found == {((9, 16, 36, 25, 25, 52), 5)}
 
 
 def test_p60_catalog_has_concave_example():
