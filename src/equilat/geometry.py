@@ -8,9 +8,10 @@ overflow a non-issue, so coordinates of any magnitude are safe.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Sequence
 from math import isqrt
 from operator import index
-from typing import NamedTuple, Sequence
 
 from equilat.errors import InvalidQuadError
 
@@ -137,16 +138,14 @@ def is_equable(q: LatticeQuad) -> bool:
     return p is not None and twice_area(q) == 2 * p
 
 
-class QuadClassification(NamedTuple):
-    convex: bool
-    reflex_index: int | None
-    is_kite: bool
-    is_dart: bool
-    is_parallelogram: bool
-    is_trapezoid: bool
-    is_isosceles_trapezoid: bool
-    is_right_trapezoid: bool
-    is_cyclic: bool
+class QuadClassification(namedtuple("QuadClassification", (
+    "convex", "reflex_index", "is_kite", "is_dart", "is_parallelogram", "is_trapezoid",
+    "is_isosceles_trapezoid", "is_right_trapezoid", "is_cyclic",
+))):
+    """Shape flags of a quad, each a bool but reflex_index, the index of
+    its reflex vertex or None."""
+
+    __slots__ = ()
 
 
 def _reflex_index(v: Sequence[tuple[int, int]]) -> int | None:
@@ -312,9 +311,10 @@ def realize(sides_sq: Sequence[int], diag_sq: Sequence[int]) -> LatticeQuad | No
     return None
 
 
-class Diagonal(NamedTuple):
-    ends: tuple[int, int]
-    sq: int
+class Diagonal(namedtuple("Diagonal", ("ends", "sq"))):
+    """A diagonal by the (i, j) indices of its ends and its squared length."""
+
+    __slots__ = ()
 
     @property
     def length(self) -> int | None:
@@ -325,19 +325,21 @@ class Diagonal(NamedTuple):
         return self.length is not None
 
 
-class DiagonalReport(NamedTuple):
-    interior: tuple[Diagonal, ...]
-    exterior: tuple[Diagonal, ...]
+class DiagonalReport(namedtuple("DiagonalReport", ("interior", "exterior"))):
+    """A quad's two diagonals as tuples of the interior and exterior ones."""
+
+    __slots__ = ()
 
 
-def interior_diagonals(q: LatticeQuad) -> DiagonalReport:
+def interior_diagonals(q: LatticeQuad, kind: QuadClassification | None = None) -> DiagonalReport:
     """Split the two diagonals into interior and exterior.
 
     A convex quad has both diagonals interior.  A concave quad has exactly
     one reflex vertex; the diagonal through it is interior, the other lies
-    outside the polygon.
+    outside the polygon.  `kind`, classify(q) when the caller has it, gives
+    the reflex vertex without finding it again.
     """
-    reflex = _reflex_index(q)
+    reflex = _reflex_index(q) if kind is None else kind.reflex_index
     d02 = Diagonal((0, 2), dist_sq(q[0], q[2]))
     d13 = Diagonal((1, 3), dist_sq(q[1], q[3]))
     if reflex is None:

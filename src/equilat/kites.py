@@ -22,9 +22,10 @@ for every member, so w is 0 on B, w_A = (2 - t)(A_0 - C_0)/2 and w_C = -w_A.
 from __future__ import annotations
 
 import sys
+from collections import namedtuple
+from collections.abc import Iterator
 from itertools import islice, takewhile
 from math import gcd
-from typing import Iterator, NamedTuple
 
 from equilat import pell
 from equilat.errors import InconsistencyError
@@ -49,17 +50,13 @@ __all__ = [
 ]
 
 
-class FamilyId(NamedTuple):
+class FamilyId(namedtuple("FamilyId", ("k", "m", "gcd_ab", "first", "seeds"))):
     """Constants of one family row: the Vieta pair (k, m) of the module
     docstring, gcd(a, b), the index `first` of the first member's (n, i) in
     the family's Pell stream, and `seeds`, the first two placements as
     (Ax, Ay, Bx, By, Cx, Cy), which the module's recurrence extends."""
 
-    k: int
-    m: int
-    gcd_ab: int
-    first: int
-    seeds: tuple[tuple[int, ...], tuple[int, ...]]
+    __slots__ = ()
 
     @property
     def q_sq(self) -> int:
@@ -77,17 +74,12 @@ FAMILIES: dict[str, FamilyId] = {
 }
 
 
-class KiteMember(NamedTuple):
-    """One realized kite with its audit quantities."""
+class KiteMember(namedtuple("KiteMember", ("family", "sol", "A", "B", "C", "K_A", "a", "b"))):
+    """One realized kite with its audit quantities: its FamilyId, its
+    PellSolution, the vertices A, B and C, the area K_A of triangle OAB and
+    the sides a >= b."""
 
-    family: FamilyId
-    sol: pell.PellSolution
-    A: tuple[int, int]
-    B: tuple[int, int]
-    C: tuple[int, int]
-    K_A: int
-    a: int
-    b: int
+    __slots__ = ()
 
     def quad(self) -> LatticeQuad:
         return LatticeQuad(((0, 0), self.A, self.B, self.C))

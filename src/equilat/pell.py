@@ -13,9 +13,10 @@ constant term, on their vertex coordinates.  A spec is a plain record, which
 from __future__ import annotations
 
 import sys
+from collections import namedtuple
+from collections.abc import Iterator
 from itertools import islice
 from math import isqrt
-from typing import Iterator, NamedTuple
 
 from equilat.errors import InconsistencyError
 
@@ -30,20 +31,17 @@ __all__ = [
 ]
 
 
-class PellSolution(NamedTuple):
-    n: int
-    i: int
+class PellSolution(namedtuple("PellSolution", ("n", "i"))):
+    """One solution (n, i), in ints."""
+
+    __slots__ = ()
 
 
-class PellSpec(NamedTuple):
-    """One equation alpha*n^2 - beta*i^2 = gamma with (n, i) seeds and recurrence."""
+class PellSpec(namedtuple("PellSpec", ("name", "alpha", "beta", "gamma", "seeds", "rec"))):
+    """One equation alpha*n^2 - beta*i^2 = gamma, by name, with its two
+    PellSolution seeds and the int multiplier `rec` of its recurrence."""
 
-    name: str
-    alpha: int
-    beta: int
-    gamma: int
-    seeds: tuple[PellSolution, ...]
-    rec: int
+    __slots__ = ()
 
     def satisfies(self, n: int, i: int) -> bool:
         return self.alpha * n * n - self.beta * i * i == self.gamma

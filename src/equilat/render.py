@@ -3,14 +3,15 @@ quadrilaterals, labeled vertices.  One lattice unit is a fixed 24 px."""
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from math import ceil, floor
-from typing import TYPE_CHECKING, Callable
 
 from equilat.figures import NAMED_QUADS
 from equilat.geometry import side_swap
 
-if TYPE_CHECKING:
-    from fractions import Fraction
+# Fraction in the annotations is fractions.Fraction, the type of the point
+# that side_swap moves.  Annotations are never evaluated here, so nothing
+# imports it for them.
 
 __all__ = ["UNIT", "FIGURE_PANELS", "figure_names", "render_figure"]
 

@@ -86,16 +86,14 @@ vertex of the placement that anchors it.
 from __future__ import annotations
 
 from array import array
+from collections import namedtuple
 from functools import lru_cache
 from itertools import compress
 from math import gcd, isqrt
-from typing import NamedTuple
 
 from equilat.geometry import (
     POINT_SYMMETRIES,
-    DiagonalReport,
     LatticeQuad,
-    QuadClassification,
     canonical_signature,
     classify,
     interior_diagonals,
@@ -267,40 +265,58 @@ def _equable_quads(p_max: int):
                     yield (0, 0), (x1, y1), (dx, dy), (qx, qy)
 
 
+# (index in POINT_SYMMETRIES, a, b, c, d) of the rotation that moves an edge
+# out of the quarter plane 0, 1, 2 or 3 into quarter 0, the half-quadrant
+# dx > 0, dy >= 0, where quarter n is quarter 0 turned n quarter turns
+# counterclockwise; then of the reflection that does, by the quarter of the
+# edge reflected through y = x.
+_ROTATIONS = tuple((g, *POINT_SYMMETRIES[g]) for g in (0, 6, 3, 5))
+_REFLECTIONS = tuple((g, *POINT_SYMMETRIES[g]) for g in (4, 2, 7, 1))
+
+
 def _anchored_chains(pts: tuple[tuple[int, int], ...], sq: int) -> list[tuple[int, ...]]:
     """Flat vertex tuples of the quad's images under the lattice symmetries,
     re-oriented counterclockwise and started at each vertex whose outgoing
     edge is a longest edge, of squared length sq, in the half-quadrant
-    dx > 0, dy >= 0."""
-    # A rotation (s = 1) maps the chain as it is; a reflection (s = -1) maps
-    # the reversed chain, which it leaves counterclockwise.  Per orientation,
-    # the next three vertices from each vertex whose outgoing edge is
-    # longest, relative to it, in the order of the vertices of the image.
-    starts: dict[int, list[tuple[int, ...]]] = {1: [], -1: []}
-    for s, chain in ((1, pts), (-1, pts[::-1])):
-        for i, (ox, oy) in enumerate(chain):
-            (ax, ay), (cx, cy), (fx, fy) = chain[i - 3], chain[i - 2], chain[i - 1]
-            vx, vy = ax - ox, ay - oy
-            if vx * vx + vy * vy == sq:
-                starts[s].append((vx, vy, cx - ox, cy - oy, fx - ox, fy - oy))
-    out = []
-    for a, b, c, e in POINT_SYMMETRIES:
-        for vx, vy, cx, cy, fx, fy in starts[a * e - b * c]:
-            ex, ey = a * vx + b * vy, c * vx + e * vy
-            if ex > 0 and ey >= 0:
-                out.append((0, 0, ex, ey, a * cx + b * cy, c * cx + e * cy,
-                            a * fx + b * fy, c * fx + e * fy))
-    return out
+    dx > 0, dy >= 0; in the order of POINT_SYMMETRIES, then of the image's
+    vertices."""
+    # Each longest edge v = P(k+1) - Pk anchors two chains.  A rotation maps
+    # the chain as it is, from Pk, and the one that moves v into the
+    # half-quadrant follows from v's quarter plane.  A reflection maps the
+    # reversed chain, which it leaves counterclockwise, from P(k+1), whose
+    # outgoing edge there is -v.  Each chain is ranked by its symmetry and its
+    # start's place in the chain that symmetry maps.
+    found = []
+    for k in range(4):
+        (ox, oy), (ax, ay), (cx, cy), (fx, fy) = pts[k], pts[k - 3], pts[k - 2], pts[k - 1]
+        vx, vy = ax - ox, ay - oy
+        if vx * vx + vy * vy != sq:
+            continue
+        cx, cy, fx, fy = cx - ox, cy - oy, fx - ox, fy - oy
+        g, a, b, c, e = _ROTATIONS[
+            0 if vx > 0 and vy >= 0 else 1 if vy > 0 else 2 if vx < 0 else 3]
+        found.append((4 * g + k, (0, 0, a * vx + b * vy, c * vx + e * vy, a * cx + b * cy,
+                                  c * cx + e * cy, a * fx + b * fy, c * fx + e * fy)))
+        # Pk, P(k-1) and P(k-2) relative to P(k+1), which is vertex 2 - k of
+        # the reversed chain.
+        vx, vy, cx, cy, fx, fy = -vx, -vy, fx - vx, fy - vy, cx - vx, cy - vy
+        g, a, b, c, e = _REFLECTIONS[
+            0 if vy > 0 and vx >= 0 else 1 if vx > 0 else 2 if vy < 0 else 3]
+        found.append((4 * g + (2 - k) % 4, (0, 0, a * vx + b * vy, c * vx + e * vy,
+                                            a * cx + b * cy, c * cx + e * cy,
+                                            a * fx + b * fy, c * fx + e * fy)))
+    found.sort()  # the ranks differ, so no two chains are compared
+    return [chain for _, chain in found]
 
 
-class LeqClass(NamedTuple):
-    """One congruence class of lattice equable quadrilaterals."""
+class LeqClass(namedtuple("LeqClass", (
+    "signature", "representative", "classification", "diagonals", "embeddings_seen",
+))):
+    """One congruence class of lattice equable quadrilaterals: its signature,
+    its representative LatticeQuad, its QuadClassification and
+    DiagonalReport, and the number of its anchored chains."""
 
-    signature: tuple[int, int, int, int, int, int]
-    representative: LatticeQuad
-    classification: QuadClassification
-    diagonals: DiagonalReport
-    embeddings_seen: int
+    __slots__ = ()
 
     @property
     def perimeter(self) -> int:
@@ -328,11 +344,12 @@ def enumerate_leqs(p_max: int) -> dict[tuple, LeqClass]:
     for sig in sorted(chains):
         first = min(chains[sig])
         rep = LatticeQuad(tuple(zip(first[::2], first[1::2])))
+        kind = classify(rep)
         classes[sig] = LeqClass(
             signature=sig,
             representative=rep,
-            classification=classify(rep),
-            diagonals=interior_diagonals(rep),
+            classification=kind,
+            diagonals=interior_diagonals(rep, kind),
             embeddings_seen=len(chains[sig]),
         )
     return classes
@@ -344,14 +361,13 @@ def get_catalog(p_max: int) -> dict[tuple, LeqClass]:
     return enumerate_leqs(p_max)
 
 
-class AuditCheck(NamedTuple):
-    """One row of the audit: a set that the search, or the closed-form members'
-    own coordinates, gave, against the set that a closed-form result expects
-    at the same bound.  The check holds when the two are equal."""
+class AuditCheck(namedtuple("AuditCheck", ("name", "found", "expected"))):
+    """One row of the audit: a frozenset that the search, or the closed-form
+    members' own coordinates, gave, against the frozenset that a closed-form
+    result expects at the same bound.  The check holds when the two are
+    equal."""
 
-    name: str
-    found: frozenset
-    expected: frozenset
+    __slots__ = ()
 
     @property
     def holds(self) -> bool:

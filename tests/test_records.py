@@ -43,6 +43,21 @@ def test_fields_are_read_only(name, make, field):
     assert getattr(record, field) is before
 
 
+@pytest.mark.parametrize("name, make, field", RECORDS, ids=[r[0] for r in RECORDS])
+def test_copies_keep_value_type_and_fields(name, make, field):
+    record = make()
+    copies = {
+        "pickle": pickle.loads(pickle.dumps(record)),
+        "copy": copy.copy(record),
+        "deepcopy": copy.deepcopy(record),
+        "_replace": record._replace(**{field: getattr(record, field)}),
+    }
+    for how, copied in copies.items():
+        assert copied == record, how
+        assert type(copied) is type(record), how
+        assert copied._fields == record._fields, how
+
+
 @pytest.mark.parametrize(
     "unsorted, expected",
     [
