@@ -1,4 +1,5 @@
-"""The four infinite families of lattice equable kites.
+"""The four infinite families of lattice equable kites, and why there are no
+others.
 
 Each family row places the kite O(0,0), A, B, C, symmetric about the diagonal
 OB with C the reflection of A, for one Pell solution (n, i).
@@ -17,6 +18,44 @@ and the midpoint of AC are linear in (n, i), and the chord A - C is the same
 for every member, so w is 0 on B, w_A = (2 - t)(A_0 - C_0)/2 and w_C = -w_A.
 `audit_member` checks the coordinates against the paper's closed forms in
 (n, i).
+
+Every lattice equable kite is congruent to a member.  Place it as O, A, B, C,
+symmetric in OB, with the integer sides a = |OA| >= b = |AB| (every side of
+an LEQ is an integer; see `search`), and let s = a + b and p = ab.  The
+kite is twice the triangle OAB, so it is equable iff that triangle's area is
+s, and then |OB| * |AC| = 4s.  Heron's formula on (a, b, |OB|) reads
+16s^2 = (s^2 - |OB|^2)(|OB|^2 - (a - b)^2), a quadratic in s^2 - |OB|^2
+with roots 2(p - t) and 2(p + t), t^2 = p^2 - 4s^2; |OB|^2 is an integer,
+so t is one.  So |OB|^2 = s^2 - 2v for one factor v of
+(p - t)(p + t) = 4s^2.  Let u = 4s^2/v be the other.  Then
+|OB|^2 = s^2 (u - 8)/u, so u > 8, and |AC|^2 = 16u/(u - 8) = 16 + 128/(u - 8).
+A lattice |AC|^2 is an integer, so u - 8 divides 128.  In each of the eight
+cases p = (u + 4s^2/u)/2 must be an integer and the discriminant
+(a - b)^2 = s^2 - 4p = |OB|^2 - 2u a square:
+
+    u    |AC|^2  outcome
+    9    144     9 | 4s^2 forces 3 | s, so 4s^2/9 is even and p is never
+                 an integer
+    10   80      K1
+    12   48      48 is not a sum of two squares, so not a lattice length
+    16   32      K3
+    24   24      24 is not a sum of two squares
+    40   20      K2
+    72   18      K4
+    136  17      s = 34x, and s^2 - 4p = 272(4x^2 - 1) is a square only if
+                 4x^2 - 1 = 17w^2, which has no solution mod 4
+
+In the four live cases u = 2km^2 for the row's Vieta pair (k, m), and an
+integer p with a square discriminant forces km | s (p alone does for K1 and
+K2; modulo 16 for K3 and modulo 3 for K4).  With s = kmn the discriminant is
+r^2 (alpha*n^2 - gamma)/beta for the row's equation and r = 5, 20, 8, 12;
+beta is squarefree, so it is a square iff (n, i) solves the equation, with
+a - b = r*i.  Then a, b and |OB| are the member's at (n, i), so the kite is
+congruent to it, and `pell` shows that each stream holds every nonnegative
+solution.  K2's skipped n = 1 is K1's rhombus at n = 2, with its diagonals
+swapped.  (k, m) cannot shrink to u: u = 2km^2 does not fix k*m, which
+K_A = kmn needs.  The tests carry the computation of the eight cases, and
+a scan over (a, b) as an oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +63,7 @@ from __future__ import annotations
 import sys
 from collections import namedtuple
 from collections.abc import Iterator
-from itertools import islice, takewhile
+from itertools import islice
 from math import gcd
 
 from equilat import pell
@@ -45,7 +84,6 @@ __all__ = [
     "FAMILIES",
     "iter_members",
     "generate",
-    "members_within_perimeter",
     "audit_member",
 ]
 
@@ -115,13 +153,6 @@ def generate(tag: str, count: int) -> list[KiteMember]:
     if not 1 <= count <= sys.maxsize:  # islice takes at most sys.maxsize
         raise ValueError(f"count must lie in [1, {sys.maxsize}]")
     return list(islice(iter_members(tag), count))
-
-
-def members_within_perimeter(tag: str, p_max: int) -> list[KiteMember]:
-    """All members with perimeter (= area = 2*K_A) at most p_max."""
-    if not isinstance(p_max, int):
-        raise ValueError("p_max must be an integer")
-    return list(takewhile(lambda km: km.perimeter <= p_max, iter_members(tag)))
 
 
 def audit_member(km: KiteMember) -> str | None:

@@ -3,11 +3,33 @@
 Each built-in equation carries the first two nonnegative solutions as seeds;
 the full stream, ordered by increasing n, continues them with the second-order
 recurrence (n_j, i_j) = rec * (n_{j-1}, i_{j-1}) - (n_{j-2}, i_{j-2}).  Every
-emitted pair is re-checked against the equation, and completeness of the
-stream is asserted separately against the brute-force scan in `seed_search`
-(never proved here).  The kite families run the same recurrence, with a
-constant term, on their vertex coordinates.  A spec is a plain record, which
-`iter_solutions` checks as each stream starts.
+emitted pair is re-checked against the equation.  The kite families run the
+same recurrence, with a constant term, on their vertex coordinates.  A spec is
+a plain record, which `iter_solutions` checks as each stream starts.
+
+Each stream of `SPECS` is every nonnegative solution.  Write the equation as
+X^2 - D*Y^2 = N with X = alpha*n, Y = i, D = alpha*beta (not a square) and
+N = alpha*gamma, and a solution as xi = X + Y*sqrt(D).  With
+rec^2 - 4 = f^2*D, the unit eta = (rec + f*sqrt(D))/2 has eta^2 = rec*eta - 1,
+and the second seed is the first times eta, so the stream is xi_0*eta^j for
+j >= 0, xi_0 the first seed.  Let eps = x1 + y1*sqrt(D) be the least solution
+of x^2 - D*y^2 = 1 with y1 > 0.  Nagell's bound (T. Nagell, Introduction to
+Number Theory, 1951): every solution is +-xi*eps^k for an integer k and a
+fundamental solution xi of its class, which has
+
+    0 <= Y <= y1*sqrt|N| / sqrt(2(x1 + 1))   when N > 0,
+    0 <  Y <= y1*sqrt|N| / sqrt(2(x1 - 1))   when N < 0.
+
+For every spec the bound is below 2 (the largest is 1.79, for K1), so the
+fundamental solutions are among the (+-X, Y) with Y = 0 or 1.  Each of them
+is +-xi_0*eta^j for some integer j: for K1 they are the seeds (2, 0) and
+(3, 1), and (-3, 1) = -xi_0*eta^-1; for every other spec the first seed,
+up to sign.  eps is eta, except for K1, whose stream steps by
+eta = phi^2 = (3 + sqrt5)/2 while eps = 9 + 4*sqrt5 = eta^3.  So every
+solution is +-xi_0*eta^j.  A solution has X, Y >= 0 exactly when xi > 0 and
+xi >= sqrt|N| (then |xi'| = |N|/xi <= xi).  xi_0*eta^-1, the step before
+the first seed, is positive with a negative entry, so it is below sqrt|N|,
+and the stream holds every nonnegative solution, in increasing n.  The tests carry this certificate.
 """
 
 from __future__ import annotations
@@ -16,7 +38,6 @@ import sys
 from collections import namedtuple
 from collections.abc import Iterator
 from itertools import islice
-from math import isqrt
 
 from equilat.errors import InconsistencyError
 
@@ -27,7 +48,6 @@ __all__ = [
     "recurrence",
     "iter_solutions",
     "solutions",
-    "seed_search",
 ]
 
 
@@ -49,7 +69,8 @@ class PellSpec(namedtuple("PellSpec", ("name", "alpha", "beta", "gamma", "seeds"
 
 # The four kite-family equations and the four triangle-family restrictions, by
 # name, in the order `equilat pell` prints them.  Besides that command, only
-# the tests' oracle of the trapezoid family rows reads the restrictions.
+# the tests read the restrictions: the oracle of the trapezoid family rows and
+# the certificate of the module docstring.
 SPECS: dict[str, PellSpec] = {spec.name: spec for spec in (
     PellSpec("K1", 1, 5, 4, (PellSolution(2, 0), PellSolution(3, 1)), 3),
     PellSpec("K2", 1, 5, 1, (PellSolution(1, 0), PellSolution(9, 4)), 18),
@@ -62,17 +83,6 @@ SPECS: dict[str, PellSpec] = {spec.name: spec for spec in (
 )}
 
 
-def _check_equation(alpha: int, beta: int, gamma: int) -> None:
-    """ValueError unless alpha, beta and gamma are ints with alpha and beta
-    positive and gamma nonzero, as the streams and the scan need."""
-    if not all(isinstance(v, int) for v in (alpha, beta, gamma)):
-        raise ValueError("alpha, beta and gamma must be integers")
-    if alpha < 1 or beta < 1:
-        raise ValueError("alpha and beta must be positive")
-    if gamma == 0:
-        raise ValueError("gamma must be nonzero")
-
-
 def _checked_seeds(spec: PellSpec) -> tuple[PellSolution, ...]:
     """The spec's seeds as PellSolutions; ValueError for a spec that cannot stream."""
     try:
@@ -82,7 +92,10 @@ def _checked_seeds(spec: PellSpec) -> tuple[PellSolution, ...]:
     fields = (spec.alpha, spec.beta, spec.gamma, spec.rec, *(v for s in seeds for v in s))
     if not all(isinstance(v, int) for v in fields):
         raise ValueError("alpha, beta, gamma, rec and the seeds must be integers")
-    _check_equation(spec.alpha, spec.beta, spec.gamma)
+    if spec.alpha < 1 or spec.beta < 1:
+        raise ValueError("alpha and beta must be positive")
+    if spec.gamma == 0:
+        raise ValueError("gamma must be nonzero")
     if spec.rec < 3:
         raise ValueError("recurrence multiplier must be at least 3")
     for s in seeds:
@@ -135,26 +148,3 @@ def solutions(spec: PellSpec, count: int) -> list[PellSolution]:
     if not 1 <= count <= sys.maxsize:  # islice takes at most sys.maxsize
         raise ValueError(f"count must lie in [1, {sys.maxsize}]")
     return list(islice(iter_solutions(spec), count))
-
-
-def seed_search(alpha: int, beta: int, gamma: int, bound: int) -> list[PellSolution]:
-    """All nonnegative solutions with n <= bound, by exhaustive scan.
-
-    Independent of the recurrence machinery; used as the completeness oracle.
-    The coefficients are checked as a spec's are.
-    """
-    _check_equation(alpha, beta, gamma)
-    if not isinstance(bound, int):
-        raise ValueError("bound must be an integer")
-    if bound < 1:
-        raise ValueError("bound must be positive")
-    found = []
-    for n in range(bound + 1):
-        num = alpha * n * n - gamma
-        if num < 0 or num % beta:
-            continue
-        i_sq = num // beta
-        i = isqrt(i_sq)
-        if i * i == i_sq:
-            found.append(PellSolution(n, i))
-    return found

@@ -88,7 +88,7 @@ from __future__ import annotations
 from array import array
 from collections import namedtuple
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, takewhile
 from math import gcd, isqrt
 
 from equilat.geometry import (
@@ -385,7 +385,7 @@ def audit_theorems(p_max: int) -> tuple[AuditCheck, ...]:
     catalog = enumerate_leqs(p_max).items()
     kinds = [(sig, cls.classification) for sig, cls in catalog]
     members = [(tag, km) for tag in kites.FAMILIES
-               for km in kites.members_within_perimeter(tag, p_max)]
+               for km in takewhile(lambda km: km.perimeter <= p_max, kites.iter_members(tag))]
     # A trapezoid's perimeter exceeds its triangle's by twice its shorter
     # parallel side, so triangles up to p_max give every trapezoid up to it.
     trapezoid_embeddings = [

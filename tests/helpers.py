@@ -7,6 +7,7 @@ import argparse
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import isqrt
 
 from equilat import pell
 from equilat.cli import _COMMANDS
@@ -191,6 +192,21 @@ def catalog_placements(p_max: int) -> dict[tuple, list[LatticeQuad]]:
         sig: [LatticeQuad(tuple(zip(f[::2], f[1::2]))) for f in sorted(flats)]
         for sig, flats in chains.items()
     }
+
+
+def seed_search(alpha: int, beta: int, gamma: int, bound: int) -> list[pell.PellSolution]:
+    """Reference oracle for the `pell` streams, independent of the recurrence:
+    every nonnegative solution of alpha*n^2 - beta*i^2 = gamma with
+    n <= bound, by exhaustive scan."""
+    found = []
+    for n in range(bound + 1):
+        num = alpha * n * n - gamma
+        if num < 0 or num % beta:
+            continue
+        i = isqrt(num // beta)
+        if beta * i * i == num:
+            found.append(pell.PellSolution(n, i))
+    return found
 
 
 # The four trapezoid family rows of the `trapezoids` module docstring: the

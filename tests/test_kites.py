@@ -1,5 +1,6 @@
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, takewhile
+from math import gcd, isqrt
 
 import pytest
 
@@ -10,7 +11,9 @@ from equilat.geometry import (
     LatticeQuad,
     classify,
     dist_sq,
+    exact_sqrt,
     is_equable,
+    realize,
     side_swap,
     signature,
     twice_area,
@@ -20,10 +23,9 @@ from equilat.kites import (
     audit_member,
     generate,
     iter_members,
-    members_within_perimeter,
 )
 from equilat.pell import SPECS, PellSolution, iter_solutions
-from equilat.search import get_catalog
+from equilat.search import audit_theorems, get_catalog
 from helpers import lattice_points, reflect_point
 
 
@@ -80,8 +82,7 @@ class TestMember:
     @pytest.mark.parametrize("call", [
         lambda: next(iter_members("K5")),
         lambda: generate("K5", 1),
-        lambda: members_within_perimeter("K5", 42),
-    ], ids=["iter_members", "generate", "members_within_perimeter"])
+    ], ids=["iter_members", "generate"])
     def test_unknown_family(self, call):
         with pytest.raises(ValueError, match="family must be one of K1, K2, K3, K4, got 'K5'"):
             call()
@@ -242,18 +243,167 @@ class TestNonRedundancy:
 
 class TestMembersWithinPerimeter:
     def test_p_max_42(self):
-        found = {
-            (tag, km.sol.n)
-            for tag in FAMILIES
-            for km in members_within_perimeter(tag, 42)
-        }
-        assert found == {("K1", 2), ("K1", 3), ("K3", 1), ("K4", 1)}
+        # audit_theorems expects each family's members up to p_max, the
+        # bound included: kite-3-15, K4 at n = 1, has perimeter 36
+        def expected_kites(p_max):
+            (row,) = (row for row in audit_theorems(p_max) if row.name == "kites")
+            return row.expected
 
-    @pytest.mark.parametrize("p_max", [100.0, 42.5, "42"], ids=["float", "half", "str"])
-    def test_rejects_a_bound_that_is_not_an_int(self, p_max):
-        # as the search and trapezoid bounds do
-        with pytest.raises(ValueError, match="^p_max must be an integer$"):
-            members_within_perimeter("K1", p_max)
+        members = [("K1", 2, 0), ("K1", 3, 1), ("K3", 1, 0), ("K4", 1, 1)]
+        sigs = {signature(member(tag, PellSolution(n, i)).quad()) for tag, n, i in members}
+        assert expected_kites(42) == expected_kites(36) == sigs
+        assert expected_kites(35) == sigs - {signature(NAMED_QUADS["kite-3-15"])}
+
+
+# The certificate of the kites module docstring.  u - 8 divides 128; for each
+# u, p = (u + 4s^2/u)/2 must be an integer and the discriminant
+# s^2 - 4p = s^2 - 2u - 8s^2/u a square, and both depend only on s mod u*mod
+# when read mod `mod`.  The divisors of LOCAL_MODULUS = 64 * 3 are the moduli
+# tried, in increasing order.
+LOCAL_MODULUS = 192
+MODULI = [m for m in range(1, LOCAL_MODULUS + 1) if LOCAL_MODULUS % m == 0]
+
+
+def _admissible(u: int, mod: int) -> list[int]:
+    """The s mod u*mod with an integer p whose discriminant is a square mod `mod`."""
+    squares = {x * x % mod for x in range(mod)}
+    return [s for s in range(u * mod) if 4 * s * s % u == 0 and (u + 4 * s * s // u) % 2 == 0
+            and (s * s - 2 * u - 8 * s * s // u) % mod in squares]
+
+
+def kite_case(u: int, families: dict) -> tuple[str, int, int]:
+    """(outcome, mod, r) for one u: the outcome is the tag of the family that
+    u = 2km^2 gives, with the least modulus at which an admissible s must be a
+    multiple of km and the r with discriminant r^2 (alpha*n^2 - gamma)/beta at
+    s = kmn; or the reason u gives no kite, with the modulus that decides it."""
+    q_sq = 16 + 128 // (u - 8)
+    if all(exact_sqrt(q_sq - x * x) is None for x in range(isqrt(q_sq) + 1)):
+        return f"{q_sq} is not a sum of two squares", 1, 0
+    multiple = {}  # mod -> the gcd of every admissible s mod u*mod
+    for mod in MODULI:
+        admissible = _admissible(u, mod)
+        if not admissible:
+            return ("p is never an integer" if mod == 1
+                    else f"s^2 - 4p is not a square mod {mod}"), mod, 0
+        multiple[mod] = gcd(u * mod, *admissible)
+    tag = next((tag for tag, fam in families.items() if 2 * fam.k * fam.m**2 == u), None)
+    if tag is None:
+        return "no family row", LOCAL_MODULUS, 0
+    fam, spec = families[tag], SPECS[tag]
+    km = fam.k * fam.m
+    mod = next((mod for mod in MODULI if multiple[mod] % km == 0), None)
+    if mod is None:
+        return f"{tag}: s need not be a multiple of km", LOCAL_MODULUS, 0
+    # at s = kmn the discriminant is c*n^2 - 2u, with c = (km)^2 (u - 8)/u
+    c, rem = divmod(km * km * (u - 8), u)
+    r = isqrt(c * spec.beta // spec.alpha)
+    squarefree = all(spec.beta % (x * x) for x in range(2, spec.beta + 1))
+    if rem or not squarefree or (c * spec.beta, 2 * u * spec.beta) != (
+            r * r * spec.alpha, r * r * spec.gamma):
+        return f"{tag}: the discriminant is not r^2 (alpha*n^2 - gamma)/beta", mod, 0
+    return tag, mod, r
+
+
+def kite_cases(families: dict = FAMILIES) -> dict[int, tuple[int, str, int, int]]:
+    """u -> (|AC|^2, outcome, mod, r) for every u with u - 8 dividing 128."""
+    return {d + 8: (16 + 128 // d, *kite_case(d + 8, families))
+            for d in range(1, 129) if 128 % d == 0}
+
+
+KITE_CASES = {
+    9: (144, "p is never an integer", 1, 0),
+    10: (80, "K1", 1, 5),
+    12: (48, "48 is not a sum of two squares", 1, 0),
+    16: (32, "K3", 16, 8),
+    24: (24, "24 is not a sum of two squares", 1, 0),
+    40: (20, "K2", 1, 20),
+    72: (18, "K4", 3, 12),
+    136: (17, "s^2 - 4p is not a square mod 64", 64, 0),
+}
+
+
+def kite_scan(s_max: int) -> list[tuple[int, int, int, int, int]]:
+    """Every (a, b, u, |OB|^2, |AC|^2) of an equable kite with integer sides
+    a >= b, a + b <= s_max and integer |OB|^2 and |AC|^2: Heron's formula on
+    O, A, B with area s = a + b, solved for |OB|^2, and |AC| = 4s/|OB|."""
+    hits = []
+    for s in range(2, s_max + 1):
+        for b in range(1, s // 2 + 1):
+            p = (s - b) * b
+            t = exact_sqrt(p * p - 4 * s * s)
+            if t is None:
+                continue
+            for v in {p - t, p + t}:
+                ob_sq = s * s - 2 * v
+                if ob_sq > 0 and 16 * s * s % ob_sq == 0:
+                    hits.append((s - b, b, 4 * s * s // v, ob_sq, 16 * s * s // ob_sq))
+    return hits
+
+
+def scan_classes(s_max: int) -> tuple[set[int], set[tuple], int]:
+    """The values of u among the scan's kites, the classes of their
+    realizations, and the number of kites; each must realize."""
+    hits = kite_scan(s_max)
+    classes = set()
+    for a, b, _, ob_sq, ac_sq in hits:
+        quad = realize((a * a, b * b, b * b, a * a), (ob_sq, ac_sq))
+        assert quad is not None, (a, b)
+        classes.add(signature(quad))
+    return {u for _, _, u, _, _ in hits}, classes, len(hits)
+
+
+def member_classes(s_max: int, families: dict) -> set[tuple]:
+    """The classes of the members of `families` with a + b <= s_max."""
+    return {signature(km.quad()) for tag in families
+            for km in takewhile(lambda km: km.K_A <= s_max, iter_members(tag))}
+
+
+def live(cases: dict) -> set[int]:
+    """The values of u whose outcome is a family."""
+    return {u for u, (_, outcome, _, _) in cases.items() if outcome in FAMILIES}
+
+
+class TestEveryKiteIsAMember:
+    def test_the_eight_cases(self):
+        cases = kite_cases()
+        assert cases == KITE_CASES
+        assert live(cases) == {2 * fam.k * fam.m**2 for fam in FAMILIES.values()}
+        for q_sq, outcome, _, _ in cases.values():
+            if outcome in FAMILIES:
+                assert FAMILIES[outcome].q_sq == q_sq
+
+    def test_live_cases_give_the_members_sides(self):
+        # a - b = r*i and a + b = kmn
+        for _, tag, _, r in KITE_CASES.values():
+            if tag in FAMILIES:
+                for km in generate(tag, 10):
+                    assert (km.a - km.b, km.a + km.b) == (r * km.sol.i, km.K_A), (tag, km.sol)
+
+    def test_k2_skipped_member_is_k1_rhombus(self):
+        # K2 at (1, 0): a = b = 5, |OB|^2 = s^2 (u - 8)/u = 80 and |AC|^2 = 20
+        ob_sq = 10 * 10 * (40 - 8) // 40
+        rhombus = realize((25, 25, 25, 25), (ob_sq, FAMILIES["K2"].q_sq))
+        assert signature(rhombus) == signature(member("K1", PellSolution(2, 0)).quad())
+
+    @pytest.mark.parametrize("s_max, counts", [
+        (1500, (15, 14)),
+        pytest.param(8000, (20, 19), marks=pytest.mark.slow),
+    ])
+    def test_scan_finds_exactly_the_members(self, s_max, counts):
+        u_seen, classes, hits = scan_classes(s_max)
+        assert u_seen == live(kite_cases())
+        assert classes == member_classes(s_max, FAMILIES)
+        assert (hits, len(classes)) == counts
+
+    def test_scan_catches_a_missing_family(self):
+        _, classes, _ = scan_classes(300)
+        without_k3 = {tag: fam for tag, fam in FAMILIES.items() if tag != "K3"}
+        assert classes != member_classes(300, without_k3)
+        assert live(kite_cases(without_k3)) != live(kite_cases())
+
+    def test_scan_catches_a_certificate_that_accepts_u_12(self):
+        u_seen, _, _ = scan_classes(300)
+        assert u_seen != live({**kite_cases(), 12: (48, "K3", 1, 0)})
 
 
 class TestKiteFromParallelogram:

@@ -1,16 +1,18 @@
 import sys
+from math import isqrt
 
 import pytest
 
 from equilat.errors import InconsistencyError
+from equilat.geometry import exact_sqrt
 from equilat.pell import (
     PellSolution,
     PellSpec,
     SPECS,
     iter_solutions,
-    seed_search,
     solutions,
 )
+from helpers import seed_search
 
 # sequence prefixes printed in the family discussion
 OEIS_PREFIXES = {
@@ -68,31 +70,6 @@ class TestSeedSearch:
     def test_insoluble_equation(self):
         assert seed_search(1, 5, 3, 50) == []
 
-    def test_rejects_zero_bound(self):
-        with pytest.raises(ValueError, match="bound must be positive"):
-            seed_search(1, 5, 4, 0)
-
-    def test_rejects_a_bound_that_is_not_an_int(self):
-        with pytest.raises(ValueError, match="^bound must be an integer$"):
-            seed_search(1, 5, 4, 30.0)
-
-    @pytest.mark.parametrize(
-        "coefficients, message",
-        [
-            ((0, 5, 4), "alpha and beta must be positive"),
-            ((1, 0, 4), "alpha and beta must be positive"),
-            ((1, -5, 4), "alpha and beta must be positive"),
-            ((1, 5, 0), "gamma must be nonzero"),
-            ((1.0, 5, 4), "alpha, beta and gamma must be integers"),
-            ((1, "5", 4), "alpha, beta and gamma must be integers"),
-        ],
-        ids=["zero-alpha", "zero-beta", "negative-beta", "zero-gamma", "float-alpha", "str-beta"],
-    )
-    def test_rejects_coefficients_as_a_spec_does(self, coefficients, message):
-        with pytest.raises(ValueError) as exc:
-            seed_search(*coefficients, 10)
-        assert str(exc.value) == message
-
 
 @pytest.mark.parametrize("spec", SPECS.values(), ids=lambda s: s.name)
 def test_stream_matches_scan_oracle(spec):
@@ -103,6 +80,126 @@ def test_stream_matches_scan_oracle(spec):
             break
         from_stream.append(sol)
     assert from_stream == seed_search(spec.alpha, spec.beta, spec.gamma, bound)
+
+
+# The certificate of the pell module docstring.  A spec's equation is read as
+# X^2 - D*Y^2 = N with X = alpha*n, Y = i, D = alpha*beta and N = alpha*gamma,
+# and a power of the unit eta = (rec + f*sqrt(D))/2 as the int pair (P, Q) of
+# (P + Q*sqrt(D))/2.
+
+
+def _steps(rec: int, v0: tuple, v1: tuple, count: int) -> list[tuple]:
+    """v0, v1 and the recurrence v_{j+1} = rec*v_j - v_{j-1}, count in all;
+    from (v1, v0) it runs backwards."""
+    out = [v0, v1]
+    while len(out) < count:
+        out.append(tuple(rec * b - a for a, b in zip(out[-2], out[-1])))
+    return out[:count]
+
+
+def _least_unit(d: int) -> tuple[int, int]:
+    """The least solution (x1, y1) of x^2 - d*y^2 = 1 with y1 > 0."""
+    y = 1
+    while exact_sqrt(1 + d * y * y) is None:
+        y += 1
+    return exact_sqrt(1 + d * y * y), y
+
+
+def nagell_bound(spec: PellSpec) -> tuple[int, int]:
+    """(y1^2 * |N|, 2(x1 +- 1)), + when N > 0: a fundamental solution has
+    Y^2 * 2(x1 +- 1) <= y1^2 * |N|."""
+    d, big_n = spec.alpha * spec.beta, spec.alpha * spec.gamma
+    x1, y1 = _least_unit(d)
+    return y1 * y1 * abs(big_n), 2 * (x1 + 1 if big_n > 0 else x1 - 1)
+
+
+def nagell_candidates(spec: PellSpec) -> list[tuple[int, int]]:
+    """Every (X, Y) with Y >= 0 under Nagell's bound and X^2 - D*Y^2 = N, a
+    superset of the fundamental solutions of its classes."""
+    d, big_n = spec.alpha * spec.beta, spec.alpha * spec.gamma
+    top, twice = nagell_bound(spec)
+    out = []
+    y = 0
+    while y * y * twice <= top:
+        x = exact_sqrt(big_n + d * y * y)
+        if x is not None:
+            out += sorted({(-x, y), (x, y)})
+        y += 1
+    return out
+
+
+def unit_exponent(spec: PellSpec) -> int | None:
+    """The e <= 12 with eta^e = x1 + y1*sqrt(D), or None."""
+    d = spec.alpha * spec.beta
+    f = isqrt((spec.rec**2 - 4) // d)
+    x1, y1 = _least_unit(d)
+    powers = _steps(spec.rec, (2, 0), (spec.rec, f), 13)
+    return next((e for e, pq in enumerate(powers) if e and pq == (2 * x1, 2 * y1)), None)
+
+
+def stream_certificate(spec: PellSpec) -> str | None:
+    """The first step of the docstring's argument that fails for the spec's
+    stream, or None when the stream is every nonnegative solution."""
+    d, rec = spec.alpha * spec.beta, spec.rec
+    if exact_sqrt(d) is not None:
+        return "D is a square"
+    f_sq, rem = divmod(rec * rec - 4, d)
+    f = exact_sqrt(f_sq)
+    if rem or f is None:
+        return "rec^2 - 4 is not f^2 * D"
+    v0, v1 = ((spec.alpha * n, i) for n, i in spec.seeds)
+    if (2 * v1[0], 2 * v1[1]) != (rec * v0[0] + f * d * v0[1], rec * v0[1] + f * v0[0]):
+        return "the second seed is not the first times eta"
+    e = unit_exponent(spec)
+    if e is None:
+        return "eps is not a power of eta"
+    # xi_0 * eta^j for -e <= j <= e, and their negatives
+    line = set(_steps(rec, v0, v1, e + 1)) | set(_steps(rec, v1, v0, e + 2))
+    line |= {(-x, -y) for x, y in line}
+    if not set(nagell_candidates(spec)) <= line:
+        return "a fundamental solution is off the stream"
+    if min(_steps(rec, v1, v0, 3)[2]) >= 0:
+        return "the step before the first seed is nonnegative"
+    return None
+
+
+class TestStreamsAreComplete:
+    @pytest.mark.parametrize("spec", SPECS.values(), ids=lambda s: s.name)
+    def test_certificate_holds(self, spec):
+        assert stream_certificate(spec) is None
+
+    def test_nagell_bound_is_below_2_and_largest_for_k1(self):
+        bounds = {name: nagell_bound(spec) for name, spec in SPECS.items()}
+        # Y = 2 is over every bound, and K1's bound^2 = 64/20 is the largest
+        assert all(4 * twice > top for top, twice in bounds.values())
+        top1, twice1 = bounds["K1"]
+        assert (top1, twice1) == (64, 20)
+        assert all(top * twice1 <= top1 * twice for top, twice in bounds.values())
+
+    def test_fundamental_solutions_are_the_first_seeds(self):
+        # up to the sign of X; K1 adds its second seed and that seed's conjugate
+        assert nagell_candidates(SPECS["K1"]) == [(-2, 0), (2, 0), (-3, 1), (3, 1)]
+        for name, spec in SPECS.items():
+            if name != "K1":
+                n, i = spec.seeds[0]
+                assert set(nagell_candidates(spec)) == {(-spec.alpha * n, i), (spec.alpha * n, i)}
+
+    def test_k1_steps_by_a_cube_root_of_the_unit(self):
+        # phi^2 = (3 + sqrt5)/2, and Nagell's unit 9 + 4*sqrt5 is phi^6
+        assert {name: unit_exponent(spec) for name, spec in SPECS.items()} == {
+            name: 3 if name == "K1" else 1 for name in SPECS
+        }
+
+    @pytest.mark.parametrize("seeds, rec, failed", [
+        # stepping by phi^4 misses the class of (3, 1), and phi^6 is no power of it
+        (((2, 0), (7, 3)), 7, "eps is not a power of eta"),
+        # starting a step late misses (2, 0)
+        (((3, 1), (7, 3)), 3, "the step before the first seed is nonnegative"),
+    ], ids=["skips-a-class", "starts-late"])
+    def test_a_stream_that_misses_a_solution_fails(self, seeds, rec, failed):
+        spec = PellSpec("K1-mutant", 1, 5, 4, seeds, rec)
+        assert stream_certificate(spec) == failed
+        assert set(seed_search(1, 5, 4, 50)) - set(solutions(spec, 4))
 
 
 @pytest.mark.parametrize("spec", SPECS.values(), ids=lambda s: s.name)
