@@ -37,8 +37,6 @@ Library callers and tools call `run`, which returns the exit code, never
 exits and leaves the collector as it found it.
 """
 
-from __future__ import annotations
-
 import gc
 import importlib.util
 import io
@@ -179,7 +177,7 @@ def _flags(command: str) -> dict[str, dict]:
     return {**flags, **options()}
 
 
-def _build_parser(command: str | None) -> argparse.ArgumentParser:
+def _build_parser(command: str | None) -> "argparse.ArgumentParser":
     """The parser, with a real subparser for `command` only.  argparse parses
     with no other, and its help, usage and invalid-choice messages read only
     their name and help line, so the others are None.  argparse is imported

@@ -5,8 +5,6 @@ modules as attributes of the package (`from equilat import search`), which
 the domain modules, since `trapezoids` and `cyclic` must not import `figures`.
 """
 
-from __future__ import annotations
-
 from types import SimpleNamespace
 
 from equilat import figures, geometry
@@ -18,11 +16,11 @@ def check_workers(args: SimpleNamespace) -> None:
         raise EquilatError("workers must be positive")
 
 
-def quad_json(q: geometry.LatticeQuad | None) -> list[list[int]] | None:
+def quad_json(q: "geometry.LatticeQuad | None") -> list[list[int]] | None:
     return None if q is None else [list(p) for p in q]
 
 
-def drawing(q: geometry.LatticeQuad | None) -> tuple[str, geometry.LatticeQuad]:
+def drawing(q: "geometry.LatticeQuad | None") -> "tuple[str, geometry.LatticeQuad]":
     """The name and drawing shown for the class of the realized quad q."""
     shown = q and figures.CLASS_DRAWINGS.get(geometry.signature(q))
     if shown is None:

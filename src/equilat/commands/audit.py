@@ -4,8 +4,6 @@ Everything comes from the rows of `search.audit_theorems`: per row, the JSON
 keys {name}_found and {name}_expected, each a sorted list, and {name}_match,
 one text line, and its name in "failed" when it does not hold."""
 
-from __future__ import annotations
-
 from types import SimpleNamespace
 
 from equilat import search

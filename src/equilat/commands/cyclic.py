@@ -1,7 +1,5 @@
 """`equilat cyclic`: the cyclic candidates and solutions."""
 
-from __future__ import annotations
-
 from types import SimpleNamespace
 
 from equilat import cyclic

@@ -1,7 +1,5 @@
 """`equilat kites`: kite family members with audit columns."""
 
-from __future__ import annotations
-
 from types import SimpleNamespace
 
 from equilat import geometry, kites

@@ -1,7 +1,5 @@
 """`equilat pell`: the built-in Pell equation solution streams."""
 
-from __future__ import annotations
-
 from types import SimpleNamespace
 
 from equilat import pell

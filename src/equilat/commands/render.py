@@ -1,7 +1,5 @@
 """`equilat render`: a named figure drawn as SVG."""
 
-from __future__ import annotations
-
 from types import SimpleNamespace
 
 from equilat import render

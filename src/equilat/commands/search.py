@@ -1,7 +1,5 @@
 """`equilat search`: the exhaustive catalog of LEQ classes up to a perimeter bound."""
 
-from __future__ import annotations
-
 from types import SimpleNamespace
 
 from equilat import search

@@ -1,7 +1,5 @@
 """`equilat trapezoids`: the equable trapezoids with integer sides."""
 
-from __future__ import annotations
-
 from math import isqrt
 from types import SimpleNamespace
 

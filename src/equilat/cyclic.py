@@ -14,8 +14,6 @@ cyclic diagonal formulas decides whether an order's are; the exact realizer
 integers, from those and the squared sides.
 """
 
-from __future__ import annotations
-
 from equilat.errors import InconsistencyError
 from equilat.geometry import LatticeQuad, exact_sqrt, realize
 

@@ -5,8 +5,6 @@ shows a class that `geometry.realize` found elsewhere (a trapezoid, a cyclic
 side order) as its drawing.
 """
 
-from __future__ import annotations
-
 from equilat.errors import InconsistencyError
 from equilat.geometry import LatticeQuad, is_equable, signature
 

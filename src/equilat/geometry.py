@@ -6,8 +6,6 @@ enters any geometric decision.  Python's arbitrary-precision integers make
 overflow a non-issue, so coordinates of any magnitude are safe.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from collections.abc import Sequence
 from math import isqrt

@@ -58,8 +58,6 @@ K_A = kmn needs.  The tests carry the computation of the eight cases, and
 a scan over (a, b) as an oracle.
 """
 
-from __future__ import annotations
-
 import sys
 from collections import namedtuple
 from collections.abc import Iterator

@@ -32,8 +32,6 @@ the first seed, is positive with a negative entry, so it is below sqrt|N|,
 and the stream holds every nonnegative solution, in increasing n.  The tests carry this certificate.
 """
 
-from __future__ import annotations
-
 import sys
 from collections import namedtuple
 from collections.abc import Iterator

@@ -1,16 +1,14 @@
 """Static SVG drawings of the named figures: lattice dots, shaded
 quadrilaterals, labeled vertices.  One lattice unit is a fixed 24 px."""
 
-from __future__ import annotations
-
 from collections.abc import Callable
 from math import ceil, floor
 
 from equilat.figures import NAMED_QUADS
 from equilat.geometry import side_swap
 
-# Fraction in the annotations is fractions.Fraction, the type of the point
-# that side_swap moves.  Annotations are never evaluated here, so nothing
+# "Fraction" in the annotations is fractions.Fraction, the type of the point
+# that side_swap moves.  The annotations that name it are strings, so nothing
 # imports it for them.
 
 __all__ = ["UNIT", "FIGURE_PANELS", "figure_names", "render_figure"]
@@ -88,7 +86,7 @@ def figure_names() -> list[str]:
     return sorted(FIGURE_PANELS)
 
 
-def _fmt(value: int | Fraction) -> str:
+def _fmt(value: "int | Fraction") -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{float(value):.3f}".rstrip("0").rstrip(".")
@@ -117,7 +115,7 @@ class _Panel:
     def height(self) -> int:
         return (self.max_y - self.min_y) * UNIT
 
-    def to_px(self, x: Fraction, y: Fraction, x_off: int) -> tuple[Fraction, Fraction]:
+    def to_px(self, x: "Fraction", y: "Fraction", x_off: int) -> "tuple[Fraction, Fraction]":
         return (x - self.min_x) * UNIT + x_off, (self.max_y - y) * UNIT
 
     def svg(self, x_off: int) -> list[str]:

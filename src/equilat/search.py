@@ -12,11 +12,11 @@ match k(v) + k(u) = 0 with k = cross(v1, v2) - 2(|v1| + |v2|).  The search
 therefore takes each diagonal d in the eighth dx > 0, 0 <= dy <= dx, lists
 its half-chains with integer-norm edges, buckets them by key and joins bucket
 k with bucket -k: the meet-in-the-middle idea of Horowitz & Sahni (1974).
-Swapping v and u turns the quad 180 degrees about d/2, so only keys k >= 0
-probe, and bucket 0 meets itself once per unordered pair, the pair of a
-half-chain with itself being a parallelogram.
+Swapping v and u turns the quad 180 degrees about d/2, so v is taken with
+k >= 0 and u with k <= 0, and bucket 0 meets itself once per unordered
+pair, the pair of a half-chain with itself being a parallelogram.
 Every side and diagonal is shorter than half the perimeter, which bounds both
-the edge table and the diagonals.
+the edges and the diagonals.
 
 Integer-norm edges are all the search needs: every side of an LEQ is an
 integer.  Write side i as sqrt(n_i) = m_i sqrt(s_i), s_i squarefree.  Twice
@@ -26,11 +26,12 @@ of distinct squarefree integers are linearly independent over Q (Besicovitch
 sum m_i sqrt(s_i) - A sqrt(1) = 0, grouped by s, the coefficient of each
 sqrt(s) with s != 1 vanishes.  It is a sum of positive m_i, so no s_i != 1.
 
-Each half-chain is stored as three ints: its key dy*K + k, the key
-dy*K - k of its partners, with K = 4 p_max > 2|k|, and its first edge.  Per
-column dx a set intersection in C finds the keys that some half-chain wants,
-and only the half-chains with those keys are bucketed in Python: 297 of
-5,895 at p_max = 200.
+A hit pairs a fat half (k >= 0) with a thin one (k <= 0); a half with k = 0
+is both.  Each is stored as two ints, dy*K + |k| with K = 4 p_max > 2|k|,
+and its first edge, so a fat and a thin half match when their keys are
+equal.  Per column dx a set intersection in C finds the keys on both sides,
+and only their half-chains are bucketed in Python: 161 of 4,555 fat and 167
+of 1,371 thin at p_max = 200.
 
 The area bounds the half-chains too.  Each half's cross product is at least
 1, and the two sum to twice the area, that is 2 * perimeter <= 2 p_max, so
@@ -83,8 +84,6 @@ chains, that is its lattice placements up to translation together with each
 vertex of the placement that anchors it.
 """
 
-from __future__ import annotations
-
 from array import array
 from collections import namedtuple
 from functools import lru_cache
@@ -113,6 +112,22 @@ P_MAX_MIN = 12
 P_MAX_MAX = 1000
 
 
+def _bases(half: int) -> list[tuple[int, int, int]]:
+    """The primitive bases (x, y, length) with x > y >= 0 and length <= half,
+    longest first, then larger x first."""
+    # Euclid: (m^2 - n^2, 2mn, m^2 + n^2) with m > n >= 0 coprime and of
+    # opposite parity lists each primitive triple once, and m = 1, n = 0 the
+    # axis vector (1, 0).  Legs never match, since 2x^2 is not a square.
+    out = []
+    for m in range(1, isqrt(half) + 1):
+        for n in range((m + 1) % 2, min(m, isqrt(half - m * m) + 1), 2):
+            if gcd(m, n) == 1:
+                a, b = m * m - n * n, 2 * m * n
+                out.append((max(a, b), min(a, b), m * m + n * n))
+    out.sort(key=lambda e: (e[2], e[0]), reverse=True)
+    return out
+
+
 def integer_norm_vectors(max_len: int) -> list[tuple[int, int, int]]:
     """All nonzero lattice vectors (dx, dy, length) with integer norm
     length <= max_len, every quadrant included, sorted by (length, dx, dy)."""
@@ -121,45 +136,43 @@ def integer_norm_vectors(max_len: int) -> list[tuple[int, int, int]]:
     if max_len < 1:
         raise ValueError("max_len must be positive")
     out = []
-    # Euclid: (m^2 - n^2, 2mn, m^2 + n^2) with m > n >= 0 coprime and of
-    # opposite parity lists each primitive triple once, and m = 1, n = 0 the
-    # axis vector (1, 0).  Legs never match, since 2x^2 is not a square.
-    for m in range(1, isqrt(max_len) + 1):
-        for n in range((m + 1) % 2, min(m, isqrt(max_len - m * m) + 1), 2):
-            r = m * m + n * n
-            if gcd(m, n) == 1:
-                for k in range(1, max_len // r + 1):
-                    x, y, c = k * (m * m - n * n), 2 * k * m * n, k * r
-                    out += (
-                        ((x, y, c), (-x, y, c), (x, -y, c), (-x, -y, c),
-                         (y, x, c), (-y, x, c), (y, -x, c), (-y, -x, c))
-                        if y else ((x, 0, c), (-x, 0, c), (0, x, c), (0, -x, c))
-                    )
+    for x0, y0, r in _bases(max_len):
+        for k in range(1, max_len // r + 1):
+            x, y, c = k * x0, k * y0, k * r
+            out += (
+                ((x, y, c), (-x, y, c), (x, -y, c), (-x, -y, c),
+                 (y, x, c), (-y, x, c), (y, -x, c), (-y, -x, c))
+                if y else ((x, 0, c), (-x, 0, c), (0, x, c), (0, -x, c))
+            )
     out.sort(key=lambda e: (e[2], e[0], e[1]))
     return out
 
 
-def _half_chains(p_max: int, edges: list[tuple[int, int, int]]) -> dict[int, array]:
+def _half_chains(p_max: int) -> tuple[dict[int, array], dict[int, array]]:
     """Per column dx of diagonals, the half-chains 0 -> v1 -> d as flat runs
-    of (key, want, v): key = dy*K + k and want = dy*K - k with K = 4 p_max and
-    k = cross(v1, v2) - 2(|v1| + |v2|), and v = x1*V + y1 with
-    V = 2 half + 1, half = (p_max - 1) // 2.  Every half-chain whose diagonal
-    d lies in the eighth dx > 0, 0 <= dy <= dx, whose cross product lies in
-    [1, 2 p_max - 1] and whose other half has room, once.  `edges` is the edge
-    table integer_norm_vectors(half).  The module docstring derives the pairs
-    of directions."""
+    of (key, v), in `fat` when k >= 0 and in `thin` when k <= 0: key =
+    dy*K + |k| with K = 4 p_max and k = cross(v1, v2) - 2(|v1| + |v2|), and
+    v = x1*V + y1 with V = 2 half + 1, half = (p_max - 1) // 2.  Every
+    half-chain whose diagonal d lies in the eighth dx > 0, 0 <= dy <= dx,
+    whose cross product lies in [1, 2 p_max - 1] and whose other half has
+    room, once on each side it belongs to.  The module docstring derives the
+    pairs of directions."""
     half = (p_max - 1) // 2
     top = 2 * p_max - 1
     K, V = 4 * p_max, 2 * half + 1
-    # -2 p_max < k < 2 p_max, so a key fixes (dy, k); dy, |x1|, |y1| <= half.
-    # |key|, |want| < 2 p_max^2 and |v| < p_max^2 / 2 fit a C int for
-    # p_max < 32,768; a value out of range raises OverflowError, never wraps.
-    out = {dx: array("i") for dx in range(1, half + 1)}
-    # put[dx] appends to column dx; fromlist resizes the array once, where
-    # extending it by a tuple grows it item by item at twice the cost.
-    put = [None, *(col.fromlist for col in out.values())]
+    # |k| < 2 p_max, so a key fixes (dy, |k|); dy, |x1|, |y1| <= half.
+    # key < 2 p_max^2 and |v| < p_max^2 / 2 fit a C int for p_max < 32,768;
+    # a value out of range raises OverflowError, never wraps.
+    fat = {dx: array("i") for dx in range(1, half + 1)}
+    thin = {dx: array("i") for dx in range(1, half + 1)}
+    # put[dx] appends to column dx of one side; fromlist resizes the array
+    # once, where extending it by a tuple grows it item by item at twice the
+    # cost.  A half with k = 0 goes to both sides.
+    fput = [None, *(col.fromlist for col in fat.values())]
+    tput = [None, *(col.fromlist for col in thin.values())]
+    zput = [None, *(lambda e, f=f, t=t: (f(e), t(e)) for f, t in zip(fput[1:], tput[1:]))]
     # Longest first, so that the long loop over bases[n:] runs inside.
-    bases = [(x, y, r) for x, y, r in reversed(edges) if x > y >= 0 and gcd(x, y) == 1]
+    bases = _bases(half)
     for n, (x1, y1, r1) in enumerate(bases):
         for x2, y2, r2 in bases[n:]:
             a, b, e, f = x1 * y2, y1 * x2, x1 * x2, y1 * y2
@@ -206,18 +219,22 @@ def _half_chains(p_max: int, edges: list[tuple[int, int, int]]) -> dict[int, arr
                         else:
                             dx, dy, vx, vy = -sx, -sy, -ux, -uy
                         k = k0 + j * kj
+                        if k > 0:
+                            put = fput
+                        elif k:
+                            put, k = tput, -k
+                        else:
+                            put = zput
                         if dy <= dx:
-                            t = dy * K
-                            put[dx]([t + k, t - k, vx * V + vy])
+                            put[dx]([dy * K + k, vx * V + vy])
                         if j > lo:
                             # The half-chains of (Q, P): mirrors through y = x,
                             # and on the x-axis through the x-axis.
                             if dy >= dx:
-                                t = dx * K
-                                put[dy]([t + k, t - k, (dy - vy) * V + dx - vx])
+                                put[dy]([dx * K + k, (dy - vy) * V + dx - vx])
                             if not dy:
-                                put[dx]([k, -k, (dx - vx) * V + vy])
-    return out
+                                put[dx]([k, (dx - vx) * V + vy])
+    return fat, thin
 
 
 def _equable_quads(p_max: int):
@@ -225,39 +242,39 @@ def _equable_quads(p_max: int):
     (0, P1, d, P3) with integer sides and perimeter <= p_max whose interior
     diagonal d = P2 - P0 lies in the eighth dx > 0, 0 <= dy <= dx, but only
     one of each such quad and its 180-degree turn about d/2.  Per column, a
-    set intersection in C keeps the half-chains whose key another one wants,
-    and only those reach Python.  The module docstring derives the bound
-    1 <= cross(v1, v2) <= 2 p_max - 1 on the half-chains and the pairs of
-    directions that list them."""
+    set intersection in C keeps the keys found on both sides, and only the
+    half-chains with those keys reach Python.  The module docstring derives
+    the bound 1 <= cross(v1, v2) <= 2 p_max - 1 on the half-chains and the
+    pairs of directions that list them."""
     half = (p_max - 1) // 2  # every side and diagonal is shorter than p_max / 2
     K, V = 4 * p_max, 2 * half + 1
-    columns = _half_chains(p_max, integer_norm_vectors(half))
+    fat, thin = _half_chains(p_max)
     for dx in range(1, half + 1):
-        col = columns.pop(dx)
-        keys = col[0::3].tolist()
-        matched = set(keys).intersection(col[1::3])
+        fat_col, thin_col = fat.pop(dx), thin.pop(dx)
+        fat_keys, thin_keys = fat_col[0::2].tolist(), thin_col[0::2].tolist()
+        matched = set(thin_keys).intersection(fat_keys)
         if not matched:
             continue
-        # Half-chains 0 -> v1 -> d right of d, for one column of diagonals at
-        # a time, keyed by dy*K + k, with a partner key dy*K - k.
-        buckets: dict[int, list[tuple[int, int]]] = {}
-        for key, v in compress(zip(keys, col[2::3]), map(matched.__contains__, keys)):
-            x1, y1 = divmod(v + half, V)
-            buckets.setdefault(key, []).append((x1, y1 - half))
+        # The first edges of the matched half-chains 0 -> v1 -> d right of d,
+        # for one column of diagonals at a time, by key, on each side.
+        fat_buckets, thin_buckets = {}, {}
+        for keys, col, buckets in ((fat_keys, fat_col, fat_buckets),
+                                   (thin_keys, thin_col, thin_buckets)):
+            for key, v in compress(zip(keys, col[1::2]), map(matched.__contains__, keys)):
+                x1, y1 = divmod(v + half, V)
+                buckets.setdefault(key, []).append((x1, y1 - half))
         # The left half (P2, P3, P0) negated is a right half (u1, u2) of the
         # same d; negation keeps both the cross product and the lengths.
-        # Bucket 0 pairs each u with itself and the v after it.
-        for key, uppers in buckets.items():
-            dy, k = divmod(key + 2 * p_max, K)
-            k -= 2 * p_max
-            if k < 0:
-                continue
-            # Some half-chain wants this key, so its partner bucket exists.
-            for j, (ux, uy) in enumerate(buckets[key - 2 * k]):
+        # Each fat bucket meets the thin bucket of its key.  Bucket 0 holds
+        # the same halves on both sides, so it pairs each u with itself and
+        # the v after it.
+        for key, ups in fat_buckets.items():
+            dy, k = divmod(key, K)
+            for j, (ux, uy) in enumerate(thin_buckets[key]):
                 qx, qy = dx - ux, dy - uy  # P3 = d - u1 = u2
                 # Twice the area, cross(v1, d) + cross(u1, d), is 2 * perimeter.
                 room = 2 * p_max - (ux * dy - uy * dx)
-                for x1, y1 in uppers[j:] if k == 0 else uppers:
+                for x1, y1 in ups[j:] if k == 0 else ups:
                     if x1 * dy - y1 * dx > room:
                         continue
                     if x1 * qy == y1 * qx or (dx - x1) * uy == (dy - y1) * ux:

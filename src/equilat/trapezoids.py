@@ -63,8 +63,6 @@ from (3, 4, 5), (5, 5, 6) and (5, 5, 8), of perimeter at most
 TRAPEZOID_TRIANGLE_BOUND.
 """
 
-from __future__ import annotations
-
 from itertools import permutations
 from math import gcd
 

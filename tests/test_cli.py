@@ -118,8 +118,8 @@ _BARE_LOADED_PROBE = """\
 import sys
 sys.path.insert(0, sys.argv.pop(1))
 import contextlib, io
-if {"typing", "re"} & set(sys.modules):
-    sys.exit("the probe loaded typing or re before equilat")
+if {"typing", "re", "__future__"} & set(sys.modules):
+    sys.exit("the probe loaded typing, re or __future__ before equilat")
 import equilat.cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = equilat.cli.run(sys.argv[1:])
@@ -227,13 +227,15 @@ class TestStartup:
         # re.  Under python -S, importing geometry, search, kites and pell
         # took a median 24.8 ms with typing.NamedTuple records and 17.2 ms
         # without (41 fresh CPython 3.11 runs, no bytecode cache, 2-vCPU Xeon).
+        # No module imports __future__: the annotations that would run code
+        # or name an unimported type are strings.
         done = subprocess.run(
             [sys.executable, "-S", "-c", _BARE_LOADED_PROBE, SRC, *argv],
             capture_output=True, text=True,
         )
         code, *loaded = done.stdout.split()
         assert (code, done.stderr) == ("0", "")
-        assert {"typing", "re"}.isdisjoint(loaded)
+        assert {"typing", "re", "__future__"}.isdisjoint(loaded)
 
     def test_pretty_command_loads_json(self):
         done = _python("-c", _LOADED_PROBE, "pell", "--count", "2", "--format", "json", "--pretty")

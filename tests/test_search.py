@@ -1,4 +1,4 @@
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 
@@ -17,6 +17,7 @@ from equilat.search import (
     P_MAX_MIN,
     AuditCheck,
     _anchored_chains,
+    _bases,
     _equable_quads,
     _half_chains,
     audit_theorems,
@@ -261,29 +262,41 @@ def _half_chain_scan(p_max: int) -> list[tuple[int, ...]]:
     "p_max", [*range(16, 61), 100, 150, 200, 401, pytest.param(1000, marks=pytest.mark.slow)]
 )
 def test_half_chains_match_scan(p_max):
-    # Every half-chain, axis edges included, once, in the column of its
-    # diagonal, with its key and the key of its partners.
+    # Every half-chain, axis edges included, in the column of its diagonal,
+    # with its key: once in fat iff k >= 0 and once in thin iff k <= 0.
     half = (p_max - 1) // 2
     K, V = 4 * p_max, 2 * half + 1
-    columns = _half_chains(p_max, integer_norm_vectors(half))
-    assert set(columns) == set(range(1, half + 1))
-    listed = []
-    for dx, column in columns.items():
-        for key, want, v in zip(*[iter(column)] * 3):
-            dy, k = divmod(key + K // 2, K)
-            k -= K // 2
-            assert want == dy * K - k
-            x1, y1 = divmod(v + half, V)
-            listed.append((dx, dy, k, x1, y1 - half))
-    assert sorted(listed) == _half_chain_scan(p_max)
+    fat, thin = _half_chains(p_max)
+    assert set(fat) == set(thin) == set(range(1, half + 1))
+    listed = {1: [], -1: []}
+    for sign, side in ((1, fat), (-1, thin)):
+        for dx, column in side.items():
+            for key, v in zip(*[iter(column)] * 2):
+                dy, k = divmod(key, K)
+                x1, y1 = divmod(v + half, V)
+                listed[sign].append((dx, dy, sign * k, x1, y1 - half))
+    scan = _half_chain_scan(p_max)
+    assert sorted(listed[1]) == [h for h in scan if h[2] >= 0]
+    assert sorted(listed[-1]) == [h for h in scan if h[2] <= 0]
 
 
 @pytest.mark.parametrize(
-    "p_max, filed", [(200, 5895), pytest.param(1000, 70296, marks=pytest.mark.slow)]
+    "p_max, n_fat, n_thin",
+    [(200, 4555, 1371), pytest.param(1000, 59229, 11121, marks=pytest.mark.slow)],
 )
-def test_half_chain_counts(p_max, filed):
-    columns = _half_chains(p_max, integer_norm_vectors((p_max - 1) // 2))
-    assert sum(map(len, columns.values())) == 3 * filed
+def test_half_chain_counts(p_max, n_fat, n_thin):
+    fat, thin = _half_chains(p_max)
+    assert sum(map(len, fat.values())) == 2 * n_fat
+    assert sum(map(len, thin.values())) == 2 * n_thin
+
+
+def test_bases_are_the_primitive_edges():
+    # Longest first, then larger x: the order the half-chain loops rely on.
+    # integer_norm_vectors(half) is the table at 500 cut at length half.
+    primitive = [(x, y, r) for x, y, r in reversed(integer_norm_vectors(500))
+                 if x > y >= 0 and gcd(x, y) == 1]
+    for half in range(1, 501):
+        assert _bases(half) == [b for b in primitive if b[2] <= half]
 
 
 @pytest.mark.parametrize(
